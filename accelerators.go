@@ -22,7 +22,10 @@ func PadToWords(b []byte) []Word {
 	return accel.BytesToWords(padded)
 }
 
-// blockAccel adapts a pure block function to the Accelerator interface.
+// blockAccel adapts a block function to the Accelerator interface. Every
+// built-in's process function writes its result into a buffer allocated once
+// by the constructor and returns that buffer, so a warmed accelerator never
+// allocates (see the result-lifetime contract on Accelerator.Process).
 type blockAccel struct {
 	name      string
 	inWords   int
@@ -48,24 +51,34 @@ func (a *blockAccel) Process(in []Word) ([]Word, error) { return a.process(in) }
 // produces its 256-bit digest (4 words) out, like the prototype's OpenCores
 // core (§5.2).
 func NewSHA256() Accelerator {
+	var blk [accel.SHA256BlockSize]byte
+	out := make([]Word, 4)
 	return &blockAccel{
 		name:     "sha256",
 		inWords:  8,
 		outWords: 4,
 		process: func(in []Word) ([]Word, error) {
-			sum := accel.SHA256Sum(accel.WordsToBytes(in))
-			return accel.BytesToWords(sum[:]), nil
+			for i, w := range in[:8] {
+				binary.LittleEndian.PutUint64(blk[8*i:], w)
+			}
+			sum := accel.SHA256Sum64(&blk)
+			for i := range out {
+				out[i] = binary.LittleEndian.Uint64(sum[8*i:])
+			}
+			return out, nil
 		},
 	}
 }
 
-// NewAES128 returns the AES-128 ECB encryptor: 128-bit blocks in and out,
-// keyed through the CSR struct (WithCSR(key)); the zero key applies until
-// configured.
-func NewAES128() Accelerator {
+// newAES128 builds either direction of the AES-128 ECB pair: 128-bit blocks
+// in and out, keyed through the CSR struct (WithCSR(key)); the zero key
+// applies until configured.
+func newAES128(name string, crypt func(c *accel.AES, dst, src []byte)) Accelerator {
 	cipher, _ := accel.NewAES(make([]byte, accel.AESKeySize))
+	var blk [accel.AESBlockSize]byte
+	out := make([]Word, 2)
 	return &blockAccel{
-		name:     "aes128",
+		name:     name,
 		inWords:  2,
 		outWords: 2,
 		configure: func(csr []byte) error {
@@ -77,49 +90,35 @@ func NewAES128() Accelerator {
 			return nil
 		},
 		process: func(in []Word) ([]Word, error) {
-			var blk [accel.AESBlockSize]byte
 			binary.LittleEndian.PutUint64(blk[0:], in[0])
 			binary.LittleEndian.PutUint64(blk[8:], in[1])
-			cipher.Encrypt(blk[:], blk[:])
-			return []Word{binary.LittleEndian.Uint64(blk[0:]), binary.LittleEndian.Uint64(blk[8:])}, nil
+			crypt(cipher, blk[:], blk[:])
+			out[0] = binary.LittleEndian.Uint64(blk[0:])
+			out[1] = binary.LittleEndian.Uint64(blk[8:])
+			return out, nil
 		},
 	}
 }
+
+// NewAES128 returns the AES-128 ECB encryptor.
+func NewAES128() Accelerator { return newAES128("aes128", (*accel.AES).Encrypt) }
 
 // NewAES128Decrypt returns the matching decryptor (not in the paper's
 // prototype, but the natural second half of the pair).
-func NewAES128Decrypt() Accelerator {
-	cipher, _ := accel.NewAES(make([]byte, accel.AESKeySize))
-	return &blockAccel{
-		name:     "aes128-dec",
-		inWords:  2,
-		outWords: 2,
-		configure: func(csr []byte) error {
-			c, err := accel.NewAES(csr)
-			if err != nil {
-				return err
-			}
-			cipher = c
-			return nil
-		},
-		process: func(in []Word) ([]Word, error) {
-			var blk [accel.AESBlockSize]byte
-			binary.LittleEndian.PutUint64(blk[0:], in[0])
-			binary.LittleEndian.PutUint64(blk[8:], in[1])
-			cipher.Decrypt(blk[:], blk[:])
-			return []Word{binary.LittleEndian.Uint64(blk[0:]), binary.LittleEndian.Uint64(blk[8:])}, nil
-		},
-	}
-}
+func NewAES128Decrypt() Accelerator { return newAES128("aes128-dec", (*accel.AES).Decrypt) }
 
 // NewNull returns the AXI-Stream FIFO "null" accelerator: a word-for-word
 // pass-through (§4.3), handy for plumbing tests and as a chain spacer.
 func NewNull() Accelerator {
+	out := make([]Word, 1)
 	return &blockAccel{
 		name:     "axis-null",
 		inWords:  1,
 		outWords: 1,
-		process:  func(in []Word) ([]Word, error) { return []Word{in[0]}, nil },
+		process: func(in []Word) ([]Word, error) {
+			out[0] = in[0]
+			return out, nil
+		},
 	}
 }
 
@@ -130,19 +129,19 @@ func NewSTFT(window int) (Accelerator, error) {
 		return nil, fmt.Errorf("cohort: STFT window %d is not a power of two", window)
 	}
 	win := accel.HannWindow(window)
+	frame := make([]complex128, window)
+	out := make([]Word, window)
 	return &blockAccel{
 		name:     "stft",
 		inWords:  window,
 		outWords: window,
 		process: func(in []Word) ([]Word, error) {
-			frame := make([]complex128, window)
-			for i, w := range in {
+			for i, w := range in[:window] {
 				frame[i] = complex(math.Float64frombits(w)*win[i], 0)
 			}
 			if err := accel.FFT(frame); err != nil {
 				return nil, err
 			}
-			out := make([]Word, window)
 			for i, c := range frame {
 				out[i] = math.Float64bits(math.Hypot(real(c), imag(c)))
 			}
@@ -170,6 +169,9 @@ func NewH264(cfg H264Config) (Accelerator, error) {
 	// coefficients; generous bound keeps the block ratio fixed.
 	maxStream := cfg.Width*cfg.Height*3 + 64
 	outWords := 1 + (maxStream+7)/8
+	frame := make([]byte, 8*frameWords)
+	out := make([]Word, outWords)
+	padded := make([]byte, 8*(outWords-1))
 	return &blockAccel{
 		name:     "h264",
 		inWords:  frameWords,
@@ -195,19 +197,21 @@ func NewH264(cfg H264Config) (Accelerator, error) {
 			return nil
 		},
 		process: func(in []Word) ([]Word, error) {
-			frame := accel.WordsToBytes(in)[:cfg.Width*cfg.Height]
-			stream, err := enc.Encode([][]byte{frame})
+			for i, w := range in[:frameWords] {
+				binary.LittleEndian.PutUint64(frame[8*i:], w)
+			}
+			stream, err := enc.Encode([][]byte{frame[:cfg.Width*cfg.Height]})
 			if err != nil {
 				return nil, err
 			}
 			if len(stream) > maxStream {
 				return nil, fmt.Errorf("cohort: h264 stream %d bytes exceeds bound %d", len(stream), maxStream)
 			}
-			out := make([]Word, outWords)
 			out[0] = uint64(len(stream))
-			padded := make([]byte, (outWords-1)*8)
-			copy(padded, stream)
-			copy(out[1:], accel.BytesToWords(padded))
+			clear(padded[copy(padded, stream):])
+			for i := range out[1:] {
+				out[1+i] = binary.LittleEndian.Uint64(padded[8*i:])
+			}
 			return out, nil
 		},
 	}, nil

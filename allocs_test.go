@@ -5,8 +5,8 @@ import (
 )
 
 // echoAcc is an 8-word pass-through accelerator whose result slice reuses a
-// fixed backing array, so Process itself is allocation-free. (NewNull is not
-// usable here: it builds a fresh result slice per block.)
+// fixed backing array: the minimal accelerator that honours the owned-buffer
+// contract, so a guard over it measures the engine alone.
 type echoAcc struct {
 	out [8]Word
 }
@@ -20,42 +20,68 @@ func (e *echoAcc) Process(in []Word) ([]Word, error) {
 	return e.out[:], nil
 }
 
+// TestBuiltinAcceleratorsZeroAlloc pins the owned-buffer contract on the
+// streaming built-ins: after warm-up, Process writes into the buffer its
+// constructor allocated and returns it, so a block costs no heap allocation.
+func TestBuiltinAcceleratorsZeroAlloc(t *testing.T) {
+	for _, acc := range []Accelerator{NewSHA256(), NewAES128(), NewAES128Decrypt(), NewNull()} {
+		in := make([]Word, acc.InWords())
+		for i := range in {
+			in[i] = Word(i+1) * 2654435761
+		}
+		step := func() {
+			if _, err := acc.Process(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		if avg := testing.AllocsPerRun(256, step); avg != 0 {
+			t.Errorf("%s: Process allocates %.2f times per block, want 0", acc.Name(), avg)
+		}
+	}
+}
+
 // TestEngineSteadyStateAllocs pins the zero-allocation property of the
 // disabled-observability hot path: with tracing, flight recording and
 // registry polling all off, a warmed engine moving blocks end to end — the
 // producer's PushSlice, the engine's drain/compute/publish loop (including
 // the 1-in-128 sampled drain timing), and the consumer's PopSlice — performs
-// no heap allocations at all. WithBackoff(0, 0) selects the spin-yield idle
-// policy, so even a momentarily idle engine stays off the timer path.
+// no heap allocations at all, over the echo stub (the engine alone) and over
+// the shipped SHA-256 accelerator. WithBackoff(0, 0) selects the spin-yield
+// idle policy, so even a momentarily idle engine stays off the timer path.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	in, err := NewFifo[Word](1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := NewFifo[Word](1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Register(&echoAcc{}, in, out, WithBackoff(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Unregister()
+	for _, acc := range []Accelerator{&echoAcc{}, NewSHA256()} {
+		t.Run(acc.Name(), func(t *testing.T) {
+			in, err := NewFifo[Word](1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := NewFifo[Word](1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := Register(acc, in, out, WithBackoff(0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Unregister()
 
-	block := make([]Word, 8)
-	res := make([]Word, 8)
-	step := func() {
-		in.PushSlice(block)
-		out.PopSlice(res)
-	}
-	// Warm up past one-time costs (engine buffer, goroutine growth) and
-	// well past a full histogram sampling period so the measured runs cross
-	// the drainSampled path too.
-	for i := 0; i < 512; i++ {
-		step()
-	}
+			block := make([]Word, acc.InWords())
+			res := make([]Word, acc.OutWords())
+			step := func() {
+				in.PushSlice(block)
+				out.PopSlice(res)
+			}
+			// Warm up past one-time costs (engine buffer, goroutine growth)
+			// and well past a full histogram sampling period so the measured
+			// runs cross the timed drain too.
+			for i := 0; i < 512; i++ {
+				step()
+			}
 
-	if avg := testing.AllocsPerRun(512, step); avg != 0 {
-		t.Errorf("steady-state engine loop allocates: %.2f allocs/run, want 0", avg)
+			if avg := testing.AllocsPerRun(512, step); avg != 0 {
+				t.Errorf("steady-state engine loop allocates: %.2f allocs/run, want 0", avg)
+			}
+		})
 	}
 }

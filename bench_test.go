@@ -227,6 +227,77 @@ func BenchmarkEngineBatchSweep(b *testing.B) {
 	}
 }
 
+// pair is a 2-word pass-through with an owned result buffer: AES-128's block
+// geometry with the compute taken out, so an engine sweep over it measures
+// the datapath around Process and nothing else.
+type pair struct{ out [2]Word }
+
+func (*pair) Name() string           { return "pair" }
+func (*pair) InWords() int           { return 2 }
+func (*pair) OutWords() int          { return 2 }
+func (*pair) Configure([]byte) error { return nil }
+func (p *pair) Process(in []Word) ([]Word, error) {
+	p.out[0], p.out[1] = in[0], in[1]
+	return p.out[:], nil
+}
+
+// BenchmarkEnginePublishSweep is BenchmarkEngineBatchSweep's produce-side
+// twin over 2-word blocks: at batch=1 the engine publishes its output index
+// once per block, at batch=N once per N blocks, so the ns/block column is the
+// cost of a publication amortized over the batch (§4.1, Fig. 8/9).
+func BenchmarkEnginePublishSweep(b *testing.B) {
+	const chunk = 1024 // words per push: 512 blocks
+	for _, batch := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			in, _ := NewFifo[Word](4096)
+			out, _ := NewFifo[Word](4096)
+			e, err := Register(&pair{}, in, out, WithBatch(batch))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Unregister()
+			data := make([]Word, chunk)
+			res := make([]Word, chunk)
+			b.SetBytes(8 * chunk)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				in.PushSlice(data)
+				out.PopSlice(res)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk/2), "ns/block")
+		})
+	}
+}
+
+// accelSink keeps BenchmarkAccelProcess's result live.
+var accelSink []Word
+
+// BenchmarkAccelProcess times one Process call on the paper's two
+// accelerators, outside any engine: ns/op is ns per block, and allocs/op must
+// read 0 (TestBuiltinAcceleratorsZeroAlloc is the gate; this is the number).
+func BenchmarkAccelProcess(b *testing.B) {
+	for _, acc := range []Accelerator{NewSHA256(), NewAES128()} {
+		b.Run(acc.Name(), func(b *testing.B) {
+			in := make([]Word, acc.InWords())
+			for i := range in {
+				in[i] = Word(i+1) * 2654435761
+			}
+			b.SetBytes(int64(8 * len(in)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				in[0] = Word(i)
+				res, err := acc.Process(in)
+				if err != nil {
+					b.Fatal(err)
+				}
+				accelSink = res
+			}
+		})
+	}
+}
+
 // BenchmarkSHA256Engine measures the native SHA engine end to end.
 func BenchmarkSHA256Engine(b *testing.B) {
 	in, _ := NewFifo[Word](512)

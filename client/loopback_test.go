@@ -29,13 +29,14 @@ func (e *echoAcc) Process(in []cohort.Word) ([]cohort.Word, error) {
 }
 
 // startLoopback brings up a real scheduler and TCP server on 127.0.0.1 with
-// an "echo" catalog entry of the given block size. A non-nil registry wires
-// the scheduler's metric sources, as cohortd does.
+// an "echo" catalog entry of the given block size beside the real "sha256". A
+// non-nil registry wires the scheduler's metric sources, as cohortd does.
 func startLoopback(tb testing.TB, block int, legacyWire bool, reg *cohort.Registry) (addr string, stop func()) {
 	tb.Helper()
 	s := sched.New(sched.Config{Engines: 1, Quantum: 64, QueueCap: 16384, Registry: reg})
 	catalog := sched.Catalog{
-		"echo": func() (cohort.Accelerator, error) { return newEcho(block), nil },
+		"echo":   func() (cohort.Accelerator, error) { return newEcho(block), nil },
+		"sha256": func() (cohort.Accelerator, error) { return cohort.NewSHA256(), nil },
 	}
 	sv := sched.NewServer(s, catalog)
 	sv.LegacyWire = legacyWire
@@ -56,55 +57,63 @@ func startLoopback(tb testing.TB, block int, legacyWire bool, reg *cohort.Regist
 // whole-frame queue push, one scheduler quantum, coalesced writev result
 // pump, client RecvInto — performs no heap allocations at all, on either
 // end (AllocsPerRun measures the whole process, so the server's goroutines
-// are inside the guard too).
+// are inside the guard too). It runs over the reused-buffer echo stub and
+// over the shipped SHA-256 accelerator, whose Process is inside the guard.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; zero-alloc steady state holds only in normal builds")
 	}
 	const block = 64
-	// Run the guard under production observability: the scheduler publishes
-	// its sources into a registry and the windowed telemetry sampler ticks
-	// against it concurrently. The sampler's own per-tick allocations happen
-	// on its goroutine a handful of times during the measurement — far fewer
-	// than the run count — so the per-run average still pins the serving hot
-	// path itself at zero.
-	reg := cohort.NewRegistry()
-	addr, stop := startLoopback(t, block, false, reg)
-	defer stop()
-	sampler := telem.New(telem.Config{Registry: reg, Tick: 100 * time.Millisecond})
-	sampler.Start()
-	defer sampler.Stop()
+	for _, tc := range []struct {
+		accel    string
+		outWords int // per 64 words sent
+	}{{"echo", block}, {"sha256", block / 2}} {
+		t.Run(tc.accel, func(t *testing.T) {
+			// Run the guard under production observability: the scheduler
+			// publishes its sources into a registry and the windowed telemetry
+			// sampler ticks against it concurrently. The sampler's own per-tick
+			// allocations happen on its goroutine a handful of times during the
+			// measurement — far fewer than the run count — so the per-run
+			// average still pins the serving hot path itself at zero.
+			reg := cohort.NewRegistry()
+			addr, stop := startLoopback(t, block, false, reg)
+			defer stop()
+			sampler := telem.New(telem.Config{Registry: reg, Tick: 100 * time.Millisecond})
+			sampler.Start()
+			defer sampler.Stop()
 
-	c, err := client.Connect(addr, client.Options{Tenant: "allocs", Accel: "echo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	in := make([]cohort.Word, block)
-	for i := range in {
-		in[i] = cohort.Word(i) * 2654435761
-	}
-	res := make([]cohort.Word, block)
-	step := func() {
-		if err := c.Send(in); err != nil {
-			t.Fatal(err)
-		}
-		for got := 0; got < block; {
-			n, err := c.RecvInto(res[got:])
+			c, err := client.Connect(addr, client.Options{Tenant: "allocs", Accel: tc.accel})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got += n
-		}
-	}
-	// Warm past one-time costs: connection buffers, pool seeding, goroutine
-	// stack growth, the kernel's cached iovec array for writev.
-	for i := 0; i < 256; i++ {
-		step()
-	}
-	if avg := testing.AllocsPerRun(256, step); avg != 0 {
-		t.Errorf("steady-state serving round trip allocates: %.2f allocs/run, want 0", avg)
+			defer c.Close()
+
+			in := make([]cohort.Word, block)
+			for i := range in {
+				in[i] = cohort.Word(i) * 2654435761
+			}
+			res := make([]cohort.Word, tc.outWords)
+			step := func() {
+				if err := c.Send(in); err != nil {
+					t.Fatal(err)
+				}
+				for got := 0; got < len(res); {
+					n, err := c.RecvInto(res[got:])
+					if err != nil {
+						t.Fatal(err)
+					}
+					got += n
+				}
+			}
+			// Warm past one-time costs: connection buffers, pool seeding,
+			// goroutine stack growth, the kernel's cached iovec array for writev.
+			for i := 0; i < 256; i++ {
+				step()
+			}
+			if avg := testing.AllocsPerRun(256, step); avg != 0 {
+				t.Errorf("steady-state serving round trip allocates: %.2f allocs/run, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -19,7 +19,11 @@ type Word = uint64
 // receives the CSR struct supplied at registration (an AES key, an encoder
 // geometry, ...). Implementations must be safe to call from the single
 // engine goroutine that owns them. The slice passed to Process is reused
-// between calls and must not be retained.
+// between calls and must not be retained. The slice Process returns belongs
+// to the accelerator and stays valid only until its next Process call — every
+// built-in reuses one result buffer, so a steady-state engine never allocates
+// — and callers (the engine, the scheduler, FaultAccel's in-place corruption)
+// copy it out or finish with it before calling again.
 type Accelerator interface {
 	Name() string
 	InWords() int
@@ -125,8 +129,8 @@ func WithBatch(blocks int) RegisterOption {
 }
 
 // WithTrace attaches the engine to a wall-clock trace recorder: the engine
-// emits poll/backoff idle spans, per-block compute and publish spans, and a
-// drain span per wakeup onto the named track. Without this option tracing is
+// emits poll/backoff idle spans, a drain span per wakeup, a compute span per
+// block and a publish span per output publication onto the named track. Without this option tracing is
 // a guaranteed no-op — no clock reads, no formatting, no allocation.
 func WithTrace(t *Trace, track string) RegisterOption {
 	return func(c *registerCfg) {
@@ -289,34 +293,39 @@ func (b *backoff) wait(stop <-chan struct{}) bool {
 func (b *backoff) reset() { b.spins, b.cur = 0, 0 }
 
 // run is the engine loop: drain a block batch from the input queue (the
-// consumer endpoint + ratchet), process whole blocks, and emit each result
-// with a single index publication (the producer endpoint). Per-element
-// pops/pushes of the seed implementation are replaced by block-granular
-// draining: up to batch × InWords words move per wakeup, so the atomic
-// release-stores — and the cross-core invalidations they cause — are
-// amortized over the whole run, the software analogue of §4.1's batched
-// write-index updates.
+// consumer endpoint + ratchet) with one read-index publication, process the
+// whole blocks, and publish their results with one write-index publication
+// (the producer endpoint). Up to batch × InWords words move per wakeup, so
+// the atomic release-stores on both queues — and the cross-core invalidations
+// they cause — are amortized over the whole run: §4.1's batched index
+// updates, on the consume and the produce side alike.
 func (e *Engine) run() {
 	defer close(e.done)
 	inW := e.acc.InWords()
 	buf := make([]Word, e.batch*inW)
 	bo := backoff{min: e.boMin, max: e.boMax, sleeps: &e.sleeps}
-	if e.trk != nil {
-		e.runTraced(buf, inW, &bo)
-		return
-	}
-	// The untraced loop below duplicates runTraced minus the span bookkeeping
-	// on purpose: this is the product hot path, and keeping even the
-	// always-false traced branches and their clock/idle state out of it is
-	// what makes disabled tracing genuinely zero-cost.
 	fill := 0
-	// Histogram sampling costs the steady-state loop a single register
-	// decrement and a predictable branch: the 1-in-histoSampleEvery timed
-	// wakeup takes the cold drainSampled path, so no clock state (and no
-	// time.Time zeroing) lives in this frame. Measured: per-wakeup sampling
-	// bookkeeping in this loop cost ~5% throughput at batch=1.
+	// One wakeup in histoSampleEvery times its drain for the latency
+	// histogram; the others read no clock.
 	countdown := histoSampleEvery
+	// Traced engines only: the idle stretch in progress, on the recorder clock.
+	var now, idleStart, idleSleeps uint64
+	idling := false
+	endIdle := func() {
+		if idling {
+			// Name the stretch by how it was spent.
+			name := "poll"
+			if e.sleeps.Load() != idleSleeps {
+				name = "backoff"
+			}
+			e.trk.SpanAt(name, idleStart, now-idleStart)
+			idling = false
+		}
+	}
 	for {
+		if e.trk != nil {
+			now = e.now()
+		}
 		n := e.in.TryPopInto(buf[fill:])
 		fill += n
 		if fill < inW {
@@ -326,41 +335,116 @@ func (e *Engine) run() {
 				continue
 			}
 			if e.in.Drained() {
+				endIdle()
 				e.finishEOS(fill)
 				return
+			}
+			if e.trk != nil && !idling {
+				idling, idleStart, idleSleeps = true, now, e.sleeps.Load()
 			}
 			if !bo.wait(e.stop) {
 				return
 			}
 			continue
 		}
+		if e.trk != nil {
+			endIdle()
+			e.trk.Span("drain", now)
+		}
 		bo.reset()
 		e.wakeups.Add(1)
-		countdown--
-		if countdown == 0 {
+		n = fill / inW * inW
+		ok := false
+		if countdown--; countdown == 0 {
 			countdown = histoSampleEvery
-			var ok bool
-			if fill, ok = e.drainSampled(buf, fill, inW); !ok {
-				return
-			}
-			continue
+			start := time.Now()
+			ok = e.drain(buf[:n], inW)
+			e.histo.Observe(uint64(time.Since(start)))
+		} else {
+			ok = e.drain(buf[:n], inW)
 		}
-		blocks := fill / inW
-		e.elemsIn.Add(uint64(blocks * inW))
-		for b := 0; b < blocks; b++ {
-			res, ok := e.processBlock(buf[b*inW : (b+1)*inW])
-			if !ok {
-				return
-			}
-			if !e.pushSliceStoppable(e.out, res) {
-				return
-			}
-			e.elemsOut.Add(uint64(len(res)))
+		if !ok {
+			return
 		}
-		e.blocks.Add(uint64(blocks))
-		copy(buf, buf[blocks*inW:fill])
-		fill -= blocks * inW
+		copy(buf, buf[n:fill])
+		fill -= n
 	}
+}
+
+// drain runs one batch of whole blocks through the accelerator, copying each
+// result straight into the output ring's free segments and publishing once:
+// when the batch ends, early when the acquired segments fill up (the consumer
+// must see them to free room), or at the block where the engine parks. The
+// counters move once per batch: WordsIn up front, as the words are handed to
+// processing (the Watchdog reads WordsIn > Blocks·InWords as work in flight),
+// blocks and WordsOut at the end, by what was completed and published. It
+// returns false when the engine must park: a terminal fault (recorded by
+// processBlock) or an Unregister.
+func (e *Engine) drain(in []Word, inW int) bool {
+	e.elemsIn.Add(uint64(len(in)))
+	var seg, next []Word // what is left of the acquired write segments
+	staged := 0          // words written into them, not yet published
+	wordsOut, blocks := 0, 0
+	ok := true
+loop:
+	for ; len(in) > 0; in = in[inW:] {
+		var t0 uint64
+		if e.trk != nil {
+			t0 = e.now()
+		}
+		var res []Word
+		if res, ok = e.processBlock(in[:inW]); !ok {
+			break
+		}
+		if e.trk != nil {
+			e.trk.Span("compute", t0)
+		}
+		blocks++
+		for len(res) > 0 {
+			if len(seg) == 0 {
+				seg, next = next, nil
+			}
+			if len(seg) == 0 {
+				// The acquired room is used up: publish it so the consumer can
+				// free more, then take whatever is free now — or wait for some.
+				e.publish(staged)
+				staged = 0
+				if seg, next = e.out.WriteSegments(); len(seg) == 0 {
+					select {
+					case <-e.stop:
+						ok = false
+						break loop
+					default:
+						runtime.Gosched()
+					}
+				}
+				continue
+			}
+			n := copy(seg, res)
+			seg, res = seg[n:], res[n:]
+			staged += n
+			wordsOut += n
+		}
+	}
+	e.publish(staged)
+	e.elemsOut.Add(uint64(wordsOut))
+	e.blocks.Add(uint64(blocks))
+	return ok
+}
+
+// publish makes n words written into the output ring's segments visible to
+// the consumer with a single write-index store.
+func (e *Engine) publish(n int) {
+	if n == 0 {
+		return
+	}
+	if e.trk == nil {
+		e.out.CommitWrite(n)
+		return
+	}
+	t0 := e.now()
+	e.out.CommitWrite(n)
+	e.trk.Span("publish", t0)
 }
 
 // processBlock runs one block through the accelerator under the configured
@@ -404,7 +488,10 @@ func (e *Engine) processBlock(in []Word) ([]Word, bool) {
 // callProcess invokes Process, bounded by WithProcessTimeout when one is
 // configured. The timed path runs the call in a fresh goroutine whose result
 // lands in a buffered channel, so an abandoned (timed-out) call finishes and
-// is collected without anyone waiting on it.
+// is collected without anyone waiting on it. An abandoned call may still
+// write the accelerator's result buffer after the engine has moved on; that is
+// safe only because a timeout is terminal — the engine never calls Process,
+// or reads that buffer, again.
 func (e *Engine) callProcess(in []Word) ([]Word, error) {
 	if e.procTimeout <= 0 {
 		return e.acc.Process(in)
@@ -425,112 +512,6 @@ func (e *Engine) callProcess(in []Word) ([]Word, error) {
 		return r.res, r.err
 	case <-t.C:
 		return nil, fmt.Errorf("%w: %s did not finish a block in %v", ErrProcessTimeout, e.acc.Name(), e.procTimeout)
-	}
-}
-
-// drainSampled is one wakeup's drain with the histogram clock on: it times
-// finding-a-batch to last-publication and files the sample. Out of line so
-// the untraced steady-state loop carries no timing state. Returns the new
-// fill and false if the engine must park (error or stop).
-func (e *Engine) drainSampled(buf []Word, fill, inW int) (int, bool) {
-	start := time.Now()
-	blocks := fill / inW
-	e.elemsIn.Add(uint64(blocks * inW))
-	for b := 0; b < blocks; b++ {
-		res, ok := e.processBlock(buf[b*inW : (b+1)*inW])
-		if !ok {
-			return fill, false
-		}
-		if !e.pushSliceStoppable(e.out, res) {
-			return fill, false
-		}
-		e.elemsOut.Add(uint64(len(res)))
-	}
-	e.blocks.Add(uint64(blocks))
-	e.recordDrain(start)
-	copy(buf, buf[blocks*inW:fill])
-	return fill - blocks*inW, true
-}
-
-// runTraced is run's loop with span emission: poll/backoff idle spans, a
-// drain span per wakeup, and compute/publish spans per block.
-func (e *Engine) runTraced(buf []Word, inW int, bo *backoff) {
-	fill := 0
-	countdown := histoSampleEvery
-	var idleStart uint64 // recorder clock; meaningful while idling
-	var idleSleeps uint64
-	idling := false
-	for {
-		drainStart := e.now()
-		n := e.in.TryPopInto(buf[fill:])
-		fill += n
-		if fill < inW {
-			if n > 0 {
-				bo.reset()
-				continue
-			}
-			if e.in.Drained() {
-				if idling {
-					name := "poll"
-					if e.sleeps.Load() != idleSleeps {
-						name = "backoff"
-					}
-					e.trk.SpanAt(name, idleStart, drainStart-idleStart)
-				}
-				e.finishEOS(fill)
-				return
-			}
-			if !idling {
-				idling = true
-				idleStart = drainStart
-				idleSleeps = e.sleeps.Load()
-			}
-			if !bo.wait(e.stop) {
-				return
-			}
-			continue
-		}
-		if idling {
-			// The idle stretch just ended: name it by how it was spent.
-			name := "poll"
-			if e.sleeps.Load() != idleSleeps {
-				name = "backoff"
-			}
-			e.trk.SpanAt(name, idleStart, drainStart-idleStart)
-			idling = false
-		}
-		e.trk.Span("drain", drainStart)
-		bo.reset()
-		e.wakeups.Add(1)
-		countdown--
-		sample := countdown == 0
-		var sampleStart time.Time
-		if sample {
-			countdown = histoSampleEvery
-			sampleStart = time.Now()
-		}
-		blocks := fill / inW
-		e.elemsIn.Add(uint64(blocks * inW))
-		for b := 0; b < blocks; b++ {
-			t0 := e.now()
-			res, ok := e.processBlock(buf[b*inW : (b+1)*inW])
-			if !ok {
-				return
-			}
-			e.trk.Span("compute", t0)
-			t0 = e.now()
-			if !e.pushSliceStoppable(e.out, res) {
-				return
-			}
-			e.trk.Span("publish", t0)
-			e.elemsOut.Add(uint64(len(res)))
-		}
-		e.blocks.Add(uint64(blocks))
-		if sample {
-			e.recordDrain(sampleStart)
-		}
-		copy(buf, buf[blocks*inW:fill])
-		fill -= blocks * inW
 	}
 }
 
@@ -567,29 +548,6 @@ func (e *Engine) finishEOS(fill int) {
 	if e.trk != nil {
 		e.trk.Instant("eos")
 	}
-}
-
-// recordDrain files one sampled drain→publish latency into the histogram.
-func (e *Engine) recordDrain(start time.Time) {
-	e.histo.Observe(uint64(time.Since(start)))
-}
-
-// pushSliceStoppable bulk-pushes ws into q, giving up if the engine is
-// unregistered mid-push.
-func (e *Engine) pushSliceStoppable(q *Fifo[Word], ws []Word) bool {
-	for len(ws) > 0 {
-		n := q.TryPushSlice(ws)
-		ws = ws[n:]
-		if len(ws) > 0 && n == 0 {
-			select {
-			case <-e.stop:
-				return false
-			default:
-				runtime.Gosched()
-			}
-		}
-	}
-	return true
 }
 
 // Unregister stops the engine (cohort_unregister). Like quiescing hardware,

@@ -6,7 +6,10 @@
 // baseline host.
 package accel
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // SHA256Size is the digest size in bytes.
 const SHA256Size = 32
@@ -31,28 +34,33 @@ var sha256InitState = [8]uint32{
 	0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 }
 
-func rotr(x uint32, n uint) uint32 { return x>>n | x<<(32-n) }
-
-// sha256Compress applies the SHA-256 compression function to one 64-byte
-// block, updating state in place.
-func sha256Compress(state *[8]uint32, block []byte) {
+// sha256Schedule expands one 64-byte block into the 64 message-schedule words
+// with the round constants already added: kw[i] = K[i] + W[i], which is all a
+// round ever reads of either.
+func sha256Schedule(kw *[64]uint32, block *[SHA256BlockSize]byte) {
 	var w [64]uint32
 	for i := 0; i < 16; i++ {
 		w[i] = binary.BigEndian.Uint32(block[4*i:])
+		kw[i] = w[i] + sha256K[i]
 	}
 	for i := 16; i < 64; i++ {
-		s0 := rotr(w[i-15], 7) ^ rotr(w[i-15], 18) ^ w[i-15]>>3
-		s1 := rotr(w[i-2], 17) ^ rotr(w[i-2], 19) ^ w[i-2]>>10
+		v15, v2 := w[i-15], w[i-2]
+		s0 := bits.RotateLeft32(v15, -7) ^ bits.RotateLeft32(v15, -18) ^ v15>>3
+		s1 := bits.RotateLeft32(v2, -17) ^ bits.RotateLeft32(v2, -19) ^ v2>>10
 		w[i] = w[i-16] + s0 + w[i-7] + s1
+		kw[i] = w[i] + sha256K[i]
 	}
+}
+
+// sha256Rounds runs the 64 compression rounds over a scheduled block and
+// folds the result into state.
+func sha256Rounds(state *[8]uint32, kw *[64]uint32) {
 	a, b, c, d, e, f, g, h := state[0], state[1], state[2], state[3], state[4], state[5], state[6], state[7]
-	for i := 0; i < 64; i++ {
-		s1 := rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
-		ch := (e & f) ^ (^e & g)
-		t1 := h + s1 + ch + sha256K[i] + w[i]
-		s0 := rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
-		maj := (a & b) ^ (a & c) ^ (b & c)
-		t2 := s0 + maj
+	for _, k := range kw {
+		s1 := bits.RotateLeft32(e, -6) ^ bits.RotateLeft32(e, -11) ^ bits.RotateLeft32(e, -25)
+		t1 := h + s1 + (g ^ (e & (f ^ g))) + k // ch(e,f,g)
+		s0 := bits.RotateLeft32(a, -2) ^ bits.RotateLeft32(a, -13) ^ bits.RotateLeft32(a, -22)
+		t2 := s0 + ((a & b) | (c & (a | b))) // maj(a,b,c)
 		h, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
 	}
 	state[0] += a
@@ -63,6 +71,45 @@ func sha256Compress(state *[8]uint32, block []byte) {
 	state[5] += f
 	state[6] += g
 	state[7] += h
+}
+
+// sha256Compress applies the SHA-256 compression function to one 64-byte
+// block, updating state in place.
+func sha256Compress(state *[8]uint32, block []byte) {
+	var kw [64]uint32
+	sha256Schedule(&kw, (*[SHA256BlockSize]byte)(block))
+	sha256Rounds(state, &kw)
+}
+
+// sha256Pad64 is the scheduled padding block of every 64-byte message: 0x80,
+// zeros, and the bit length 512. It is a constant, so its schedule is
+// computed once and SHA256Sum64's second compression is rounds only.
+var sha256Pad64 = func() (kw [64]uint32) {
+	var pad [SHA256BlockSize]byte
+	pad[0] = 0x80
+	binary.BigEndian.PutUint64(pad[SHA256BlockSize-8:], 8*SHA256BlockSize)
+	sha256Schedule(&kw, &pad)
+	return kw
+}()
+
+// SHA256Sum64 is the single-block path of the streaming accelerator: the
+// digest of exactly one 64-byte message, with no hasher object, no buffering
+// and no allocation.
+func SHA256Sum64(block *[SHA256BlockSize]byte) [SHA256Size]byte {
+	state := sha256InitState
+	var kw [64]uint32
+	sha256Schedule(&kw, block)
+	sha256Rounds(&state, &kw)
+	sha256Rounds(&state, &sha256Pad64)
+	return sha256Digest(&state)
+}
+
+// sha256Digest serializes a final hash state big-endian.
+func sha256Digest(state *[8]uint32) (out [SHA256Size]byte) {
+	for i, v := range state {
+		binary.BigEndian.PutUint32(out[4*i:], v)
+	}
+	return out
 }
 
 // SHA256 is an incremental SHA-256 hasher.
@@ -124,11 +171,7 @@ func (d *SHA256) Sum() [SHA256Size]byte {
 	msgLen := c.total * 8
 	binary.BigEndian.PutUint64(pad[1+padLen:], msgLen)
 	c.Write(pad[:1+padLen+8])
-	var out [SHA256Size]byte
-	for i, v := range c.state {
-		binary.BigEndian.PutUint32(out[4*i:], v)
-	}
-	return out
+	return sha256Digest(&c.state)
 }
 
 // SHA256Sum computes the SHA-256 digest of data in one shot.

@@ -90,3 +90,15 @@ func TestSHA256Property(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSHA256Sum64Property: the single-block path agrees with the general
+// hasher and with crypto/sha256 on arbitrary 64-byte messages.
+func TestSHA256Sum64Property(t *testing.T) {
+	f := func(block [SHA256BlockSize]byte) bool {
+		got := SHA256Sum64(&block)
+		return got == SHA256Sum(block[:]) && got == sha256.Sum256(block[:])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -216,7 +216,6 @@ type Session struct {
 	inW    int
 	outW   int
 	buf    []cohort.Word // input staging: one quantum of blocks per drain
-	obuf   []cohort.Word // output staging: one quantum of results per publish
 	sch    *Scheduler
 
 	// Coalesced edge-trigger channels (buffered 1): consumers park on these
@@ -579,7 +578,6 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 		acc: cfg.Accel, in: in, out: out,
 		inW: cfg.Accel.InWords(), outW: cfg.Accel.OutWords(),
 		buf:     make([]cohort.Word, s.cfg.Quantum*cfg.Accel.InWords()),
-		obuf:    make([]cohort.Word, 0, s.cfg.Quantum*cfg.Accel.OutWords()),
 		sch:     s,
 		pass:    s.vtime,
 		done:    make(chan struct{}),
@@ -1029,16 +1027,13 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 	inW := ss.inW
 	// Quantum boundary: latch the effective quantum once. A Retune landing
 	// after this load affects the next decision, never this one, so stride
-	// accounting below always matches the clamp the dispatch used. Tuned
-	// quanta above the admit-time default grow the staging buffers here —
-	// once per upward retune, never in steady state — while slicing keeps
-	// working for smaller quanta without reallocating.
+	// accounting below always matches the clamp the dispatch used. A tuned
+	// quantum above the admit-time default grows the input staging buffer
+	// here — once per upward retune, never in steady state — while slicing
+	// keeps working for smaller quanta without reallocating.
 	quantum := ss.effQuantum(s.cfg.Quantum)
 	if need := quantum * inW; cap(ss.buf) < need {
 		ss.buf = make([]cohort.Word, need)
-	}
-	if need := quantum * ss.outW; cap(ss.obuf) < need {
-		ss.obuf = make([]cohort.Word, 0, need)
 	}
 	a, b := ss.in.ReadSegments()
 	avail := len(a) + len(b)
@@ -1121,56 +1116,80 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 		return
 	}
 
-	// Results stage in obuf and publish with ONE queue publication per
-	// quantum (the backpressure clamp above already reserved output room for
-	// every block). Whole-quanta handoffs are what let the socket pump
-	// coalesce a quantum of blocks into a single Data frame and writev —
-	// per-block publication would feed it one block-sized frame at a time.
-	out := ss.obuf[:0]
-	completed := 0
+	// Results go straight into the output ring's free segments and publish
+	// with ONE queue publication per quantum (the backpressure clamp above
+	// already reserved room for every block, and only the consumer can change
+	// the free region — by growing it). Whole-quanta handoffs are what let
+	// the socket pump coalesce a quantum of blocks into a single Data frame
+	// and writev — per-block publication would feed it one block-sized frame
+	// at a time.
+	wa, wb := ss.out.WriteSegments()
+	staged := 0 // words written into wa/wb, not yet published
+	wordsOut, completed := 0, 0
+	var qerr error
 	for blk := 0; blk < blocks; blk++ {
 		res, err := s.processBlock(ss, ss.buf[blk*inW:(blk+1)*inW])
 		if err != nil {
-			// Blocks completed before the failure still publish: the consumer
-			// already has a claim on them, exactly as with per-block handoff.
-			if len(out) > 0 && s.pushOut(ss, out) {
-				ss.wordsOut.Add(uint64(len(out)))
-				ss.ttot.wordsOut.Add(uint64(len(out)))
-			}
-			ss.blocks.Add(uint64(completed))
-			ss.ttot.blocks.Add(uint64(completed))
-			s.failQuantum(ss, completed, err)
-			return
+			// Blocks completed before the failure still publish below: the
+			// consumer already has a claim on them.
+			qerr = err
+			break
 		}
-		out = append(out, res...)
+		if staged+len(res) > len(wa)+len(wb) {
+			// Only an accelerator that returns more than its declared
+			// OutWords outruns the reservation: publish what is staged and
+			// push the stray block the slow way.
+			ss.publish(staged)
+			staged = 0
+			if !s.pushOut(ss, res) {
+				qerr = ErrKilled
+				break
+			}
+			wa, wb = ss.out.WriteSegments()
+		} else {
+			if staged < len(wa) {
+				n := copy(wa[staged:], res)
+				copy(wb, res[n:])
+			} else {
+				copy(wb[staged-len(wa):], res)
+			}
+			staged += len(res)
+		}
+		wordsOut += len(res)
 		completed++
 	}
 	var tPub time.Time
-	if sampled {
+	if sampled && qerr == nil {
 		tPub = time.Now()
 		ss.observeStage(StageCompute, tPub.Sub(tCompute0))
 	}
-	if len(out) > 0 {
-		if !s.pushOut(ss, out) {
-			ss.blocks.Add(uint64(completed))
-			ss.ttot.blocks.Add(uint64(completed))
-			s.failQuantum(ss, completed, ErrKilled)
-			return
-		}
-		ss.wordsOut.Add(uint64(len(out)))
-		ss.ttot.wordsOut.Add(uint64(len(out)))
-		if sampled {
-			// Leave the egress stamp for the socket pump: it closes the wire
-			// stage when this quantum's coalesced frame reaches the kernel.
-			ss.markEgress(tPub)
-		}
-	}
+	ss.publish(staged)
+	ss.wordsOut.Add(uint64(wordsOut))
+	ss.ttot.wordsOut.Add(uint64(wordsOut))
 	ss.blocks.Add(uint64(completed))
 	ss.ttot.blocks.Add(uint64(completed))
+	if qerr != nil {
+		s.failQuantum(ss, completed, qerr)
+		return
+	}
+	if sampled && wordsOut > 0 {
+		// Leave the egress stamp for the socket pump: it closes the wire
+		// stage when this quantum's coalesced frame reaches the kernel.
+		ss.markEgress(tPub)
+	}
 	if trk != nil {
 		trk.End(ss.serveSpan, t0)
 	}
 	s.finishServe(ss, completed)
+}
+
+// publish makes n words written into the output ring's segments visible to
+// the consumer with one index store and wakes it.
+func (ss *Session) publish(n int) {
+	if n > 0 {
+		ss.out.CommitWrite(n)
+		notify(ss.outKick)
+	}
 }
 
 // failQuantum resolves a quantum that ended early after completed blocks:

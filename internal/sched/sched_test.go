@@ -20,11 +20,19 @@ import (
 // backpressure (and drainer goroutines) from the fairness experiments: on a
 // single-CPU machine any concurrent helper goroutine rate-limits the worker
 // and the test would measure Go's goroutine scheduler, not ours.
+//
+// A non-nil gate holds every Process call until the test closes it. Gating
+// the first tenant registered parks the single worker inside that tenant's
+// first block, so the whole cohort is admitted before any service is charged:
+// without it the first tenant runs alone for as long as the test goroutine
+// takes to register the second one (milliseconds when the test goroutine is
+// descheduled — thousands of blocks).
 type tallyAccel struct {
 	mine  *atomic.Uint64
 	other *atomic.Uint64
 	every uint64
 	snaps chan uint64
+	gate  chan struct{}
 	sink  cohort.Word
 }
 
@@ -33,6 +41,9 @@ func (a *tallyAccel) InWords() int           { return 1 }
 func (a *tallyAccel) OutWords() int          { return 0 }
 func (a *tallyAccel) Configure([]byte) error { return nil }
 func (a *tallyAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
+	if a.gate != nil {
+		<-a.gate
+	}
 	x := in[0] + 1
 	for i := 0; i < 800; i++ {
 		x = x*2654435761 + 1
@@ -62,44 +73,65 @@ func backlog(t *testing.T, cap, n int) *cohort.Fifo[cohort.Word] {
 	return q
 }
 
+// nextSnap returns the next in-worker snapshot, failing the test if the
+// snapshotting tenant stalls.
+func nextSnap(t *testing.T, snaps <-chan uint64) uint64 {
+	t.Helper()
+	select {
+	case v := <-snaps:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatal("the snapshotting tenant stalled")
+		return 0
+	}
+}
+
+// checkAliceBobRatio reads alice's in-worker snapshots of bob's block count —
+// one per 500 of her own blocks — and asserts the 2:1 weights on the delta
+// between her 500th and her 4000th block: 3500 alice blocks against
+// 1750 ± 10% of bob's, both tenants backlogged throughout. A delta is immune
+// to whatever either tenant was served before the window opened.
+func checkAliceBobRatio(t *testing.T, snaps <-chan uint64) {
+	t.Helper()
+	first := nextSnap(t, snaps)
+	last := first
+	for i := 0; i < 7; i++ {
+		last = nextSnap(t, snaps)
+	}
+	ratio := 3500 / float64(last-first)
+	t.Logf("alice 500→4000 blocks: bob %d→%d, ratio %.3f (weights 2:1)", first, last, ratio)
+	if ratio < 1.8 || ratio > 2.2 {
+		t.Errorf("block ratio alice:bob = 3500:%d = %.3f, want 2.0 ± 10%%", last-first, ratio)
+	}
+}
+
 // TestWeightedFairness is the acceptance-criteria run: two backlogged tenants
 // with weights 2:1 sharing ONE engine worker complete blocks in a 2:1 ratio
 // within ±10%. Both tenants' entire workloads are pre-filled into
-// caller-supplied queues so the worker is the only busy goroutine, and the
-// ratio is read by alice's accelerator at her 4000th block — by then bob must
-// hold 2000 ± 10%.
+// caller-supplied queues before either registers, bob's gate holds the worker
+// until both are admitted, and the ratio is read from alice's own snapshots
+// (checkAliceBobRatio).
 func TestWeightedFairness(t *testing.T) {
 	var aCnt, bCnt atomic.Uint64
-	snaps := make(chan uint64, 1)
-	accA := &tallyAccel{mine: &aCnt, other: &bCnt, every: 4000, snaps: snaps}
-	accB := &tallyAccel{mine: &bCnt}
+	snaps := make(chan uint64, 16)
+	gate := make(chan struct{})
+	accA := &tallyAccel{mine: &aCnt, other: &bCnt, every: 500, snaps: snaps}
+	accB := &tallyAccel{mine: &bCnt, gate: gate}
+	inA, inB := backlog(t, 8192, 4800), backlog(t, 8192, 8000)
 
 	s := New(Config{Engines: 1, Quantum: 8, QueueCap: 64})
 	defer s.Close()
-	// bob (the disadvantaged tenant) registers first, so any head start before
-	// both sessions are admitted biases the ratio low, never in its favor.
-	b, err := s.Register(SessionConfig{Tenant: "bob", Accel: accB, Weight: 1,
-		In: backlog(t, 8192, 8000)})
+	b, err := s.Register(SessionConfig{Tenant: "bob", Accel: accB, Weight: 1, In: inB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.Register(SessionConfig{Tenant: "alice", Accel: accA, Weight: 2,
-		In: backlog(t, 8192, 4800)})
+	a, err := s.Register(SessionConfig{Tenant: "alice", Accel: accA, Weight: 2, In: inA})
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(gate)
 
-	var bobAt4000 uint64
-	select {
-	case bobAt4000 = <-snaps:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("alice never reached 4000 blocks (alice=%d bob=%d)", aCnt.Load(), bCnt.Load())
-	}
-	ratio := 4000 / float64(bobAt4000)
-	t.Logf("at alice=4000 blocks: bob=%d, ratio %.3f (weights 2:1)", bobAt4000, ratio)
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("block ratio alice:bob = 4000:%d = %.3f, want 2.0 ± 10%%", bobAt4000, ratio)
-	}
+	checkAliceBobRatio(t, snaps)
 	if sw := a.Stats().Switches + b.Stats().Switches; sw < 2 {
 		t.Errorf("expected the single worker to swap between sessions, switches = %d", sw)
 	}
@@ -109,32 +141,29 @@ func TestWeightedFairness(t *testing.T) {
 // starve a lightweight one. The heavy tenant's accelerator snapshots the
 // light tenant's block count every 1500 of its own blocks; each 1500-block
 // round of heavy service must show fresh progress for the light tenant.
+// The light tenant is gated until both are admitted, so it cannot finish its
+// backlog before the heavy one has even registered.
 func TestNoStarvation(t *testing.T) {
 	var heavyCnt, lightCnt atomic.Uint64
 	snaps := make(chan uint64, 16)
+	gate := make(chan struct{})
 	accHeavy := &tallyAccel{mine: &heavyCnt, other: &lightCnt, every: 1500, snaps: snaps}
-	accLight := &tallyAccel{mine: &lightCnt}
+	accLight := &tallyAccel{mine: &lightCnt, gate: gate}
+	inLight, inHeavy := backlog(t, 4096, 4000), backlog(t, 32768, 20000)
 
 	s := New(Config{Engines: 1, Quantum: 16, QueueCap: 64})
 	defer s.Close()
-	if _, err := s.Register(SessionConfig{Tenant: "light", Accel: accLight, Weight: 1,
-		In: backlog(t, 4096, 4000)}); err != nil {
+	if _, err := s.Register(SessionConfig{Tenant: "light", Accel: accLight, Weight: 1, In: inLight}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Register(SessionConfig{Tenant: "heavy", Accel: accHeavy, Weight: 10,
-		In: backlog(t, 32768, 20000)}); err != nil {
+	if _, err := s.Register(SessionConfig{Tenant: "heavy", Accel: accHeavy, Weight: 10, In: inHeavy}); err != nil {
 		t.Fatal(err)
 	}
+	close(gate)
 
 	last := uint64(0)
 	for round := 1; round <= 8; round++ {
-		var cur uint64
-		select {
-		case cur = <-snaps:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("heavy tenant stalled in round %d (heavy=%d light=%d)",
-				round, heavyCnt.Load(), lightCnt.Load())
-		}
+		cur := nextSnap(t, snaps)
 		if cur <= last {
 			t.Fatalf("light tenant starved: heavy round %d ended with light at %d blocks (was %d)",
 				round, cur, last)
@@ -348,5 +377,72 @@ func TestRegisterValidation(t *testing.T) {
 	s.Close()
 	if _, err := s.Register(SessionConfig{Tenant: "x", Accel: cohort.NewNull()}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Register after Close err = %v, want ErrClosed", err)
+	}
+}
+
+// fanAccel turns each input word w into n output words w, w+1, ... while
+// declaring OutWords = declared: with n == declared it is a well-behaved 1:n
+// accelerator whose results straddle the output ring's wrap seam (n = 3
+// divides no power of two); with n > declared it breaks its own contract.
+type fanAccel struct {
+	declared int
+	out      []cohort.Word
+}
+
+func (a *fanAccel) Name() string           { return "fan" }
+func (a *fanAccel) InWords() int           { return 1 }
+func (a *fanAccel) OutWords() int          { return a.declared }
+func (a *fanAccel) Configure([]byte) error { return nil }
+func (a *fanAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
+	for i := range a.out {
+		a.out[i] = in[0] + cohort.Word(i)
+	}
+	return a.out, nil
+}
+
+// TestQuantumPublishesIntoRing: serveQuantum writes results straight into the
+// output ring and publishes once per quantum. Over a 16-word ring and 3-word
+// results, quanta straddle the wrap seam in every phase; an accelerator that
+// returns more than it declared outruns the room the clamp reserved and must
+// still deliver every word in order (the slow path), not corrupt the ring.
+func TestQuantumPublishesIntoRing(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		declared, n int
+	}{{"straddles-seam", 3, 3}, {"over-declared", 2, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := cohort.NewFifo[cohort.Word](16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(Config{Engines: 1, Quantum: 4, QueueCap: 64})
+			defer s.Close()
+			ss, err := s.Register(SessionConfig{
+				Tenant: "fan", Out: out,
+				Accel: &fanAccel{declared: tc.declared, out: make([]cohort.Word, tc.n)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const blocks = 500
+			go func() {
+				for i := 0; i < blocks; i++ {
+					ss.In().Push(cohort.Word(1000 * i))
+				}
+				ss.CloseSend()
+			}()
+			got := drain(t, ss)
+			if len(got) != blocks*tc.n {
+				t.Fatalf("received %d words, want %d", len(got), blocks*tc.n)
+			}
+			for i, w := range got {
+				if want := cohort.Word(1000*(i/tc.n) + i%tc.n); w != want {
+					t.Fatalf("word %d = %d, want %d", i, w, want)
+				}
+			}
+			if st := ss.Stats(); st.Blocks != blocks || st.WordsOut != uint64(blocks*tc.n) {
+				t.Fatalf("stats: %d blocks, %d words out; want %d and %d", st.Blocks, st.WordsOut, blocks, blocks*tc.n)
+			}
+		})
 	}
 }

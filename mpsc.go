@@ -282,3 +282,21 @@ func RegisterShared(acc Accelerator, in *Mpmc[Word], out *Fifo[Word], opts ...Re
 	}()
 	return eng, nil
 }
+
+// pushSliceStoppable bulk-pushes ws into q, giving up if the engine is
+// unregistered mid-push.
+func (e *Engine) pushSliceStoppable(q *Fifo[Word], ws []Word) bool {
+	for len(ws) > 0 {
+		n := q.TryPushSlice(ws)
+		ws = ws[n:]
+		if len(ws) > 0 && n == 0 {
+			select {
+			case <-e.stop:
+				return false
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+	return true
+}

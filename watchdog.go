@@ -144,7 +144,9 @@ func NewWatchdog(window time.Duration, opts ...WatchdogOption) *Watchdog {
 // queued in the engine's input fifo or words already drained into its private
 // batch buffer but not yet processed (WordsIn counts words handed to
 // processing; Blocks counts blocks completed — an engine wedged inside
-// Process holds the difference).
+// Process holds the difference). The engine moves its counters once per
+// drained batch, so progress is batch-granular: pick a stall window longer
+// than WithBatch × the accelerator's block time.
 func (w *Watchdog) Watch(name string, e *Engine) {
 	inWords := uint64(e.acc.InWords())
 	w.WatchProbe(name, func() Probe {
