@@ -84,6 +84,10 @@ func main() {
 		kern.UnregisterCohort(ctx, aesEng)
 	})
 	end := s.Run(0)
+	// The engines' processes are still parked waiting for work; end them so
+	// a -serve session does not keep the whole SoC alive. Counters and the
+	// trace stay readable.
+	s.K.Close()
 
 	// Software reference: AES-ECB (zero key, no CSR passed) then SHA-256.
 	zero, _ := accel.NewAES(make([]byte, 16))

@@ -168,6 +168,7 @@ func input(cfg RunConfig) []uint64 {
 // reference computes the expected output words for a workload over data.
 func reference(w Workload, data []uint64) []uint64 {
 	in, _ := w.ratio()
+	cipher, _ := accel.NewAES(make([]byte, 16)) // zero key: no CSR in the sweep
 	var out []uint64
 	for b := 0; b+in <= len(data); b += in {
 		block := accel.WordsToBytes(data[b : b+in])
@@ -176,7 +177,6 @@ func reference(w Workload, data []uint64) []uint64 {
 			sum := accel.SHA256Sum(block)
 			out = append(out, accel.BytesToWords(sum[:])...)
 		case AES:
-			cipher, _ := accel.NewAES(make([]byte, 16)) // zero key: no CSR in the sweep
 			ct := make([]byte, 16)
 			cipher.Encrypt(ct, block)
 			out = append(out, accel.BytesToWords(ct)...)
@@ -198,7 +198,9 @@ func verify(w Workload, data, got []uint64) bool {
 	return true
 }
 
-// rig is one fresh SoC per run (runs never share warmed state).
+// rig is one fresh SoC per run (runs never share warmed state). Each run
+// closes the rig's kernel once finish has harvested it, ending the
+// server-style processes still parked when the simulation drained.
 type rig struct {
 	s    *soc.SoC
 	os   *osmodel.OS
@@ -270,6 +272,7 @@ func runCohort(cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer r.s.K.Close()
 	inW, outW := cfg.Workload.ratio()
 	eng := r.s.AddEngine(2, cfg.Workload.device(), 0)
 	data := input(cfg)
@@ -326,6 +329,7 @@ func runMMIO(cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer r.s.K.Close()
 	inW, outW := cfg.Workload.ratio()
 	unit := r.s.AddMaple(2, cfg.Workload.device())
 	data := input(cfg)
@@ -368,6 +372,7 @@ func runDMA(cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer r.s.K.Close()
 	inW, outW := cfg.Workload.ratio()
 	unit := r.s.AddMaple(2, cfg.Workload.device())
 	data := input(cfg)

@@ -1,0 +1,134 @@
+package sim
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// settleGoroutines waits for process goroutines that have already made
+// their last handshake to exit, and reports the count it settled at.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; n > base && i < 200; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// checkClosed asserts that Close left nothing behind.
+func checkClosed(t *testing.T, k *Kernel, base int) {
+	t.Helper()
+	if k.Procs() != 0 || k.Blocked() != 0 || !k.Idle() {
+		t.Fatalf("after Close: Procs=%d Blocked=%d Idle=%v, want 0 0 true", k.Procs(), k.Blocked(), k.Idle())
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Fatalf("after Close: %d goroutines, %d before the kernel", n, base)
+	}
+}
+
+func TestCloseEndsProcParkedOnSignal(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New()
+	s := NewSignal(k)
+	var unwound, resumed bool
+	k.Spawn("server", func(p *Proc) {
+		defer func() { unwound = true }()
+		s.Wait(p)
+		resumed = true
+	})
+	k.Run(0)
+	if k.Procs() != 1 || k.Blocked() != 1 {
+		t.Fatalf("before Close: Procs=%d Blocked=%d, want 1 1", k.Procs(), k.Blocked())
+	}
+	k.Close()
+	if !unwound || resumed {
+		t.Fatalf("unwound=%v resumed=%v, want true false", unwound, resumed)
+	}
+	checkClosed(t, k, base)
+}
+
+func TestCloseEndsProcParkedOnTimer(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New()
+	var unwound, resumed bool
+	k.Spawn("sleeper", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Wait(100)
+		resumed = true
+	})
+	if end := k.Run(10); end != 10 {
+		t.Fatalf("Run(10) = %d", end)
+	}
+	if k.Procs() != 1 || k.Idle() {
+		t.Fatalf("before Close: Procs=%d Idle=%v, want 1 false", k.Procs(), k.Idle())
+	}
+	k.Close()
+	if !unwound || resumed {
+		t.Fatalf("unwound=%v resumed=%v, want true false", unwound, resumed)
+	}
+	checkClosed(t, k, base)
+}
+
+func TestCloseDropsUnstartedProc(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New()
+	ran := false
+	k.Spawn("never", func(p *Proc) { ran = true })
+	if k.Procs() != 1 {
+		t.Fatalf("Procs = %d after Spawn, want 1", k.Procs())
+	}
+	k.Close()
+	if ran {
+		t.Fatal("unstarted process ran")
+	}
+	checkClosed(t, k, base)
+	// Nothing is left for a later Run.
+	k.Run(0)
+	if ran {
+		t.Fatal("unstarted process ran after Close")
+	}
+}
+
+// A deferred call that fires a Signal while Close unwinds its process (an
+// engine releasing a port) must not leave events or waiters behind.
+func TestCloseRunsDeferredFire(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New()
+	free := NewSignal(k)
+	input := NewSignal(k)
+	k.Spawn("holder", func(p *Proc) {
+		defer free.Fire()
+		input.Wait(p)
+	})
+	k.Spawn("contender", func(p *Proc) { free.Wait(p) })
+	k.Run(0)
+	if k.Blocked() != 2 {
+		t.Fatalf("Blocked = %d, want 2", k.Blocked())
+	}
+	k.Close()
+	checkClosed(t, k, base)
+}
+
+func TestCloseAfterProcPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New()
+	s := NewSignal(k)
+	k.Spawn("server", func(p *Proc) { s.Wait(p) })
+	k.Spawn("bomb", func(p *Proc) {
+		k.After(1, func() {}) // make the next Wait park rather than run inline
+		p.Wait(5)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		k.Run(0)
+	}()
+	k.Close()
+	checkClosed(t, k, base)
+}

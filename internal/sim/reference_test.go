@@ -1,0 +1,299 @@
+package sim
+
+import (
+	"math/rand"
+	"runtime"
+	"sort"
+	"testing"
+)
+
+// The property test below runs random programs on the kernel and on a naive
+// reference scheduler that keeps its events in a sorted slice and never runs
+// a Wait inline. Both must produce the same log of (now, who, step) entries.
+
+type opKind int
+
+const (
+	opWait    opKind = iota // Wait(d)
+	opWaitSig               // park on signal sig
+	opFire                  // fire signal sig
+	opAt                    // schedule a kernel callback d cycles ahead; it fires sig if sig >= 0
+	opStop                  // Stop
+	opSpawn                 // spawn a process running script arg
+)
+
+type op struct {
+	kind opKind
+	d    Time
+	sig  int
+	arg  int
+}
+
+type program struct {
+	scripts [][]op // the first nInit are spawned before Run; the rest only by opSpawn
+	nInit   int
+	nSig    int
+	pre     []op   // opAt callbacks scheduled before Run
+	limits  []Time // Run limits, in order; the kernel is then drained with Run(0)
+}
+
+// logEntry records a process executing step `step` (len(script) = exit), a
+// callback firing (who < 0), or Run returning (who == runMark).
+type logEntry struct {
+	now  Time
+	who  int
+	step int
+}
+
+const runMark = -1 << 20
+
+func genProgram(rng *rand.Rand) program {
+	pg := program{nInit: 1 + rng.Intn(4), nSig: 1 + rng.Intn(2)}
+	nScripts := pg.nInit + rng.Intn(3)
+	delays := []Time{0, 0, 1, 1, 2, 3, 7}
+	genOp := func(canSpawn bool) op {
+		sig := rng.Intn(pg.nSig)
+		switch r := rng.Intn(100); {
+		case r < 40:
+			return op{kind: opWait, d: delays[rng.Intn(len(delays))]}
+		case r < 55:
+			return op{kind: opWaitSig, sig: sig}
+		case r < 70:
+			return op{kind: opFire, sig: sig}
+		case r < 82:
+			return op{kind: opAt, d: Time(rng.Intn(4)), sig: rng.Intn(pg.nSig+1) - 1}
+		case r < 87:
+			return op{kind: opStop}
+		case canSpawn && nScripts > pg.nInit:
+			return op{kind: opSpawn, arg: pg.nInit + rng.Intn(nScripts-pg.nInit)}
+		default:
+			return op{kind: opWait, d: 0}
+		}
+	}
+	for i := 0; i < nScripts; i++ {
+		script := make([]op, 1+rng.Intn(12))
+		for j := range script {
+			script[j] = genOp(i < pg.nInit)
+		}
+		pg.scripts = append(pg.scripts, script)
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		pg.pre = append(pg.pre, op{kind: opAt, d: Time(rng.Intn(6)), sig: rng.Intn(pg.nSig+1) - 1})
+	}
+	limit := Time(0)
+	for i := rng.Intn(4); i > 0; i-- {
+		limit += 1 + Time(rng.Intn(12))
+		pg.limits = append(pg.limits, limit)
+	}
+	return pg
+}
+
+// runKernel executes pg on the kernel and returns its log plus the Blocked
+// and Procs counts once the event queue has drained.
+func runKernel(pg program) (log []logEntry, blocked, procs int) {
+	k := New()
+	sigs := make([]*Signal, pg.nSig)
+	for i := range sigs {
+		sigs[i] = NewSignal(k)
+	}
+	nextProc, nextCB := 0, 0
+	at := func(d Time, sig int) {
+		id := nextCB
+		nextCB++
+		k.After(d, func() {
+			log = append(log, logEntry{k.Now(), -1 - id, 0})
+			if sig >= 0 {
+				sigs[sig].Fire()
+			}
+		})
+	}
+	var spawn func(script int)
+	spawn = func(script int) {
+		id := nextProc
+		nextProc++
+		ops := pg.scripts[script]
+		k.Spawn("p", func(p *Proc) {
+			for pc, o := range ops {
+				log = append(log, logEntry{p.Now(), id, pc})
+				switch o.kind {
+				case opWait:
+					p.Wait(o.d)
+				case opWaitSig:
+					sigs[o.sig].Wait(p)
+				case opFire:
+					sigs[o.sig].Fire()
+				case opAt:
+					at(o.d, o.sig)
+				case opStop:
+					k.Stop()
+				case opSpawn:
+					spawn(o.arg)
+				}
+			}
+			log = append(log, logEntry{p.Now(), id, len(ops)})
+		})
+	}
+	for i := 0; i < pg.nInit; i++ {
+		spawn(i)
+	}
+	for _, o := range pg.pre {
+		at(o.d, o.sig)
+	}
+	for i, l := range pg.limits {
+		log = append(log, logEntry{k.Run(l), runMark, i})
+	}
+	for i := len(pg.limits); !k.Idle(); i++ {
+		log = append(log, logEntry{k.Run(0), runMark, i})
+	}
+	blocked, procs = k.Blocked(), k.Procs()
+	k.Close()
+	return log, blocked, procs
+}
+
+// refKernel is the reference scheduler: processes are script cursors, every
+// Wait schedules an event, and the next event is found by sorting.
+type refKernel struct {
+	pg      *program
+	now     Time
+	seq     uint64
+	stopped bool
+	events  []refEvent
+	waiters [][]int // per signal: parked process ids, in Wait order
+	pcs     []int   // per process: next step; len(script)+1 once exited
+	scripts []int   // per process: script index
+	live    int
+	nextCB  int
+	log     []logEntry
+}
+
+type refEvent struct {
+	at   Time
+	seq  uint64
+	proc int // process to step, or -1 for a callback
+	cb   int
+	sig  int
+}
+
+func (r *refKernel) schedule(e refEvent) {
+	r.seq++
+	e.seq = r.seq
+	r.events = append(r.events, e)
+}
+
+func (r *refKernel) at(d Time, sig int) {
+	r.schedule(refEvent{at: r.now + d, proc: -1, cb: r.nextCB, sig: sig})
+	r.nextCB++
+}
+
+func (r *refKernel) spawn(script int) {
+	r.pcs = append(r.pcs, 0)
+	r.scripts = append(r.scripts, script)
+	r.live++
+	r.schedule(refEvent{at: r.now, proc: len(r.pcs) - 1})
+}
+
+func (r *refKernel) fire(sig int) {
+	for _, id := range r.waiters[sig] {
+		r.schedule(refEvent{at: r.now, proc: id})
+	}
+	r.waiters[sig] = nil
+}
+
+func (r *refKernel) run(limit Time) Time {
+	r.stopped = false
+	for len(r.events) > 0 && !r.stopped {
+		sort.Slice(r.events, func(i, j int) bool {
+			a, b := r.events[i], r.events[j]
+			return a.at < b.at || a.at == b.at && a.seq < b.seq
+		})
+		e := r.events[0]
+		if limit != 0 && e.at > limit {
+			r.now = limit
+			return r.now
+		}
+		r.events = r.events[1:]
+		r.now = e.at
+		if e.proc < 0 {
+			r.log = append(r.log, logEntry{r.now, -1 - e.cb, 0})
+			if e.sig >= 0 {
+				r.fire(e.sig)
+			}
+			continue
+		}
+		r.step(e.proc)
+	}
+	return r.now
+}
+
+// step runs process id until it blocks or exits.
+func (r *refKernel) step(id int) {
+	ops := r.pg.scripts[r.scripts[id]]
+	for r.pcs[id] < len(ops) {
+		pc := r.pcs[id]
+		o := ops[pc]
+		r.log = append(r.log, logEntry{r.now, id, pc})
+		r.pcs[id]++
+		switch o.kind {
+		case opWait:
+			r.schedule(refEvent{at: r.now + o.d, proc: id})
+			return
+		case opWaitSig:
+			r.waiters[o.sig] = append(r.waiters[o.sig], id)
+			return
+		case opFire:
+			r.fire(o.sig)
+		case opAt:
+			r.at(o.d, o.sig)
+		case opStop:
+			r.stopped = true
+		case opSpawn:
+			r.spawn(o.arg)
+		}
+	}
+	r.log = append(r.log, logEntry{r.now, id, len(ops)})
+	r.pcs[id]++
+	r.live--
+}
+
+func runReference(pg program) (log []logEntry, blocked, procs int) {
+	r := &refKernel{pg: &pg, waiters: make([][]int, pg.nSig)}
+	for i := 0; i < pg.nInit; i++ {
+		r.spawn(i)
+	}
+	for _, o := range pg.pre {
+		r.at(o.d, o.sig)
+	}
+	for i, l := range pg.limits {
+		r.log = append(r.log, logEntry{r.run(l), runMark, i})
+	}
+	for i := len(pg.limits); len(r.events) > 0; i++ {
+		r.log = append(r.log, logEntry{r.run(0), runMark, i})
+	}
+	for _, ws := range r.waiters {
+		blocked += len(ws)
+	}
+	return r.log, blocked, r.live
+}
+
+func TestScheduleMatchesReferenceProperty(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for seed := int64(1); seed <= 500; seed++ {
+		pg := genProgram(rand.New(rand.NewSource(seed)))
+		got, gotBlocked, gotProcs := runKernel(pg)
+		want, wantBlocked, wantProcs := runReference(pg)
+		if gotBlocked != wantBlocked || gotProcs != wantProcs {
+			t.Fatalf("seed %d: Blocked=%d Procs=%d, reference %d %d", seed, gotBlocked, gotProcs, wantBlocked, wantProcs)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log entries, reference %d\n got %v\nwant %v", seed, len(got), len(want), got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: entry %d = %v, reference %v\n got %v\nwant %v", seed, i, got[i], want[i], got, want)
+			}
+		}
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after closing every kernel, %d before", n, base)
+	}
+}

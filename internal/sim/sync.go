@@ -23,13 +23,12 @@ func (s *Signal) Wait(p *Proc) {
 // time, in the order they called Wait. Safe to call from kernel context or
 // from a process.
 func (s *Signal) Fire() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w := w
+	for _, w := range s.waiters {
 		s.k.parked--
-		s.k.After(0, w.resume)
+		s.k.After(0, w.resumeFn)
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Waiting returns the number of parked processes.

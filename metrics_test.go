@@ -202,6 +202,9 @@ func TestEngineStatsDetailAndReset(t *testing.T) {
 	if s := st.DrainNs.String(); st.DrainNs.Samples() > 0 && !strings.Contains(s, "ns:") {
 		t.Errorf("histogram String() = %q", s)
 	}
+	// Quiesce first: an idle engine keeps counting backoff sleeps, so a
+	// live one could move BackoffSleeps between the reset and the read.
+	e.Unregister()
 	e.ResetStats()
 	st = e.StatsDetail()
 	if st.WordsIn != 0 || st.Wakeups != 0 || st.BackoffSleeps != 0 || st.DrainNs.Samples() != 0 {
