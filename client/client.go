@@ -52,11 +52,6 @@ type Options struct {
 	ReconnectBackoff time.Duration
 	// ReconnectMax caps the doubling backoff (default 2s).
 	ReconnectMax time.Duration
-	// LegacyCodec selects the pre-coalescing wire codec: copy-framed sends
-	// and an allocation per received frame, exactly the pre-batching client
-	// hot path. Kept so cohortload can A/B the zero-copy path against what
-	// it replaced; never set it in production.
-	LegacyCodec bool
 	// ServerTiming asks the daemon for its server-side latency attribution:
 	// sampled stage breakdowns (queue wait, scheduler dispatch, compute, wire
 	// egress) arrive as occasional Telemetry frames mid-stream and finally on
@@ -115,7 +110,6 @@ type Conn struct {
 	session uint64
 	inW     int
 	outW    int
-	legacy  bool
 
 	// pending is the unconsumed tail of the last received Data frame (it
 	// aliases the reader's pooled buffer on the fast path), carried across
@@ -191,7 +185,7 @@ func connect(addr string, opts Options) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cohort client: dial %s: %w", addr, err)
 	}
-	c := &Conn{c: nc, r: wire.NewReader(nc), w: wire.NewWriter(nc), legacy: opts.LegacyCodec}
+	c := &Conn{c: nc, r: wire.NewReader(nc), w: wire.NewWriter(nc)}
 	if err := c.w.JSON(wire.Open, wire.OpenRequest{
 		Tenant: opts.Tenant, Accel: opts.Accel, CSR: opts.CSR,
 		Weight: opts.Weight, Quota: opts.Quota, QueueCap: opts.QueueCap,
@@ -250,13 +244,7 @@ func (c *Conn) OutWords() int { return c.outW }
 // many blocks per Send is the single biggest lever on serving throughput:
 // one frame and one syscall amortize over every block in the slice.
 func (c *Conn) Send(ws []cohort.Word) error {
-	var err error
-	if c.legacy {
-		err = c.w.WordsCopy(ws)
-	} else {
-		err = c.w.Words(ws)
-	}
-	if err != nil {
+	if err := c.w.Words(ws); err != nil {
 		return fmt.Errorf("cohort client: send data: %w", err)
 	}
 	return nil
@@ -295,27 +283,13 @@ func (c *Conn) nextData() ([]cohort.Word, error) {
 		return nil, c.recvErr
 	}
 	for {
-		var t wire.Type
-		var ws []cohort.Word
-		var payload []byte
-		var err error
-		if c.legacy {
-			t, payload, err = c.r.Next()
-		} else {
-			t, ws, payload, err = c.r.NextData()
-		}
+		t, ws, payload, err := c.r.NextData()
 		if err != nil {
 			c.recvErr = fmt.Errorf("cohort client: recv: %w", err)
 			return nil, c.recvErr
 		}
 		switch t {
 		case wire.Data:
-			if c.legacy {
-				if ws, err = wire.Words(payload); err != nil {
-					c.recvErr = err
-					return nil, err
-				}
-			}
 			if len(ws) == 0 {
 				continue
 			}
@@ -384,10 +358,6 @@ func (c *Conn) Recv() ([]cohort.Word, error) {
 		}
 	}
 	c.pending = nil
-	if c.legacy {
-		// Legacy decode already allocated a fresh slice; hand it over.
-		return ws, nil
-	}
 	out := make([]cohort.Word, len(ws))
 	copy(out, ws)
 	c.r.Release()

@@ -31,7 +31,7 @@ func (e *echoAcc) Process(in []cohort.Word) ([]cohort.Word, error) {
 // startLoopback brings up a real scheduler and TCP server on 127.0.0.1 with
 // an "echo" catalog entry of the given block size beside the real "sha256". A
 // non-nil registry wires the scheduler's metric sources, as cohortd does.
-func startLoopback(tb testing.TB, block int, legacyWire bool, reg *cohort.Registry) (addr string, stop func()) {
+func startLoopback(tb testing.TB, block int, reg *cohort.Registry) (addr string, stop func()) {
 	tb.Helper()
 	s := sched.New(sched.Config{Engines: 1, Quantum: 64, QueueCap: 16384, Registry: reg})
 	catalog := sched.Catalog{
@@ -39,7 +39,6 @@ func startLoopback(tb testing.TB, block int, legacyWire bool, reg *cohort.Regist
 		"sha256": func() (cohort.Accelerator, error) { return cohort.NewSHA256(), nil },
 	}
 	sv := sched.NewServer(s, catalog)
-	sv.LegacyWire = legacyWire
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -76,7 +75,7 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 			// measurement — far fewer than the run count — so the per-run
 			// average still pins the serving hot path itself at zero.
 			reg := cohort.NewRegistry()
-			addr, stop := startLoopback(t, block, false, reg)
+			addr, stop := startLoopback(t, block, reg)
 			defer stop()
 			sampler := telem.New(telem.Config{Registry: reg, Tick: 100 * time.Millisecond})
 			sampler.Start()
@@ -121,7 +120,7 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 // over across calls, in order, with no words lost.
 func TestRecvIntoCarry(t *testing.T) {
 	const block = 8
-	addr, stop := startLoopback(t, block, false, nil)
+	addr, stop := startLoopback(t, block, nil)
 	defer stop()
 	c, err := client.Connect(addr, client.Options{Tenant: "carry", Accel: "echo"})
 	if err != nil {
@@ -165,13 +164,13 @@ func TestRecvIntoCarry(t *testing.T) {
 	}
 }
 
-// TestLegacyCodecRoundTrip: the A/B legacy codec still speaks the same
-// protocol against the batched server path.
-func TestLegacyCodecRoundTrip(t *testing.T) {
+// TestStreamRoundTrip: Stream sends a whole job, closes the outbound side
+// and collects every result word up to Done.
+func TestStreamRoundTrip(t *testing.T) {
 	const block = 16
-	addr, stop := startLoopback(t, block, false, nil)
+	addr, stop := startLoopback(t, block, nil)
 	defer stop()
-	c, err := client.Connect(addr, client.Options{Tenant: "legacy", Accel: "echo", LegacyCodec: true})
+	c, err := client.Connect(addr, client.Options{Tenant: "stream", Accel: "echo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +197,11 @@ func TestLegacyCodecRoundTrip(t *testing.T) {
 }
 
 // benchLoopback streams b.N blocks through a real TCP session, sending
-// sendBatch words per frame — the A/B harness behind the README's serving
-// table. CI logs these next to the wire microbenches.
-func benchLoopback(b *testing.B, legacy bool, block, sendBatch int) {
-	addr, stop := startLoopback(b, block, legacy, nil)
+// sendBatch words per frame. CI logs these next to the wire microbenches.
+func benchLoopback(b *testing.B, block, sendBatch int) {
+	addr, stop := startLoopback(b, block, nil)
 	defer stop()
-	c, err := client.Connect(addr, client.Options{Tenant: "bench", Accel: "echo", LegacyCodec: legacy})
+	c, err := client.Connect(addr, client.Options{Tenant: "bench", Accel: "echo"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,7 +234,6 @@ func benchLoopback(b *testing.B, legacy bool, block, sendBatch int) {
 	}
 }
 
-func BenchmarkLoopbackBlock64Legacy(b *testing.B)    { benchLoopback(b, true, 64, 64) }
-func BenchmarkLoopbackBlock64Batched(b *testing.B)   { benchLoopback(b, false, 64, 4096) }
-func BenchmarkLoopbackBlock64ZeroCopy(b *testing.B)  { benchLoopback(b, false, 64, 64) }
-func BenchmarkLoopbackBlock4096Batched(b *testing.B) { benchLoopback(b, false, 4096, 4096) }
+func BenchmarkLoopbackBlock64Batched(b *testing.B)   { benchLoopback(b, 64, 4096) }
+func BenchmarkLoopbackBlock64ZeroCopy(b *testing.B)  { benchLoopback(b, 64, 64) }
+func BenchmarkLoopbackBlock4096Batched(b *testing.B) { benchLoopback(b, 4096, 4096) }

@@ -16,16 +16,19 @@
 // the static configuration, so the bandit starts where the static run is
 // pinned and must discover the better arms online; with a non-zero
 // -switch-cost a small static quantum pays the modeled CSR-swap on every
-// session switch and the gap is large. The report (BENCH_adaptive.json)
+// session switch and the gap is large. The -ab-report JSON document
 // records both goodputs, the adaptive/static ratio, and the controller's
 // full /policy document (arms, reward estimates, switch history) — CI gates
 // on adaptive >= static and at least one policy_switch.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -117,7 +120,7 @@ type abRunResult struct {
 	Policy           *policy.Doc `json:"policy,omitempty"`
 }
 
-// abReport is the BENCH_adaptive.json document.
+// abReport is the -ab-report JSON document.
 type abReport struct {
 	Benchmark     string        `json:"benchmark"`
 	GeneratedUnix int64         `json:"generated_unix"`
@@ -131,6 +134,20 @@ type abReport struct {
 	// configuration (>= 0.95 of the best static allows measurement jitter
 	// on a converged tie) AND switched arms at least once.
 	Pass bool `json:"pass"`
+}
+
+// reportConfig records the flags an A/B report ran under.
+type reportConfig struct {
+	Accel     string  `json:"accel"`
+	Block     int     `json:"block_words"`
+	Batch     int     `json:"batch_words"`
+	Coalesce  int     `json:"coalesce_arrivals"`
+	Tenants   int     `json:"tenants"`
+	RateHz    float64 `json:"rate_hz"`
+	DurationS float64 `json:"duration_s"`
+	Engines   int     `json:"engines"`
+	Quantum   int     `json:"quantum"`
+	QueueCap  int     `json:"queue_cap_words"`
 }
 
 // abMix documents the skewed tenant mix the runs shared.
@@ -205,6 +222,21 @@ func runAB(cfg runConfig, spec, outPath string) error {
 			report.AdaptiveVsStatic, report.PolicySwitches)
 	}
 	return nil
+}
+
+func writeJSON(path string, v any) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // spawnABDaemon brings up one in-process daemon for an A/B run. Static and

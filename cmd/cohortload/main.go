@@ -1,8 +1,8 @@
 // Command cohortload is an open-loop load generator for a cohortd daemon: it
 // drives configurable tenant mixes of concurrent sessions with Poisson
-// arrivals and reports per-block and per-session latency quantiles
-// (p50/p99/p999) plus goodput, in both benchstat-compatible text and a JSON
-// report (BENCH_serve.json).
+// arrivals and reports per-block latency quantiles and goodput as
+// benchstat-compatible text, with the daemon's server-side stage breakdown
+// alongside.
 //
 // Open loop means arrivals are scheduled by the clock, not by completions: a
 // batch's latency is measured from its *scheduled* arrival time, so server
@@ -11,21 +11,17 @@
 // coordinated-omission trap of closed-loop generators). -rate 0 disables
 // pacing and measures saturation goodput instead.
 //
-// Each arrival is one -batch-word request. The batched client packs every
-// arrival due at wake-up into one zero-copy Data frame (up to -coalesce
-// arrivals, via SendN); the legacy client — like the pre-change stack — must
-// send one copy-framed write per arrival.
+// Each arrival is one -batch-word request. The client packs every arrival
+// due at wake-up into one zero-copy Data frame (up to -coalesce arrivals, via
+// SendN).
 //
-// With -spawn (the default when -addr is empty) the daemon runs in-process
-// on a loopback listener; -compare then runs the same workload twice — once
-// over the pre-coalescing legacy wire path (legacy codec, per-block
-// scheduler handoff, polling pumps), once over the batched zero-copy path —
-// and reports the goodput speedup.
+// With an empty -addr the daemon runs in-process on a loopback listener.
+// -slo-p99 turns the run into a pass/fail verdict, and -ab compares static
+// and adaptive scheduling over the same arrival trace.
 package main
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +50,7 @@ func main() {
 	flag.IntVar(&cfg.block, "block", 64, "echo accelerator block size in words (spawned daemons only)")
 	flag.IntVar(&cfg.tenants, "tenants", 4, "concurrent tenant sessions")
 	flag.IntVar(&cfg.batch, "batch", 64, "words per arrival (one open-loop request)")
-	flag.IntVar(&cfg.coalesce, "coalesce", 64, "batched client: max due arrivals packed per Data frame via SendN (the legacy client sends one frame per arrival)")
+	flag.IntVar(&cfg.coalesce, "coalesce", 64, "max due arrivals packed per Data frame via SendN")
 	flag.Float64Var(&cfg.rate, "rate", 0, "aggregate Poisson arrival rate in batches/sec across all tenants (0: unthrottled saturation)")
 	flag.DurationVar(&cfg.duration, "duration", 3*time.Second, "send window per run")
 	flag.IntVar(&cfg.engines, "engines", 2, "spawned daemon: engine pool size")
@@ -62,13 +58,9 @@ func main() {
 	flag.DurationVar(&cfg.switchCost, "switch-cost", 0, "spawned daemon: modeled CSR-swap cost per session switch")
 	flag.IntVar(&cfg.queueCap, "queue-cap", 16384, "spawned daemon: per-direction session queue capacity in words")
 	flag.Int64Var(&cfg.seed, "seed", 1, "arrival-process RNG seed")
-	legacy := flag.Bool("legacy", false, "use the pre-coalescing legacy codec (single run)")
-	compare := flag.Bool("compare", false, "run legacy then batched against spawned daemons and report the speedup")
 	ab := flag.String("ab", "", "static-vs-adaptive A/B over the same Poisson trace and a skewed tenant mix, e.g. \"static,adaptive\" (modes: static, static:q=N, adaptive); spawned daemons only")
-	abOut := flag.String("ab-report", "BENCH_adaptive.json", "A/B report path (empty: skip)")
-	out := flag.String("o", "BENCH_serve.json", "JSON report path (empty: skip)")
-	latOut := flag.String("latency-report", "BENCH_latency.json", "decomposed server-stage latency report path (empty: skip; batched runs only)")
-	sloP99 := flag.Duration("slo-p99", 0, "SLO verdict mode: fail (exit 1) if the final run's end-to-end block p99 exceeds this (0: off)")
+	abOut := flag.String("ab-report", "", "A/B JSON report path (empty: skip)")
+	sloP99 := flag.Duration("slo-p99", 0, "SLO verdict mode: fail (exit 1) if the run's end-to-end block p99 exceeds this (0: off)")
 	flag.Parse()
 
 	if cfg.batch%cfg.block != 0 {
@@ -76,9 +68,6 @@ func main() {
 	}
 	if cfg.coalesce < 1 {
 		log.Fatal("-coalesce must be >= 1")
-	}
-	if *compare && cfg.addr != "" {
-		log.Fatal("-compare needs spawned daemons; drop -addr")
 	}
 	if *ab != "" {
 		if cfg.addr != "" {
@@ -92,110 +81,22 @@ func main() {
 	}
 
 	fmt.Printf("goos: %s\ngoarch: %s\npkg: cohort/cmd/cohortload\n", runtime.GOOS, runtime.GOARCH)
-	var runs []runResult
-	if *compare {
-		for _, mode := range []bool{true, false} {
-			r, err := oneRun(cfg, mode)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runs = append(runs, r)
-		}
-	} else {
-		r, err := oneRun(cfg, *legacy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runs = append(runs, r)
-	}
-
-	report := benchReport{
-		Benchmark:     "cohortload",
-		GeneratedUnix: time.Now().Unix(),
-		Config: reportConfig{
-			Accel: cfg.accel, Block: cfg.block, Batch: cfg.batch, Coalesce: cfg.coalesce,
-			Tenants: cfg.tenants, RateHz: cfg.rate, DurationS: cfg.duration.Seconds(),
-			Engines: cfg.engines, Quantum: cfg.quantum, QueueCap: cfg.queueCap,
-		},
-		Runs: runs,
-	}
-	if len(runs) == 2 && runs[0].Mode == "legacy" {
-		report.SpeedupGoodput = round2(runs[1].GoodputWordsPerS / runs[0].GoodputWordsPerS)
-		fmt.Printf("\nspeedup: %.2fx goodput (batched %.1f MiB/s over legacy %.1f MiB/s)\n",
-			report.SpeedupGoodput, runs[1].GoodputMiBPerS, runs[0].GoodputMiBPerS)
-	}
-	if *sloP99 > 0 {
-		// Verdict mode: judge the final run (the batched one under -compare)
-		// against the block-p99 objective, record the outcome in the report,
-		// and exit non-zero on breach so CI can gate on it.
-		final := runs[len(runs)-1]
-		report.SLO = &sloVerdict{
-			TargetP99Us:   round2(float64(*sloP99) / 1e3),
-			ObservedP99Us: final.BlockP99us,
-			Mode:          final.Mode,
-			Pass:          final.BlockP99us <= float64(*sloP99)/1e3,
-		}
-	}
-	if *out != "" {
-		writeJSON(*out, report)
-		fmt.Printf("report: %s\n", *out)
-	}
-	if *latOut != "" {
-		// Standalone decomposed-latency artifact: the last run with a server
-		// stage breakdown (the batched run in -compare), paired with its
-		// end-to-end quantiles so a checker can assert stage-sum ≤ e2e.
-		for i := len(runs) - 1; i >= 0; i-- {
-			if runs[i].ServerStages == nil {
-				continue
-			}
-			writeJSON(*latOut, latencyReport{
-				Benchmark:     "cohortload/latency",
-				GeneratedUnix: time.Now().Unix(),
-				Mode:          runs[i].Mode,
-				BlockP50Us:    runs[i].BlockP50us,
-				BlockP99Us:    runs[i].BlockP99us,
-				Stages:        runs[i].ServerStages,
-			})
-			fmt.Printf("latency report: %s\n", *latOut)
-			break
-		}
-	}
-	if report.SLO != nil {
-		v := report.SLO
-		if v.Pass {
-			fmt.Printf("slo verdict: PASS (%s block p99 %.1fµs <= target %.1fµs)\n",
-				v.Mode, v.ObservedP99Us, v.TargetP99Us)
-		} else {
-			fmt.Printf("slo verdict: FAIL (%s block p99 %.1fµs > target %.1fµs)\n",
-				v.Mode, v.ObservedP99Us, v.TargetP99Us)
-			os.Exit(1)
-		}
-	}
-}
-
-// latencyReport is the BENCH_latency.json document: one run's server-side
-// stage decomposition next to the end-to-end quantiles it must fit inside.
-type latencyReport struct {
-	Benchmark     string        `json:"benchmark"`
-	GeneratedUnix int64         `json:"generated_unix"`
-	Mode          string        `json:"mode"`
-	BlockP50Us    float64       `json:"block_p50_us"`
-	BlockP99Us    float64       `json:"block_p99_us"`
-	Stages        *serverStages `json:"stages"`
-}
-
-func writeJSON(path string, v any) {
-	f, err := os.Create(path)
+	r, err := oneRun(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+	if *sloP99 > 0 {
+		// Verdict mode: judge the open-loop end-to-end block p99 (which charges
+		// queueing from the *scheduled* arrival time, so a saturated server
+		// fails honestly) against the target, and exit non-zero on breach so CI
+		// can gate on it.
+		target := round2(float64(*sloP99) / 1e3)
+		if r.BlockP99us <= float64(*sloP99)/1e3 {
+			fmt.Printf("slo verdict: PASS (block p99 %.1fµs <= target %.1fµs)\n", r.BlockP99us, target)
+		} else {
+			fmt.Printf("slo verdict: FAIL (block p99 %.1fµs > target %.1fµs)\n", r.BlockP99us, target)
+			os.Exit(1)
+		}
 	}
 }
 
@@ -215,69 +116,51 @@ type runConfig struct {
 	seed       int64
 }
 
-type reportConfig struct {
-	Accel     string  `json:"accel"`
-	Block     int     `json:"block_words"`
-	Batch     int     `json:"batch_words"`
-	Coalesce  int     `json:"coalesce_arrivals"`
-	Tenants   int     `json:"tenants"`
-	RateHz    float64 `json:"rate_hz"`
-	DurationS float64 `json:"duration_s"`
-	Engines   int     `json:"engines"`
-	Quantum   int     `json:"quantum"`
-	QueueCap  int     `json:"queue_cap_words"`
-}
-
+// runResult is one run's aggregate: what the benchstat line and the SLO
+// verdict read.
 type runResult struct {
-	Mode             string  `json:"mode"` // "legacy" or "batched"
-	Blocks           uint64  `json:"blocks"`
-	Words            uint64  `json:"words"`
-	ElapsedS         float64 `json:"elapsed_s"`
-	GoodputWordsPerS float64 `json:"goodput_words_per_s"`
-	GoodputMiBPerS   float64 `json:"goodput_mib_per_s"`
-	BlockP50us       float64 `json:"block_p50_us"`
-	BlockP99us       float64 `json:"block_p99_us"`
-	BlockP999us      float64 `json:"block_p999_us"`
-	SessionP50ms     float64 `json:"session_p50_ms"`
-	SessionP99ms     float64 `json:"session_p99_ms"`
-	// ServerStages decomposes where the server-resident time went (batched
-	// runs only: the clients opt into wire telemetry and the daemon's sampled
-	// stage attribution fills it). Comparing ServerMeanUs against the
-	// end-to-end block quantiles splits latency into server-resident vs
-	// network + client-side cost.
-	ServerStages *serverStages `json:"server_stages,omitempty"`
+	Blocks     uint64
+	Words      uint64
+	BlockP50us float64
+	BlockP99us float64
+	// ServerStages decomposes where the server-resident time went (the
+	// clients opt into wire telemetry and the daemon's sampled stage
+	// attribution fills it). Comparing ServerMeanUs against the end-to-end
+	// block quantiles splits latency into server-resident vs network +
+	// client-side cost.
+	ServerStages *serverStages
 	// Shards attributes the run per target address when -addr named more
 	// than one daemon — the fleet view: aggregate goodput above, who served
 	// what below.
-	Shards []shardGoodput `json:"shards,omitempty"`
+	Shards []shardGoodput
 }
 
 // shardGoodput is one target daemon's slice of a multi-address run.
 type shardGoodput struct {
-	Addr           string  `json:"addr"`
-	Sessions       int     `json:"sessions"`
-	Blocks         uint64  `json:"blocks"`
-	Words          uint64  `json:"words"`
-	GoodputMiBPerS float64 `json:"goodput_mib_per_s"`
+	Addr           string
+	Sessions       int
+	Blocks         uint64
+	Words          uint64
+	GoodputMiBPerS float64
 }
 
 // stageAgg is one stage aggregated across every tenant session of a run:
 // samples-weighted mean, worst per-session p99.
 type stageAgg struct {
-	Samples uint64  `json:"samples"`
-	MeanUs  float64 `json:"mean_us"`
-	P99Us   float64 `json:"p99_us"`
+	Samples uint64
+	MeanUs  float64
+	P99Us   float64
 }
 
 // serverStages is a run's server-side latency decomposition, aggregated from
 // the per-session Telemetry documents the daemon sent back.
 type serverStages struct {
-	Sessions     int      `json:"sessions"` // sessions that reported timing
-	Queue        stageAgg `json:"queue"`
-	Sched        stageAgg `json:"sched"`
-	Compute      stageAgg `json:"compute"`
-	Wire         stageAgg `json:"wire"`
-	ServerMeanUs float64  `json:"server_mean_us"` // sum of the four stage means
+	Sessions     int // sessions that reported timing
+	Queue        stageAgg
+	Sched        stageAgg
+	Compute      stageAgg
+	Wire         stageAgg
+	ServerMeanUs float64 // sum of the four stage means
 }
 
 // aggregateStages folds per-session telemetry into one run-level breakdown.
@@ -310,26 +193,6 @@ func aggregateStages(ts []*wire.TelemetryReply) *serverStages {
 	fin(&agg.Wire)
 	agg.ServerMeanUs = round2(agg.Queue.MeanUs + agg.Sched.MeanUs + agg.Compute.MeanUs + agg.Wire.MeanUs)
 	return agg
-}
-
-type benchReport struct {
-	Benchmark      string       `json:"benchmark"`
-	GeneratedUnix  int64        `json:"generated_unix"`
-	Config         reportConfig `json:"config"`
-	Runs           []runResult  `json:"runs"`
-	SpeedupGoodput float64      `json:"speedup_goodput,omitempty"`
-	SLO            *sloVerdict  `json:"slo,omitempty"`
-}
-
-// sloVerdict records the -slo-p99 judgment on the final run: the open-loop
-// end-to-end block p99 (which charges queueing from the *scheduled* arrival
-// time, so a saturated server fails honestly) against the target. A FAIL also
-// exits the process with status 1.
-type sloVerdict struct {
-	Mode          string  `json:"mode"`
-	TargetP99Us   float64 `json:"target_p99_us"`
-	ObservedP99Us float64 `json:"observed_p99_us"`
-	Pass          bool    `json:"pass"`
 }
 
 // echoAccel is the load-generator geometry knob: a block pass-through of
@@ -375,7 +238,7 @@ func (e *echoAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
 
 // spawnDaemon brings up an in-process scheduler + wire server on a loopback
 // listener, with the default catalog plus the echo geometry.
-func spawnDaemon(cfg runConfig, legacy bool) (addr string, stop func(), err error) {
+func spawnDaemon(cfg runConfig) (addr string, stop func(), err error) {
 	s := sched.New(sched.Config{
 		Engines: cfg.engines, Quantum: cfg.quantum, QueueCap: cfg.queueCap,
 		SwitchCost:  cfg.switchCost,
@@ -385,7 +248,6 @@ func spawnDaemon(cfg runConfig, legacy bool) (addr string, stop func(), err erro
 	blk := cfg.block
 	cat["echo"] = func() (cohort.Accelerator, error) { return newEcho(blk), nil }
 	sv := sched.NewServer(s, cat)
-	sv.LegacyWire = legacy
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		s.Close()
@@ -403,17 +265,15 @@ type batchRec struct {
 }
 
 // oneRun drives the full tenant mix for one send window and aggregates the
-// samples. legacy selects both the daemon's legacy wire path (spawned only)
-// and the client's legacy codec, so the pair measured is the honest
-// pre-change stack.
-func oneRun(cfg runConfig, legacy bool) (runResult, error) {
+// samples.
+func oneRun(cfg runConfig) (runResult, error) {
 	// -addr may name several daemons (a shard fleet driven directly): workers
 	// spread round-robin so every shard sees load and the report attributes
 	// goodput per shard. One address — a single daemon or a gateway — is the
 	// degenerate case of the same path.
 	addrs := splitAddrs(cfg.addr)
 	if len(addrs) == 0 {
-		a, stop, err := spawnDaemon(cfg, legacy)
+		a, stop, err := spawnDaemon(cfg)
 		if err != nil {
 			return runResult{}, err
 		}
@@ -421,16 +281,11 @@ func oneRun(cfg runConfig, legacy bool) (runResult, error) {
 		addrs = []string{a}
 	}
 
-	mode := "batched"
-	if legacy {
-		mode = "legacy"
-	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		blockLat []int64 // ns, decimated
-		sessLat  []int64 // ns
 		words    uint64
 		blocks   uint64
 		timings  []*wire.TelemetryReply
@@ -446,7 +301,7 @@ func oneRun(cfg runConfig, legacy bool) (runResult, error) {
 		go func(i int) {
 			defer wg.Done()
 			w := &worker{
-				cfg: cfg, addr: addrs[i%len(addrs)], legacy: legacy,
+				cfg: cfg, addr: addrs[i%len(addrs)],
 				tenant: fmt.Sprintf("load-%d", i),
 				rng:    rand.New(rand.NewSource(cfg.seed + int64(i))),
 				rate:   perSess,
@@ -458,7 +313,6 @@ func oneRun(cfg runConfig, legacy bool) (runResult, error) {
 				firstErr = fmt.Errorf("tenant %s: %w", w.tenant, err)
 			}
 			blockLat = append(blockLat, w.lat.vals...)
-			sessLat = append(sessLat, int64(w.sessDur))
 			words += w.words
 			blocks += w.blocks
 			t := tallies[w.addr]
@@ -477,16 +331,10 @@ func oneRun(cfg runConfig, legacy bool) (runResult, error) {
 	elapsed := time.Since(start)
 
 	res := runResult{
-		Mode: mode, Blocks: blocks, Words: words,
-		ElapsedS:         round4(elapsed.Seconds()),
-		GoodputWordsPerS: round2(float64(words) / elapsed.Seconds()),
-		GoodputMiBPerS:   round2(float64(words) * 8 / (1 << 20) / elapsed.Seconds()),
-		BlockP50us:       quantUS(blockLat, 0.50),
-		BlockP99us:       quantUS(blockLat, 0.99),
-		BlockP999us:      quantUS(blockLat, 0.999),
-		SessionP50ms:     round4(quantUS(sessLat, 0.50) / 1e3),
-		SessionP99ms:     round4(quantUS(sessLat, 0.99) / 1e3),
-		ServerStages:     aggregateStages(timings),
+		Blocks: blocks, Words: words,
+		BlockP50us:   quantUS(blockLat, 0.50),
+		BlockP99us:   quantUS(blockLat, 0.99),
+		ServerStages: aggregateStages(timings),
 	}
 	if len(addrs) > 1 {
 		// Fleet attribution: per-shard goodput next to the aggregate, in the
@@ -498,13 +346,9 @@ func oneRun(cfg runConfig, legacy bool) (runResult, error) {
 		}
 	}
 	// benchstat-compatible: one line per run, ns/op is per block served.
-	coalesce := cfg.coalesce
-	if legacy {
-		coalesce = 1
-	}
 	nsPerBlock := float64(elapsed.Nanoseconds()) / float64(max(blocks, 1))
-	fmt.Printf("BenchmarkServe/mode=%s/block=%d/batch=%d/coalesce=%d/tenants=%d \t%8d\t%12.1f ns/op\t%10.2f MB/s\t%10.1f p99-us\n",
-		mode, cfg.block, cfg.batch, coalesce, cfg.tenants, blocks, nsPerBlock,
+	fmt.Printf("BenchmarkServe/mode=batched/block=%d/batch=%d/coalesce=%d/tenants=%d \t%8d\t%12.1f ns/op\t%10.2f MB/s\t%10.1f p99-us\n",
+		cfg.block, cfg.batch, cfg.coalesce, cfg.tenants, blocks, nsPerBlock,
 		float64(words)*8/1e6/elapsed.Seconds(), res.BlockP99us)
 	if sg := res.ServerStages; sg != nil {
 		// Decomposed e2e latency: the server-resident stage means (sampled
@@ -540,18 +384,16 @@ func splitAddrs(spec string) []string {
 }
 
 type worker struct {
-	cfg     config // alias below keeps the struct readable
-	addr    string
-	legacy  bool
-	tenant  string
-	csr     []byte // optional accelerator CSR (echo: block-size override)
-	rng     *rand.Rand
-	rate    float64 // arrivals/sec for this session; 0 = unthrottled
-	lat     sampler
-	sessDur time.Duration
-	words   uint64
-	blocks  uint64
-	timing  *wire.TelemetryReply // final server-side stage breakdown (batched runs)
+	cfg    config // alias below keeps the struct readable
+	addr   string
+	tenant string
+	csr    []byte // optional accelerator CSR (echo: block-size override)
+	rng    *rand.Rand
+	rate   float64 // arrivals/sec for this session; 0 = unthrottled
+	lat    sampler
+	words  uint64
+	blocks uint64
+	timing *wire.TelemetryReply // final server-side stage breakdown
 }
 
 type config = runConfig
@@ -560,11 +402,8 @@ type config = runConfig
 // drains to Done. The receive side runs concurrently so backpressure is the
 // server's, not the harness's.
 func (w *worker) run() error {
-	// Batched runs opt into server-side timing; the legacy run must stay the
-	// faithful pre-change stack, which had no telemetry.
 	c, err := client.Connect(w.addr, client.Options{
-		Tenant: w.tenant, Accel: w.cfg.accel, CSR: w.csr, LegacyCodec: w.legacy,
-		ServerTiming: !w.legacy,
+		Tenant: w.tenant, Accel: w.cfg.accel, CSR: w.csr, ServerTiming: true,
 	})
 	if err != nil {
 		return err
@@ -618,25 +457,13 @@ func (w *worker) run() error {
 			// covers them all (the receiver tracks words, not frames).
 			pending <- batchRec{due: dues[0], words: w.cfg.batch * len(dues)}
 		}
-		if w.legacy {
-			// The pre-change client has no frame coalescing: one copy-framed
-			// send — one frame, one write — per arrival.
-			for range dues {
-				if err := c.Send(in); err != nil {
-					sendErr = err
-					break
-				}
-			}
-		} else {
-			// The batched client packs every due arrival into one zero-copy
-			// Data frame (SendN gathers the segments with a single writev).
-			segs = segs[:0]
-			for range dues {
-				segs = append(segs, in)
-			}
-			sendErr = c.SendN(segs...)
+		// Every due arrival goes out in one zero-copy Data frame (SendN
+		// gathers the segments with a single writev).
+		segs = segs[:0]
+		for range dues {
+			segs = append(segs, in)
 		}
-		if sendErr != nil {
+		if sendErr = c.SendN(segs...); sendErr != nil {
 			break
 		}
 	}
@@ -647,7 +474,6 @@ func (w *worker) run() error {
 	if err := <-recvErr; err != nil {
 		return err
 	}
-	w.sessDur = time.Since(t0)
 	if sendErr != nil {
 		return sendErr
 	}
@@ -728,8 +554,7 @@ func (sp *sampler) add(v int64) {
 // interpolated between the neighboring order statistics. Interpolation is
 // what makes small sample sets honest: the old truncating index collapsed
 // every quantile onto the same sample below ~1/(1-q) samples — with two
-// tenants, session p50 and p99 both returned ns[0] and the report showed
-// them identical (BENCH_serve.json once shipped 3011.7449 for both).
+// tenants, session p50 and p99 both returned ns[0].
 func quantUS(ns []int64, q float64) float64 {
 	if len(ns) == 0 {
 		return 0

@@ -150,11 +150,6 @@ type SessionConfig struct {
 	// allocated. A supplied In may already hold words (or even be closed):
 	// the session starts with that backlog.
 	In, Out *cohort.Fifo[cohort.Word]
-	// LegacyHandoff restores the pre-coalescing serving handoff — one output
-	// queue publication per block instead of one per quantum. It exists only
-	// as the faithful baseline for A/B benchmarks (Server.LegacyWire,
-	// cohortload -legacy); leave it false for real serving.
-	LegacyHandoff bool
 }
 
 // SessionStats is a snapshot of one session's counters.
@@ -223,8 +218,6 @@ type Session struct {
 	// pump the moment they publish rather than on the next poll tick.
 	outKick chan struct{} // results published to Out, or Out closed
 	inKick  chan struct{} // input consumed: queue room freed for the producer
-
-	legacy bool // SessionConfig.LegacyHandoff: per-block output publication
 
 	// Live-tunable knobs (knobs.go). Zero means "use the scheduler default";
 	// written by Retune from any goroutine, read at quantum boundaries (serve
@@ -583,7 +576,6 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 		done:    make(chan struct{}),
 		outKick: make(chan struct{}, 1),
 		inKick:  make(chan struct{}, 1),
-		legacy:  cfg.LegacyHandoff,
 	}
 	ss.serveSpan = fmt.Sprintf("serve:%s#%d", ss.tenant, ss.id)
 	ss.metricName = fmt.Sprintf("session/%s#%d", ss.tenant, ss.id)
@@ -1020,8 +1012,9 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 		ss.fail(ErrKilled)
 		s.kills.Add(1)
 		ss.ttot.kills.Add(1)
-		s.retire(ss)
+		// Emit before retiring: Done is the final signal, events included.
 		s.emit(eventSessionKill, ss.tenant, ss.id, "killed before dispatch")
+		s.retire(ss)
 		return
 	}
 	inW := ss.inW
@@ -1080,7 +1073,7 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 	ss.wordsIn.Add(uint64(n))
 	ss.ttot.wordsIn.Add(uint64(n))
 
-	sampled := !tPick.IsZero() && !ss.legacy
+	sampled := !tPick.IsZero()
 	var tCompute0 time.Time
 	if ing := ss.takeIngress(); sampled {
 		if ing != 0 {
@@ -1088,32 +1081,6 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 		}
 		tCompute0 = time.Now()
 		ss.observeStage(StageSched, tCompute0.Sub(tPick))
-	}
-
-	if ss.legacy {
-		// Faithful pre-change handoff (SessionConfig.LegacyHandoff): one
-		// queue publication per block, so the socket pump races the engine
-		// and frames roughly one block at a time — the A/B baseline.
-		for blk := 0; blk < blocks; blk++ {
-			res, err := s.processBlock(ss, ss.buf[blk*inW:(blk+1)*inW])
-			if err != nil {
-				s.failQuantum(ss, blk, err)
-				return
-			}
-			if !s.pushOut(ss, res) {
-				s.failQuantum(ss, blk, ErrKilled)
-				return
-			}
-			ss.wordsOut.Add(uint64(len(res)))
-			ss.ttot.wordsOut.Add(uint64(len(res)))
-			ss.blocks.Add(1)
-			ss.ttot.blocks.Add(1)
-		}
-		if trk != nil {
-			trk.End(ss.serveSpan, t0)
-		}
-		s.finishServe(ss, blocks)
-		return
 	}
 
 	// Results go straight into the output ring's free segments and publish
@@ -1195,7 +1162,8 @@ func (ss *Session) publish(n int) {
 // failQuantum resolves a quantum that ended early after completed blocks:
 // ErrClosed (scheduler stopping mid-retry) releases the session without a
 // verdict — Close retires everything with ErrClosed; a kill or accelerator
-// fault retires the session here with the matching accounting.
+// fault retires the session here with the matching accounting. The event is
+// emitted before the retirement so that a watcher woken by Done finds it.
 func (s *Scheduler) failQuantum(ss *Session, completed int, err error) {
 	if errors.Is(err, ErrClosed) {
 		s.finishServe(ss, completed)
@@ -1205,17 +1173,17 @@ func (s *Scheduler) failQuantum(ss *Session, completed int, err error) {
 		ss.fail(ErrKilled)
 		s.kills.Add(1)
 		ss.ttot.kills.Add(1)
-		s.retire(ss)
 		s.emit(eventSessionKill, ss.tenant, ss.id,
 			fmt.Sprintf("killed mid-quantum after %d blocks", completed))
+		s.retire(ss)
 		return
 	}
 	ss.fail(fmt.Errorf("sched: accelerator %s failed for tenant %s: %w", ss.acc.Name(), ss.tenant, err))
 	s.faultsTerminal.Add(1)
 	ss.ttot.terminal.Add(1)
-	s.retire(ss)
 	s.emit(eventTerminalFault, ss.tenant, ss.id,
 		fmt.Sprintf("accelerator %s: %v (after %d blocks)", ss.acc.Name(), err, completed))
+	s.retire(ss)
 }
 
 // processBlock runs one block through the session's accelerator, retrying

@@ -57,11 +57,6 @@ type Server struct {
 	// accepted connections — headroom knobs for high-bandwidth links.
 	ReadBufferSize  int
 	WriteBufferSize int
-	// LegacyWire selects the pre-coalescing serving path (one allocated
-	// decode per inbound frame, copy-framed outbound pops). Kept so
-	// cohortload can A/B the batched hot path against what it replaced;
-	// never set it in production.
-	LegacyWire bool
 	// Log, when non-nil, receives structured connection-lifecycle records:
 	// session admissions (tenant, accel, session id, remote address),
 	// admission rejections, and session completion with final counters. Nil
@@ -224,7 +219,6 @@ func (sv *Server) handle(c net.Conn) {
 	ss, err := sv.sch.Register(SessionConfig{
 		Tenant: req.Tenant, Accel: acc, CSR: req.CSR,
 		Weight: req.Weight, Quota: req.Quota, QueueCap: req.QueueCap,
-		LegacyHandoff: sv.LegacyWire,
 	})
 	if err != nil {
 		code := wire.CodeBadRequest
@@ -296,25 +290,14 @@ func cfgWeight(w int) int {
 //
 // Data frames decode into pooled word buffers (wire.Reader.NextData) that
 // land in the queue with whole-frame TryPushSlice calls — no per-frame
-// allocation. LegacyWire keeps the old allocate-and-decode path for A/B
-// benchmarks.
+// allocation.
 func (sv *Server) readStream(fr *wire.Reader, ss *Session) bool {
 	// One reusable timer serves every backpressure pause on this connection;
 	// time.After in the full-queue loop would allocate a fresh timer per spin.
 	wait := newStoppedTimer()
 	defer wait.Stop()
 	for {
-		var ws []cohort.Word
-		var t wire.Type
-		var err error
-		if sv.LegacyWire {
-			var payload []byte
-			if t, payload, err = fr.Next(); err == nil && t == wire.Data {
-				ws, err = wire.Words(payload)
-			}
-		} else {
-			t, ws, _, err = fr.NextData()
-		}
+		t, ws, _, err := fr.NextData()
 		if err != nil {
 			return false
 		}
@@ -358,20 +341,6 @@ func (sv *Server) pushWords(ss *Session, ws []cohort.Word, wait *time.Timer) boo
 			sv.sch.kickWorkers()
 			continue
 		}
-		if sv.LegacyWire {
-			// Pre-change behavior for the A/B baseline: poll the full queue.
-			wait.Reset(100 * time.Microsecond)
-			select {
-			case <-ss.Done():
-				wait.Stop()
-				return false
-			case <-sv.sch.stop:
-				wait.Stop()
-				return false
-			case <-wait.C:
-			}
-			continue
-		}
 		// Queue full: park until the scheduler frees room (InSpace is a
 		// coalesced edge trigger, so re-check the queue on every wakeup). The
 		// timer is only a fallback against a signal consumed by a prior pass.
@@ -400,18 +369,12 @@ func (sv *Server) pushWords(ss *Session, ws []cohort.Word, wait *time.Timer) boo
 //
 // Every pass coalesces all completed blocks currently in the queue — up to
 // a whole frame's worth — into one Data frame, written with a single writev
-// directly from the queue's two ring segments (wire.Writer.WordsN): batching
-// the PR 1 way, applied to the socket. LegacyWire keeps the old
-// pop-into-buffer, copy-framed path for A/B benchmarks.
+// directly from the queue's two ring segments (wire.Writer.WordsN): the
+// engine's batched index publication, applied to the socket.
 func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 	fw := wire.NewWriter(c)
-	idle := 50 * time.Microsecond // LegacyWire backoff-poll interval
 	wait := newStoppedTimer()
 	defer wait.Stop()
-	var buf []cohort.Word
-	if sv.LegacyWire {
-		buf = make([]cohort.Word, 4096)
-	}
 	// Telemetry cadence for opted-in sessions: a frame goes out only when new
 	// stage samples have landed and at least telemetryEvery has passed since
 	// the last one — a trickle, not a stream. Sessions that did not opt in
@@ -426,53 +389,40 @@ func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 	// but never starve a trickling session.
 	var floorWaited bool
 	for {
-		var n int
-		var werr error
-		if sv.LegacyWire {
-			if n = ss.Out().TryPopInto(buf); n > 0 {
-				werr = fw.WordsCopy(buf[:n])
-			}
-		} else {
-			a, b := ss.Out().ReadSegments()
-			if n = len(a) + len(b); n > 0 {
-				// Per-pass knob reads (knobs.go): the controller retunes the
-				// frame cap and flush floor while the pump runs.
-				coalesce := ss.coalesceCap()
-				if floor := ss.batchFloor(coalesce); n < floor && !floorWaited && !ss.Out().Closed() {
-					floorWaited = true
-					wait.Reset(2 * time.Millisecond)
-					select {
-					case <-sv.sch.stop:
-						return
-					case <-ss.OutReady():
-						if !wait.Stop() {
-							<-wait.C
-						}
-					case <-wait.C:
+		a, b := ss.Out().ReadSegments()
+		if n := len(a) + len(b); n > 0 {
+			// Per-pass knob reads (knobs.go): the controller retunes the
+			// frame cap and flush floor while the pump runs.
+			coalesce := ss.coalesceCap()
+			if floor := ss.batchFloor(coalesce); n < floor && !floorWaited && !ss.Out().Closed() {
+				floorWaited = true
+				wait.Reset(2 * time.Millisecond)
+				select {
+				case <-sv.sch.stop:
+					return
+				case <-ss.OutReady():
+					if !wait.Stop() {
+						<-wait.C
 					}
-					continue
+				case <-wait.C:
 				}
-				if n > coalesce {
-					// A queue deeper than the frame cap drains across passes.
-					n = coalesce
-					if n <= len(a) {
-						a, b = a[:n], nil
-					} else {
-						b = b[:n-len(a)]
-					}
-				}
-				werr = fw.WordsN(a, b)
-				ss.Out().CommitRead(n)
+				continue
 			}
-		}
-		if n > 0 {
+			if n > coalesce {
+				// A queue deeper than the frame cap drains across passes.
+				n = coalesce
+				if n <= len(a) {
+					a, b = a[:n], nil
+				} else {
+					b = b[:n-len(a)]
+				}
+			}
+			werr := fw.WordsN(a, b)
+			ss.Out().CommitRead(n)
 			floorWaited = false
-			if !sv.LegacyWire {
-				// Draining output may unblock a session parked on output-room
-				// backpressure: let an engine re-dispatch it right away.
-				sv.sch.kickWorkers()
-			}
-			idle = 50 * time.Microsecond
+			// Draining output may unblock a session parked on output-room
+			// backpressure: let an engine re-dispatch it right away.
+			sv.sch.kickWorkers()
 			if werr != nil {
 				// Client stopped reading; results are undeliverable.
 				ss.Kill()
@@ -495,19 +445,6 @@ func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 		}
 		if ss.Out().Drained() {
 			break
-		}
-		if sv.LegacyWire {
-			// Pre-change behavior for the A/B baseline: backoff polling.
-			wait.Reset(idle)
-			select {
-			case <-sv.sch.stop:
-				return
-			case <-wait.C:
-				if idle < 2*time.Millisecond {
-					idle *= 2
-				}
-			}
-			continue
 		}
 		// Empty but not drained: park until the scheduler publishes (OutReady
 		// is a coalesced edge trigger — re-scan the queue on every wakeup; the

@@ -37,8 +37,8 @@
 //     memory.
 //
 // Writer.WordsCopy and the Words/AppendWords byte-decoders are the
-// pre-coalescing codec, kept as the fallback path and for A/B benchmarking
-// (cohortload -wire legacy).
+// byte-at-a-time reference codec: the property tests compare the zero-copy
+// path against them frame for frame.
 package wire
 
 import (
@@ -230,7 +230,7 @@ type Writer struct {
 	// WriteTo advances the slice it is given.
 	base net.Buffers
 	vecs net.Buffers
-	buf  []byte // fallback/legacy encode scratch; retention capped at maxRetain
+	buf  []byte // fallback/reference encode scratch; retention capped at maxRetain
 }
 
 // NewWriter wraps w.
@@ -341,9 +341,8 @@ func (fw *Writer) WordsN(segs ...[]cohort.Word) error {
 
 // WordsCopy writes ws as one Data frame through the pre-coalescing codec: a
 // word-at-a-time encode into a joined header+payload buffer and a single
-// Write. Kept as the reference implementation and for A/B benchmarking
-// against the zero-copy path (cohortload -wire legacy); new code should use
-// Words/WordsN.
+// Write. It is the reference codec the property tests compare the zero-copy
+// path against; new code should use Words/WordsN.
 func (fw *Writer) WordsCopy(ws []cohort.Word) error {
 	if len(ws) > MaxFrameWords {
 		return fmt.Errorf("wire: data frame of %d words exceeds MaxFrame", len(ws))

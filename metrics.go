@@ -332,17 +332,6 @@ func RegisterFifo[T any](r *Registry, name string, q *Fifo[T]) {
 	})
 }
 
-// RegisterMpmc exposes a shared queue's MpmcStats under the given source name.
-func RegisterMpmc[T any](r *Registry, name string, q *Mpmc[T]) {
-	r.Register(name, func() []Metric {
-		s := q.Stats()
-		return []Metric{
-			{Name: "pushes", Value: s.Pushes},
-			{Name: "pops", Value: s.Pops},
-		}
-	})
-}
-
 // RegisterEngine exposes an engine's EngineStats under the given source
 // name, with the sampled drain latency distribution as a histogram-valued
 // metric (quantiles in String/WritePrometheus output).

@@ -62,28 +62,17 @@ func TestFifoStatsBulkAndSegments(t *testing.T) {
 	}
 }
 
-func TestMpmcStats(t *testing.T) {
-	q, _ := NewMpmc[int](8)
-	q.PushBlock([]int{1, 2, 3})
-	q.Push(4)
-	q.Pop()
-	s := q.Stats()
-	if s.Pushes != 4 || s.Pops != 1 {
-		t.Errorf("stats = %+v, want pushes 4 pops 1", s)
-	}
-}
-
 func TestRegistrySnapshotAndString(t *testing.T) {
 	q, _ := NewFifo[Word](8)
 	q.Push(7)
 	q.Pop()
-	mq, _ := NewMpmc[Word](8)
-	mq.Push(1)
+	oq, _ := NewFifo[Word](8)
+	oq.Push(1)
 	reg := NewRegistry()
 	RegisterFifo(reg, "in-queue", q)
-	RegisterMpmc(reg, "shared", mq)
+	RegisterFifo(reg, "out-queue", oq)
 	snap := reg.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "in-queue" || snap[1].Name != "shared" {
+	if len(snap) != 2 || snap[0].Name != "in-queue" || snap[1].Name != "out-queue" {
 		t.Fatalf("snapshot order/names wrong: %+v", snap)
 	}
 	find := func(ms []Metric, name string) uint64 {
@@ -99,16 +88,16 @@ func TestRegistrySnapshotAndString(t *testing.T) {
 		t.Errorf("in-queue pushes = %d, want 1", v)
 	}
 	if v := find(snap[1].Metrics, "pushes"); v != 1 {
-		t.Errorf("shared pushes = %d, want 1", v)
+		t.Errorf("out-queue pushes = %d, want 1", v)
 	}
 	out := reg.String()
-	for _, want := range []string{"in-queue:", "shared:", "pushes", "high_water"} {
+	for _, want := range []string{"in-queue:", "out-queue:", "pushes", "high_water"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("String() missing %q:\n%s", want, out)
 		}
 	}
 	reg.Unregister("in-queue")
-	if snap := reg.Snapshot(); len(snap) != 1 || snap[0].Name != "shared" {
+	if snap := reg.Snapshot(); len(snap) != 1 || snap[0].Name != "out-queue" {
 		t.Fatalf("after Unregister: %+v", snap)
 	}
 }
