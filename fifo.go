@@ -42,13 +42,15 @@ type Fifo[T any] struct {
 	head atomic.Uint64 // next slot to read (consumer-owned)
 	_    [64]byte
 
-	cachedHead uint64 // producer's view of head
-	pushStalls uint64 // producer-owned: failed push attempts (queue full)
-	highWater  uint64 // producer-owned: max occupancy seen at publication
-	closedTx   bool   // producer-owned: Close was called (guards further pushes)
+	cachedHead uint64               // producer's view of head
+	pushStalls uint64               // producer-owned: failed push attempts (queue full)
+	highWater  uint64               // producer-owned: max occupancy seen at publication
+	closedTx   bool                 // producer-owned: Close was called (guards further pushes)
+	pushBell   atomic.Pointer[Bell] // rung after each write publication (OnPush)
 	_          [64]byte
-	cachedTail uint64 // consumer's view of tail
-	popStalls  uint64 // consumer-owned: failed pop attempts (queue empty)
+	cachedTail uint64               // consumer's view of tail
+	popStalls  uint64               // consumer-owned: failed pop attempts (queue empty)
+	popBell    atomic.Pointer[Bell] // rung after each read publication (OnPop)
 	_          [64]byte
 
 	// closed is the consumer-visible end-of-stream flag. It is written once
@@ -92,6 +94,19 @@ func (q *Fifo[T]) noteOccupancy(occ uint64) {
 	}
 }
 
+// OnPush attaches b as the queue's push doorbell: every write-index
+// publication (TryPush, TryPushSlice, CommitWrite and the blocking forms
+// built on them) and Close rings it, waking a consumer parked on b. A nil b
+// detaches. Safe to call while the queue is in use; a publication racing
+// with the call may ring the old bell or the new one.
+func (q *Fifo[T]) OnPush(b *Bell) { q.pushBell.Store(b) }
+
+// OnPop attaches b as the queue's pop doorbell: every read-index
+// publication (TryPop, TryPopInto, CommitRead and the blocking forms built
+// on them) rings it, waking a producer parked on b for room. A nil b
+// detaches; the same concurrency contract as OnPush applies.
+func (q *Fifo[T]) OnPop(b *Bell) { q.popBell.Store(b) }
+
 // NewFifo allocates a queue with capacity rounded up to a power of two
 // ("fifo_init" in Table 1; there is no fifo_deinit — the GC is the
 // deallocation routine).
@@ -132,6 +147,7 @@ func (q *Fifo[T]) Close() {
 	}
 	q.closedTx = true
 	q.closed.Store(true)
+	ring(&q.pushBell)
 }
 
 // Closed reports whether the producer has closed the queue. Elements may
@@ -180,6 +196,7 @@ func (q *Fifo[T]) TryPush(v T) bool {
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1) // release: publishes the data store above
 	q.noteOccupancy(t + 1 - q.cachedHead)
+	ring(&q.pushBell)
 	return true
 }
 
@@ -204,6 +221,7 @@ func (q *Fifo[T]) TryPop() (T, bool) {
 	v := q.buf[h&q.mask]
 	q.buf[h&q.mask] = zero // drop the reference for the GC
 	q.head.Store(h + 1)
+	ring(&q.popBell)
 	return v, true
 }
 
@@ -275,6 +293,7 @@ func (q *Fifo[T]) TryPushSlice(vs []T) int {
 	copy(q.buf, vs[c:n])        // wrap seam, if any
 	q.tail.Store(t + uint64(n)) // release: one publication for the run
 	q.noteOccupancy(t + uint64(n) - q.cachedHead)
+	ring(&q.pushBell)
 	return n
 }
 
@@ -316,6 +335,7 @@ func (q *Fifo[T]) TryPopInto(dst []T) int {
 	clear(q.buf[i : i+c]) // drop references for the GC
 	clear(q.buf[:n-c])
 	q.head.Store(h + uint64(n)) // release: one publication for the run
+	ring(&q.popBell)
 	return n
 }
 
@@ -372,6 +392,7 @@ func (q *Fifo[T]) CommitWrite(n int) {
 	}
 	q.tail.Store(t + uint64(n))
 	q.noteOccupancy(t + uint64(n) - q.cachedHead)
+	ring(&q.pushBell)
 }
 
 // ReadSegments returns the currently occupied region as up to two contiguous
@@ -410,4 +431,5 @@ func (q *Fifo[T]) CommitRead(n int) {
 	clear(q.buf[i : i+first])
 	clear(q.buf[:n-first])
 	q.head.Store(h + uint64(n))
+	ring(&q.popBell)
 }

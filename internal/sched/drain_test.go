@@ -40,7 +40,6 @@ func TestDrainRejectsNewSessions(t *testing.T) {
 	}
 	// The in-flight session is untouched: it still completes its stream.
 	ss.In().TryPushSlice(make([]cohort.Word, 16))
-	s.kickWorkers()
 	ss.CloseSend()
 	select {
 	case <-ss.Done():
@@ -74,7 +73,6 @@ func TestDrainBarrier(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	ss.In().TryPushSlice(make([]cohort.Word, 8))
-	s.kickWorkers()
 	ss.CloseSend()
 	select {
 	case <-s.Drained():

@@ -38,8 +38,8 @@ type Knobs struct {
 	// writev — a throughput knob.
 	CoalesceWords int `json:"coalesce_words,omitempty"`
 	// BatchWords is the pump's flush floor: with fewer than this many result
-	// words queued the pump waits one publication (bounded by its 2ms
-	// fallback timer) for more to coalesce before framing. 0/unset means no
+	// words queued the pump waits one publication (for at most 2ms) for
+	// more to coalesce before framing. 0/unset means no
 	// floor — every publication flushes immediately, the pre-knob behavior.
 	BatchWords int `json:"batch_words,omitempty"`
 }
@@ -133,8 +133,8 @@ func (ss *Session) coalesceCap() int {
 }
 
 // batchFloor returns the pump's flush floor, never above the coalesce cap
-// (a floor the cap forbids reaching would park the pump for its full
-// fallback timer on every frame).
+// (a floor the cap forbids reaching would park the pump for its full 2ms
+// bound on every frame).
 func (ss *Session) batchFloor(coalesce int) int {
 	b := int(ss.tunedBatch.Load())
 	if b > coalesce {

@@ -127,7 +127,7 @@ func TestRetuneClamps(t *testing.T) {
 // TestBatchFloorNeverExceedsCoalesce: the pump clamps the flush floor to the
 // live coalesce cap on every pass, so the two knobs can be retuned in either
 // order without creating a floor the cap forbids reaching (which would park
-// the pump for its full fallback timer on every frame).
+// the pump for its full 2ms bound on every frame).
 func TestBatchFloorNeverExceedsCoalesce(t *testing.T) {
 	s := New(Config{Engines: 1, Quantum: 8, QueueCap: 64})
 	defer s.Close()

@@ -213,11 +213,11 @@ type Session struct {
 	buf    []cohort.Word // input staging: one quantum of blocks per drain
 	sch    *Scheduler
 
-	// Coalesced edge-trigger channels (buffered 1): consumers park on these
-	// instead of polling the queues, so a quantum's results reach the socket
-	// pump the moment they publish rather than on the next poll tick.
-	outKick chan struct{} // results published to Out, or Out closed
-	inKick  chan struct{} // input consumed: queue room freed for the producer
+	// Doorbells the queues ring on publication (Register attaches them):
+	// the socket pumps park on these instead of polling, so a quantum's
+	// results reach the pump the moment they publish.
+	outBell *cohort.Bell // Out's push side: results published, or Out closed
+	inBell  *cohort.Bell // In's pop side: input consumed, room freed
 
 	// Live-tunable knobs (knobs.go). Zero means "use the scheduler default";
 	// written by Retune from any goroutine, read at quantum boundaries (serve
@@ -277,42 +277,31 @@ func (ss *Session) Out() *cohort.Fifo[cohort.Word] { return ss.out }
 // scheduler finishes every complete block already queued, drops trailing
 // partial words, closes Out, and retires the session. Call from the producer
 // goroutine after the last push.
-func (ss *Session) CloseSend() {
-	ss.in.Close()
-	ss.sch.kickWorkers()
-}
+func (ss *Session) CloseSend() { ss.in.Close() }
 
 // Kill forcibly tears the session down: queued input is discarded, Out is
 // closed, and the session retires with ErrKilled (unless its stream already
 // finished cleanly). Safe from any goroutine; idempotent.
 func (ss *Session) Kill() {
 	ss.killed.Store(true)
-	ss.sch.kickWorkers()
+	ss.sch.bell.Ring()
 }
 
 // Done returns a channel closed when the session has fully retired: its
 // output queue is closed and its metrics are unregistered.
 func (ss *Session) Done() <-chan struct{} { return ss.done }
 
-// OutReady returns a channel that receives a coalesced signal whenever the
-// scheduler publishes results to Out or closes it. Consumers park on it
-// instead of polling the queue; consecutive publications may merge into one
-// pending signal, so drain Out fully on every wakeup.
-func (ss *Session) OutReady() <-chan struct{} { return ss.outKick }
+// OutReady returns Out's push doorbell: it rings whenever the scheduler
+// publishes results to Out or closes it. A consumer with an empty Out parks
+// on it (Arm, look at Out again, wait on C, Disarm) instead of polling; rings
+// coalesce, so drain Out fully on every wakeup. Detached at retirement,
+// after Out closes.
+func (ss *Session) OutReady() *cohort.Bell { return ss.outBell }
 
-// InSpace returns a channel that receives a coalesced signal whenever the
-// scheduler consumes queued input, freeing room for the producer. Producers
-// blocked on a full In queue park on it instead of polling.
-func (ss *Session) InSpace() <-chan struct{} { return ss.inKick }
-
-// notify delivers a coalesced edge-trigger: a full buffer means a signal is
-// already pending and the new one merges into it.
-func notify(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
+// InSpace returns In's pop doorbell: it rings whenever the scheduler
+// consumes queued input, freeing room. A producer blocked on a full In parks
+// on it the same way. Detached at retirement.
+func (ss *Session) InSpace() *cohort.Bell { return ss.inBell }
 
 // Err returns why the session retired: nil for a clean end of stream (or a
 // still-live session), ErrKilled, ErrQuotaExceeded, or the accelerator's
@@ -348,7 +337,10 @@ func (ss *Session) Stats() SessionStats {
 type Scheduler struct {
 	cfg  Config
 	stop chan struct{}
-	kick chan struct{}
+	// bell is the pool's doorbell: every session's In rings it on push (and
+	// Close) and its Out on pop (room for a backpressured session). Idle
+	// workers park on it.
+	bell *cohort.Bell
 	wg   sync.WaitGroup
 	once sync.Once
 
@@ -381,7 +373,8 @@ type Scheduler struct {
 	tenantTot map[string]*tenantTotals
 
 	// workerOps[i] counts worker i's scheduling-loop passes — the monotone
-	// progress counter WatchWorkers feeds the stall watchdog.
+	// progress counter WatchWorkers feeds the stall watchdog. A parked worker
+	// makes no passes.
 	workerOps []atomic.Uint64
 
 	decisions  atomic.Uint64
@@ -451,7 +444,7 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:       cfg,
 		stop:      make(chan struct{}),
-		kick:      make(chan struct{}, 1),
+		bell:      cohort.NewBell(),
 		drained:   make(chan struct{}),
 		sessions:  make(map[uint64]*Session),
 		tenantLat: make(map[string]*stageSet),
@@ -574,8 +567,8 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 		sch:     s,
 		pass:    s.vtime,
 		done:    make(chan struct{}),
-		outKick: make(chan struct{}, 1),
-		inKick:  make(chan struct{}, 1),
+		outBell: cohort.NewBell(),
+		inBell:  cohort.NewBell(),
 	}
 	ss.serveSpan = fmt.Sprintf("serve:%s#%d", ss.tenant, ss.id)
 	ss.metricName = fmt.Sprintf("session/%s#%d", ss.tenant, ss.id)
@@ -584,6 +577,13 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 	ss.tlat = s.tenantStagesLocked(ss.tenant)
 	ss.ttot = s.tenantTotalsLocked(ss.tenant)
 	ss.applyKnobs(s.admitKnobs) // inherit the controller's standing decision
+	// Doorbells: pushes (and CloseSend) into In and room freed in Out wake an
+	// idle worker, whoever the producer is; results in Out and room freed in
+	// In wake the session's own pumps.
+	in.OnPush(s.bell)
+	out.OnPop(s.bell)
+	out.OnPush(ss.outBell)
+	in.OnPop(ss.inBell)
 	s.sessions[ss.id] = ss
 	s.admitted.Add(1)
 	if s.schedTrk != nil {
@@ -618,7 +618,7 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 		})
 	}
 	s.mu.Unlock()
-	s.kickWorkers()
+	s.bell.Ring() // a supplied In may already hold work
 	return ss, nil
 }
 
@@ -773,15 +773,6 @@ func (s *Scheduler) Close() {
 	})
 }
 
-// kickWorkers wakes an idle worker promptly (non-blocking; a single pending
-// kick is enough since every worker rescans the session table).
-func (s *Scheduler) kickWorkers() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
 // readyLocked reports whether the session has schedulable work: a complete
 // input block with output room, or lifecycle work (kill, end-of-stream
 // drain/retire). Caller holds s.mu.
@@ -806,19 +797,25 @@ func (ss *Session) readyLocked() bool {
 // pick dispatches the runnable session with the least virtual time (stride
 // scheduling). A session rejoining after idling is floored to the current
 // virtual time: fairness shares the future, it does not repay the past.
+// When more than one session is runnable, pick re-rings the pool's bell:
+// rings that land while no worker is blocked on it merge into one token and
+// wake one worker, so each dispatch passes the wakeup on until the runnable
+// sessions or the parked workers run out.
 func (s *Scheduler) pick() *Session {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	var best *Session
+	ready := 0
 	for _, ss := range s.sessions {
 		if !ss.readyLocked() {
 			continue
 		}
+		ready++
 		if best == nil || ss.pass < best.pass || (ss.pass == best.pass && ss.id < best.id) {
 			best = ss
 		}
 	}
 	if best == nil {
+		s.mu.Unlock()
 		return nil
 	}
 	best.serving = true
@@ -828,6 +825,10 @@ func (s *Scheduler) pick() *Session {
 		best.pass = s.vtime
 	}
 	s.decisions.Add(1)
+	s.mu.Unlock()
+	if ready > 1 {
+		s.bell.Ring()
+	}
 	return best
 }
 
@@ -876,17 +877,21 @@ func (s *Scheduler) retire(ss *Session) {
 	if s.cfg.Registry != nil {
 		s.cfg.Registry.Unregister(ss.metricName)
 	}
+	// Close rings outBell, so a parked pump observes the end of stream. Then
+	// the bells come off: a caller-supplied queue outlives its session.
+	ss.in.OnPush(nil)
+	ss.in.OnPop(nil)
+	ss.out.OnPop(nil)
 	ss.out.Close()
-	// Wake a parked consumer so it observes the close without waiting out its
-	// fallback timer.
-	notify(ss.outKick)
+	ss.out.OnPush(nil)
 	close(ss.done)
 }
 
 // worker is one engine of the pool: pick the fairest runnable session, swap
 // onto it (charging the modeled CSR-swap cost when it differs from the last
 // session served), serve one quantum, repeat. With no runnable session the
-// worker parks on the kick channel with a capped exponential backoff.
+// worker parks on the pool's bell (park) with no timer: only a queue
+// publication, a kill, an admission or Close wakes it.
 func (s *Scheduler) worker(i int) {
 	defer s.wg.Done()
 	var trk *cohort.TraceTrack
@@ -894,20 +899,11 @@ func (s *Scheduler) worker(i int) {
 		trk = s.workerTrks[i]
 	}
 	var lastID uint64
-	idle := 50 * time.Microsecond
 	// Stage-attribution sampling countdown: one quantum in every
 	// LatencySample served by this worker is stamped at its stage boundaries.
 	// The stride is per worker, so a multi-engine pool samples at the same
 	// aggregate rate per unit of work as a single engine.
 	latCnt := 0
-	// Reusable park timer: an idle worker re-arms this instead of allocating
-	// a fresh timer per pass (time.After), keeping the idle loop — and with
-	// it the whole serving steady state — allocation-free.
-	park := time.NewTimer(time.Hour)
-	if !park.Stop() {
-		<-park.C
-	}
-	defer park.Stop()
 	for {
 		select {
 		case <-s.stop:
@@ -915,28 +911,12 @@ func (s *Scheduler) worker(i int) {
 		default:
 		}
 		ss := s.pick()
-		// Liveness: one loop pass = one unit of watchdog progress, counted on
-		// idle passes too so a quiet worker parked on its backoff timer never
-		// reads as wedged.
 		s.workerOps[i].Add(1)
 		if ss == nil {
-			park.Reset(idle)
-			select {
-			case <-s.stop:
-				park.Stop()
-				return
-			case <-s.kick:
-				if !park.Stop() {
-					<-park.C
-				}
-			case <-park.C:
-				if idle < 2*time.Millisecond {
-					idle *= 2
-				}
+			if ss = s.park(); ss == nil {
+				continue // woken or stopping: look again from the top
 			}
-			continue
 		}
-		idle = 50 * time.Microsecond
 		// tPick stamps the dispatch instant of a sampled quantum, taken before
 		// the modeled CSR-swap sleep so the sched stage charges the switch cost
 		// to the session that incurred it. Zero means unsampled.
@@ -964,6 +944,22 @@ func (s *Scheduler) worker(i int) {
 		}
 		s.serveQuantum(trk, ss, tPick)
 	}
+}
+
+// park is the idle path of a worker that found nothing runnable: the bell
+// protocol — Arm, one last pick, wait, Disarm. It returns the session the
+// last pick dispatched, or nil once woken or stopped.
+func (s *Scheduler) park() *Session {
+	s.bell.Arm()
+	defer s.bell.Disarm()
+	if ss := s.pick(); ss != nil {
+		return ss
+	}
+	select {
+	case <-s.stop:
+	case <-s.bell.C():
+	}
+	return nil
 }
 
 // WatchWorkers registers every engine worker with the stall watchdog: worker
@@ -1049,7 +1045,6 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 			if avail > 0 {
 				// The stream ended mid-block: drop the partial tail.
 				ss.in.CommitRead(avail)
-				notify(ss.inKick)
 				ss.dropped.Add(uint64(avail))
 			}
 			if ss.in.Drained() {
@@ -1069,7 +1064,6 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 	c := copy(ss.buf[:n], a)
 	copy(ss.buf[c:n], b)
 	ss.in.CommitRead(n)
-	notify(ss.inKick)
 	ss.wordsIn.Add(uint64(n))
 	ss.ttot.wordsIn.Add(uint64(n))
 
@@ -1151,11 +1145,10 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 }
 
 // publish makes n words written into the output ring's segments visible to
-// the consumer with one index store and wakes it.
+// the consumer with one index store, which rings its doorbell.
 func (ss *Session) publish(n int) {
 	if n > 0 {
 		ss.out.CommitWrite(n)
-		notify(ss.outKick)
 	}
 }
 
@@ -1237,9 +1230,6 @@ func (s *Scheduler) pushOut(ss *Session, ws []cohort.Word) bool {
 	for len(ws) > 0 {
 		n := ss.out.TryPushSlice(ws)
 		ws = ws[n:]
-		if n > 0 {
-			notify(ss.outKick)
-		}
 		if len(ws) > 0 && n == 0 {
 			if ss.killed.Load() {
 				return false

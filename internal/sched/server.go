@@ -292,10 +292,6 @@ func cfgWeight(w int) int {
 // land in the queue with whole-frame TryPushSlice calls — no per-frame
 // allocation.
 func (sv *Server) readStream(fr *wire.Reader, ss *Session) bool {
-	// One reusable timer serves every backpressure pause on this connection;
-	// time.After in the full-queue loop would allocate a fresh timer per spin.
-	wait := newStoppedTimer()
-	defer wait.Stop()
 	for {
 		t, ws, _, err := fr.NextData()
 		if err != nil {
@@ -303,7 +299,7 @@ func (sv *Server) readStream(fr *wire.Reader, ss *Session) bool {
 		}
 		switch t {
 		case wire.Data:
-			if !sv.pushWords(ss, ws, wait) {
+			if !sv.pushWords(ss, ws) {
 				return false
 			}
 		case wire.CloseSend:
@@ -325,39 +321,39 @@ func newStoppedTimer() *time.Timer {
 	return t
 }
 
-// pushWords moves one decoded Data frame into the session input queue. When
-// the queue is full it waits — not reading the socket is exactly how
-// per-tenant backpressure propagates to the remote producer. Gives up once
-// the session is retired (quota, kill): the remaining stream has nowhere to
-// go.
-func (sv *Server) pushWords(ss *Session, ws []cohort.Word, wait *time.Timer) bool {
+// pushWords moves one decoded Data frame into the session input queue; each
+// push rings the scheduler's bell. When the queue is full it parks on the
+// session's InSpace bell — not reading the socket is exactly how per-tenant
+// backpressure propagates to the remote producer. Gives up once the session
+// is retired (quota, kill): the remaining stream has nowhere to go.
+func (sv *Server) pushWords(ss *Session, ws []cohort.Word) bool {
+	in, room := ss.In(), ss.InSpace()
 	for len(ws) > 0 {
-		n := ss.In().TryPushSlice(ws)
+		// Latency attribution: stamp the head of the waiting batch (first
+		// push since the last dispatch wins; one atomic load otherwise). The
+		// stamp lands before the push, because the push wakes the worker
+		// that consumes it.
+		ss.markIngress()
+		n := in.TryPushSlice(ws)
 		ws = ws[n:]
 		if n > 0 {
-			// Latency attribution: stamp the head of the waiting batch (first
-			// push since the last dispatch wins; one atomic load otherwise).
-			ss.markIngress()
-			sv.sch.kickWorkers()
 			continue
 		}
-		// Queue full: park until the scheduler frees room (InSpace is a
-		// coalesced edge trigger, so re-check the queue on every wakeup). The
-		// timer is only a fallback against a signal consumed by a prior pass.
-		wait.Reset(2 * time.Millisecond)
+		room.Arm()
+		if in.Len() < in.Cap() { // last look: room freed since the push
+			room.Disarm()
+			continue
+		}
 		select {
 		case <-ss.Done():
-			wait.Stop()
+			room.Disarm()
 			return false
 		case <-sv.sch.stop:
-			wait.Stop()
+			room.Disarm()
 			return false
-		case <-ss.InSpace():
-			if !wait.Stop() {
-				<-wait.C
-			}
-		case <-wait.C:
+		case <-room.C():
 		}
+		room.Disarm()
 	}
 	return true
 }
@@ -373,8 +369,10 @@ func (sv *Server) pushWords(ss *Session, ws []cohort.Word, wait *time.Timer) boo
 // engine's batched index publication, applied to the socket.
 func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 	fw := wire.NewWriter(c)
-	wait := newStoppedTimer()
-	defer wait.Stop()
+	out, ready := ss.Out(), ss.OutReady()
+	// bound caps the batch-floor wait below: a policy limit, not a poll.
+	bound := newStoppedTimer()
+	defer bound.Stop()
 	// Telemetry cadence for opted-in sessions: a frame goes out only when new
 	// stage samples have landed and at least telemetryEvery has passed since
 	// the last one — a trickle, not a stream. Sessions that did not opt in
@@ -384,28 +382,33 @@ func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 	var lastTelem time.Time
 	var lastSamples uint64
 	// floorWaited latches one batch-floor park per frame: a sub-floor queue
-	// waits for at most one more publication (or the 2ms fallback) before
-	// flushing whatever is there, so a retuned floor can add bounded latency
-	// but never starve a trickling session.
+	// waits for at most one more publication (or 2ms) before flushing
+	// whatever is there, so a retuned floor can add bounded latency but
+	// never starve a trickling session.
 	var floorWaited bool
 	for {
-		a, b := ss.Out().ReadSegments()
+		a, b := out.ReadSegments()
 		if n := len(a) + len(b); n > 0 {
 			// Per-pass knob reads (knobs.go): the controller retunes the
 			// frame cap and flush floor while the pump runs.
 			coalesce := ss.coalesceCap()
-			if floor := ss.batchFloor(coalesce); n < floor && !floorWaited && !ss.Out().Closed() {
+			if floor := ss.batchFloor(coalesce); n < floor && !floorWaited && !out.Closed() {
 				floorWaited = true
-				wait.Reset(2 * time.Millisecond)
-				select {
-				case <-sv.sch.stop:
-					return
-				case <-ss.OutReady():
-					if !wait.Stop() {
-						<-wait.C
+				ready.Arm()
+				if out.Len() == n && !out.Closed() { // last look
+					bound.Reset(2 * time.Millisecond)
+					select {
+					case <-sv.sch.stop:
+						ready.Disarm()
+						return
+					case <-ready.C():
+						if !bound.Stop() {
+							<-bound.C
+						}
+					case <-bound.C:
 					}
-				case <-wait.C:
 				}
+				ready.Disarm()
 				continue
 			}
 			if n > coalesce {
@@ -418,11 +421,10 @@ func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 				}
 			}
 			werr := fw.WordsN(a, b)
-			ss.Out().CommitRead(n)
-			floorWaited = false
 			// Draining output may unblock a session parked on output-room
-			// backpressure: let an engine re-dispatch it right away.
-			sv.sch.kickWorkers()
+			// backpressure: the read publication rings the scheduler's bell.
+			out.CommitRead(n)
+			floorWaited = false
 			if werr != nil {
 				// Client stopped reading; results are undeliverable.
 				ss.Kill()
@@ -443,22 +445,21 @@ func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 			}
 			continue
 		}
-		if ss.Out().Drained() {
+		if out.Drained() {
 			break
 		}
-		// Empty but not drained: park until the scheduler publishes (OutReady
-		// is a coalesced edge trigger — re-scan the queue on every wakeup; the
-		// timer only backstops a signal consumed by a previous pass).
-		wait.Reset(2 * time.Millisecond)
-		select {
-		case <-sv.sch.stop:
-			return
-		case <-ss.OutReady():
-			if !wait.Stop() {
-				<-wait.C
+		// Empty but not drained: park until the scheduler publishes or
+		// closes Out. Rings coalesce, so every wakeup re-scans the queue.
+		ready.Arm()
+		if out.Len() == 0 && !out.Closed() { // last look
+			select {
+			case <-sv.sch.stop:
+				ready.Disarm()
+				return
+			case <-ready.C():
 			}
-		case <-wait.C:
 		}
+		ready.Disarm()
 	}
 	st := ss.Stats()
 	serr := ss.Err()

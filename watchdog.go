@@ -14,6 +14,10 @@ import (
 // declared stalled — the `stalls` counter increments, the configured
 // callback fires, and, when a FlightRecorder is wired, the recorder ring is
 // dumped so the last moments before the wedge are inspectable in Perfetto.
+// The window opens at the later of the last observed progress and the last
+// scan that found no work pending: a component that parks while idle (a
+// scheduler worker asleep on its doorbell) makes no progress during the
+// lull, and must not read as stalled the moment work arrives.
 //
 // Stall detection is edge-triggered: one stall is counted per transition
 // into the stalled state, and an engine that resumes making progress is
@@ -66,7 +70,10 @@ type watchEntry struct {
 	probe        func() Probe
 	lastProgress uint64
 	lastMove     time.Time
-	stalled      bool
+	// lastIdle is the last scan that found no work pending; the stall
+	// window opens at the later of it and lastMove.
+	lastIdle time.Time
+	stalled  bool
 }
 
 // StallEvent describes one detected stall.
@@ -252,12 +259,20 @@ func (w *Watchdog) scan(now time.Time) {
 		if p.Err != nil {
 			continue // parked on a terminal error: reported via Health, not as a stall
 		}
-		if en.stalled || now.Sub(en.lastMove) < w.window || !p.Pending {
+		if !p.Pending {
+			en.lastIdle = now
+			continue
+		}
+		since := en.lastMove
+		if en.lastIdle.After(since) {
+			since = en.lastIdle
+		}
+		if en.stalled || now.Sub(since) < w.window {
 			continue
 		}
 		en.stalled = true
 		w.stalls.Add(1)
-		fired = append(fired, StallEvent{Engine: name, Idle: now.Sub(en.lastMove)})
+		fired = append(fired, StallEvent{Engine: name, Idle: now.Sub(since)})
 	}
 	w.mu.Unlock()
 	for _, ev := range fired {

@@ -320,3 +320,60 @@ func TestRegisterWatchdogMetrics(t *testing.T) {
 		t.Errorf("watched != 1 in %+v", snap)
 	}
 }
+
+// TestWatchdogParkedStallWindow drives scan with synthetic times over a
+// component that makes no progress while idle — a scheduler worker parked
+// on its doorbell. Work arriving after a long lull gets a whole window from
+// the last idle scan before it counts as a stall; the lull itself neither
+// stalls nor moves the progress clock Health().Idle reads.
+func TestWatchdogParkedStallWindow(t *testing.T) {
+	const window = 30 * time.Millisecond
+	w := NewWatchdog(window, WithPollEvery(time.Hour)) // scans only by hand
+	defer w.Stop()
+	var progress uint64
+	pending := false
+	w.WatchProbe("parked", func() Probe { return Probe{Progress: progress, Pending: pending} })
+	en := w.watched["parked"]
+	t0 := en.lastMove
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+
+	w.scan(at(10 * time.Millisecond))
+	w.scan(at(100 * time.Millisecond)) // a lull of three windows
+	if n := w.Stalls(); n != 0 {
+		t.Fatalf("idle lull produced %d stalls", n)
+	}
+	if !en.lastMove.Equal(t0) {
+		t.Fatalf("idle scans moved the progress clock to %v", en.lastMove.Sub(t0))
+	}
+
+	pending = true // work arrives; the parked worker has not woken yet
+	w.scan(at(105 * time.Millisecond))
+	w.scan(at(129 * time.Millisecond))
+	if n := w.Stalls(); n != 0 {
+		t.Fatalf("stall declared %d times within a window of the last idle scan", n)
+	}
+	var ev StallEvent
+	w.onStall = func(e StallEvent) { ev = e }
+	w.scan(at(131 * time.Millisecond))
+	if n := w.Stalls(); n != 1 || !en.stalled {
+		t.Fatalf("no stall a full window after work arrived (stalls %d)", n)
+	}
+	if ev.Idle != 31*time.Millisecond {
+		t.Errorf("stall event Idle = %v, want 31ms: pending-without-progress time", ev.Idle)
+	}
+
+	progress++ // the worker moves: recovery, measured from the last progress
+	w.scan(at(140 * time.Millisecond))
+	if en.stalled || w.Recoveries() != 1 || !en.lastMove.Equal(at(140*time.Millisecond)) {
+		t.Fatalf("progress did not recover the stall: stalled %v, recoveries %d", en.stalled, w.Recoveries())
+	}
+	// Still pending, no further progress: the window now runs from lastMove.
+	w.scan(at(169 * time.Millisecond))
+	if w.Stalls() != 1 {
+		t.Fatal("stalled before a window elapsed since the last progress")
+	}
+	w.scan(at(171 * time.Millisecond))
+	if w.Stalls() != 2 {
+		t.Fatal("no second stall a window after the last progress")
+	}
+}
