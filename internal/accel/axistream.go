@@ -8,16 +8,10 @@ import (
 
 // AXI-Stream support (§4.3: "Our prototype supports both simple valid-ready
 // handshakes and AXI-Stream as latency insensitive interfaces"). An
-// AXI-Stream beat carries TDATA plus a TLAST marker closing a packet; the
-// adapter below lets packet-oriented accelerators sit behind the same word
-// queues the Cohort endpoints drive, with the ratchet encoding TLAST
-// in-band.
-
-// Beat is one AXI-Stream transfer: 64 bits of TDATA plus TLAST.
-type Beat struct {
-	Data uint64
-	Last bool
-}
+// AXI-Stream beat carries 64 bits of TDATA plus a TLAST marker closing a
+// packet; the adapter below lets packet-oriented accelerators sit behind the
+// same word queues the Cohort endpoints drive, with the ratchet encoding
+// TLAST in-band.
 
 // PacketFunc transforms one complete packet (the TDATA words of beats up to
 // and including TLAST) into an output packet.
@@ -55,38 +49,73 @@ func (d *AXIStreamDevice) Beats() uint64 { return d.beats }
 // Configure implements Device (no CSRs by default).
 func (d *AXIStreamDevice) Configure([]byte) error { return nil }
 
-// Start implements Device: assemble packets beat by beat (asserting TLAST on
-// the length'th beat), transform, and emit the result with the same framing.
+// axisRun is one started AXIStreamDevice: read a packet's length prefix,
+// take its beats one per beat latency (TLAST falls on the length'th beat),
+// transform, and emit the result with the same framing.
+type axisRun struct {
+	machine
+	d      *AXIStreamDevice
+	phase  int // phaseHeader, phaseGather, phaseEmit
+	n      uint64
+	beat   uint64
+	packet []uint64
+	words  []uint64 // the output frame: length prefix, then beats
+	i      int
+}
+
+// Start implements Device.
 func (d *AXIStreamDevice) Start(k *sim.Kernel, in, out *sim.Queue[uint64]) {
-	k.Spawn(d.name, func(p *sim.Proc) {
-		for {
-			n := in.Get(p) // length prefix = beats until TLAST
-			if n == 0 {
+	r := &axisRun{d: d, phase: phaseHeader}
+	r.start(k, in, out, r.run)
+}
+
+func (r *axisRun) run() {
+	d := r.d
+	for {
+		switch r.phase {
+		case phaseHeader:
+			if !r.get(&r.n) {
+				return
+			}
+			if r.n == 0 {
 				// Zero-length packets are legal AXI-Stream; pass the frame on.
-				out.Put(p, 0)
-				d.packets++
+				r.words = append(r.words[:0], 0)
+				r.i, r.phase = 0, phaseEmit
 				continue
 			}
-			packet := make([]uint64, 0, n)
-			for i := uint64(0); i < n; i++ {
-				beat := Beat{Data: in.Get(p), Last: i == n-1}
-				d.beats++
-				p.Wait(d.latency)
-				packet = append(packet, beat.Data)
+			r.packet = make([]uint64, 0, r.n)
+			r.phase = phaseGather
+		case phaseGather:
+			if uint64(len(r.packet)) == r.n {
+				res, err := d.fn(r.packet)
+				if err != nil {
+					panic(fmt.Sprintf("accel: %s packet transform: %v", d.name, err))
+				}
+				r.words = append([]uint64{uint64(len(res))}, res...)
+				r.i, r.phase = 0, phaseEmit
+				continue
 			}
-			res, err := d.fn(packet)
-			if err != nil {
-				panic(fmt.Sprintf("accel: %s packet transform: %v", d.name, err))
+			if !r.get(&r.beat) {
+				return
 			}
-			out.Put(p, uint64(len(res)))
-			for i, w := range res {
-				_ = Beat{Data: w, Last: i == len(res)-1}
-				d.beats++
-				out.Put(p, w)
+			d.beats++
+			r.packet = append(r.packet, r.beat)
+			r.compute(d.name, d.latency)
+			return
+		case phaseEmit:
+			for r.i < len(r.words) {
+				if !r.put(r.words[r.i]) {
+					return
+				}
+				r.i++
+				if r.i < len(r.words) {
+					d.beats++ // counted as the beat is offered
+				}
 			}
 			d.packets++
+			r.phase = phaseHeader
 		}
-	})
+	}
 }
 
 // NewAXIStreamLoopback returns the §4.3 "null accelerator" in its AXI-Stream

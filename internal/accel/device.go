@@ -25,7 +25,8 @@ type Device interface {
 	// Configure installs the CSR configuration struct passed at queue
 	// registration (§4.3), e.g. the AES key.
 	Configure(csr []byte) error
-	// Start launches the device's process bridging in to out.
+	// Start launches the device bridging in to out, as a kernel-context
+	// state machine (see machine).
 	Start(k *sim.Kernel, in, out *sim.Queue[uint64])
 	// Blocks reports how many blocks have been processed.
 	Blocks() uint64
@@ -87,25 +88,110 @@ func (d *BlockDevice) Configure(csr []byte) error {
 	return d.configure(csr)
 }
 
+// machine is the kernel-context half of a device: its word queues and its
+// step function, bound once. A device runs no process. Its step pulls words
+// with TryGet and pushes them with TryPut; where a process would block in Get
+// or Put, the step re-arms itself on the queue (NotifyNotEmpty/NotifyNotFull)
+// and returns, and where a process would Wait, it schedules itself. Each of
+// those fires at the (time, sequence) position the process's resume would
+// take, so the device produces the same events in the same order as a
+// process would — without a goroutine or a context switch.
+type machine struct {
+	k       *sim.Kernel
+	in, out *sim.Queue[uint64]
+	step    func()
+}
+
+// start schedules the first step where a process spawned now would start.
+func (m *machine) start(k *sim.Kernel, in, out *sim.Queue[uint64], step func()) {
+	*m = machine{k: k, in: in, out: out, step: step}
+	k.After(0, step)
+}
+
+// get moves the next input word into *dst, or re-arms the step and reports
+// false when the input queue is empty.
+func (m *machine) get(dst *uint64) bool {
+	v, ok := m.in.TryGet()
+	if !ok {
+		m.in.NotifyNotEmpty(m.step)
+		return false
+	}
+	*dst = v
+	return true
+}
+
+// put offers v to the output queue, or re-arms the step and reports false
+// when the queue is full (the consumer deasserted ready).
+func (m *machine) put(v uint64) bool {
+	if !m.out.TryPut(v) {
+		m.out.NotifyNotFull(m.step)
+		return false
+	}
+	return true
+}
+
+// compute charges lat cycles of device occupancy: a busy span on the
+// device's trace track, then the next step lat cycles from now.
+func (m *machine) compute(track string, lat sim.Time) {
+	if lat > 0 {
+		m.k.TraceSpanAt(track, track, m.k.Now(), lat)
+	}
+	m.k.After(lat, m.step)
+}
+
+// Phases of a device's state machine.
+const (
+	phaseGather  = iota // assembling input words
+	phaseCompute        // the compute latency has elapsed
+	phaseEmit           // offering output words
+	phaseHeader         // reading a variable-length job's count or length word
+)
+
+// blockRun is one started BlockDevice: assemble a block word by word (the
+// ratchet), compute for the block latency, emit the result.
+type blockRun struct {
+	machine
+	d        *BlockDevice
+	phase    int
+	buf, res []uint64
+	i        int // words of buf gathered, or of res emitted
+}
+
 // Start implements Device.
 func (d *BlockDevice) Start(k *sim.Kernel, in, out *sim.Queue[uint64]) {
-	k.Spawn(d.name, func(p *sim.Proc) {
-		buf := make([]uint64, d.inWords)
-		for {
-			for i := range buf {
-				buf[i] = in.Get(p) // ratchet: assemble the block word by word
+	r := &blockRun{d: d, buf: make([]uint64, d.inWords)}
+	r.start(k, in, out, r.run)
+}
+
+func (r *blockRun) run() {
+	d := r.d
+	for {
+		switch r.phase {
+		case phaseGather:
+			for ; r.i < len(r.buf); r.i++ {
+				if !r.get(&r.buf[r.i]) {
+					return
+				}
 			}
-			p.Wait(d.latency)
-			res := d.process(buf)
-			if len(res) != d.outWords {
-				panic(fmt.Sprintf("accel: %s produced %d words, want %d", d.name, len(res), d.outWords))
+			r.phase = phaseCompute
+			r.compute(d.name, d.latency)
+			return
+		case phaseCompute:
+			r.res = d.process(r.buf)
+			if len(r.res) != d.outWords {
+				panic(fmt.Sprintf("accel: %s produced %d words, want %d", d.name, len(r.res), d.outWords))
 			}
-			for _, w := range res {
-				out.Put(p, w) // blocks when the consumer backpressures
+			r.i, r.phase = 0, phaseEmit
+		case phaseEmit:
+			for ; r.i < len(r.res); r.i++ {
+				if !r.put(r.res[r.i]) {
+					return // blocks when the consumer backpressures
+				}
 			}
+			r.i, r.phase = 0, phaseGather
 			d.blocks++
 		}
-	})
+	}
 }
 
 // Paper §6.1: measured block latencies of the FPGA accelerators.
@@ -255,32 +341,75 @@ func (d *H264Device) Configure(csr []byte) error {
 	return nil
 }
 
+// h264Run is one started H264Device: read the frame count, then per frame
+// gather its words and compute for the frame latency, then encode and emit
+// the length-prefixed bitstream.
+type h264Run struct {
+	machine
+	d             *H264Device
+	phase         int // phaseHeader, phaseGather (one frame), phaseEmit
+	nframes       uint64
+	wordsPerFrame int
+	frames        [][]byte
+	words         []uint64 // the frame being gathered, or the output being emitted
+	i             int
+}
+
 // Start implements Device.
 func (d *H264Device) Start(k *sim.Kernel, in, out *sim.Queue[uint64]) {
-	k.Spawn("h264", func(p *sim.Proc) {
-		for {
-			nframes := int(in.Get(p))
-			frames := make([][]byte, 0, nframes)
-			wordsPerFrame := (d.enc.FrameSize() + 7) / 8
-			for f := 0; f < nframes; f++ {
-				words := make([]uint64, wordsPerFrame)
-				for i := range words {
-					words[i] = in.Get(p)
+	r := &h264Run{d: d, phase: phaseHeader}
+	r.start(k, in, out, r.run)
+}
+
+func (r *h264Run) run() {
+	d := r.d
+	for {
+		switch r.phase {
+		case phaseHeader:
+			if !r.get(&r.nframes) {
+				return
+			}
+			r.frames = make([][]byte, 0, int(r.nframes))
+			r.wordsPerFrame = (d.enc.FrameSize() + 7) / 8
+			r.words, r.phase = nil, phaseGather
+		case phaseGather:
+			if r.words == nil {
+				if len(r.frames) == int(r.nframes) {
+					r.encode()
+					continue
 				}
-				frames = append(frames, WordsToBytes(words)[:d.enc.FrameSize()])
-				p.Wait(d.latency) // per-frame compute
+				r.words, r.i = make([]uint64, r.wordsPerFrame), 0
 			}
-			stream, err := d.enc.Encode(frames)
-			if err != nil {
-				panic(fmt.Sprintf("accel: h264 encode: %v", err))
+			for ; r.i < len(r.words); r.i++ {
+				if !r.get(&r.words[r.i]) {
+					return
+				}
 			}
-			padded := make([]byte, (len(stream)+7)/8*8)
-			copy(padded, stream)
-			out.Put(p, uint64(len(stream)))
-			for _, w := range BytesToWords(padded) {
-				out.Put(p, w)
+			r.frames = append(r.frames, WordsToBytes(r.words)[:d.enc.FrameSize()])
+			r.words = nil
+			r.compute("h264", d.latency) // per-frame compute
+			return
+		case phaseEmit:
+			for ; r.i < len(r.words); r.i++ {
+				if !r.put(r.words[r.i]) {
+					return
+				}
 			}
-			d.blocks += uint64(nframes)
+			d.blocks += r.nframes
+			r.phase = phaseHeader
 		}
-	})
+	}
+}
+
+// encode codes the gathered frames and stages the output words: the stream
+// length, then the stream padded to whole words.
+func (r *h264Run) encode() {
+	stream, err := r.d.enc.Encode(r.frames)
+	if err != nil {
+		panic(fmt.Sprintf("accel: h264 encode: %v", err))
+	}
+	padded := make([]byte, (len(stream)+7)/8*8)
+	copy(padded, stream)
+	r.words = append([]uint64{uint64(len(stream))}, BytesToWords(padded)...)
+	r.frames, r.i, r.phase = nil, 0, phaseEmit
 }

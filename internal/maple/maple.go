@@ -93,6 +93,10 @@ type Unit struct {
 	dmaDone     *sim.Signal
 	kickWaiters []func(uint64)
 
+	// The feeder and drainer are kernel-context state machines; feedFn and
+	// drainFn are u.feed and u.drain, bound once.
+	feedFn, drainFn func()
+
 	csr   [64]uint64
 	stats Counters
 
@@ -131,9 +135,10 @@ func New(cfg Config) *Unit {
 		trkMMIO: fmt.Sprintf("maple%d.mmio", cfg.Tile),
 	}
 	u.mmu = mmu.New(cfg.TLBEntries, cfg.Cache.ReadOnceU64)
+	u.feedFn, u.drainFn = u.feed, u.drain
 	cfg.Device.Start(k, u.accIn, u.accOut)
-	k.Spawn(fmt.Sprintf("maple%d.feeder", cfg.Tile), u.feeder)
-	k.Spawn(fmt.Sprintf("maple%d.drainer", cfg.Tile), u.drainer)
+	k.After(0, u.feedFn)
+	k.After(0, u.drainFn)
 	cfg.Bus.AttachAsyncDevice(cfg.Tile, cfg.MMIOBase, RegBankSize, cfg.MMIOLatency, u.regAccess)
 	return u
 }
@@ -155,22 +160,38 @@ func (u *Unit) SetCompletionFlag(va uint64) { u.flagVA = va }
 // Device returns the hosted accelerator.
 func (u *Unit) Device() *accel.BlockDevice { return u.cfg.Device }
 
-// feeder moves staged MMIO input words into the accelerator with
-// backpressure.
-func (u *Unit) feeder(p *sim.Proc) {
+// feed moves staged MMIO input words into the accelerator with
+// backpressure, re-arming itself on whichever queue it waits for. A word
+// leaves the stage only once the accelerator has taken it; nothing waits for
+// room in the unbounded stage, so that order fires no different events.
+func (u *Unit) feed() {
 	for {
-		v := u.inStage.Get(p)
-		u.accIn.Put(p, v)
+		v, ok := u.inStage.Peek()
+		if !ok {
+			u.inStage.NotifyNotEmpty(u.feedFn)
+			return
+		}
+		if !u.accIn.TryPut(v) {
+			u.accIn.NotifyNotFull(u.feedFn)
+			return
+		}
+		u.inStage.TryGet()
 	}
 }
 
-// drainer routes accelerator output either to a pending DMA or to the MMIO
+// drain routes accelerator output either to a pending DMA or to the MMIO
 // output register.
-func (u *Unit) drainer(p *sim.Proc) {
+func (u *Unit) drain() {
 	for {
-		v := u.accOut.Get(p)
+		v, ok := u.accOut.TryGet()
+		if !ok {
+			u.accOut.NotifyNotEmpty(u.drainFn)
+			return
+		}
 		if u.dmaActive {
-			u.dmaOut.Put(p, v)
+			if !u.dmaOut.TryPut(v) {
+				panic("maple: unbounded DMA output queue refused a word")
+			}
 			continue
 		}
 		if len(u.outWaiters) > 0 {

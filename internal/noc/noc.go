@@ -67,6 +67,13 @@ type link struct {
 	track string
 }
 
+// flight is an in-flight message: the message and the tile it is heading to
+// on its current hop.
+type flight struct {
+	msg  Msg
+	next int
+}
+
 // Network is the mesh instance.
 type Network struct {
 	k        *sim.Kernel
@@ -75,6 +82,14 @@ type Network struct {
 	// links[tile][dir] is the outgoing link from tile in direction dir.
 	links [][4]link
 	stats Stats
+
+	// In-flight messages live in a free-listed slice and hop events carry
+	// their index, so a hop schedules no closure and a warm network does
+	// not allocate.
+	flights []flight
+	free    []uint32
+	// arriveFn and deliverFn are n.arrive and n.deliver, bound once.
+	arriveFn, deliverFn func(uint32)
 }
 
 // Directions for links.
@@ -94,12 +109,14 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		cfg.FlitBytes = 16
 	}
 	n := cfg.Width * cfg.Height
-	return &Network{
+	net := &Network{
 		k:        k,
 		cfg:      cfg,
 		handlers: make([][numPorts]Handler, n),
 		links:    make([][4]link, n),
 	}
+	net.arriveFn, net.deliverFn = net.arrive, net.deliver
+	return net
 }
 
 // Tiles returns the number of tiles.
@@ -147,38 +164,47 @@ func (n *Network) Send(src, dst int, port Port, size int, payload any) {
 	if src < 0 || src >= n.Tiles() || dst < 0 || dst >= n.Tiles() {
 		panic(fmt.Sprintf("noc: bad route %d -> %d", src, dst))
 	}
-	msg := Msg{Src: src, Dst: dst, Port: port, Size: size, Payload: payload}
+	var id uint32
+	if m := len(n.free); m > 0 {
+		id = n.free[m-1]
+		n.free = n.free[:m-1]
+	} else {
+		id = uint32(len(n.flights))
+		n.flights = append(n.flights, flight{})
+	}
+	n.flights[id].msg = Msg{Src: src, Dst: dst, Port: port, Size: size, Payload: payload}
 	n.stats.Msgs++
 	n.stats.Flits += n.flits(size)
 	if src == dst {
-		n.k.After(n.cfg.LocalDelay, func() { n.deliver(msg) })
+		n.k.AtCall(n.k.Now()+n.cfg.LocalDelay, n.deliverFn, id)
 		return
 	}
-	n.hop(msg, src, n.k.Now())
+	n.hop(id, src, n.k.Now())
 }
 
-// hop advances msg from tile `at` toward its destination, modelling router
-// delay, link serialization and wire latency for one hop.
-func (n *Network) hop(msg Msg, at int, ready sim.Time) {
+// hop advances in-flight message id from tile `at` toward its destination,
+// modelling router delay, link serialization and wire latency for one hop.
+func (n *Network) hop(id uint32, at int, ready sim.Time) {
+	f := &n.flights[id]
 	x, y := n.coord(at)
-	dx, dy := n.coord(msg.Dst)
-	var dir, next int
+	dx, dy := n.coord(f.msg.Dst)
+	var dir int
 	switch {
 	case x < dx:
-		dir, next = dirEast, n.tileAt(x+1, y)
+		dir, f.next = dirEast, n.tileAt(x+1, y)
 	case x > dx:
-		dir, next = dirWest, n.tileAt(x-1, y)
+		dir, f.next = dirWest, n.tileAt(x-1, y)
 	case y < dy:
-		dir, next = dirSouth, n.tileAt(x, y+1)
+		dir, f.next = dirSouth, n.tileAt(x, y+1)
 	default:
-		dir, next = dirNorth, n.tileAt(x, y-1)
+		dir, f.next = dirNorth, n.tileAt(x, y-1)
 	}
 	l := &n.links[at][dir]
 	depart := ready + n.cfg.RouterDelay
 	if l.nextFree > depart {
 		depart = l.nextFree
 	}
-	occupancy := sim.Time(n.flits(msg.Size)) // one flit per cycle on the link
+	occupancy := sim.Time(n.flits(f.msg.Size)) // one flit per cycle on the link
 	l.nextFree = depart + occupancy
 	arrive := depart + occupancy - 1 + n.cfg.LinkDelay
 	n.stats.Hops++
@@ -188,19 +214,28 @@ func (n *Network) hop(msg Msg, at int, ready sim.Time) {
 		if l.track == "" {
 			l.track = fmt.Sprintf("noc.t%d.%s", at, [...]string{"E", "W", "N", "S"}[dir])
 		}
-		n.k.TraceSpanAt(l.track, fmt.Sprintf("t%d>t%d", msg.Src, msg.Dst), depart, occupancy)
+		n.k.TraceSpanAt(l.track, fmt.Sprintf("t%d>t%d", f.msg.Src, f.msg.Dst), depart, occupancy)
 	}
-	n.k.At(arrive, func() {
-		if next == msg.Dst {
-			// Ejection at the destination router.
-			n.k.After(n.cfg.RouterDelay, func() { n.deliver(msg) })
-			return
-		}
-		n.hop(msg, next, n.k.Now())
-	})
+	n.k.AtCall(arrive, n.arriveFn, id)
 }
 
-func (n *Network) deliver(msg Msg) {
+// arrive lands in-flight message id at the far end of its current hop.
+func (n *Network) arrive(id uint32) {
+	f := &n.flights[id]
+	if f.next == f.msg.Dst {
+		// Ejection at the destination router.
+		n.k.AtCall(n.k.Now()+n.cfg.RouterDelay, n.deliverFn, id)
+		return
+	}
+	n.hop(id, f.next, n.k.Now())
+}
+
+// deliver frees in-flight record id and hands its message to the port
+// handler, which may send again and reuse the record.
+func (n *Network) deliver(id uint32) {
+	msg := n.flights[id].msg
+	n.flights[id] = flight{} // drop the payload reference
+	n.free = append(n.free, id)
 	h := n.handlers[msg.Dst][msg.Port]
 	if h == nil {
 		panic(fmt.Sprintf("noc: message %T delivered to tile %d port %d with no handler", msg.Payload, msg.Dst, msg.Port))

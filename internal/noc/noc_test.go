@@ -174,3 +174,29 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// A warm network delivers a multi-hop message without allocating: in-flight
+// records are recycled and hop events carry an index, not a closure.
+func TestSendAllocs(t *testing.T) {
+	k := sim.New()
+	n := New(k, DefaultConfig(2, 2))
+	type req struct{ addr uint64 }
+	payload := &req{addr: 0x40}
+	got := 0
+	n.Attach(3, PortDir, func(m Msg) {
+		if m.Payload.(*req) == payload && m.Src == 0 {
+			got++
+		}
+	})
+	send := func() {
+		n.Send(0, 3, PortDir, 64, payload) // two hops: east, then south
+		k.Run(0)
+	}
+	send() // warm up the in-flight records and the event heap
+	if a := testing.AllocsPerRun(100, send); a != 0 {
+		t.Fatalf("%.1f allocations per 2-hop Send, want 0", a)
+	}
+	if got != 102 || n.HopCount(0, 3) != 2 {
+		t.Fatalf("delivered %d messages over %d hops, want 102 over 2", got, n.HopCount(0, 3))
+	}
+}

@@ -132,3 +132,83 @@ func TestCloseAfterProcPanic(t *testing.T) {
 	k.Close()
 	checkClosed(t, k, base)
 }
+
+// A callback that panics while a parked process's goroutine holds control
+// must surface in Run without unwinding that bystander process, which stays
+// parked until Close ends it.
+func TestCallbackPanicOnProcGoroutine(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		arm  func(k *Kernel, s *Signal, bomb func())
+	}{
+		{"callback", func(k *Kernel, s *Signal, bomb func()) { k.At(5, bomb) }},
+		{"notify", func(k *Kernel, s *Signal, bomb func()) { s.Notify(bomb); k.At(5, s.Fire) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := New()
+			s := NewSignal(k)
+			var unwound, resumed bool
+			k.Spawn("holder", func(p *Proc) {
+				defer func() { unwound = true }()
+				c.arm(k, s, func() { panic("bang") })
+				p.Wait(10) // parks: the bomb is due first, on this goroutine
+				resumed = true
+			})
+			func() {
+				defer func() {
+					if r := recover(); r != "bang" {
+						t.Fatalf("recovered %v, want bang", r)
+					}
+				}()
+				k.Run(0)
+			}()
+			if unwound || resumed || k.Procs() != 1 {
+				t.Fatalf("after the panic: unwound=%v resumed=%v Procs=%d, want false false 1", unwound, resumed, k.Procs())
+			}
+			k.Close()
+			if !unwound || resumed {
+				t.Fatalf("after Close: unwound=%v resumed=%v, want true false", unwound, resumed)
+			}
+			checkClosed(t, k, base)
+		})
+	}
+}
+
+// A process whose function has returned keeps firing events on its
+// goroutine until control passes on; a callback that panics then must still
+// reach Run's caller.
+func TestCallbackPanicAfterProcReturns(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		arm  func(k *Kernel, bomb func())
+	}{
+		{"callback", func(k *Kernel, bomb func()) { k.At(5, bomb) }},
+		{"notify", func(k *Kernel, bomb func()) {
+			s := NewSignal(k)
+			s.Notify(bomb)
+			s.Fire()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := New()
+			s := NewSignal(k)
+			k.Spawn("server", func(p *Proc) { s.Wait(p) })
+			k.Spawn("quitter", func(p *Proc) { c.arm(k, func() { panic("late") }) })
+			func() {
+				defer func() {
+					if r := recover(); r != "late" {
+						t.Fatalf("recovered %v, want late", r)
+					}
+				}()
+				k.Run(0)
+			}()
+			if k.Procs() != 1 || k.Blocked() != 1 {
+				t.Fatalf("after the panic: Procs=%d Blocked=%d, want 1 1", k.Procs(), k.Blocked())
+			}
+			k.Close()
+			checkClosed(t, k, base)
+		})
+	}
+}

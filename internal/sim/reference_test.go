@@ -18,6 +18,7 @@ const (
 	opWaitSig               // park on signal sig
 	opFire                  // fire signal sig
 	opAt                    // schedule a kernel callback d cycles ahead; it fires sig if sig >= 0
+	opNotify                // queue a continuation on signal sig; it fires signal arg if arg >= 0
 	opStop                  // Stop
 	opSpawn                 // spawn a process running script arg
 )
@@ -33,12 +34,12 @@ type program struct {
 	scripts [][]op // the first nInit are spawned before Run; the rest only by opSpawn
 	nInit   int
 	nSig    int
-	pre     []op   // opAt callbacks scheduled before Run
+	pre     []op   // opAt callbacks and opNotify continuations queued before Run
 	limits  []Time // Run limits, in order; the kernel is then drained with Run(0)
 }
 
 // logEntry records a process executing step `step` (len(script) = exit), a
-// callback firing (who < 0), or Run returning (who == runMark).
+// callback or continuation firing (who < 0), or Run returning (who == runMark).
 type logEntry struct {
 	now  Time
 	who  int
@@ -60,9 +61,11 @@ func genProgram(rng *rand.Rand) program {
 			return op{kind: opWaitSig, sig: sig}
 		case r < 70:
 			return op{kind: opFire, sig: sig}
-		case r < 82:
+		case r < 78:
 			return op{kind: opAt, d: Time(rng.Intn(4)), sig: rng.Intn(pg.nSig+1) - 1}
-		case r < 87:
+		case r < 84:
+			return op{kind: opNotify, sig: sig, arg: rng.Intn(pg.nSig+1) - 1}
+		case r < 89:
 			return op{kind: opStop}
 		case canSpawn && nScripts > pg.nInit:
 			return op{kind: opSpawn, arg: pg.nInit + rng.Intn(nScripts-pg.nInit)}
@@ -78,6 +81,10 @@ func genProgram(rng *rand.Rand) program {
 		pg.scripts = append(pg.scripts, script)
 	}
 	for i := rng.Intn(4); i > 0; i-- {
+		if rng.Intn(3) == 0 {
+			pg.pre = append(pg.pre, op{kind: opNotify, sig: rng.Intn(pg.nSig), arg: rng.Intn(pg.nSig+1) - 1})
+			continue
+		}
 		pg.pre = append(pg.pre, op{kind: opAt, d: Time(rng.Intn(6)), sig: rng.Intn(pg.nSig+1) - 1})
 	}
 	limit := Time(0)
@@ -97,15 +104,24 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 		sigs[i] = NewSignal(k)
 	}
 	nextProc, nextCB := 0, 0
-	at := func(d Time, sig int) {
+	// callback returns a new kernel-context callback that logs itself and
+	// fires signal fire, if fire >= 0.
+	callback := func(fire int) func() {
 		id := nextCB
 		nextCB++
-		k.After(d, func() {
+		return func() {
 			log = append(log, logEntry{k.Now(), -1 - id, 0})
-			if sig >= 0 {
-				sigs[sig].Fire()
+			if fire >= 0 {
+				sigs[fire].Fire()
 			}
-		})
+		}
+	}
+	pre := func(o op) {
+		if o.kind == opNotify {
+			sigs[o.sig].Notify(callback(o.arg))
+			return
+		}
+		k.After(o.d, callback(o.sig))
 	}
 	var spawn func(script int)
 	spawn = func(script int) {
@@ -122,8 +138,8 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 					sigs[o.sig].Wait(p)
 				case opFire:
 					sigs[o.sig].Fire()
-				case opAt:
-					at(o.d, o.sig)
+				case opAt, opNotify:
+					pre(o)
 				case opStop:
 					k.Stop()
 				case opSpawn:
@@ -137,7 +153,7 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 		spawn(i)
 	}
 	for _, o := range pg.pre {
-		at(o.d, o.sig)
+		pre(o)
 	}
 	for i, l := range pg.limits {
 		log = append(log, logEntry{k.Run(l), runMark, i})
@@ -158,9 +174,9 @@ type refKernel struct {
 	seq     uint64
 	stopped bool
 	events  []refEvent
-	waiters [][]int // per signal: parked process ids, in Wait order
-	pcs     []int   // per process: next step; len(script)+1 once exited
-	scripts []int   // per process: script index
+	waiters [][]refEvent // per signal: parked processes and continuations, in wait order
+	pcs     []int        // per process: next step; len(script)+1 once exited
+	scripts []int        // per process: script index
 	live    int
 	nextCB  int
 	log     []logEntry
@@ -180,9 +196,20 @@ func (r *refKernel) schedule(e refEvent) {
 	r.events = append(r.events, e)
 }
 
-func (r *refKernel) at(d Time, sig int) {
-	r.schedule(refEvent{at: r.now + d, proc: -1, cb: r.nextCB, sig: sig})
+// callback returns a new callback event that fires signal fire, if fire >= 0.
+func (r *refKernel) callback(fire int) refEvent {
 	r.nextCB++
+	return refEvent{proc: -1, cb: r.nextCB - 1, sig: fire}
+}
+
+func (r *refKernel) pre(o op) {
+	if o.kind == opNotify {
+		r.waiters[o.sig] = append(r.waiters[o.sig], r.callback(o.arg))
+		return
+	}
+	e := r.callback(o.sig)
+	e.at = r.now + o.d
+	r.schedule(e)
 }
 
 func (r *refKernel) spawn(script int) {
@@ -193,8 +220,9 @@ func (r *refKernel) spawn(script int) {
 }
 
 func (r *refKernel) fire(sig int) {
-	for _, id := range r.waiters[sig] {
-		r.schedule(refEvent{at: r.now, proc: id})
+	for _, w := range r.waiters[sig] {
+		w.at = r.now
+		r.schedule(w)
 	}
 	r.waiters[sig] = nil
 }
@@ -238,12 +266,12 @@ func (r *refKernel) step(id int) {
 			r.schedule(refEvent{at: r.now + o.d, proc: id})
 			return
 		case opWaitSig:
-			r.waiters[o.sig] = append(r.waiters[o.sig], id)
+			r.waiters[o.sig] = append(r.waiters[o.sig], refEvent{proc: id})
 			return
 		case opFire:
 			r.fire(o.sig)
-		case opAt:
-			r.at(o.d, o.sig)
+		case opAt, opNotify:
+			r.pre(o)
 		case opStop:
 			r.stopped = true
 		case opSpawn:
@@ -256,12 +284,12 @@ func (r *refKernel) step(id int) {
 }
 
 func runReference(pg program) (log []logEntry, blocked, procs int) {
-	r := &refKernel{pg: &pg, waiters: make([][]int, pg.nSig)}
+	r := &refKernel{pg: &pg, waiters: make([][]refEvent, pg.nSig)}
 	for i := 0; i < pg.nInit; i++ {
 		r.spawn(i)
 	}
 	for _, o := range pg.pre {
-		r.at(o.d, o.sig)
+		r.pre(o)
 	}
 	for i, l := range pg.limits {
 		r.log = append(r.log, logEntry{r.run(l), runMark, i})
@@ -270,7 +298,11 @@ func runReference(pg program) (log []logEntry, blocked, procs int) {
 		r.log = append(r.log, logEntry{r.run(0), runMark, i})
 	}
 	for _, ws := range r.waiters {
-		blocked += len(ws)
+		for _, w := range ws {
+			if w.proc >= 0 {
+				blocked++ // continuations are not blocked processes
+			}
+		}
 	}
 	return r.log, blocked, r.live
 }

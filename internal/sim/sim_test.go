@@ -338,3 +338,132 @@ func TestTracingOffByDefaultCostsNothing(t *testing.T) {
 	}
 	k.TraceInstant("x", "y") // must be a harmless no-op
 }
+
+func TestNotifyRunsOnceInWaitOrder(t *testing.T) {
+	k := New()
+	s := NewSignal(k)
+	var order []string
+	k.Spawn("proc", func(p *Proc) {
+		s.Wait(p)
+		order = append(order, "proc")
+	})
+	k.Run(0)
+	s.Notify(func() { order = append(order, "cont") })
+	if s.Waiting() != 2 || k.Blocked() != 1 {
+		t.Fatalf("Waiting=%d Blocked=%d, want 2 1 (continuations are not blocked processes)", s.Waiting(), k.Blocked())
+	}
+	k.At(3, s.Fire)
+	k.At(4, s.Fire) // nothing left to release
+	k.Run(0)
+	if len(order) != 2 || order[0] != "proc" || order[1] != "cont" {
+		t.Fatalf("order = %v, want [proc cont]", order)
+	}
+}
+
+func TestQueueNotify(t *testing.T) {
+	k := New()
+	q := NewQueue[int](k, 1)
+	var got []int
+	var get func()
+	get = func() {
+		for {
+			v, ok := q.TryGet()
+			if !ok {
+				q.NotifyNotEmpty(get)
+				return
+			}
+			got = append(got, v)
+		}
+	}
+	k.After(0, get)
+	k.Spawn("producer", func(p *Proc) {
+		for i := 1; i <= 3; i++ {
+			p.Wait(5)
+			q.Put(p, i)
+		}
+	})
+	var roomAt Time
+	k.At(100, func() {
+		q.TryPut(9)
+		q.NotifyNotFull(func() { roomAt = k.Now() })
+	})
+	k.Run(0)
+	if len(got) != 4 || got[0] != 1 || got[3] != 9 || roomAt != 100 {
+		t.Fatalf("got %v, room at %d; want [1 2 3 9], 100", got, roomAt)
+	}
+}
+
+// A process parked on a signal that a callback fires is resumed by its own
+// goroutine, which fired the callback while parked: no handoff at all.
+func TestHandoffsParkedProcResumesInPlace(t *testing.T) {
+	k := New()
+	s := NewSignal(k)
+	done := false
+	k.Spawn("waiter", func(p *Proc) {
+		s.Wait(p)
+		p.Wait(3)
+		s.Wait(p)
+		done = true
+	})
+	k.At(5, s.Fire)
+	k.At(20, func() { s.Notify(func() {}); s.Fire() })
+	k.Run(0)
+	if !done || k.handoffs != 0 {
+		t.Fatalf("done=%v handoffs=%d, want true 0", done, k.handoffs)
+	}
+}
+
+// Two processes that resume each other pass control directly: exactly one
+// handoff per resume, never a detour through Run's goroutine.
+func TestHandoffsPingPong(t *testing.T) {
+	k := New()
+	ping, pong := NewSignal(k), NewSignal(k)
+	const rounds = 50
+	resumes := uint64(0)
+	k.Spawn("pong", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			pong.Wait(p)
+			resumes++
+			ping.Fire()
+		}
+	})
+	k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			pong.Fire()
+			ping.Wait(p)
+			resumes++
+		}
+	})
+	k.Run(0)
+	if resumes != 2*rounds || k.handoffs != resumes {
+		t.Fatalf("resumes=%d handoffs=%d, want %d %d", resumes, k.handoffs, 2*rounds, 2*rounds)
+	}
+}
+
+// Firing a signal with a process waiter and a continuation waiter, and
+// running both, allocates nothing once the kernel is warm.
+func TestSignalFireAllocs(t *testing.T) {
+	k := New()
+	defer k.Close()
+	s := NewSignal(k)
+	k.Spawn("waiter", func(p *Proc) {
+		for {
+			s.Wait(p)
+		}
+	})
+	k.Run(0)
+	hits := 0
+	cont := func() { hits++ }
+	round := func() {
+		s.Notify(cont)
+		s.Fire()
+		k.Run(0)
+	}
+	round() // warm up: the waiter list and the event heap reach their peak
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%.1f allocations per Fire, want 0", n)
+	}
+	if k.Blocked() != 1 || hits != 102 {
+		t.Fatalf("Blocked=%d hits=%d, want 1 102", k.Blocked(), hits)
+	}
+}

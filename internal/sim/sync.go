@@ -1,12 +1,19 @@
 package sim
 
-// Signal is a broadcast condition: processes park on Wait and every parked
-// process is released by the next Fire. Signals carry no data; pair them with
-// guarded state and re-check the condition after waking (there is no spurious
-// wakeup, but another process may consume the state first).
+// Signal is a broadcast condition: processes park on Wait, continuations
+// queue with Notify, and the next Fire releases every one of them. Signals
+// carry no data; pair them with guarded state and re-check the condition
+// after waking (there is no spurious wakeup, but another agent may consume
+// the state first).
 type Signal struct {
 	k       *Kernel
-	waiters []*Proc
+	waiters []waiter
+}
+
+// waiter is a parked process or a queued continuation.
+type waiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewSignal returns a Signal bound to k.
@@ -14,28 +21,42 @@ func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 
 // Wait parks p until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	s.waiters = append(s.waiters, waiter{p: p})
 	s.k.parked++
 	p.park()
 }
 
-// Fire releases every currently-parked waiter. Waiters resume at the current
-// time, in the order they called Wait. Safe to call from kernel context or
-// from a process.
+// Notify queues fn to run once, in kernel context, after the next Fire. It
+// takes its turn among the waiters in call order, at the position a process
+// calling Wait instead would resume. Bind fn once: Notify itself does not
+// allocate once the waiter list has grown.
+func (s *Signal) Notify(fn func()) {
+	s.waiters = append(s.waiters, waiter{fn: fn})
+}
+
+// Fire releases every current waiter. Parked processes resume and
+// continuations run at the current time, in the order they waited. Safe to
+// call from kernel context or from a process.
 func (s *Signal) Fire() {
+	k := s.k
 	for _, w := range s.waiters {
-		s.k.parked--
-		s.k.After(0, w.resumeFn)
+		if w.p != nil {
+			k.parked--
+		}
+		k.schedule(k.now, event{p: w.p, fn: w.fn})
 	}
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]
 }
 
-// Waiting returns the number of parked processes.
+// Waiting returns the number of waiters: parked processes and queued
+// continuations.
 func (s *Signal) Waiting() int { return len(s.waiters) }
 
-// Queue is a FIFO mailbox between processes, modelling a hardware queue or
-// channel of unbounded (capacity <= 0) or bounded capacity.
+// Queue is a FIFO mailbox between agents, modelling a hardware queue or
+// channel of unbounded (capacity <= 0) or bounded capacity. Processes block
+// in Get and Put; kernel-context state machines use TryGet and TryPut and
+// notify themselves when the queue changes.
 type Queue[T any] struct {
 	k        *Kernel
 	capacity int
@@ -62,6 +83,14 @@ func (q *Queue[T]) TryPut(v T) bool {
 	q.notEmpty.Fire()
 	return true
 }
+
+// NotifyNotEmpty queues fn to run once after the next TryPut (see
+// Signal.Notify). The item may be gone by then: re-check with TryGet.
+func (q *Queue[T]) NotifyNotEmpty(fn func()) { q.notEmpty.Notify(fn) }
+
+// NotifyNotFull queues fn to run once after the next TryGet (see
+// Signal.Notify). The room may be gone by then: re-check with TryPut.
+func (q *Queue[T]) NotifyNotFull(fn func()) { q.notFull.Notify(fn) }
 
 // Put appends v, parking p until there is room.
 func (q *Queue[T]) Put(p *Proc, v T) {
