@@ -42,16 +42,29 @@ func TestBuiltinAcceleratorsZeroAlloc(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs pins the zero-allocation property of the
-// disabled-observability hot path: with tracing, flight recording and
-// registry polling all off, a warmed engine moving blocks end to end — the
-// producer's PushSlice, the engine's drain/compute/publish loop (including
-// the 1-in-128 sampled drain timing), and the consumer's PopSlice — performs
-// no heap allocations at all, over the echo stub (the engine alone) and over
-// the shipped SHA-256 accelerator. WithBackoff(0, 0) selects the spin-yield
-// idle policy, so even a momentarily idle engine stays off the timer path.
+// engine hot path: with registry polling off, a warmed engine moving blocks
+// end to end — the producer's PushSlice, the engine's drain/compute/publish
+// loop (including the 1-in-128 sampled drain timing), and the consumer's
+// PopSlice — performs no heap allocations at all, over the echo stub (the
+// engine alone), over the shipped SHA-256 accelerator, and over the echo stub
+// with an always-on flight recorder attached, both with a ring that wraps
+// many times (16 events per track) and with one that barely does (4096).
+// WithBackoff(0, 0) selects the spin-yield idle policy, so even a
+// momentarily idle engine stays off the timer path.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	for _, acc := range []Accelerator{&echoAcc{}, NewSHA256()} {
-		t.Run(acc.Name(), func(t *testing.T) {
+	cases := []struct {
+		name   string
+		acc    Accelerator
+		flight int // events per track; 0 registers without a recorder
+	}{
+		{"echo", &echoAcc{}, 0},
+		{"sha256", NewSHA256(), 0},
+		{"echo+flight16", &echoAcc{}, 16},
+		{"echo+flight4096", &echoAcc{}, 4096},
+	}
+	for _, c := range cases {
+		acc := c.acc
+		t.Run(c.name, func(t *testing.T) {
 			in, err := NewFifo[Word](1024)
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +73,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := Register(acc, in, out, WithBackoff(0, 0))
+			opts := []RegisterOption{WithBackoff(0, 0)}
+			if c.flight > 0 {
+				opts = append(opts, WithFlightRecorder(NewFlightRecorder(c.flight), "echo"))
+			}
+			e, err := Register(acc, in, out, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,12 +62,11 @@ type Engine struct {
 	retryMin    time.Duration
 	procTimeout time.Duration
 
-	// trk/now are non-nil only when the engine was registered WithTrace or
+	// trk and flight are non-nil only when the engine was registered
 	// WithFlightRecorder; every trace call site checks trk so a disabled
-	// engine never reads the clock or formats anything. flight is set in the
-	// flight-recorder case so a terminal error can trigger the auto-dump.
-	trk    eventSink
-	now    func() uint64
+	// engine never reads the clock or formats anything, and a terminal error
+	// triggers flight's auto-dump.
+	trk    *trace.Track
 	flight *FlightRecorder
 
 	elemsIn   atomic.Uint64
@@ -107,7 +106,6 @@ type registerCfg struct {
 	retries     int
 	retryMin    time.Duration
 	procTimeout time.Duration
-	rec         *trace.Recorder
 	flight      *FlightRecorder
 	track       string
 }
@@ -128,24 +126,13 @@ func WithBatch(blocks int) RegisterOption {
 	return func(c *registerCfg) { c.batch = blocks }
 }
 
-// WithTrace attaches the engine to a wall-clock trace recorder: the engine
-// emits poll/backoff idle spans, a drain span per wakeup, a compute span per
-// block and a publish span per output publication onto the named track. Without this option tracing is
-// a guaranteed no-op — no clock reads, no formatting, no allocation.
-func WithTrace(t *Trace, track string) RegisterOption {
-	return func(c *registerCfg) {
-		if t != nil {
-			c.rec, c.track = t.rec, track
-		}
-	}
-}
-
 // WithFlightRecorder attaches the engine to an always-on, fixed-memory
-// flight recorder: the engine emits the same spans as WithTrace, but into a
-// bounded ring that keeps only the most recent events, and the ring is
+// flight recorder: the engine emits poll/backoff idle spans, a drain span per
+// wakeup, a compute span per block and a publish span per output publication
+// onto the named track (default: the accelerator's name), and the ring is
 // auto-dumped (FlightRecorder.AutoDump) if the engine parks with a terminal
-// accelerator error. Mutually exclusive with WithTrace — an engine has one
-// span destination.
+// accelerator error. Without this option tracing is a guaranteed no-op — no
+// clock reads, no formatting, no allocation.
 func WithFlightRecorder(f *FlightRecorder, track string) RegisterOption {
 	return func(c *registerCfg) {
 		if f != nil {
@@ -222,21 +209,13 @@ func Register(acc Accelerator, in, out *Fifo[Word], opts ...RegisterOption) (*En
 		batch: cfg.batch, boMin: cfg.boMin, boMax: cfg.boMax,
 		retries: cfg.retries, retryMin: cfg.retryMin, procTimeout: cfg.procTimeout,
 	}
-	if cfg.rec != nil && cfg.flight != nil {
-		return nil, fmt.Errorf("cohort: register %s: WithTrace and WithFlightRecorder are mutually exclusive", acc.Name())
-	}
-	if cfg.rec != nil || cfg.flight != nil {
+	if cfg.flight != nil {
 		track := cfg.track
 		if track == "" {
 			track = acc.Name()
 		}
 		// One Sprintf-free track lookup, at registration.
-		if cfg.rec != nil {
-			e.trk, e.now = cfg.rec.Track(track), cfg.rec.Now
-		} else {
-			e.flight = cfg.flight
-			e.trk, e.now = cfg.flight.fl.Track(track), cfg.flight.fl.Now
-		}
+		e.flight, e.trk = cfg.flight, cfg.flight.rec.Track(track)
 	}
 	go e.run()
 	return e, nil
@@ -324,7 +303,7 @@ func (e *Engine) run() {
 	}
 	for {
 		if e.trk != nil {
-			now = e.now()
+			now = e.flight.rec.Now()
 		}
 		n := e.in.TryPopInto(buf[fill:])
 		fill += n
@@ -390,7 +369,7 @@ loop:
 	for ; len(in) > 0; in = in[inW:] {
 		var t0 uint64
 		if e.trk != nil {
-			t0 = e.now()
+			t0 = e.flight.rec.Now()
 		}
 		var res []Word
 		if res, ok = e.processBlock(in[:inW]); !ok {
@@ -442,7 +421,7 @@ func (e *Engine) publish(n int) {
 		e.out.CommitWrite(n)
 		return
 	}
-	t0 := e.now()
+	t0 := e.flight.rec.Now()
 	e.out.CommitWrite(n)
 	e.trk.Span("publish", t0)
 }

@@ -133,10 +133,9 @@ func TestChainPropagatesEOS(t *testing.T) {
 
 // TestEngineDrainsOnCloseTraced: the traced loop takes the same EOS path.
 func TestEngineDrainsOnCloseTraced(t *testing.T) {
-	tr := NewTrace()
 	in, _ := NewFifo[Word](64)
 	out, _ := NewFifo[Word](64)
-	e, err := Register(NewNull(), in, out, WithTrace(tr, "null"))
+	e, err := Register(NewNull(), in, out, WithFlightRecorder(NewFlightRecorder(4096), "null"))
 	if err != nil {
 		t.Fatal(err)
 	}

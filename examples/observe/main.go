@@ -46,9 +46,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The flight recorder replaces WithTrace for always-on deployments: the
-	// ring holds the last 4096 events per track in fixed memory, and the
-	// engine dumps it automatically if it parks on a terminal error.
+	// The flight recorder is always on: the ring holds the last 4096 events
+	// per track in fixed memory, and the engine dumps it automatically if it
+	// parks on a terminal error.
 	flight := cohort.NewFlightRecorder(4096)
 	flight.SetAutoDump(os.Stderr, func(reason string) { log.Printf("flight dump: %s", reason) })
 

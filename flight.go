@@ -8,22 +8,13 @@ import (
 	"cohort/internal/trace"
 )
 
-// eventSink is the common writer interface of the two recorder flavours an
-// engine or application track can emit into: the unbounded *trace.Track
-// (WithTrace) and the fixed-memory *trace.FlightTrack (WithFlightRecorder).
-type eventSink interface {
-	Instant(name string)
-	Span(name string, start uint64)
-	SpanAt(name string, start, dur uint64)
-	Counter(name string, v int64)
-}
-
-// FlightRecorder is always-on, fixed-memory tracing for long-running
-// services — the black box to Trace's lab recorder. Engines attached with
-// WithFlightRecorder emit the same poll/backoff/drain/compute/publish spans
-// as WithTrace, but into a bounded per-track ring that keeps only the most
-// recent events: memory never grows, so the recorder can stay enabled for
-// the life of the process.
+// FlightRecorder is the native runtime's trace recorder: always-on,
+// fixed-memory tracing for long-running services. Engines attached with
+// WithFlightRecorder emit poll/backoff idle spans, a drain span per wakeup, a
+// compute span per block and a publish span per output publication onto
+// per-engine tracks, stamped in microseconds since the recorder was created.
+// Each track is a bounded ring that keeps only the most recent events: memory
+// never grows, so the recorder can stay enabled for the life of the process.
 //
 // The ring can be snapshotted at any moment (WriteChrome), and it dumps
 // itself automatically when something goes wrong: an engine parking with a
@@ -34,7 +25,7 @@ type eventSink interface {
 // Safe for concurrent use by any number of engines; writes take only the
 // written track's own mutex.
 type FlightRecorder struct {
-	fl    *trace.Flight
+	rec   *trace.Recorder
 	dumps atomic.Uint64
 
 	mu     sync.Mutex
@@ -46,21 +37,39 @@ type FlightRecorder struct {
 // perTrackEvents events of every track (values below 1 are raised to 1).
 // Its clock starts now, in wall-clock microseconds.
 func NewFlightRecorder(perTrackEvents int) *FlightRecorder {
-	return &FlightRecorder{fl: trace.NewFlightWall(perTrackEvents)}
+	return &FlightRecorder{rec: trace.NewWall(max(perTrackEvents, 1))}
 }
 
-// Track returns a named track for application-side annotations, like
-// Trace.Track but ring-buffered. Unlike Trace tracks, flight tracks are safe
-// for concurrent writers.
+// Track returns a named track for application-side annotations (instants and
+// spans around Push/Pop calls, for example), created on first use. Tracks are
+// safe for concurrent writers.
 func (f *FlightRecorder) Track(name string) *TraceTrack {
-	return &TraceTrack{trk: f.fl.Track(name), now: f.fl.Now}
+	return &TraceTrack{trk: f.rec.Track(name), rec: f.rec}
 }
+
+// TraceTrack is an application-facing track handle on a FlightRecorder.
+type TraceTrack struct {
+	trk *trace.Track
+	rec *trace.Recorder
+}
+
+// Instant marks a point event now.
+func (t *TraceTrack) Instant(name string) { t.trk.Instant(name) }
+
+// Begin starts a span; pass the returned start time to End.
+func (t *TraceTrack) Begin() uint64 { return t.rec.Now() }
+
+// End completes a span opened with Begin.
+func (t *TraceTrack) End(name string, start uint64) { t.trk.Span(name, start) }
+
+// Counter records a named value sample (rendered as a counter track).
+func (t *TraceTrack) Counter(name string, v int64) { t.trk.Counter(name, v) }
 
 // WriteChrome writes the ring contents — the last N events of every track,
 // oldest first — as Chrome trace-event JSON under the given process name.
 // Safe to call at any time, including while engines are running.
 func (f *FlightRecorder) WriteChrome(w io.Writer, process string) error {
-	return trace.WriteChrome(w, f.fl.Snapshot(process))
+	return trace.WriteChrome(w, f.rec.Snapshot(process))
 }
 
 // SetAutoDump wires the automatic failure dump: when an attached engine
@@ -85,7 +94,7 @@ func (f *FlightRecorder) AutoDump(reason string) {
 	f.mu.Lock()
 	sink, onDump := f.sink, f.onDump
 	if sink != nil {
-		_ = trace.WriteChrome(sink, f.fl.Snapshot("flight: "+reason))
+		_ = trace.WriteChrome(sink, f.rec.Snapshot("flight: "+reason))
 	}
 	f.mu.Unlock()
 	if onDump != nil {

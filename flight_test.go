@@ -120,17 +120,6 @@ func TestFlightRecorderAutoDumpOnEngineError(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsDualRecorders: an engine has exactly one span sink.
-func TestRegisterRejectsDualRecorders(t *testing.T) {
-	in, _ := NewFifo[Word](8)
-	out, _ := NewFifo[Word](8)
-	_, err := Register(NewNull(), in, out,
-		WithTrace(NewTrace(), "a"), WithFlightRecorder(NewFlightRecorder(8), "b"))
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Register accepted both recorders (err=%v)", err)
-	}
-}
-
 // TestFlightRecorderManualDumpAndTracks: application tracks land in the ring
 // and AutoDump fires the callback even with no sink configured.
 func TestFlightRecorderManualDumpAndTracks(t *testing.T) {

@@ -87,12 +87,10 @@ type Config struct {
 	// (registered at admission, unregistered at retirement) plus a "sched"
 	// source for the scheduler's own counters.
 	Registry *cohort.Registry
-	// Trace, when non-nil, records scheduler activity: admit/retire instants
-	// on the "sched" track and per-decision serve/swap spans on one
-	// "sched/w<i>" track per worker. Both *cohort.Trace (unbounded, for lab
-	// runs) and *cohort.FlightRecorder (ring-buffered, for long-running
-	// daemons) satisfy Tracer.
-	Trace Tracer
+	// Trace, when non-nil, records scheduler activity into the flight
+	// recorder's rings: admit/retire instants on the "sched" track and
+	// per-decision serve/swap spans on one "sched/w<i>" track per worker.
+	Trace *cohort.FlightRecorder
 	// Retries is the per-block retry budget for transient accelerator faults
 	// (cohort.IsTransient): a faulting block is re-run up to Retries times
 	// before the fault is treated as terminal and the session is retired.
@@ -116,12 +114,6 @@ type Config struct {
 	// the structured event plane (a *telem.Log satisfies it). Only failure
 	// paths emit; the zero-alloc serving steady state never touches it.
 	Events EventSink
-}
-
-// Tracer is the track factory a scheduler records onto — the method shared
-// by cohort.Trace and cohort.FlightRecorder.
-type Tracer interface {
-	Track(name string) *cohort.TraceTrack
 }
 
 // SessionConfig describes one tenant registration.

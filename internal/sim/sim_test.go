@@ -279,20 +279,22 @@ func TestTracingRecordsSpansAndInstants(t *testing.T) {
 		p.Wait(5)
 	})
 	k.Run(0)
-	evs := k.TraceEvents()
+	snap, _ := k.TraceSnapshot("")
 	var spans, instants int
 	var busyTotal Time
-	for _, e := range evs {
-		if e.Dur > 0 {
-			spans++
-			busyTotal += e.Dur
-			if e.Name != "worker" {
-				t.Errorf("span name %q", e.Name)
-			}
-		} else {
-			instants++
-			if e.Name != "milestone" || e.Start != 10 {
-				t.Errorf("instant %+v", e)
+	for _, tr := range snap.Tracks {
+		for _, e := range tr.Events {
+			if e.Dur > 0 {
+				spans++
+				busyTotal += e.Dur
+				if e.Name != "worker" {
+					t.Errorf("span name %q", e.Name)
+				}
+			} else {
+				instants++
+				if e.Name != "milestone" || e.Start != 10 {
+					t.Errorf("instant %+v", e)
+				}
 			}
 		}
 	}
@@ -333,7 +335,7 @@ func TestTracingOffByDefaultCostsNothing(t *testing.T) {
 	k := New()
 	k.Spawn("p", func(p *Proc) { p.Wait(1) })
 	k.Run(0)
-	if k.TracingEnabled() || k.TraceEvents() != nil {
+	if _, ok := k.TraceSnapshot(""); k.TracingEnabled() || ok {
 		t.Fatal("tracing state leaked")
 	}
 	k.TraceInstant("x", "y") // must be a harmless no-op

@@ -11,36 +11,23 @@ import (
 // component-emitted spans, instants and counters, and exports the timeline in
 // the Chrome trace-event format (load it at chrome://tracing or
 // https://ui.perfetto.dev to see cores, endpoints, accelerators, NoC links,
-// directory banks and DMA engines laid out against the cycle axis). The event
-// model lives in the shared internal/trace package — the same model the
-// native runtime records in wall-clock time — with the kernel's cycle counter
-// as the clock. Tracing is off by default and costs nothing until enabled:
+// directory banks and DMA engines laid out against the cycle axis). The
+// recorder is internal/trace's, clocked by the kernel's cycle counter and
+// unbounded, because the whole timeline is the product; the native runtime's
+// flight recorder is the same recorder in wall-clock time with a bounded ring
+// per track. Tracing is off by default and costs nothing until enabled:
 // components pass precomputed track-name strings (never formatting at the
 // call site) and every Trace* method returns immediately when disabled.
-
-// TraceEvent is one flattened timeline entry, kept for tests and programmatic
-// consumers. Dur == 0 marks an instant or counter event.
-type TraceEvent struct {
-	Name  string
-	Cat   string
-	Start Time
-	Dur   Time
-	TID   int
-}
 
 // EnableTracing starts recording process run-spans and component events.
 func (k *Kernel) EnableTracing() {
 	if k.tr == nil {
-		k.tr = trace.New(func() uint64 { return k.now })
+		k.tr = trace.New(func() uint64 { return k.now }, 0)
 	}
 }
 
 // TracingEnabled reports whether tracing is on.
 func (k *Kernel) TracingEnabled() bool { return k.tr != nil }
-
-// Tracer exposes the underlying recorder (nil when tracing is off) for
-// components that cache *trace.Track handles.
-func (k *Kernel) Tracer() *trace.Recorder { return k.tr }
 
 // TraceInstant records a zero-duration marker on the named track (no-op when
 // tracing is off). Components use this for protocol-level moments: an RCM
@@ -77,29 +64,6 @@ func (k *Kernel) TraceCounter(track, name string, v int64) {
 		return
 	}
 	k.tr.Track(track).Counter(name, v)
-}
-
-// TraceEvents returns a flattened copy of everything recorded so far.
-func (k *Kernel) TraceEvents() []TraceEvent {
-	if k.tr == nil {
-		return nil
-	}
-	var out []TraceEvent
-	for ti, tr := range k.tr.Snapshot("").Tracks {
-		for _, e := range tr.Events {
-			cat := "span"
-			switch e.Kind {
-			case trace.KindInstant:
-				cat = "event"
-			case trace.KindCounter:
-				cat = "counter"
-			}
-			out = append(out, TraceEvent{
-				Name: e.Name, Cat: cat, Start: e.Start, Dur: e.Dur, TID: ti + 1,
-			})
-		}
-	}
-	return out
 }
 
 // TraceSnapshot copies the recorded timeline under a process label, for

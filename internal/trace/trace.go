@@ -6,6 +6,14 @@
 // processes as a single Chrome trace-event JSON file, loadable at
 // chrome://tracing or https://ui.perfetto.dev.
 //
+// One Recorder comes in two shapes, chosen by its per-track bound. A bounded
+// recorder keeps the newest perTrack events of every track in a fixed ring —
+// the native runtime's always-on flight recorder, whose memory never grows.
+// An unbounded one (perTrack 0) keeps every event — the simulator's, whose
+// whole timeline is the product. Either may be snapshotted at any time,
+// concurrently with its writers: every write takes only its own track's
+// mutex, so distinct tracks never contend.
+//
 // The API is built so that disabled tracing is guaranteed free: a nil
 // *Recorder yields nil *Tracks, and every Track method is a no-op on a nil
 // receiver — no formatting, no allocation, no clock reads. Callers hold a
@@ -44,28 +52,27 @@ type Event struct {
 // A nil *Recorder is the disabled state: Track returns nil and Now returns 0.
 type Recorder struct {
 	now func() uint64
+	per int
 
 	mu     sync.Mutex
 	tracks map[string]*Track
 	order  []*Track
 }
 
-// New returns a recorder whose events are stamped by now. The clock's unit is
-// the caller's choice (the simulator passes cycles); WriteChrome presents one
-// unit as one microsecond on the viewer's axis.
-func New(now func() uint64) *Recorder {
-	return &Recorder{now: now, tracks: make(map[string]*Track)}
+// New returns a recorder whose events are stamped by now, keeping the newest
+// perTrack events of each track; perTrack 0 (or less) keeps every event. The
+// clock's unit is the caller's choice (the simulator passes cycles); WriteChrome
+// presents one unit as one microsecond on the viewer's axis.
+func New(now func() uint64, perTrack int) *Recorder {
+	return &Recorder{now: now, per: perTrack, tracks: make(map[string]*Track)}
 }
 
 // NewWall returns a recorder stamping events with wall-clock microseconds
 // since its creation — the native runtime's time domain.
-func NewWall() *Recorder {
+func NewWall(perTrack int) *Recorder {
 	start := time.Now()
-	return New(func() uint64 { return uint64(time.Since(start) / time.Microsecond) })
+	return New(func() uint64 { return uint64(time.Since(start) / time.Microsecond) }, perTrack)
 }
-
-// Enabled reports whether the recorder records (i.e. is non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Now returns the current timestamp, or 0 when disabled.
 func (r *Recorder) Now() uint64 {
@@ -75,10 +82,10 @@ func (r *Recorder) Now() uint64 {
 	return r.now()
 }
 
-// Track returns the named track, creating it on first use; repeated calls
-// with the same name return the same track. Returns nil on a nil recorder —
-// every Track method no-ops on nil, so callers hold tracks unconditionally.
-// Safe for concurrent use.
+// Track returns the named track, creating it on first use (a bounded track
+// allocates its whole ring here); repeated calls with the same name return
+// the same track. Returns nil on a nil recorder — every Track method no-ops
+// on nil, so callers hold tracks unconditionally. Safe for concurrent use.
 func (r *Recorder) Track(name string) *Track {
 	if r == nil {
 		return nil
@@ -88,27 +95,36 @@ func (r *Recorder) Track(name string) *Track {
 	t := r.tracks[name]
 	if t == nil {
 		t = &Track{r: r, name: name}
+		if r.per > 0 {
+			t.events = make([]Event, 0, r.per)
+		}
 		r.tracks[name] = t
 		r.order = append(r.order, t)
 	}
 	return t
 }
 
-// Track is one named timeline. Each track must have a single writer at a time
-// (per-component tracks satisfy this by construction); distinct tracks may be
-// written concurrently. All methods are no-ops on a nil receiver.
+// Track is one named timeline. Every write takes the track's own mutex, so a
+// track may have concurrent writers and be snapshotted while written. All
+// methods are no-ops on a nil receiver.
 type Track struct {
-	r      *Recorder
-	name   string
-	events []Event
+	r    *Recorder
+	name string
+
+	mu     sync.Mutex
+	events []Event // grows to r.per, then is a ring whose next slot is n%r.per
+	n      uint64  // events ever written
 }
 
-// Name returns the track's name ("" for nil).
-func (t *Track) Name() string {
-	if t == nil {
-		return ""
+func (t *Track) add(e Event) {
+	t.mu.Lock()
+	if t.r.per <= 0 || len(t.events) < t.r.per {
+		t.events = append(t.events, e)
+	} else {
+		t.events[t.n%uint64(t.r.per)] = e
 	}
-	return t.name
+	t.n++
+	t.mu.Unlock()
 }
 
 // Instant records a zero-duration marker at the current time.
@@ -116,7 +132,7 @@ func (t *Track) Instant(name string) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{Name: name, Kind: KindInstant, Start: t.r.now()})
+	t.add(Event{Name: name, Kind: KindInstant, Start: t.r.now()})
 }
 
 // Span records a duration from start (a value previously obtained from
@@ -129,7 +145,7 @@ func (t *Track) Span(name string, start uint64) {
 	if now < start {
 		now = start
 	}
-	t.events = append(t.events, Event{Name: name, Kind: KindSpan, Start: start, Dur: now - start})
+	t.add(Event{Name: name, Kind: KindSpan, Start: start, Dur: now - start})
 }
 
 // SpanAt records a duration with explicit bounds — used when the span's
@@ -139,7 +155,7 @@ func (t *Track) SpanAt(name string, start, dur uint64) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{Name: name, Kind: KindSpan, Start: start, Dur: dur})
+	t.add(Event{Name: name, Kind: KindSpan, Start: start, Dur: dur})
 }
 
 // Counter records a sampled value at the current time; the viewer renders
@@ -148,7 +164,20 @@ func (t *Track) Counter(name string, v int64) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{Name: name, Kind: KindCounter, Start: t.r.now(), Value: v})
+	t.add(Event{Name: name, Kind: KindCounter, Start: t.r.now(), Value: v})
+}
+
+// snapshot copies the track's events oldest-first.
+func (t *Track) snapshot() TrackSnapshot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	head := 0 // oldest slot; nonzero only once a ring has wrapped
+	if t.n > uint64(len(t.events)) {
+		head = int(t.n % uint64(len(t.events)))
+	}
+	out := make([]Event, 0, len(t.events))
+	out = append(out, t.events[head:]...)
+	return TrackSnapshot{Name: t.name, Events: append(out, t.events[:head]...)}
 }
 
 // TrackSnapshot is one track's recorded events.
@@ -164,21 +193,19 @@ type Snapshot struct {
 	Tracks  []TrackSnapshot
 }
 
-// Snapshot copies everything recorded so far under the given process label.
-// Take it only after all track writers have quiesced (tracks are written
-// without the recorder's lock). A nil recorder yields an empty snapshot.
+// Snapshot copies every track's events, oldest first, under the given
+// process label. Safe at any time, including while tracks are being written.
+// A nil recorder yields an empty snapshot.
 func (r *Recorder) Snapshot(process string) Snapshot {
 	s := Snapshot{Process: process}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, t := range r.order {
-		s.Tracks = append(s.Tracks, TrackSnapshot{
-			Name:   t.name,
-			Events: append([]Event(nil), t.events...),
-		})
+	order := append([]*Track(nil), r.order...)
+	r.mu.Unlock()
+	for _, t := range order {
+		s.Tracks = append(s.Tracks, t.snapshot())
 	}
 	return s
 }

@@ -26,7 +26,7 @@ func buildTrace(t *testing.T, procs ...trace.Snapshot) *Trace {
 
 func TestParseResolvesMetadata(t *testing.T) {
 	var clock uint64
-	rec := trace.New(func() uint64 { return clock })
+	rec := trace.New(func() uint64 { return clock }, 0)
 	rec.Track("dir0").SpanAt("GetM", 10, 5)
 	rec.Track("cohort0.rcm").Instant("inv-wakeup")
 
@@ -60,7 +60,7 @@ func TestParseTraceEventsObjectForm(t *testing.T) {
 }
 
 func TestSpanStatsExactQuantiles(t *testing.T) {
-	rec := trace.New(func() uint64 { return 0 })
+	rec := trace.New(func() uint64 { return 0 }, 0)
 	trk := rec.Track("dir0")
 	// 100 GetM spans with durations 1..100: p50=50, p95=95, p99=99.
 	for d := uint64(1); d <= 100; d++ {
@@ -85,7 +85,7 @@ func TestSpanStatsExactQuantiles(t *testing.T) {
 }
 
 func TestUtilizationUnionsOverlaps(t *testing.T) {
-	rec := trace.New(func() uint64 { return 0 })
+	rec := trace.New(func() uint64 { return 0 }, 0)
 	busy := rec.Track("busy")
 	busy.SpanAt("a", 0, 60)
 	busy.SpanAt("b", 40, 20) // nested in [0,60): no extra busy time
@@ -106,7 +106,7 @@ func TestUtilizationUnionsOverlaps(t *testing.T) {
 
 func TestCounterStatsTimeWeightedMean(t *testing.T) {
 	var clock uint64
-	rec := trace.New(func() uint64 { return clock })
+	rec := trace.New(func() uint64 { return clock }, 0)
 	trk := rec.Track("dir0")
 	clock = 0
 	trk.Counter("occupancy", 2)
@@ -133,7 +133,7 @@ func TestCounterStatsTimeWeightedMean(t *testing.T) {
 
 func TestCriticalPathDecomposition(t *testing.T) {
 	var clock uint64
-	rec := trace.New(func() uint64 { return clock })
+	rec := trace.New(func() uint64 { return clock }, 0)
 	rcm := rec.Track("cohort0.rcm")
 	cons := rec.Track("cohort0.consumer")
 	dir := rec.Track("dir1")
@@ -177,7 +177,7 @@ func TestCriticalPathDecomposition(t *testing.T) {
 }
 
 func TestCriticalPathEmptyOnForeignTrace(t *testing.T) {
-	rec := trace.New(func() uint64 { return 0 })
+	rec := trace.New(func() uint64 { return 0 }, 0)
 	rec.Track("engine").SpanAt("drain", 0, 10)
 	cp := buildTrace(t, rec.Snapshot("native")).CriticalPath()
 	if cp.ProducerWait.Count != 0 || cp.Invalidate.Count != 0 || cp.Drain.Count != 0 {

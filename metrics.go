@@ -12,15 +12,14 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"cohort/internal/trace"
 )
 
 // This file is the native runtime's observability surface: a pull-based
-// metrics registry over the runtime's allocation-free counters, a log2
-// latency-histogram snapshot type, and a wall-clock trace recorder that
-// writes the same Chrome trace-event JSON as the simulator — so a native run
-// and a simulated run open side by side in Perfetto.
+// metrics registry over the runtime's allocation-free counters and a log2
+// latency-histogram snapshot type. Its wall-clock trace recorder,
+// FlightRecorder (flight.go), writes the same Chrome trace-event JSON as the
+// simulator — so a native run and a simulated run open side by side in
+// Perfetto.
 
 // Metric is one named sample: a plain counter value, or — when Histo is
 // non-nil — a whole latency distribution (rendered as quantiles by String
@@ -556,49 +555,3 @@ func (h LatencyHistogram) String() string {
 	}
 	return b.String()
 }
-
-// Trace is a wall-clock trace recorder for the native runtime. Attach
-// engines with WithTrace at registration; their poll/drain/compute/publish/
-// backoff activity lands on per-engine tracks, timestamped in microseconds
-// since the recorder was created. Write the result with WriteChrome and open
-// it at https://ui.perfetto.dev. Safe for concurrent use by any number of
-// engines.
-type Trace struct {
-	rec *trace.Recorder
-}
-
-// NewTrace creates a recorder whose clock starts now.
-func NewTrace() *Trace { return &Trace{rec: trace.NewWall()} }
-
-// Track returns a named track for application-side annotations (instants and
-// spans around Push/Pop calls, for example). Tracks are created on first use
-// and are safe for use by one goroutine at a time.
-func (t *Trace) Track(name string) *TraceTrack {
-	return &TraceTrack{trk: t.rec.Track(name), now: t.rec.Now}
-}
-
-// WriteChrome writes everything recorded so far as Chrome trace-event JSON
-// under the given process name. Call after the traced engines have quiesced
-// (Unregister), or accept that in-flight spans may be missing.
-func (t *Trace) WriteChrome(w io.Writer, process string) error {
-	return trace.WriteChrome(w, t.rec.Snapshot(process))
-}
-
-// TraceTrack is an application-facing track handle, backed by either a
-// Trace (unbounded) or a FlightRecorder (ring-buffered) track.
-type TraceTrack struct {
-	trk eventSink
-	now func() uint64
-}
-
-// Instant marks a point event now.
-func (t *TraceTrack) Instant(name string) { t.trk.Instant(name) }
-
-// Begin starts a span; pass the returned start time to End.
-func (t *TraceTrack) Begin() uint64 { return t.now() }
-
-// End completes a span opened with Begin.
-func (t *TraceTrack) End(name string, start uint64) { t.trk.Span(name, start) }
-
-// Counter records a named value sample (rendered as a counter track).
-func (t *TraceTrack) Counter(name string, v int64) { t.trk.Counter(name, v) }

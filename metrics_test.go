@@ -205,10 +205,10 @@ func TestEngineStatsDetailAndReset(t *testing.T) {
 // engine emits drain/compute/publish spans and idle poll-or-backoff spans
 // into a Perfetto-loadable document.
 func TestEngineTraceSpans(t *testing.T) {
-	tr := NewTrace()
+	tr := NewFlightRecorder(4096)
 	in, _ := NewFifo[Word](256)
 	out, _ := NewFifo[Word](256)
-	e, err := Register(NewNull(), in, out, WithBatch(4), WithTrace(tr, "null-engine"))
+	e, err := Register(NewNull(), in, out, WithBatch(4), WithFlightRecorder(tr, "null-engine"))
 	if err != nil {
 		t.Fatal(err)
 	}
