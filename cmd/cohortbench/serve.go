@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"cohort"
@@ -66,8 +67,8 @@ func startServe(addr, experiment string, p bench.Params) (wait func(), err error
 	if err := srv.Serve(addr); err != nil {
 		return nil, err
 	}
-	fmt.Printf("observability plane on http://%s (/metrics /trace /debug/pprof; observed point: %v q=%d)\n\n",
-		srv.Addr(), w, q)
+	fmt.Printf("observability plane on http://%s (%s; observed point: %v q=%d)\n\n",
+		srv.Addr(), strings.Join(srv.Routes(), " "), w, q)
 	return func() {
 		obsrv.AwaitShutdown(
 			fmt.Sprintf("experiments done; serving on http://%s until interrupted (Ctrl-C)", srv.Addr()),

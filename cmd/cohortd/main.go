@@ -22,7 +22,7 @@
 // A breach flips /healthz to degraded with the reason; every breach,
 // recovery, session kill, terminal fault, watchdog stall/recovery and
 // admission rejection lands in the structured event ring on /events
-// (?since=<cursor>&max=<n>, capacity -events) and in the process log.
+// (?since=<cursor>&max=<n>, the newest 1024 events) and in the process log.
 //
 // Latency attribution: -latency-sample N stamps one scheduling quantum in
 // every N at its stage boundaries (queue wait, dispatch, compute, wire
@@ -37,8 +37,8 @@
 // transient accelerator faults (with -retry-backoff pacing the attempts); a
 // terminal fault retires only the faulting session — other tenants keep
 // their fair shares and the daemon keeps serving. A worker that stops
-// completing work for -stall-window while sessions wait is reported stalled
-// on /healthz (503) and dumps the flight ring.
+// completing work for 2s while sessions wait is reported stalled on
+// /healthz (503) and dumps the flight ring.
 //
 // -smoke runs a self-test instead of serving: it starts the daemon on a
 // loopback port, streams a SHA-256 job through a real client connection,
@@ -55,6 +55,7 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"strings"
 	"time"
 
 	"cohort"
@@ -67,12 +68,20 @@ import (
 
 // telemConfig carries the telemetry-plane flags into run.
 type telemConfig struct {
-	slos      []telem.SLO
-	tick      time.Duration
-	short     time.Duration
-	long      time.Duration
-	eventsCap int
+	slos  []telem.SLO
+	tick  time.Duration
+	short time.Duration
+	long  time.Duration
 }
+
+// Fixed serving knobs: every deployment and test runs these values.
+const (
+	maxSessions  = 64               // admission control: max concurrently live sessions
+	queueCap     = 4096             // per-direction session queue capacity in words
+	eventsCap    = 1024             // structured event ring capacity (/events)
+	stallWindow  = 2 * time.Second  // a worker idle this long while work waits is stalled
+	drainTimeout = 30 * time.Second // max wait for in-flight sessions when draining
+)
 
 // policyConfig carries the adaptive-controller flags into run.
 type policyConfig struct {
@@ -87,25 +96,18 @@ func main() {
 		engines       = flag.Int("engines", 2, "engine worker pool size")
 		quantum       = flag.Int("quantum", 32, "max blocks served per scheduling decision")
 		switchCost    = flag.Duration("switch-cost", 0, "modeled cohort_register CSR-swap cost per session switch")
-		maxSessions   = flag.Int("max-sessions", 64, "admission control: max concurrently live sessions")
-		queueCap      = flag.Int("queue-cap", 4096, "default per-direction session queue capacity in words")
 		retries       = flag.Int("retries", 0, "per-block retry budget for transient accelerator faults (0 = every fault is terminal)")
 		retryBackoff  = flag.Duration("retry-backoff", 100*time.Microsecond, "pause before the first retry, doubling per attempt")
 		latencySample = flag.Int("latency-sample", 64, "stage-latency attribution: stamp 1 in N scheduling quanta (-1 disables)")
-		stallWindow   = flag.Duration("stall-window", 2*time.Second, "declare an engine worker stalled after this long without progress while work waits")
 		httpAddr      = flag.String("http", "", "serve /metrics, /healthz, /sessions, /stats/*, /events, /trace and /debug/pprof on this address (e.g. :9122)")
 		slo           = flag.String("slo", "", "SLO specs: JSON array literal or file path, e.g. [{\"tenant\":\"*\",\"stage\":\"compute\",\"p99_ms\":2}]")
 		sloTick       = flag.Duration("slo-tick", time.Second, "telemetry sampling period")
 		sloShort      = flag.Duration("slo-short", 10*time.Second, "short observation window for rates, quantiles and burn rates")
 		sloLong       = flag.Duration("slo-long", 5*time.Minute, "long observation window for burn-rate confirmation")
-		eventsCap     = flag.Int("events", 1024, "structured event ring capacity (/events)")
 		adaptive      = flag.Bool("adaptive", false, "enable the online policy controller: epsilon-greedy bandit over (quantum, coalesce) arms plus AIMD batch-floor tuning, fed by the telemetry sampler (-slo-tick cadence); decisions land on /policy, /events and cohort_policy_* metrics")
 		policySpec    = flag.String("policy", "", "adaptive-controller spec: JSON object literal or @file, e.g. {\"quantum\":[8,32,128],\"coalesce_words\":[1024,65536],\"epsilon\":0.1}")
 		policyTick    = flag.Duration("policy-tick", 0, "minimum spacing between controller decisions (0: decide on every sampler tick)")
-		drain         = flag.Bool("drain", false, "drain on SIGTERM/SIGINT: stop admitting sessions, flush the in-flight ones (up to -drain-timeout), then exit — the rolling-restart path; /drain (POST) starts a drain early")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight sessions to finish when draining")
-		noDelay       = flag.Bool("nodelay", true, "set TCP_NODELAY on accepted connections (frames flush without Nagle delay)")
-		sockBuf       = flag.Int("sockbuf", 0, "socket read/write buffer size in bytes for accepted connections (0: kernel default)")
+		drain         = flag.Bool("drain", false, "drain on SIGTERM/SIGINT: stop admitting sessions, flush the in-flight ones (up to 30s), then exit — the rolling-restart path; /drain (POST) starts a drain early")
 		logLevel      = flag.String("log-level", "info", "log floor: debug, info, warn or error")
 		smoke         = flag.Bool("smoke", false, "run the loopback self-test and exit")
 	)
@@ -123,10 +125,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cohortd: %v\n", err)
 		os.Exit(2)
 	}
-	tc := telemConfig{
-		slos: slos, tick: *sloTick, short: *sloShort, long: *sloLong,
-		eventsCap: *eventsCap,
-	}
+	tc := telemConfig{slos: slos, tick: *sloTick, short: *sloShort, long: *sloLong}
 	spec, err := policy.ParseSpec(*policySpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cohortd: %v\n", err)
@@ -136,7 +135,7 @@ func main() {
 
 	cfg := sched.Config{
 		Engines: *engines, Quantum: *quantum, SwitchCost: *switchCost,
-		MaxSessions: *maxSessions, QueueCap: *queueCap,
+		MaxSessions: maxSessions, QueueCap: queueCap,
 		Retries: *retries, RetryBackoff: *retryBackoff,
 		LatencySample: *latencySample,
 	}
@@ -147,13 +146,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(cfg, tc, pc, logger, *listen, *httpAddr, *noDelay, *sockBuf, *stallWindow, *drain, *drainTimeout); err != nil {
+	if err := run(cfg, tc, pc, logger, *listen, *httpAddr, *drain); err != nil {
 		logger.Error("cohortd exiting", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger, listen, httpAddr string, noDelay bool, sockBuf int, stallWindow time.Duration, drain bool, drainTimeout time.Duration) error {
+func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger, listen, httpAddr string, drain bool) error {
 	reg := cohort.NewRegistry()
 	flight := cohort.NewFlightRecorder(4096)
 	cfg.Registry = reg
@@ -164,14 +163,11 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 	// terminal faults, rejections), the watchdog's stall edges and the SLO
 	// engine's breach/recovery flips all land in one ring, mirrored to the
 	// process log and served on /events.
-	events := telem.NewLog(tc.eventsCap, logger)
+	events := telem.NewLog(eventsCap, logger)
 	cfg.Events = events
 
 	s := sched.New(cfg)
 	sv := sched.NewServer(s, nil)
-	sv.NoDelay = noDelay
-	sv.ReadBufferSize = sockBuf
-	sv.WriteBufferSize = sockBuf
 	sv.Log = logger
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -227,21 +223,22 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 			"arms", len(ctl.Doc().Arms), "decide", pc.decide)
 	}
 
-	var policyFn func() any
-	if ctl != nil {
-		policyFn = func() any { return ctl.Doc() }
-	}
 	var web *obsrv.Server
 	if httpAddr != "" {
+		docs := map[string]func() any{
+			"/sessions":      func() any { return s.Sessions() },
+			"/stats/latency": func() any { return s.LatencyStats() },
+			"/stats/slo":     func() any { return sampler.Status() },
+			"/stats/windows": func() any { return sampler.Windows() },
+		}
+		if ctl != nil {
+			docs["/policy"] = func() any { return ctl.Doc() }
+		}
 		web = obsrv.New(obsrv.Options{
-			Policy:       policyFn,
-			MetricsText:  reg.WritePrometheus,
-			TraceJSON:    func(w io.Writer) error { return flight.WriteChrome(w, "cohortd") },
-			Sessions:     func() any { return s.Sessions() },
-			LatencyStats: func() any { return s.LatencyStats() },
-			SLOStats:     func() any { return sampler.Status() },
-			WindowStats:  func() any { return sampler.Windows() },
-			Events:       func(since uint64, max int) any { return events.PageSince(since, max) },
+			MetricsText: reg.WritePrometheus,
+			TraceJSON:   func(w io.Writer) error { return flight.WriteChrome(w, "cohortd") },
+			Events:      func(since uint64, max int) any { return events.PageSince(since, max) },
+			Docs:        docs,
 			// /drain: POST starts draining (stop admitting, flush in-flight
 			// sessions); GET reads progress. Either way the response is the
 			// live drain-progress document.
@@ -302,7 +299,7 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 			return err
 		}
 		logger.Info("observability plane up", "addr", web.Addr(),
-			"endpoints", "/metrics /healthz /sessions /stats/latency /stats/slo /stats/windows /events /policy /trace /debug/pprof")
+			"endpoints", strings.Join(web.Routes(), " "))
 	}
 
 	obsrv.AwaitShutdown(

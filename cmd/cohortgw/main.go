@@ -9,8 +9,8 @@
 // ejected while its in-flight sessions finish ("draining") — each
 // transition lands in the gateway's /events ring as shard_up / shard_drain
 // / shard_down. An Open whose owner shard refuses (draining, admission
-// full) or cannot be dialed fails over to the next ring candidate
-// (-replicas) before the client hears anything; a shard lost mid-stream
+// full) or cannot be dialed (2s timeout) fails over to the next ring
+// candidate before the client hears anything; a shard lost mid-stream
 // surfaces as a typed CodeKilled error the client's reconnect path replays.
 //
 // The -http plane serves the fleet merged: /healthz (per-shard rows plus a
@@ -28,6 +28,7 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"strings"
 	"time"
 
 	"cohort"
@@ -38,15 +39,11 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:7410", "serve the wire protocol on this TCP address")
-		httpAddr  = flag.String("http", "", "serve the merged fleet observability plane on this address (e.g. :9120)")
-		shards    = flag.String("shards", "", "comma-separated shard list: [name=]wireaddr@httpaddr,... (required)")
-		vnodes    = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the consistent-hash ring")
-		replicas  = flag.Int("replicas", 2, "ring candidates an open may try before giving up (failover depth)")
-		probe     = flag.Duration("probe", time.Second, "shard health-probe period")
-		dialTO    = flag.Duration("dial-timeout", 2*time.Second, "per-shard dial timeout for proxied sessions")
-		eventsCap = flag.Int("events", 1024, "structured event ring capacity (/events)")
-		logLevel  = flag.String("log-level", "info", "log floor: debug, info, warn or error")
+		listen   = flag.String("listen", "127.0.0.1:7410", "serve the wire protocol on this TCP address")
+		httpAddr = flag.String("http", "", "serve the merged fleet observability plane on this address (e.g. :9120)")
+		shards   = flag.String("shards", "", "comma-separated shard list: [name=]wireaddr@httpaddr,... (required)")
+		probe    = flag.Duration("probe", time.Second, "shard health-probe period")
+		logLevel = flag.String("log-level", "info", "log floor: debug, info, warn or error")
 	)
 	flag.Parse()
 
@@ -62,20 +59,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cohortgw: %v (use -shards wireaddr@httpaddr,...)\n", err)
 		os.Exit(2)
 	}
-	if err := run(members, logger, *listen, *httpAddr, *vnodes, *replicas, *probe, *dialTO, *eventsCap); err != nil {
+	if err := run(members, logger, *listen, *httpAddr, *probe); err != nil {
 		logger.Error("cohortgw exiting", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(members []cluster.Shard, logger *slog.Logger, listen, httpAddr string,
-	vnodes, replicas int, probe, dialTO time.Duration, eventsCap int) error {
+// Fixed routing knobs: every deployment and test runs these values.
+const (
+	replicas  = 2               // ring candidates an Open may try (failover depth)
+	dialTO    = 2 * time.Second // per-shard dial timeout for proxied sessions
+	eventsCap = 1024            // structured event ring capacity (/events)
+)
+
+func run(members []cluster.Shard, logger *slog.Logger, listen, httpAddr string, probe time.Duration) error {
 	reg := cohort.NewRegistry()
 	cohort.RegisterBuildInfo(reg, "build")
 	events := telem.NewLog(eventsCap, logger)
 
 	cat, err := cluster.NewCatalog(cluster.CatalogConfig{
-		Shards: members, VNodes: vnodes, Interval: probe,
+		Shards: members, Interval: probe,
 		Events: events, Log: logger,
 	})
 	if err != nil {
@@ -105,11 +108,13 @@ func run(members []cluster.Shard, logger *slog.Logger, listen, httpAddr string,
 		web = obsrv.New(obsrv.Options{
 			MetricsText: reg.WritePrometheus,
 			Health:      fleet.Health,
-			Sessions:    fleet.Sessions,
-			SLOStats:    fleet.SLO,
 			Events:      func(since uint64, max int) any { return events.PageSince(since, max) },
-			Ring:        func() any { return cat.Snapshot() },
-			Shards:      func() any { return cat.Snapshot().Shards },
+			Docs: map[string]func() any{
+				"/sessions":  fleet.Sessions,
+				"/stats/slo": fleet.SLO,
+				"/ring":      func() any { return cat.Snapshot() },
+				"/shards":    func() any { return cat.Snapshot().Shards },
+			},
 		})
 		if err := web.Serve(httpAddr); err != nil {
 			gw.Close()
@@ -117,12 +122,12 @@ func run(members []cluster.Shard, logger *slog.Logger, listen, httpAddr string,
 			return err
 		}
 		logger.Info("fleet observability plane up", "addr", web.Addr(),
-			"endpoints", "/metrics /healthz /sessions /stats/slo /ring /shards /events")
+			"endpoints", strings.Join(web.Routes(), " "))
 	}
 
 	obsrv.AwaitShutdown(
 		fmt.Sprintf("routing %d shards on %s (ring: %d vnodes, %d-way failover) until interrupted (Ctrl-C)",
-			len(members), ln.Addr(), vnodes, replicas),
+			len(members), ln.Addr(), cluster.DefaultVNodes, replicas),
 		func() { gw.Close() },
 		func() { cat.Stop() },
 		func() {

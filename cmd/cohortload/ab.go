@@ -180,9 +180,9 @@ func runAB(cfg runConfig, spec, outPath string) error {
 		Benchmark:     "cohortload/ab",
 		GeneratedUnix: time.Now().Unix(),
 		Config: reportConfig{
-			Accel: cfg.accel, Block: cfg.block, Batch: cfg.batch, Coalesce: cfg.coalesce,
+			Accel: cfg.accel, Block: cfg.block, Batch: cfg.batch, Coalesce: coalesce,
 			Tenants: cfg.tenants, RateHz: cfg.rate, DurationS: cfg.duration.Seconds(),
-			Engines: cfg.engines, Quantum: cfg.quantum, QueueCap: cfg.queueCap,
+			Engines: engines, Quantum: cfg.quantum, QueueCap: queueCap,
 		},
 		Mix: abMix{
 			LatencyTenants:    (cfg.tenants + 1) / 2,
@@ -251,7 +251,7 @@ func spawnABDaemon(cfg runConfig, m abMode) (addr string, docFn func() *policy.D
 	reg := cohort.NewRegistry()
 	events := telem.NewLog(256, nil)
 	s := sched.New(sched.Config{
-		Engines: cfg.engines, Quantum: quantum, QueueCap: cfg.queueCap,
+		Engines: engines, Quantum: quantum, QueueCap: queueCap,
 		SwitchCost: cfg.switchCost, MaxSessions: 2*cfg.tenants + 8,
 		LatencySample: 8, Registry: reg, Events: events,
 	})
@@ -282,7 +282,7 @@ func spawnABDaemon(cfg runConfig, m abMode) (addr string, docFn func() *policy.D
 			// the sweep and exploitation, not random exploration.
 			Epsilon:  0.05,
 			Settle:   1,
-			Seed:     cfg.seed,
+			Seed:     seed,
 			Registry: reg,
 			Events:   events,
 		})
@@ -332,7 +332,7 @@ func abRun(cfg runConfig, m abMode) (abRunResult, error) {
 			defer wg.Done()
 			w := &worker{
 				cfg: cfg, addr: addr,
-				rng: rand.New(rand.NewSource(cfg.seed + int64(i))),
+				rng: rand.New(rand.NewSource(seed + int64(i))),
 			}
 			if i%2 == 0 {
 				// Latency tenant: small paced blocks, geometry via echo CSR.

@@ -12,7 +12,7 @@
 // pacing and measures saturation goodput instead.
 //
 // Each arrival is one -batch-word request. The client packs every arrival
-// due at wake-up into one zero-copy Data frame (up to -coalesce arrivals, via
+// due at wake-up into one zero-copy Data frame (up to 64 arrivals, via
 // SendN).
 //
 // With an empty -addr the daemon runs in-process on a loopback listener.
@@ -30,7 +30,7 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -38,6 +38,7 @@ import (
 	"cohort"
 	"cohort/client"
 	"cohort/internal/sched"
+	"cohort/internal/tracestat"
 	"cohort/internal/wire"
 )
 
@@ -50,14 +51,10 @@ func main() {
 	flag.IntVar(&cfg.block, "block", 64, "echo accelerator block size in words (spawned daemons only)")
 	flag.IntVar(&cfg.tenants, "tenants", 4, "concurrent tenant sessions")
 	flag.IntVar(&cfg.batch, "batch", 64, "words per arrival (one open-loop request)")
-	flag.IntVar(&cfg.coalesce, "coalesce", 64, "max due arrivals packed per Data frame via SendN")
 	flag.Float64Var(&cfg.rate, "rate", 0, "aggregate Poisson arrival rate in batches/sec across all tenants (0: unthrottled saturation)")
 	flag.DurationVar(&cfg.duration, "duration", 3*time.Second, "send window per run")
-	flag.IntVar(&cfg.engines, "engines", 2, "spawned daemon: engine pool size")
 	flag.IntVar(&cfg.quantum, "quantum", 64, "spawned daemon: blocks per scheduling decision")
 	flag.DurationVar(&cfg.switchCost, "switch-cost", 0, "spawned daemon: modeled CSR-swap cost per session switch")
-	flag.IntVar(&cfg.queueCap, "queue-cap", 16384, "spawned daemon: per-direction session queue capacity in words")
-	flag.Int64Var(&cfg.seed, "seed", 1, "arrival-process RNG seed")
 	ab := flag.String("ab", "", "static-vs-adaptive A/B over the same Poisson trace and a skewed tenant mix, e.g. \"static,adaptive\" (modes: static, static:q=N, adaptive); spawned daemons only")
 	abOut := flag.String("ab-report", "", "A/B JSON report path (empty: skip)")
 	sloP99 := flag.Duration("slo-p99", 0, "SLO verdict mode: fail (exit 1) if the run's end-to-end block p99 exceeds this (0: off)")
@@ -65,9 +62,6 @@ func main() {
 
 	if cfg.batch%cfg.block != 0 {
 		log.Fatalf("-batch %d must be a multiple of -block %d", cfg.batch, cfg.block)
-	}
-	if cfg.coalesce < 1 {
-		log.Fatal("-coalesce must be >= 1")
 	}
 	if *ab != "" {
 		if cfg.addr != "" {
@@ -100,20 +94,24 @@ func main() {
 	}
 }
 
+// Fixed load-shape knobs: every run uses these values.
+const (
+	coalesce = 64    // max due arrivals packed per Data frame via SendN
+	engines  = 2     // spawned daemon: engine pool size
+	queueCap = 16384 // spawned daemon: per-direction session queue capacity in words
+	seed     = 1     // arrival-process RNG seed
+)
+
 type runConfig struct {
 	addr       string
 	accel      string
 	block      int
 	tenants    int
 	batch      int
-	coalesce   int
 	rate       float64
 	duration   time.Duration
-	engines    int
 	quantum    int
 	switchCost time.Duration
-	queueCap   int
-	seed       int64
 }
 
 // runResult is one run's aggregate: what the benchstat line and the SLO
@@ -240,7 +238,7 @@ func (e *echoAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
 // listener, with the default catalog plus the echo geometry.
 func spawnDaemon(cfg runConfig) (addr string, stop func(), err error) {
 	s := sched.New(sched.Config{
-		Engines: cfg.engines, Quantum: cfg.quantum, QueueCap: cfg.queueCap,
+		Engines: engines, Quantum: cfg.quantum, QueueCap: queueCap,
 		SwitchCost:  cfg.switchCost,
 		MaxSessions: 2*cfg.tenants + 8,
 	})
@@ -303,7 +301,7 @@ func oneRun(cfg runConfig) (runResult, error) {
 			w := &worker{
 				cfg: cfg, addr: addrs[i%len(addrs)],
 				tenant: fmt.Sprintf("load-%d", i),
-				rng:    rand.New(rand.NewSource(cfg.seed + int64(i))),
+				rng:    rand.New(rand.NewSource(seed + int64(i))),
 				rate:   perSess,
 			}
 			err := w.run()
@@ -348,7 +346,7 @@ func oneRun(cfg runConfig) (runResult, error) {
 	// benchstat-compatible: one line per run, ns/op is per block served.
 	nsPerBlock := float64(elapsed.Nanoseconds()) / float64(max(blocks, 1))
 	fmt.Printf("BenchmarkServe/mode=batched/block=%d/batch=%d/coalesce=%d/tenants=%d \t%8d\t%12.1f ns/op\t%10.2f MB/s\t%10.1f p99-us\n",
-		cfg.block, cfg.batch, cfg.coalesce, cfg.tenants, blocks, nsPerBlock,
+		cfg.block, cfg.batch, coalesce, cfg.tenants, blocks, nsPerBlock,
 		float64(words)*8/1e6/elapsed.Seconds(), res.BlockP99us)
 	if sg := res.ServerStages; sg != nil {
 		// Decomposed e2e latency: the server-resident stage means (sampled
@@ -424,8 +422,8 @@ func (w *worker) run() error {
 	}
 	deadline := t0.Add(w.cfg.duration)
 	next := t0
-	dues := make([]time.Time, 0, w.cfg.coalesce)
-	segs := make([][]cohort.Word, 0, w.cfg.coalesce)
+	dues := make([]time.Time, 0, coalesce)
+	segs := make([][]cohort.Word, 0, coalesce)
 	var sendErr error
 	for time.Now().Before(deadline) {
 		// Collect the arrivals due this pass. Paced mode sleeps to the next
@@ -438,13 +436,13 @@ func (w *worker) run() error {
 				time.Sleep(d)
 			}
 			now := time.Now()
-			for !next.After(now) && len(dues) < w.cfg.coalesce {
+			for !next.After(now) && len(dues) < coalesce {
 				dues = append(dues, next)
 				next = next.Add(time.Duration(w.rng.ExpFloat64() / w.rate * float64(time.Second)))
 			}
 		} else {
 			now := time.Now()
-			for len(dues) < w.cfg.coalesce {
+			for len(dues) < coalesce {
 				dues = append(dues, now)
 			}
 		}
@@ -550,23 +548,11 @@ func (sp *sampler) add(v int64) {
 	sp.vals = append(sp.vals, v)
 }
 
-// quantUS returns the q-quantile of ns samples in microseconds, linearly
-// interpolated between the neighboring order statistics. Interpolation is
-// what makes small sample sets honest: the old truncating index collapsed
-// every quantile onto the same sample below ~1/(1-q) samples — with two
-// tenants, session p50 and p99 both returned ns[0].
+// quantUS returns the q-quantile of ns samples in microseconds. It sorts
+// ns in place.
 func quantUS(ns []int64, q float64) float64 {
-	if len(ns) == 0 {
-		return 0
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	pos := q * float64(len(ns)-1)
-	lo := int(pos)
-	v := float64(ns[lo])
-	if frac := pos - float64(lo); frac > 0 && lo+1 < len(ns) {
-		v += frac * float64(ns[lo+1]-ns[lo])
-	}
-	return round2(v / 1e3)
+	slices.Sort(ns)
+	return round2(tracestat.Quantile(ns, q) / 1e3)
 }
 
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }

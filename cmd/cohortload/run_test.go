@@ -10,9 +10,8 @@ import (
 // receiver, and the server-stage telemetry the clients opt into.
 func TestOneRunSpawned(t *testing.T) {
 	cfg := runConfig{
-		accel: "echo", block: 64, tenants: 2, batch: 64, coalesce: 64,
-		duration: 200 * time.Millisecond, engines: 1, quantum: 64,
-		queueCap: 16384, seed: 1,
+		accel: "echo", block: 64, tenants: 2, batch: 64,
+		duration: 200 * time.Millisecond, quantum: 64,
 	}
 	r, err := oneRun(cfg)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"cohort"
 	"cohort/internal/accel"
@@ -177,7 +178,7 @@ func main() {
 			log.Fatal(err)
 		}
 		obsrv.AwaitShutdown(
-			fmt.Sprintf("\nobservability plane on http://%s (/metrics /trace /debug/pprof) until interrupted (Ctrl-C)", srv.Addr()),
+			fmt.Sprintf("\nobservability plane on http://%s (%s) until interrupted (Ctrl-C)", srv.Addr(), strings.Join(srv.Routes(), " ")),
 			func() { srv.Close() })
 	}
 }

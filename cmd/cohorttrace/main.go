@@ -97,7 +97,7 @@ func report(w io.Writer, tr *tracestat.Trace, top int) {
 	fmt.Fprintf(w, "\nSpan stats (per event name, durations in u):\n")
 	fmt.Fprintf(w, "  %-16s %8s %12s %10s %10s %10s %10s\n", "NAME", "COUNT", "TOTAL", "P50", "P95", "P99", "MAX")
 	for _, s := range shown {
-		fmt.Fprintf(w, "  %-16s %8d %12d %10d %10d %10d %10d\n",
+		fmt.Fprintf(w, "  %-16s %8d %12d %10.1f %10.1f %10.1f %10d\n",
 			s.Name, s.Count, s.Total, s.P50, s.P95, s.P99, s.Max)
 	}
 	if len(shown) < len(stats) {
@@ -157,7 +157,7 @@ func writeCSVs(dir string, tr *tracestat.Trace) error {
 
 	var rows [][]string
 	for _, s := range tr.SpanStats() {
-		rows = append(rows, []string{s.Name, i(s.Count), u(s.Total), u(s.Min), u(s.P50), u(s.P95), u(s.P99), u(s.Max)})
+		rows = append(rows, []string{s.Name, i(s.Count), u(s.Total), u(s.Min), f(s.P50), f(s.P95), f(s.P99), u(s.Max)})
 	}
 	if err := write("spans.csv", []string{"name", "count", "total_u", "min_u", "p50_u", "p95_u", "p99_u", "max_u"}, rows); err != nil {
 		return err

@@ -96,7 +96,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("observability plane on http://%s (/metrics /healthz /trace /debug/pprof)\n", srv.Addr())
+	fmt.Printf("observability plane on http://%s (%s)\n", srv.Addr(), strings.Join(srv.Routes(), " "))
 
 	// Stream work through the engine so the instruments have something to
 	// see: 64 blocks of 64 bytes, digest popped per block.

@@ -60,7 +60,7 @@ func startShard(t *testing.T, name string) *shardProc {
 		Health: func() []obsrv.Health {
 			return []obsrv.Health{{Name: "sched", Draining: s.Draining()}}
 		},
-		Sessions: func() any { return s.Sessions() },
+		Docs: map[string]func() any{"/sessions": func() any { return s.Sessions() }},
 		Drain: func(trigger bool) any {
 			if trigger {
 				s.Drain()
@@ -121,12 +121,14 @@ func startFleet(t *testing.T, n int) *fleet {
 
 	fl := cluster.NewFleet(cat, time.Second)
 	gwWeb := obsrv.New(obsrv.Options{
-		Health:   fl.Health,
-		Sessions: fl.Sessions,
-		SLOStats: fl.SLO,
-		Ring:     func() any { return cat.Snapshot() },
-		Shards:   func() any { return cat.Snapshot().Shards },
-		Events:   func(since uint64, max int) any { return f.events.PageSince(since, max) },
+		Health: fl.Health,
+		Events: func(since uint64, max int) any { return f.events.PageSince(since, max) },
+		Docs: map[string]func() any{
+			"/sessions":  fl.Sessions,
+			"/stats/slo": fl.SLO,
+			"/ring":      func() any { return cat.Snapshot() },
+			"/shards":    func() any { return cat.Snapshot().Shards },
+		},
 	})
 	if err := gwWeb.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

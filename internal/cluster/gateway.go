@@ -186,9 +186,6 @@ func (g *Gateway) handle(client net.Conn) {
 	defer g.wg.Done()
 	defer g.forget(client)
 	defer client.Close()
-	if tc, ok := client.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 
 	cr := wire.NewReader(client)
 	cw := wire.NewWriter(client)
@@ -262,9 +259,6 @@ func (g *Gateway) admit(candidates []Shard, open []byte, cw *wire.Writer, tenant
 				g.cfg.Log.Warn("shard dial failed", "shard", cand.Name, "err", err)
 			}
 			continue
-		}
-		if tc, ok := sc.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
 		}
 		if !g.track(sc) {
 			sc.Close()

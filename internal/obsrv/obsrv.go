@@ -4,27 +4,25 @@
 // a hardware performance-counter bus — always attached, read on demand,
 // never in the data path.
 //
-// Endpoints:
+// Endpoints with their own protocol:
 //
 //	/metrics        Prometheus text exposition (version 0.0.4)
 //	/healthz        JSON liveness per engine; 503 if any engine is unhealthy
 //	/trace          on-demand Chrome trace JSON dump (open in Perfetto)
-//	/sessions       JSON snapshot of live serving sessions (cohortd)
-//	/stats/latency  JSON per-tenant serving-stage latency breakdown (cohortd)
-//	/stats/slo      JSON per-tenant SLO evaluation (telem sampler, cohortd)
-//	/stats/windows  JSON windowed per-tenant rates and quantiles (cohortd)
 //	/events         JSON structured event ring, ?since=<seq>&max=<n> paging
+//	/drain          JSON drain progress; POST starts the drain
 //	/debug/pprof/*  standard Go profiling (CPU, heap, goroutine, ...)
 //
-// Every JSON endpoint sets Content-Type: application/json and
+// Every other endpoint is a snapshot document from Options.Docs (cohortd's
+// /sessions, /stats/*, /policy; cohortgw's /ring, /shards), served by one
+// handler. Every JSON endpoint sets Content-Type: application/json and
 // Cache-Control: no-store — the payloads are live snapshots that must never
-// be served stale by an intermediary.
+// be served stale by an intermediary. Only wired routes are registered, and
+// the / index lists exactly those; anything else is 404.
 //
 // The package deliberately depends only on the standard library and is
-// decoupled from the runtime through the functional fields of Options: the
-// caller supplies writers for metrics and trace payloads and a health
-// snapshot function, so the same server fronts the native runtime, the
-// simulator, or both.
+// decoupled from the runtime through the functional fields of Options, so
+// the same server fronts the native runtime, the simulator, or both.
 package obsrv
 
 import (
@@ -36,7 +34,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -67,44 +67,27 @@ type Health struct {
 func (h Health) Healthy() bool { return h.Err == "" && !h.Stalled }
 
 // Options wires a Server to the runtime. Every field is optional; endpoints
-// whose source is nil respond 404.
+// whose source is nil are not routed and respond 404.
 type Options struct {
 	// MetricsText writes the /metrics payload (Prometheus text format).
 	MetricsText func(w io.Writer) error
 	// TraceJSON writes the /trace payload (Chrome trace event JSON).
 	TraceJSON func(w io.Writer) error
-	// Health snapshots component liveness for /healthz.
+	// Health snapshots component liveness for /healthz. /healthz is always
+	// routed: with no source it reports "ok" with no rows.
 	Health func() []Health
-	// Sessions snapshots live serving sessions for /sessions; the returned
-	// value is marshaled as indented JSON (e.g. []sched.SessionInfo).
-	Sessions func() any
-	// LatencyStats snapshots the per-tenant serving-stage latency breakdown
-	// for /stats/latency; the returned value is marshaled as indented JSON
-	// (e.g. []sched.TenantLatency).
-	LatencyStats func() any
-	// SLOStats snapshots the telemetry sampler's SLO evaluation for
-	// /stats/slo (e.g. telem.SLODoc).
-	SLOStats func() any
-	// WindowStats snapshots the windowed per-tenant rates and quantiles for
-	// /stats/windows (e.g. telem.WindowsDoc).
-	WindowStats func() any
 	// Events pages the structured event ring for /events: events with
 	// sequence numbers after since, at most max (e.g. telem.Log.PageSince).
 	Events func(since uint64, max int) any
-	// Policy snapshots the adaptive controller for /policy: current arm,
-	// reward estimates, switch history (e.g. policy.Controller.Doc).
-	Policy func() any
 	// Drain serves /drain: a POST invokes it with trigger=true (start
 	// draining — stop admitting, flush in-flight sessions), a GET with
 	// trigger=false; either way the returned drain-progress document is
 	// marshaled as JSON (e.g. sched.DrainStatus).
 	Drain func(trigger bool) any
-	// Ring serves /ring: the cluster routing snapshot clients use for
-	// client-side shard routing (e.g. cluster.Catalog.Snapshot).
-	Ring func() any
-	// Shards serves /shards: the shard catalog with per-shard probe state
-	// (cohortgw).
-	Shards func() any
+	// Docs maps a path to a live snapshot served as indented JSON, e.g.
+	// "/sessions" to sched.Scheduler.Sessions or "/policy" to
+	// policy.Controller.Doc.
+	Docs map[string]func() any
 }
 
 // eventsDefaultMax bounds an /events page when the request has no max
@@ -113,8 +96,9 @@ const eventsDefaultMax = 256
 
 // Server serves the observability endpoints over HTTP.
 type Server struct {
-	opts Options
-	mux  *http.ServeMux
+	opts   Options
+	mux    *http.ServeMux
+	routes []string // sorted, for the index
 
 	// Scrape self-metrics, appended to every /metrics response: how many
 	// scrapes this server has answered and how long rendering the last one
@@ -131,31 +115,45 @@ type Server struct {
 // New builds a server with the given sources. Call Serve to bind a
 // listener, or mount Handler on an existing server.
 func New(opts Options) *Server {
-	s := &Server{opts: opts}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/healthz", s.healthz)
-	mux.HandleFunc("/trace", s.trace)
-	mux.HandleFunc("/sessions", s.sessions)
-	mux.HandleFunc("/stats/latency", s.latency)
-	mux.HandleFunc("/stats/slo", s.slo)
-	mux.HandleFunc("/stats/windows", s.windows)
-	mux.HandleFunc("/events", s.events)
-	mux.HandleFunc("/policy", s.policy)
-	mux.HandleFunc("/drain", s.drain)
-	mux.HandleFunc("/ring", s.ring)
-	mux.HandleFunc("/shards", s.shards)
-	mux.HandleFunc("/", s.index)
+	s := &Server{opts: opts, mux: http.NewServeMux()}
+	s.route("/healthz", s.healthz)
+	if opts.MetricsText != nil {
+		s.route("/metrics", s.metrics)
+	}
+	if opts.TraceJSON != nil {
+		s.route("/trace", s.trace)
+	}
+	if opts.Events != nil {
+		s.route("/events", s.events)
+	}
+	if opts.Drain != nil {
+		s.route("/drain", s.drain)
+	}
+	for path, doc := range opts.Docs {
+		s.route(path, func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, doc())
+		})
+	}
 	// net/http/pprof registers on DefaultServeMux at import; wire the
 	// handlers explicitly so this mux works standalone.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.mux = mux
+	s.route("/debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.mux.HandleFunc("/", s.index)
+	slices.Sort(s.routes)
 	return s
 }
+
+// route mounts h on path and lists path in the index.
+func (s *Server) route(path string, h http.HandlerFunc) {
+	s.mux.HandleFunc(path, h)
+	s.routes = append(s.routes, path)
+}
+
+// Routes returns the wired paths in sorted order: what the / index lists.
+func (s *Server) Routes() []string { return slices.Clone(s.routes) }
 
 // Handler returns the root handler, for embedding into an existing mux.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -199,10 +197,6 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
-	if s.opts.MetricsText == nil {
-		http.NotFound(w, r)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	t0 := time.Now()
 	if err := s.opts.MetricsText(w); err != nil {
@@ -233,10 +227,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
-	if s.opts.TraceJSON == nil {
-		http.NotFound(w, r)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="cohort-trace.json"`)
 	if err := s.opts.TraceJSON(w); err != nil {
@@ -279,54 +269,10 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, body)
 }
 
-func (s *Server) sessions(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Sessions == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.Sessions())
-}
-
-func (s *Server) latency(w http.ResponseWriter, r *http.Request) {
-	if s.opts.LatencyStats == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.LatencyStats())
-}
-
-func (s *Server) slo(w http.ResponseWriter, r *http.Request) {
-	if s.opts.SLOStats == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.SLOStats())
-}
-
-func (s *Server) windows(w http.ResponseWriter, r *http.Request) {
-	if s.opts.WindowStats == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.WindowStats())
-}
-
-func (s *Server) policy(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Policy == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.Policy())
-}
-
 // events serves the structured event ring. Query parameters: since=<seq>
 // resumes after a cursor from a previous page (default 0 = oldest held),
 // max=<n> caps the page size (default 256; <= 0 rejected).
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Events == nil {
-		http.NotFound(w, r)
-		return
-	}
 	since := uint64(0)
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
@@ -352,10 +298,6 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 // mode: the rolling-restart entry point an orchestrator hits before sending
 // SIGTERM. GET is a pure status read.
 func (s *Server) drain(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Drain == nil {
-		http.NotFound(w, r)
-		return
-	}
 	switch r.Method {
 	case http.MethodPost:
 		writeJSON(w, http.StatusOK, s.opts.Drain(true))
@@ -367,30 +309,14 @@ func (s *Server) drain(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) ring(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Ring == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.Ring())
-}
-
-func (s *Server) shards(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Shards == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.Shards())
-}
-
-// index is a minimal landing page listing the endpoints.
+// index is a plain-text landing page listing the wired routes.
 func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "cohort observability\n\n/metrics\n/healthz\n/trace\n/sessions\n/stats/latency\n/stats/slo\n/stats/windows\n/events\n/policy\n/drain\n/ring\n/shards\n/debug/pprof/\n") //nolint:errcheck
+	io.WriteString(w, "cohort observability\n\n"+strings.Join(s.routes, "\n")+"\n") //nolint:errcheck
 }
 
 // AwaitShutdown is the shared daemon exit path: print banner (when

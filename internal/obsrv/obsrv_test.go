@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -196,12 +197,12 @@ func TestLatencyStatsEndpoint(t *testing.T) {
 		Samples uint64  `json:"samples"`
 		MeanNs  float64 `json:"mean_ns"`
 	}
-	s := New(Options{LatencyStats: func() any {
+	s := New(Options{Docs: map[string]func() any{"/stats/latency": func() any {
 		return []map[string]any{{
 			"tenant": "acme", "live_sessions": 2, "sample_every": 64,
 			"stages": map[string]stage{"compute": {Samples: 41, MeanNs: 7300}},
 		}}
-	}})
+	}}})
 	rec, body := get(t, s.Handler(), "/stats/latency")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
@@ -224,15 +225,53 @@ func TestLatencyStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestIndexListsLatencyEndpoint: the / index lists exactly the wired routes
+// — a daemon's snapshot documents appear, and a gateway without a policy
+// controller does not advertise /policy (which would 404).
 func TestIndexListsLatencyEndpoint(t *testing.T) {
-	rec, body := get(t, New(Options{}).Handler(), "/")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	for _, path := range []string{"/stats/latency", "/stats/slo", "/stats/windows", "/events"} {
-		if !strings.Contains(body, path) {
-			t.Errorf("index does not advertise %s: %q", path, body)
+	index := func(opts Options) []string {
+		t.Helper()
+		rec, body := get(t, New(opts).Handler(), "/")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d", rec.Code)
 		}
+		head, routes, ok := strings.Cut(body, "\n\n")
+		if !ok || head != "cohort observability" {
+			t.Fatalf("index body = %q", body)
+		}
+		return strings.Fields(routes)
+	}
+	doc := func() any { return nil }
+	daemon := index(Options{
+		MetricsText: func(io.Writer) error { return nil },
+		TraceJSON:   func(io.Writer) error { return nil },
+		Events:      func(uint64, int) any { return nil },
+		Drain:       func(bool) any { return nil },
+		Docs: map[string]func() any{
+			"/sessions": doc, "/stats/latency": doc, "/stats/slo": doc,
+			"/stats/windows": doc, "/policy": doc,
+		},
+	})
+	want := []string{"/debug/pprof/", "/drain", "/events", "/healthz", "/metrics", "/policy",
+		"/sessions", "/stats/latency", "/stats/slo", "/stats/windows", "/trace"}
+	if !slices.Equal(daemon, want) {
+		t.Errorf("daemon index = %q, want %q", daemon, want)
+	}
+
+	gateway := index(Options{
+		Events: func(uint64, int) any { return nil },
+		Docs: map[string]func() any{
+			"/sessions": doc, "/stats/slo": doc, "/ring": doc, "/shards": doc,
+		},
+	})
+	want = []string{"/debug/pprof/", "/events", "/healthz", "/ring", "/sessions", "/shards", "/stats/slo"}
+	if !slices.Equal(gateway, want) {
+		t.Errorf("gateway index = %q, want %q", gateway, want)
+	}
+
+	bare := New(Options{})
+	if got := index(Options{}); !slices.Equal(got, bare.Routes()) || !slices.Equal(got, []string{"/debug/pprof/", "/healthz"}) {
+		t.Errorf("bare index = %q, Routes() = %q", got, bare.Routes())
 	}
 }
 
@@ -240,15 +279,26 @@ func TestIndexListsLatencyEndpoint(t *testing.T) {
 // an explicit media type and no-store caching, so intermediaries never serve
 // a stale health or SLO snapshot.
 func TestJSONEndpointHeaders(t *testing.T) {
+	docs := map[string]func() any{
+		"/sessions":      func() any { return []string{} },
+		"/stats/latency": func() any { return []string{} },
+		"/stats/slo":     func() any { return map[string]any{"degraded": ""} },
+		"/stats/windows": func() any { return map[string]any{"tenants": []string{}} },
+		"/policy":        func() any { return map[string]any{"enabled": false} },
+		"/ring":          func() any { return map[string]any{"version": 1} },
+		"/shards":        func() any { return []string{} },
+	}
 	s := New(Options{
-		Health:       func() []Health { return []Health{{Name: "e"}} },
-		Sessions:     func() any { return []string{} },
-		LatencyStats: func() any { return []string{} },
-		SLOStats:     func() any { return map[string]any{"degraded": ""} },
-		WindowStats:  func() any { return map[string]any{"tenants": []string{}} },
-		Events:       func(since uint64, max int) any { return map[string]any{"next": since, "events": []string{}} },
+		Health: func() []Health { return []Health{{Name: "e"}} },
+		Events: func(since uint64, max int) any { return map[string]any{"next": since, "events": []string{}} },
+		Drain:  func(bool) any { return map[string]any{"draining": false} },
+		Docs:   docs,
 	})
-	for _, path := range []string{"/healthz", "/sessions", "/stats/latency", "/stats/slo", "/stats/windows", "/events"} {
+	paths := []string{"/healthz", "/events", "/drain"}
+	for path := range docs {
+		paths = append(paths, path)
+	}
+	for _, path := range paths {
 		rec, body := get(t, s.Handler(), path)
 		if rec.Code != http.StatusOK {
 			t.Errorf("%s status = %d, body %s", path, rec.Code, body)
@@ -273,10 +323,10 @@ func TestSLOAndWindowsEndpoints(t *testing.T) {
 			t.Errorf("%s status = %d without a source, want 404", path, rec.Code)
 		}
 	}
-	s := New(Options{
-		SLOStats:    func() any { return map[string]any{"degraded": "tenant a: compute p99 over"} },
-		WindowStats: func() any { return map[string]any{"tenants": []map[string]any{{"tenant": "a"}}} },
-	})
+	s := New(Options{Docs: map[string]func() any{
+		"/stats/slo":     func() any { return map[string]any{"degraded": "tenant a: compute p99 over"} },
+		"/stats/windows": func() any { return map[string]any{"tenants": []map[string]any{{"tenant": "a"}}} },
+	}})
 	if _, body := get(t, s.Handler(), "/stats/slo"); !strings.Contains(body, "compute p99 over") {
 		t.Errorf("/stats/slo body = %q", body)
 	}
@@ -417,10 +467,10 @@ func TestDrainEndpoint(t *testing.T) {
 // and 404 when not — single-daemon deployments never grow phantom cluster
 // endpoints.
 func TestRingAndShardsEndpoints(t *testing.T) {
-	s := New(Options{
-		Ring:   func() any { return map[string]any{"version": 7} },
-		Shards: func() any { return []map[string]any{{"name": "s0", "state": "healthy"}} },
-	})
+	s := New(Options{Docs: map[string]func() any{
+		"/ring":   func() any { return map[string]any{"version": 7} },
+		"/shards": func() any { return []map[string]any{{"name": "s0", "state": "healthy"}} },
+	}})
 	h := s.Handler()
 	if rec, body := get(t, h, "/ring"); rec.Code != http.StatusOK || !strings.Contains(body, `"version": 7`) {
 		t.Fatalf("/ring = %d %s", rec.Code, body)

@@ -7,9 +7,9 @@ import (
 )
 
 func TestPolicyEndpoint(t *testing.T) {
-	s := New(Options{Policy: func() any {
+	s := New(Options{Docs: map[string]func() any{"/policy": func() any {
 		return map[string]any{"enabled": true, "current_arm": 2, "switches": 3}
-	}})
+	}}})
 	rec, body := get(t, s.Handler(), "/policy")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)

@@ -43,20 +43,13 @@ func DefaultCatalog() Catalog {
 // frame; outbound results coalesce every completed block sitting in the
 // output queue into a single Data frame written with one writev straight
 // from the queue's ring segments — no allocation and no copy at steady
-// state on little-endian hosts.
+// state on little-endian hosts. Go enables TCP_NODELAY on every TCP
+// connection, so a coalesced frame is never held back by Nagle.
 type Server struct {
 	sch     *Scheduler
 	catalog Catalog
 	wg      sync.WaitGroup
 
-	// Connection knobs, applied to every accepted TCP connection. Set before
-	// Serve. NewServer enables NoDelay: a coalesced Data frame is already a
-	// full batch, so delaying it behind Nagle only adds tail latency.
-	NoDelay bool
-	// ReadBufferSize / WriteBufferSize, when > 0, set SO_RCVBUF/SO_SNDBUF on
-	// accepted connections — headroom knobs for high-bandwidth links.
-	ReadBufferSize  int
-	WriteBufferSize int
 	// Log, when non-nil, receives structured connection-lifecycle records:
 	// session admissions (tenant, accel, session id, remote address),
 	// admission rejections, and session completion with final counters. Nil
@@ -74,7 +67,7 @@ func NewServer(sch *Scheduler, catalog Catalog) *Server {
 	if catalog == nil {
 		catalog = DefaultCatalog()
 	}
-	return &Server{sch: sch, catalog: catalog, NoDelay: true, conns: make(map[net.Conn]struct{})}
+	return &Server{sch: sch, catalog: catalog, conns: make(map[net.Conn]struct{})}
 }
 
 // ErrServerClosed is returned by Serve after Close, mirroring net/http.
@@ -176,16 +169,6 @@ func (sv *Server) handle(c net.Conn) {
 	defer sv.wg.Done()
 	defer sv.forget(c)
 	defer c.Close()
-
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(sv.NoDelay)
-		if sv.ReadBufferSize > 0 {
-			tc.SetReadBuffer(sv.ReadBufferSize)
-		}
-		if sv.WriteBufferSize > 0 {
-			tc.SetWriteBuffer(sv.WriteBufferSize)
-		}
-	}
 
 	fr := wire.NewReader(c)
 	fw := wire.NewWriter(c)

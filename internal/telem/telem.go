@@ -124,14 +124,12 @@ type Config struct {
 	SLOs []SLO
 	// Events, when non-nil, receives slo_breach/slo_recovery transitions.
 	Events *Log
-	// SkipSource filters snapshot sources by name; nil means DefaultSkip.
-	SkipSource func(name string) bool
 }
 
-// DefaultSkip drops per-session sources — they churn with connections and
+// skipSource drops per-session sources — they churn with connections and
 // their lifetime counters are already aggregated into the persistent
 // "tenant/<name>" sources — and the sampler's own exports.
-func DefaultSkip(name string) bool {
+func skipSource(name string) bool {
 	return strings.HasPrefix(name, "session/") ||
 		strings.HasPrefix(name, "rate/") || name == "telem"
 }
@@ -198,9 +196,6 @@ func New(cfg Config) *Sampler {
 	}
 	if cfg.Long <= 0 {
 		cfg.Long = 5 * time.Minute
-	}
-	if cfg.SkipSource == nil {
-		cfg.SkipSource = DefaultSkip
 	}
 	for i := range cfg.SLOs {
 		if cfg.SLOs[i].Tenant == "" {
@@ -331,7 +326,7 @@ func (s *Sampler) tick(now time.Time) {
 	}
 	seen := make(map[string]bool)
 	for i, sn := range snaps {
-		if s.cfg.SkipSource(sn.Name) {
+		if skipSource(sn.Name) {
 			continue
 		}
 		tenant := ""

@@ -175,31 +175,34 @@ func (t *Trace) Extent() (start, end uint64, ok bool) {
 }
 
 // SpanStat aggregates every span sharing one name, across all tracks.
-// Quantiles are exact order statistics over the recorded durations.
+// Quantiles are exact over the recorded durations (see Quantile).
 type SpanStat struct {
 	Name  string
 	Count int
 	Total uint64
 	Min   uint64
 	Max   uint64
-	P50   uint64
-	P95   uint64
-	P99   uint64
+	P50   float64
+	P95   float64
+	P99   float64
 }
 
-// quantile returns the exact p-quantile of sorted (nearest-rank).
-func quantile(sorted []uint64, p float64) uint64 {
+// Quantile returns the exact q-quantile of sorted samples, linearly
+// interpolated between the neighbouring order statistics; 0 when there are
+// none. Interpolation keeps small sample sets honest: a truncating or
+// nearest-rank index collapses p50 and p99 onto one sample below ~1/(1-q)
+// samples.
+func Quantile[T ~int64 | ~uint64 | ~float64](sorted []T, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	v := float64(sorted[lo])
+	if frac := pos - float64(lo); frac > 0 && lo+1 < len(sorted) {
+		v += frac * (float64(sorted[lo+1]) - v)
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return v
 }
 
 // SpanStats aggregates span durations per event name, sorted by total time
@@ -218,9 +221,9 @@ func (t *Trace) SpanStats() []SpanStat {
 		for _, v := range d {
 			st.Total += v
 		}
-		st.P50 = quantile(d, 0.50)
-		st.P95 = quantile(d, 0.95)
-		st.P99 = quantile(d, 0.99)
+		st.P50 = Quantile(d, 0.50)
+		st.P95 = Quantile(d, 0.95)
+		st.P99 = Quantile(d, 0.99)
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -62,7 +62,8 @@ func TestParseTraceEventsObjectForm(t *testing.T) {
 func TestSpanStatsExactQuantiles(t *testing.T) {
 	rec := trace.New(func() uint64 { return 0 }, 0)
 	trk := rec.Track("dir0")
-	// 100 GetM spans with durations 1..100: p50=50, p95=95, p99=99.
+	// 100 GetM spans with durations 1..100: interpolated p50=50.5, p95=95.05,
+	// p99=99.01.
 	for d := uint64(1); d <= 100; d++ {
 		trk.SpanAt("GetM", d*200, d)
 	}
@@ -76,8 +77,9 @@ func TestSpanStatsExactQuantiles(t *testing.T) {
 	if g.Name != "GetM" || g.Count != 100 || g.Total != 5050 || g.Min != 1 || g.Max != 100 {
 		t.Errorf("GetM agg = %+v", g)
 	}
-	if g.P50 != 50 || g.P95 != 95 || g.P99 != 99 {
-		t.Errorf("GetM quantiles = p50=%d p95=%d p99=%d", g.P50, g.P95, g.P99)
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
+	if !near(g.P50, 50.5) || !near(g.P95, 95.05) || !near(g.P99, 99.01) {
+		t.Errorf("GetM quantiles = p50=%v p95=%v p99=%v", g.P50, g.P95, g.P99)
 	}
 	if s := stats[1]; s.Name != "GetS" || s.Count != 1 || s.P50 != 7 || s.P99 != 7 {
 		t.Errorf("GetS agg = %+v", s)
