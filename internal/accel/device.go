@@ -61,8 +61,10 @@ type BlockDevice struct {
 	outWords  int
 	latency   sim.Time
 	configure func(csr []byte) error
-	process   func(in []uint64) []uint64
-	blocks    uint64
+	// process computes one block: it reads len(in) == inWords words and
+	// fills len(out) == outWords words. Both buffers belong to the run.
+	process func(in, out []uint64)
+	blocks  uint64
 }
 
 // Name implements Device.
@@ -159,7 +161,7 @@ type blockRun struct {
 
 // Start implements Device.
 func (d *BlockDevice) Start(k *sim.Kernel, in, out *sim.Queue[uint64]) {
-	r := &blockRun{d: d, buf: make([]uint64, d.inWords)}
+	r := &blockRun{d: d, buf: make([]uint64, d.inWords), res: make([]uint64, d.outWords)}
 	r.start(k, in, out, r.run)
 }
 
@@ -177,10 +179,7 @@ func (r *blockRun) run() {
 			r.compute(d.name, d.latency)
 			return
 		case phaseCompute:
-			r.res = d.process(r.buf)
-			if len(r.res) != d.outWords {
-				panic(fmt.Sprintf("accel: %s produced %d words, want %d", d.name, len(r.res), d.outWords))
-			}
+			d.process(r.buf, r.res)
 			r.i, r.phase = 0, phaseEmit
 		case phaseEmit:
 			for ; r.i < len(r.res); r.i++ {
@@ -208,9 +207,15 @@ func NewSHADevice() *BlockDevice {
 		inWords:  8,
 		outWords: 4,
 		latency:  SHALatency,
-		process: func(in []uint64) []uint64 {
-			sum := SHA256Sum(WordsToBytes(in))
-			return BytesToWords(sum[:])
+		process: func(in, out []uint64) {
+			var blk [SHA256BlockSize]byte
+			for i, w := range in {
+				binary.LittleEndian.PutUint64(blk[8*i:], w)
+			}
+			sum := SHA256Sum64(&blk)
+			for i := range out {
+				out[i] = binary.LittleEndian.Uint64(sum[8*i:])
+			}
 		},
 	}
 }
@@ -234,12 +239,13 @@ func NewAESDevice() *BlockDevice {
 		cipher = c
 		return nil
 	}
-	d.process = func(in []uint64) []uint64 {
+	d.process = func(in, out []uint64) {
 		var blk [AESBlockSize]byte
 		binary.LittleEndian.PutUint64(blk[0:], in[0])
 		binary.LittleEndian.PutUint64(blk[8:], in[1])
 		cipher.Encrypt(blk[:], blk[:])
-		return []uint64{binary.LittleEndian.Uint64(blk[0:]), binary.LittleEndian.Uint64(blk[8:])}
+		out[0] = binary.LittleEndian.Uint64(blk[0:])
+		out[1] = binary.LittleEndian.Uint64(blk[8:])
 	}
 	return d
 }
@@ -252,7 +258,7 @@ func NewNullDevice(latency sim.Time) *BlockDevice {
 		inWords:  1,
 		outWords: 1,
 		latency:  latency,
-		process:  func(in []uint64) []uint64 { return []uint64{in[0]} },
+		process:  func(in, out []uint64) { out[0] = in[0] },
 	}
 }
 
@@ -268,24 +274,22 @@ func NewSTFTDevice(window int) (*BlockDevice, error) {
 	for n := window; n > 1; n >>= 1 {
 		lat += sim.Time(window / 2)
 	}
+	frame := make([]complex128, window)
 	return &BlockDevice{
 		name:     "stft",
 		inWords:  window,
 		outWords: window,
 		latency:  lat,
-		process: func(in []uint64) []uint64 {
-			frame := make([]complex128, window)
+		process: func(in, out []uint64) {
 			for i, w := range in {
 				frame[i] = complex(math.Float64frombits(w)*win[i], 0)
 			}
 			if err := FFT(frame); err != nil {
 				panic(err) // window validated at construction
 			}
-			out := make([]uint64, window)
 			for i, c := range frame {
 				out[i] = math.Float64bits(math.Hypot(real(c), imag(c)))
 			}
-			return out
 		},
 	}, nil
 }

@@ -220,3 +220,44 @@ func TestSTFTDeviceValidation(t *testing.T) {
 		t.Fatal("non-power-of-two window accepted")
 	}
 }
+
+// One warm block through the SHA or AES device allocates nothing: the
+// device packs its input into a fixed block and writes its result into its
+// run's own buffer.
+func TestWarmDeviceBlockAllocs(t *testing.T) {
+	for _, d := range []*BlockDevice{NewSHADevice(), NewAESDevice()} {
+		k := sim.New()
+		inQ := sim.NewQueue[uint64](k, d.InWords())
+		outQ := sim.NewQueue[uint64](k, d.OutWords())
+		d.Start(k, inQ, outQ)
+		in := make([]uint64, d.InWords())
+		out := make([]uint64, d.OutWords())
+		block := func() {
+			for i := range in {
+				in[i]++
+				inQ.TryPut(in[i])
+			}
+			k.Run(0)
+			for i := range out {
+				out[i], _ = outQ.TryGet()
+			}
+			k.Run(0)
+		}
+		block()
+		if n := testing.AllocsPerRun(50, block); n != 0 {
+			t.Fatalf("%s: %.1f allocations per warm block, want 0", d.Name(), n)
+		}
+		var want []byte
+		if d.Name() == "sha256" {
+			sum := sha256.Sum256(WordsToBytes(in))
+			want = sum[:]
+		} else {
+			c, _ := aes.NewCipher(make([]byte, AESKeySize))
+			want = make([]byte, AESBlockSize)
+			c.Encrypt(want, WordsToBytes(in))
+		}
+		if !bytes.Equal(WordsToBytes(out), want) || d.Blocks() != 52 {
+			t.Fatalf("%s: last block %x after %d blocks, want %x after 52", d.Name(), WordsToBytes(out), d.Blocks(), want)
+		}
+	}
+}

@@ -31,6 +31,15 @@ type way struct {
 // mshr tracks one in-flight transaction for a line: a fetch (GetS/GetM
 // awaiting data) or an eviction (PutM awaiting PutAck, holding the dirty
 // data so incoming Fetches can still be answered).
+//
+// MSHRs are recycled, each keeping its signal, so a warm cache allocates
+// none. A transaction leaves the in-flight set when its reply arrives
+// (complete), and its MSHR returns to the spare list once nothing reads it
+// any more: an issuer returns it after its own Wait returns, since
+// ReadOnceU64 reads m.data after waking; a PutM's returns at PutAck, right
+// after the Fire, since no process issued it. Reuse is safe for bystanders
+// parked on done as well: Fire has already scheduled them, and on waking
+// they re-check the in-flight set, never the MSHR.
 type mshr struct {
 	line   mem.PAddr
 	isPut  bool
@@ -63,22 +72,22 @@ type Cache struct {
 
 	sets     [][]way
 	useClock uint64
-	mshrs    map[mem.PAddr]*mshr
+	mshrs    []*mshr // in flight, at most one per line
+	spare    []*mshr // retired, for reuse
 	// pendingInstalls holds responses whose set had no evictable way; they
 	// retry whenever an MSHR completes.
-	pendingInstalls []response
+	pendingInstalls []noc.Payload
 	invHooks        []func(line mem.PAddr)
 	stats           CacheStats
 }
 
 func newCache(sys *System, tile int, name string) *Cache {
 	c := &Cache{
-		sys:   sys,
-		tile:  tile,
-		name:  name,
-		cfg:   sys.cfg,
-		sets:  make([][]way, sys.cfg.Sets),
-		mshrs: make(map[mem.PAddr]*mshr),
+		sys:  sys,
+		tile: tile,
+		name: name,
+		cfg:  sys.cfg,
+		sets: make([][]way, sys.cfg.Sets),
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]way, sys.cfg.Ways)
@@ -105,6 +114,54 @@ func (c *Cache) OnInvalidate(fn func(line mem.PAddr)) {
 
 func (c *Cache) setIndex(line mem.PAddr) int {
 	return int((line / mem.LineSize) % uint64(c.cfg.Sets))
+}
+
+// inFlight returns line's in-flight MSHR, or nil.
+func (c *Cache) inFlight(line mem.PAddr) *mshr {
+	for _, m := range c.mshrs {
+		if m.line == line {
+			return m
+		}
+	}
+	return nil
+}
+
+// open starts a transaction for line on a spare MSHR (see mshr).
+func (c *Cache) open(line mem.PAddr, isPut, isOnce bool) *mshr {
+	var m *mshr
+	if n := len(c.spare); n > 0 {
+		m = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		m = &mshr{done: sim.NewSignal(c.sys.k)}
+	}
+	m.line, m.isPut, m.isOnce = line, isPut, isOnce
+	c.mshrs = append(c.mshrs, m)
+	return m
+}
+
+// complete takes m out of the in-flight set and wakes everything parked on
+// it. The MSHR itself stays out of the spare list until its owner recycles
+// it.
+func (c *Cache) complete(m *mshr) {
+	for i, x := range c.mshrs {
+		if x == m {
+			last := len(c.mshrs) - 1
+			c.mshrs[i] = c.mshrs[last]
+			c.mshrs[last] = nil
+			c.mshrs = c.mshrs[:last]
+			break
+		}
+	}
+	m.done.Fire()
+}
+
+// recycle returns a completed MSHR to the spare list.
+func (c *Cache) recycle(m *mshr) { c.spare = append(c.spare, m) }
+
+// toDir sends a request or completion for line to its home bank.
+func (c *Cache) toDir(line mem.PAddr, size int, pl *noc.Payload) {
+	c.sys.net.Send(c.tile, c.sys.home(line), noc.PortDir, size, pl)
 }
 
 // lookup returns the way holding line, or nil.
@@ -163,19 +220,15 @@ func (c *Cache) Write(p *sim.Proc, pa mem.PAddr, data []byte) {
 // caches, so a PTW must never trap a stale copy in its own L1.
 func (c *Cache) ReadOnceU64(p *sim.Proc, pa mem.PAddr) uint64 {
 	line := mem.LineOf(pa)
-	for {
-		if m, busy := c.mshrs[line]; busy {
-			m.done.Wait(p)
-			continue
-		}
-		break
+	for m := c.inFlight(line); m != nil; m = c.inFlight(line) {
+		m.done.Wait(p)
 	}
-	m := &mshr{line: line, isOnce: true, done: sim.NewSignal(c.sys.k)}
-	c.mshrs[line] = m
-	c.sys.net.Send(c.tile, c.sys.home(line), noc.PortDir, ctrlMsgBytes,
-		request{kind: reqGetOnce, line: line, src: c.tile})
+	m := c.open(line, false, true)
+	c.toDir(line, ctrlMsgBytes, &noc.Payload{Kind: uint8(reqGetOnce), Addr: line})
 	m.done.Wait(p)
-	return le64(m.data[mem.LineOffset(pa) : mem.LineOffset(pa)+8])
+	v := le64(m.data[mem.LineOffset(pa) : mem.LineOffset(pa)+8])
+	c.recycle(m)
+	return v
 }
 
 // WriteOnceU64 performs a coherent *non-caching* 64-bit store: any remote
@@ -199,13 +252,8 @@ func (c *Cache) WriteOnceSpan(p *sim.Proc, pa mem.PAddr, words []uint64) {
 		if n > len(words) {
 			n = len(words)
 		}
-		chunk := append([]uint64(nil), words[:n]...)
-		for {
-			if m, busy := c.mshrs[line]; busy {
-				m.done.Wait(p)
-				continue
-			}
-			break
+		for m := c.inFlight(line); m != nil; m = c.inFlight(line) {
+			m.done.Wait(p)
 		}
 		if w := c.lookup(line); w != nil {
 			if w.state == stateM {
@@ -213,11 +261,14 @@ func (c *Cache) WriteOnceSpan(p *sim.Proc, pa mem.PAddr, words []uint64) {
 			}
 			w.valid = false // drop the clean local copy; the directory treats us as gone
 		}
-		m := &mshr{line: line, isOnce: true, done: sim.NewSignal(c.sys.k)}
-		c.mshrs[line] = m
-		c.sys.net.Send(c.tile, c.sys.home(line), noc.PortDir, ctrlMsgBytes+8*n,
-			request{kind: reqPutOnce, line: line, src: c.tile, words: chunk, wordOff: mem.LineOffset(pa)})
+		m := c.open(line, false, true)
+		pl := noc.Payload{Kind: uint8(reqPutOnce), Addr: pa, Val: uint64(n)}
+		for i, v := range words[:n] {
+			putLE64(pl.Line[mem.LineOffset(pa)+uint64(8*i):], v)
+		}
+		c.toDir(line, ctrlMsgBytes+8*n, &pl)
 		m.done.Wait(p)
+		c.recycle(m)
 		words = words[n:]
 		pa += uint64(8 * n)
 	}
@@ -247,7 +298,7 @@ func (c *Cache) touch(w *way) {
 func (c *Cache) ensure(p *sim.Proc, line mem.PAddr, forWrite bool) *way {
 	firstTry := true
 	for {
-		if m, busy := c.mshrs[line]; busy {
+		if m := c.inFlight(line); m != nil {
 			// A transaction for this line is in flight (ours or an
 			// eviction); wait for it to settle and re-examine.
 			firstTry = false
@@ -285,131 +336,125 @@ func (c *Cache) ensure(p *sim.Proc, line mem.PAddr, forWrite bool) *way {
 	}
 }
 
-// request allocates an MSHR, sends the request to the home directory, and
+// request opens an MSHR, sends the request to the home directory, and
 // parks until the transaction completes.
 func (c *Cache) request(p *sim.Proc, line mem.PAddr, kind reqKind) {
-	m := &mshr{line: line, done: sim.NewSignal(c.sys.k)}
-	c.mshrs[line] = m
-	c.sys.net.Send(c.tile, c.sys.home(line), noc.PortDir, ctrlMsgBytes,
-		request{kind: kind, line: line, src: c.tile})
+	m := c.open(line, false, false)
+	c.toDir(line, ctrlMsgBytes, &noc.Payload{Kind: uint8(kind), Addr: line})
 	m.done.Wait(p)
+	c.recycle(m)
 }
 
 // handle processes directory responses in kernel context.
 func (c *Cache) handle(msg noc.Msg) {
-	r := msg.Payload.(response)
-	switch r.kind {
+	line := msg.Addr
+	switch kind := respKind(msg.Kind); kind {
 	case respDataS, respDataE, respDataM:
-		c.install(r)
+		c.install(&msg.Payload)
 	case respDataOnce:
-		m := c.mshrs[r.line]
+		m := c.inFlight(line)
 		if m == nil || !m.isOnce {
-			panic(fmt.Sprintf("%s: DataOnce for line %#x with no GetOnce outstanding", c.name, r.line))
+			panic(fmt.Sprintf("%s: DataOnce for line %#x with no GetOnce outstanding", c.name, line))
 		}
-		m.data = *r.data
-		delete(c.mshrs, r.line)
-		m.done.Fire()
+		m.data = msg.Line
+		c.complete(m)
 		c.retryInstalls()
 	case respWriteAck:
-		m := c.mshrs[r.line]
+		m := c.inFlight(line)
 		if m == nil || !m.isOnce {
-			panic(fmt.Sprintf("%s: WriteAck for line %#x with no PutOnce outstanding", c.name, r.line))
+			panic(fmt.Sprintf("%s: WriteAck for line %#x with no PutOnce outstanding", c.name, line))
 		}
-		delete(c.mshrs, r.line)
-		m.done.Fire()
+		c.complete(m)
 		c.retryInstalls()
 	case respInv:
 		c.stats.InvsRecv++
 		c.sys.k.TraceInstant(c.name, "inv")
-		if w := c.lookup(r.line); w != nil {
+		if w := c.lookup(line); w != nil {
 			w.valid = false
 		}
 		for _, h := range c.invHooks {
-			h(r.line)
+			h(line)
 		}
 		c.sys.net.Send(c.tile, msg.Src, noc.PortDir, ctrlMsgBytes,
-			ack{line: r.line, src: c.tile})
+			&noc.Payload{Kind: uint8(ackInv), Addr: line})
 	case respFetch:
 		c.stats.FetchesRecv++
 		c.sys.k.TraceInstant(c.name, "fetch")
-		c.handleFetch(msg.Src, r)
+		c.handleFetch(msg.Src, line, msg.Flags&flagDowngrade != 0)
 	case respPutAck:
-		m := c.mshrs[r.line]
+		m := c.inFlight(line)
 		if m == nil || !m.isPut {
-			panic(fmt.Sprintf("%s: PutAck for line %#x with no PutM outstanding", c.name, r.line))
+			panic(fmt.Sprintf("%s: PutAck for line %#x with no PutM outstanding", c.name, line))
 		}
-		delete(c.mshrs, r.line)
-		m.done.Fire()
+		c.complete(m)
+		c.recycle(m) // no process issued the PutM: nothing reads m now
 		c.retryInstalls()
 	default:
-		panic(fmt.Sprintf("%s: unexpected response %v", c.name, r.kind))
+		panic(fmt.Sprintf("%s: unexpected response %v", c.name, kind))
 	}
 }
 
-func (c *Cache) handleFetch(dirTile int, r response) {
-	reply := ack{line: r.line, src: c.tile, isFetch: true}
-	if w := c.lookup(r.line); w != nil && (w.state == stateM || w.state == stateE) {
-		data := w.data
-		reply.data = &data
-		reply.hasData = true
-		if r.downgrade {
+func (c *Cache) handleFetch(dirTile int, line mem.PAddr, downgrade bool) {
+	reply := noc.Payload{Kind: uint8(ackFetch), Addr: line}
+	if w := c.lookup(line); w != nil && (w.state == stateM || w.state == stateE) {
+		reply.Line = w.data
+		reply.Flags = flagData
+		if downgrade {
 			w.state = stateS
 		} else {
 			w.valid = false
 			for _, h := range c.invHooks {
-				h(r.line)
+				h(line)
 			}
 		}
-	} else if m := c.mshrs[r.line]; m != nil && m.isPut {
+	} else if m := c.inFlight(line); m != nil && m.isPut {
 		// PutM crossed this Fetch in flight; answer from the write-back
 		// buffer and let the PutAck finish the eviction.
 		c.stats.FetchFromPutBuf++
-		data := m.data
-		reply.data = &data
-		reply.hasData = true
+		reply.Line = m.data
+		reply.Flags = flagData
 	}
 	// Otherwise: the line was silently evicted clean; the directory's
 	// backing copy is current, tell it so with a dataless response.
 	size := ctrlMsgBytes
-	if reply.hasData {
+	if reply.Flags&flagData != 0 {
 		size = dataMsgBytes
 	}
-	c.sys.net.Send(c.tile, dirTile, noc.PortDir, size, reply)
+	c.sys.net.Send(c.tile, dirTile, noc.PortDir, size, &reply)
 }
 
 // install places arriving data into the cache, evicting if necessary, then
 // completes the line's MSHR.
-func (c *Cache) install(r response) {
+func (c *Cache) install(r *noc.Payload) {
 	st := stateS
-	switch r.kind {
+	switch respKind(r.Kind) {
 	case respDataE:
 		st = stateE
 	case respDataM:
 		st = stateM
 	}
 	// An upgrade keeps its S way; reuse it.
-	w := c.lookup(r.line)
+	w := c.lookup(r.Addr)
 	if w == nil {
-		w = c.victim(r.line)
+		w = c.victim(r.Addr)
 		if w == nil {
 			// Every way in the set is pinned by an in-flight upgrade;
 			// retry when some transaction completes.
-			c.pendingInstalls = append(c.pendingInstalls, r)
+			c.pendingInstalls = append(c.pendingInstalls, *r)
 			return
 		}
 		c.evict(w)
 	}
 	w.valid = true
-	w.line = r.line
+	w.line = r.Addr
 	w.state = st
-	w.data = *r.data
+	w.data = r.Line
 	c.touch(w)
-	m := c.mshrs[r.line]
+	m := c.inFlight(r.Addr)
 	if m == nil {
-		panic(fmt.Sprintf("%s: data for line %#x with no MSHR", c.name, r.line))
+		panic(fmt.Sprintf("%s: data for line %#x with no MSHR", c.name, r.Addr))
 	}
-	delete(c.mshrs, r.line)
-	m.done.Fire()
+	c.complete(m)
 	c.retryInstalls()
 }
 
@@ -423,8 +468,8 @@ func (c *Cache) victim(line mem.PAddr) *way {
 		if !w.valid {
 			return w
 		}
-		if _, pinned := c.mshrs[w.line]; pinned {
-			continue
+		if c.inFlight(w.line) != nil {
+			continue // pinned by an in-flight upgrade
 		}
 		if lru == nil || w.lastUse < lru.lastUse {
 			lru = w
@@ -440,11 +485,9 @@ func (c *Cache) evict(w *way) {
 	}
 	if w.state == stateM {
 		c.stats.Writebacks++
-		m := &mshr{line: w.line, isPut: true, data: w.data, done: sim.NewSignal(c.sys.k)}
-		c.mshrs[w.line] = m
-		data := w.data
-		c.sys.net.Send(c.tile, c.sys.home(w.line), noc.PortDir, dataMsgBytes,
-			request{kind: reqPutM, line: w.line, src: c.tile, data: &data})
+		m := c.open(w.line, true, false)
+		m.data = w.data
+		c.toDir(w.line, dataMsgBytes, &noc.Payload{Kind: uint8(reqPutM), Addr: w.line, Line: w.data})
 	}
 	// S and clean-E lines drop silently.
 	w.valid = false
@@ -456,8 +499,8 @@ func (c *Cache) retryInstalls() {
 	}
 	pend := c.pendingInstalls
 	c.pendingInstalls = nil
-	for _, r := range pend {
-		c.install(r)
+	for i := range pend {
+		c.install(&pend[i])
 	}
 }
 

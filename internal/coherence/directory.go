@@ -18,19 +18,21 @@ const (
 )
 
 type dirLine struct {
+	addr     mem.PAddr
+	idx      uint32 // index in the bank's byIdx, the argument of its process events
 	state    dirState
 	sharers  uint64 // bitset of sharer tiles (deterministic iteration order)
 	owner    int
 	resident bool // line has been filled into the L2 (first touch pays DRAM)
 
 	busy     bool
-	queue    []request
-	pending  *request // transaction waiting for FetchResp/InvAcks
+	queue    []request // waiting, oldest first; the backing array is kept
+	cur      request   // the transaction in service, valid while busy
+	pending  *request  // &cur while it waits for FetchResp/InvAcks, else nil
 	waitAcks int
 	fetching int // tile a Fetch is outstanding to, -1 otherwise
 
 	// Trace bookkeeping for the in-service transaction (valid while busy).
-	trKind  reqKind
 	trStart sim.Time
 }
 
@@ -49,13 +51,18 @@ type bank struct {
 	sys   *System
 	tile  int
 	lines map[mem.PAddr]*dirLine
-	track string // trace-track name, precomputed so tracing never formats
-	occ   int    // requests at this bank: queued + in service
+	byIdx []*dirLine // lines by dirLine.idx
+	track string     // trace-track name, precomputed so tracing never formats
+	occ   int        // requests at this bank: queued + in service
+	// processFn is b.process, bound once: start schedules it with a line
+	// index, so serving a request allocates no closure.
+	processFn func(uint32)
 }
 
 func newBank(sys *System, tile int) *bank {
 	b := &bank{sys: sys, tile: tile, lines: make(map[mem.PAddr]*dirLine),
 		track: fmt.Sprintf("dir%d", tile)}
+	b.processFn = b.process
 	sys.net.Attach(tile, noc.PortDir, b.handle)
 	return b
 }
@@ -63,77 +70,132 @@ func newBank(sys *System, tile int) *bank {
 func (b *bank) line(addr mem.PAddr) *dirLine {
 	l := b.lines[addr]
 	if l == nil {
-		l = &dirLine{owner: -1, fetching: -1}
+		l = &dirLine{addr: addr, idx: uint32(len(b.byIdx)), owner: -1, fetching: -1}
 		b.lines[addr] = l
+		b.byIdx = append(b.byIdx, l)
 	}
 	return l
 }
 
 func (b *bank) handle(msg noc.Msg) {
-	switch pl := msg.Payload.(type) {
-	case request:
-		l := b.line(pl.line)
-		l.queue = append(l.queue, pl)
-		b.occ++
-		b.sys.k.TraceCounter(b.track, "occupancy", int64(b.occ))
-		if !l.busy {
-			b.next(pl.line, l)
-		}
-	case ack:
-		b.onAck(pl)
+	kind := reqKind(msg.Kind)
+	switch kind {
+	case ackInv, ackFetch:
+		b.onAck(&msg)
+		return
+	case reqGetS, reqGetM, reqPutM, reqGetOnce, reqPutOnce:
 	default:
-		panic(fmt.Sprintf("dir[%d]: unexpected payload %T", b.tile, msg.Payload))
+		panic(fmt.Sprintf("dir[%d]: unexpected message kind %d", b.tile, msg.Kind))
 	}
+	r := request{kind: kind, line: mem.LineOf(msg.Addr), src: msg.Src, data: msg.Line}
+	if kind == reqPutOnce {
+		r.off, r.n = mem.LineOffset(msg.Addr), int(msg.Val)
+	}
+	l := b.line(r.line)
+	b.occ++
+	b.sys.k.TraceCounter(b.track, "occupancy", int64(b.occ))
+	if l.busy {
+		l.queue = append(l.queue, r)
+		return
+	}
+	l.cur = r
+	b.start(l)
 }
 
-// next pops the line's request queue. The blocking-directory invariant: busy
-// stays true from pop to transaction completion — so next() entered with busy
-// set marks the completion of the in-service transaction.
-func (b *bank) next(addr mem.PAddr, l *dirLine) {
-	if l.busy {
-		b.occ--
-		if b.sys.k.TracingEnabled() {
-			// One span per coherence transaction, pop to completion: the
-			// invalidation round trips the paper's latency model counts show
-			// up as long GetM/PutOnce spans on the home bank's track.
-			b.sys.k.TraceSpan(b.track, l.trKind.String(), l.trStart)
-			b.sys.k.TraceCounter(b.track, "occupancy", int64(b.occ))
-		}
+// next completes the in-service transaction and starts the line's next
+// queued request, if any. The blocking-directory invariant: busy stays true
+// from start to completion, so a line serves one transaction at a time.
+func (b *bank) next(l *dirLine) {
+	b.occ--
+	if b.sys.k.TracingEnabled() {
+		// One span per coherence transaction, start to completion: the
+		// invalidation round trips the paper's latency model counts show
+		// up as long GetM/PutOnce spans on the home bank's track.
+		b.sys.k.TraceSpan(b.track, l.cur.kind.String(), l.trStart)
+		b.sys.k.TraceCounter(b.track, "occupancy", int64(b.occ))
 	}
 	if len(l.queue) == 0 {
 		l.busy = false
 		return
 	}
+	l.cur = l.queue[0]
+	l.queue = l.queue[:copy(l.queue, l.queue[1:])]
+	b.start(l)
+}
+
+// start puts l.cur in service: process runs it once the bank's lookup
+// latency has passed.
+func (b *bank) start(l *dirLine) {
 	l.busy = true
-	r := l.queue[0]
-	l.queue = l.queue[1:]
-	l.trKind, l.trStart = r.kind, b.sys.k.Now()
+	l.trStart = b.sys.k.Now()
 	lat := b.sys.cfg.DirLatency
 	if !l.resident {
 		lat += b.sys.cfg.MemLatency
 		l.resident = true
 	}
-	b.sys.k.After(lat, func() { b.process(addr, l, r) })
+	b.sys.k.AtCall(b.sys.k.Now()+lat, b.processFn, l.idx)
 }
 
-func (b *bank) process(addr mem.PAddr, l *dirLine, r request) {
+// process serves the in-service request of line byIdx[i] once the bank's
+// lookup latency has passed.
+func (b *bank) process(i uint32) {
+	l := b.byIdx[i]
+	r := &l.cur
 	switch r.kind {
 	case reqGetS:
 		b.sys.stats.GetS++
-		b.getS(addr, l, r)
+		b.getS(l, r)
 	case reqGetM:
 		b.sys.stats.GetM++
-		b.getM(addr, l, r)
+		b.getM(l, r)
 	case reqPutM:
 		b.sys.stats.PutM++
-		b.putM(addr, l, r)
+		b.putM(l, r)
 	case reqGetOnce:
 		b.sys.stats.GetOnce++
-		b.getOnce(addr, l, r)
+		b.getOnce(l, r)
 	case reqPutOnce:
 		b.sys.stats.PutOnce++
-		b.putOnce(addr, l, r)
+		b.putOnce(l, r)
 	}
+}
+
+// toCache sends a directory-to-cache message of the given kind for line l.
+func (b *bank) toCache(l *dirLine, tile int, kind respKind, flags uint8) {
+	b.sys.net.Send(b.tile, tile, noc.PortCache, ctrlMsgBytes,
+		&noc.Payload{Kind: uint8(kind), Flags: flags, Addr: l.addr})
+}
+
+// fetch asks the owner for the line; its FetchResp completes r, which waits
+// in l.pending until then.
+func (b *bank) fetch(l *dirLine, r *request, downgrade bool) {
+	l.pending = r
+	l.fetching = l.owner
+	b.sys.stats.FetchSent++
+	var flags uint8
+	if downgrade {
+		flags = flagDowngrade
+	}
+	b.toCache(l, l.owner, respFetch, flags)
+}
+
+// invalidate sends an Inv to every sharer but r's requester and reports how
+// many it sent. With any sent, r waits in l.pending for their InvAcks.
+func (b *bank) invalidate(l *dirLine, r *request) int {
+	invs := 0
+	for t := 0; t < 64; t++ {
+		if l.sharers&(1<<t) == 0 || t == r.src {
+			continue
+		}
+		invs++
+		b.sys.stats.InvSent++
+		b.toCache(l, t, respInv, 0)
+	}
+	if invs > 0 {
+		l.pending = r
+		l.waitAcks = invs
+	}
+	return invs
 }
 
 // putOnce services a coherent non-caching word write: current holders are
@@ -141,196 +203,151 @@ func (b *bank) process(addr mem.PAddr, l *dirLine, r request) {
 // and the writer gets an ack. This is how the Cohort WCM publishes queue
 // pointers — the resulting invalidation at the consumer *is* the queue-
 // coherence doorbell.
-func (b *bank) putOnce(addr mem.PAddr, l *dirLine, r request) {
+func (b *bank) putOnce(l *dirLine, r *request) {
 	switch l.state {
 	case dirX:
 		if l.owner == r.src {
 			// The writer held a clean E copy from an earlier cached read and
 			// dropped it when issuing the uncached write.
-			b.completePutOnce(addr, l, r)
-			b.next(addr, l)
+			b.completePutOnce(l, r)
+			b.next(l)
 			return
 		}
-		l.pending = &r
-		l.fetching = l.owner
-		b.sys.stats.FetchSent++
-		b.sys.net.Send(b.tile, l.owner, noc.PortCache, ctrlMsgBytes,
-			response{kind: respFetch, line: addr, downgrade: false})
+		b.fetch(l, r, false)
 	case dirS:
-		invs := 0
-		for t := 0; t < 64; t++ {
-			if l.sharers&(1<<t) == 0 || t == r.src {
-				continue
-			}
-			invs++
-			b.sys.stats.InvSent++
-			b.sys.net.Send(b.tile, t, noc.PortCache, ctrlMsgBytes,
-				response{kind: respInv, line: addr})
+		if b.invalidate(l, r) == 0 {
+			b.completePutOnce(l, r)
+			b.next(l)
 		}
-		if invs == 0 {
-			b.completePutOnce(addr, l, r)
-			b.next(addr, l)
-			return
-		}
-		l.pending = &r
-		l.waitAcks = invs
 	default:
-		b.completePutOnce(addr, l, r)
-		b.next(addr, l)
+		b.completePutOnce(l, r)
+		b.next(l)
 	}
 }
 
-func (b *bank) completePutOnce(addr mem.PAddr, l *dirLine, r request) {
-	for i, w := range r.words {
-		b.sys.mem.WriteU64(addr+r.wordOff+uint64(8*i), w)
-	}
+func (b *bank) completePutOnce(l *dirLine, r *request) {
+	b.sys.mem.Write(l.addr+r.off, r.data[r.off:r.off+uint64(8*r.n)])
 	l.state = dirU
 	l.owner = -1
 	l.sharers = 0
-	b.sys.net.Send(b.tile, r.src, noc.PortCache, ctrlMsgBytes,
-		response{kind: respWriteAck, line: addr})
+	b.toCache(l, r.src, respWriteAck, 0)
 }
 
 // getOnce services a coherent non-caching read: the requester gets current
 // data but is not recorded as a sharer. An exclusive owner is downgraded
 // (its dirty data must reach the backing store first).
-func (b *bank) getOnce(addr mem.PAddr, l *dirLine, r request) {
+func (b *bank) getOnce(l *dirLine, r *request) {
 	if l.state == dirX && l.owner != r.src {
-		l.pending = &r
-		l.fetching = l.owner
-		b.sys.stats.FetchSent++
-		b.sys.net.Send(b.tile, l.owner, noc.PortCache, ctrlMsgBytes,
-			response{kind: respFetch, line: addr, downgrade: true})
+		b.fetch(l, r, true)
 		return
 	}
-	b.sendData(addr, r.src, respDataOnce)
-	b.next(addr, l)
+	b.sendData(l, r.src, respDataOnce)
+	b.next(l)
 }
 
-func (b *bank) getS(addr mem.PAddr, l *dirLine, r request) {
+func (b *bank) getS(l *dirLine, r *request) {
 	switch l.state {
 	case dirX:
 		if l.owner == r.src {
 			// Owner silently dropped a clean-E line and is re-fetching; the
 			// backing copy is current (a dirty owner would have sent PutM).
-			b.sendData(addr, r.src, respDataE)
-			b.next(addr, l)
+			b.sendData(l, r.src, respDataE)
+			b.next(l)
 			return
 		}
-		l.pending = &r
-		l.fetching = l.owner
-		b.sys.stats.FetchSent++
-		b.sys.net.Send(b.tile, l.owner, noc.PortCache, ctrlMsgBytes,
-			response{kind: respFetch, line: addr, downgrade: true})
+		b.fetch(l, r, true)
 	case dirS:
 		l.sharers |= 1 << r.src
-		b.sendData(addr, r.src, respDataS)
-		b.next(addr, l)
+		b.sendData(l, r.src, respDataS)
+		b.next(l)
 	default: // dirU
 		if b.sys.cfg.ExclusiveGrant {
 			l.state = dirX
 			l.owner = r.src
-			b.sendData(addr, r.src, respDataE)
+			b.sendData(l, r.src, respDataE)
 		} else {
 			l.state = dirS
 			l.sharers |= 1 << r.src
-			b.sendData(addr, r.src, respDataS)
+			b.sendData(l, r.src, respDataS)
 		}
-		b.next(addr, l)
+		b.next(l)
 	}
 }
 
-func (b *bank) getM(addr mem.PAddr, l *dirLine, r request) {
+func (b *bank) getM(l *dirLine, r *request) {
 	switch l.state {
 	case dirX:
 		if l.owner == r.src {
-			b.sendData(addr, r.src, respDataM)
-			b.next(addr, l)
+			b.sendData(l, r.src, respDataM)
+			b.next(l)
 			return
 		}
-		l.pending = &r
-		l.fetching = l.owner
-		b.sys.stats.FetchSent++
-		b.sys.net.Send(b.tile, l.owner, noc.PortCache, ctrlMsgBytes,
-			response{kind: respFetch, line: addr, downgrade: false})
+		b.fetch(l, r, false)
 	case dirS:
-		invs := 0
-		for t := 0; t < 64; t++ {
-			if l.sharers&(1<<t) == 0 || t == r.src {
-				continue
-			}
-			invs++
-			b.sys.stats.InvSent++
-			b.sys.net.Send(b.tile, t, noc.PortCache, ctrlMsgBytes,
-				response{kind: respInv, line: addr})
+		if b.invalidate(l, r) == 0 {
+			b.grantM(l, r.src)
+			b.next(l)
 		}
-		if invs == 0 {
-			b.grantM(addr, l, r.src)
-			b.next(addr, l)
-			return
-		}
-		l.pending = &r
-		l.waitAcks = invs
 	default: // dirU
-		b.grantM(addr, l, r.src)
-		b.next(addr, l)
+		b.grantM(l, r.src)
+		b.next(l)
 	}
 }
 
-func (b *bank) putM(addr mem.PAddr, l *dirLine, r request) {
+func (b *bank) putM(l *dirLine, r *request) {
 	if l.state == dirX && l.owner == r.src {
-		b.sys.mem.WriteLine(addr, *r.data)
+		b.sys.mem.WriteLine(l.addr, r.data)
 		l.state = dirU
 		l.owner = -1
 	}
 	// Otherwise the PutM crossed a Fetch that already collected the data
 	// (the FetchResp carried the same bytes); just acknowledge so the cache
 	// can retire its write-back buffer.
-	b.sys.net.Send(b.tile, r.src, noc.PortCache, ctrlMsgBytes,
-		response{kind: respPutAck, line: addr})
-	b.next(addr, l)
+	b.toCache(l, r.src, respPutAck, 0)
+	b.next(l)
 }
 
-func (b *bank) onAck(a ack) {
-	l := b.lines[a.line]
+func (b *bank) onAck(a *noc.Msg) {
+	l := b.lines[a.Addr]
 	if l == nil || l.pending == nil {
-		panic(fmt.Sprintf("dir[%d]: ack for line %#x with no pending transaction", b.tile, a.line))
+		panic(fmt.Sprintf("dir[%d]: ack for line %#x with no pending transaction", b.tile, a.Addr))
 	}
-	r := *l.pending
-	if a.isFetch {
-		if a.src != l.fetching {
-			panic(fmt.Sprintf("dir[%d]: FetchResp from %d, expected %d", b.tile, a.src, l.fetching))
+	r := l.pending
+	if reqKind(a.Kind) == ackFetch {
+		if a.Src != l.fetching {
+			panic(fmt.Sprintf("dir[%d]: FetchResp from %d, expected %d", b.tile, a.Src, l.fetching))
 		}
-		if a.hasData {
-			b.sys.mem.WriteLine(a.line, *a.data)
+		hasData := a.Flags&flagData != 0
+		if hasData {
+			b.sys.mem.WriteLine(l.addr, a.Line)
 		}
 		l.fetching = -1
 		l.pending = nil
 		switch r.kind {
 		case reqPutOnce:
-			b.completePutOnce(a.line, l, r)
+			b.completePutOnce(l, r)
 		case reqGetS, reqGetOnce:
 			l.state = dirS
 			oldOwner := l.owner
 			l.owner = -1
 			l.sharers = 0
-			if a.hasData {
+			if hasData {
 				// Downgraded owner keeps a Shared copy.
 				l.sharers |= 1 << oldOwner
 			}
 			if r.kind == reqGetS {
 				l.sharers |= 1 << r.src
-				b.sendData(a.line, r.src, respDataS)
+				b.sendData(l, r.src, respDataS)
 			} else {
 				if l.sharers == 0 {
 					l.state = dirU
 				}
-				b.sendData(a.line, r.src, respDataOnce)
+				b.sendData(l, r.src, respDataOnce)
 			}
 		default:
-			b.grantM(a.line, l, r.src)
+			b.grantM(l, r.src)
 		}
-		b.next(a.line, l)
+		b.next(l)
 		return
 	}
 	// InvAck
@@ -340,23 +357,24 @@ func (b *bank) onAck(a ack) {
 	}
 	l.pending = nil
 	if r.kind == reqPutOnce {
-		b.completePutOnce(a.line, l, r)
+		b.completePutOnce(l, r)
 	} else {
-		b.grantM(a.line, l, r.src)
+		b.grantM(l, r.src)
 	}
-	b.next(a.line, l)
+	b.next(l)
 }
 
 // grantM hands exclusive ownership to tile with the backing copy's data.
-func (b *bank) grantM(addr mem.PAddr, l *dirLine, tile int) {
+func (b *bank) grantM(l *dirLine, tile int) {
 	l.state = dirX
 	l.owner = tile
 	l.sharers = 0
-	b.sendData(addr, tile, respDataM)
+	b.sendData(l, tile, respDataM)
 }
 
-func (b *bank) sendData(addr mem.PAddr, tile int, kind respKind) {
-	data := b.sys.mem.ReadLine(addr)
-	b.sys.net.Send(b.tile, tile, noc.PortCache, dataMsgBytes,
-		response{kind: kind, line: addr, data: &data})
+// sendData sends the backing copy of line l to tile.
+func (b *bank) sendData(l *dirLine, tile int, kind respKind) {
+	pl := noc.Payload{Kind: uint8(kind), Addr: l.addr}
+	b.sys.mem.Read(l.addr, pl.Line[:])
+	b.sys.net.Send(b.tile, tile, noc.PortCache, dataMsgBytes, &pl)
 }

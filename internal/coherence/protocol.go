@@ -51,8 +51,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Request kinds, cache -> directory.
-type reqKind int
+// Message kinds on the directory port, cache -> directory: the requests a
+// home bank queues and serves one at a time per line, then the completions
+// of its Invs and Fetches.
+type reqKind uint8
 
 const (
 	reqGetS    reqKind = iota // read miss: want Shared (or Exclusive) copy
@@ -60,6 +62,8 @@ const (
 	reqPutM                   // eviction of an owned line, with data
 	reqGetOnce                // coherent non-caching read (page-table walks)
 	reqPutOnce                // coherent non-caching word write (WCM pointer updates)
+	ackInv                    // InvAck
+	ackFetch                  // FetchResp, carrying the line if flagData is set
 )
 
 func (r reqKind) String() string {
@@ -74,23 +78,28 @@ func (r reqKind) String() string {
 		return "GetOnce"
 	case reqPutOnce:
 		return "PutOnce"
+	case ackInv:
+		return "InvAck"
+	case ackFetch:
+		return "FetchResp"
 	}
 	return "?"
 }
 
-// request is a cache-to-directory message payload.
+// request is a transaction as its home bank queues it. Its message carried
+// the line address (PutOnce: the first word's address) in Addr, PutOnce's
+// word count in Val, and PutM's line or PutOnce's words in Line.
 type request struct {
 	kind reqKind
 	line mem.PAddr
-	src  int // requesting tile
-	data *[mem.LineSize]byte
-	// PutOnce payload: words starting at wordOff within the line.
-	words   []uint64
-	wordOff uint64
+	src  int    // requesting tile
+	off  uint64 // PutOnce: byte offset of the first word within the line
+	n    int    // PutOnce: words written
+	data [mem.LineSize]byte
 }
 
-// Response kinds, directory -> cache.
-type respKind int
+// Message kinds on the cache port, directory -> cache.
+type respKind uint8
 
 const (
 	respDataS    respKind = iota // line data, install Shared
@@ -125,22 +134,12 @@ func (r respKind) String() string {
 	return "?"
 }
 
-// response is a directory-to-cache message payload.
-type response struct {
-	kind      respKind
-	line      mem.PAddr
-	data      *[mem.LineSize]byte
-	downgrade bool // for respFetch: keep a Shared copy rather than invalidate
-}
-
-// ack is a cache-to-directory completion payload (InvAck / FetchResp).
-type ack struct {
-	line    mem.PAddr
-	src     int
-	data    *[mem.LineSize]byte // FetchResp data; nil for InvAck or dataless FetchResp
-	isFetch bool
-	hasData bool
-}
+// Message flags. Every coherence message carries its line address in Addr
+// and, where it has data, the line in Line.
+const (
+	flagData      = 1 << iota // FetchResp: Line holds the owner's data
+	flagDowngrade             // Fetch: keep a Shared copy rather than invalidate
+)
 
 // Message sizes in bytes for NoC timing: header-only control vs line-carrying.
 const (

@@ -34,13 +34,11 @@ import (
 	"cohort/internal/sim"
 )
 
-// IRQ is the payload the engine sends to a core tile's IRQ port on a page
-// fault. The OS resolves the fault and pokes the resolution registers.
-type IRQ struct {
-	Engine *Engine
-	VA     uint64
-	Write  bool
-}
+// IRQStore flags a store fault in a page-fault interrupt. The engine sends
+// the interrupt to a core tile's IRQ port from its own tile, which names it:
+// Addr is the faulting VA and Flags holds IRQStore for a store. The OS
+// resolves the fault and pokes the resolution registers.
+const IRQStore = 1
 
 // Counters are the engine's performance counters (§5.1: "performance counter
 // data comes from each Cohort Engine").
@@ -379,8 +377,11 @@ func (e *Engine) translate(p *sim.Proc, va uint64, write bool) mem.PAddr {
 			e.faultKind = FaultStore
 		}
 		e.cfg.Kernel.TraceInstant(e.trkMMU, "page-fault-irq")
-		e.cfg.Net.Send(e.cfg.Tile, e.cfg.IRQTile, noc.PortIRQ, 16,
-			IRQ{Engine: e, VA: va, Write: write})
+		irq := noc.Payload{Addr: va}
+		if write {
+			irq.Flags = IRQStore
+		}
+		e.cfg.Net.Send(e.cfg.Tile, e.cfg.IRQTile, noc.PortIRQ, 16, &irq)
 		e.resolveSig.Wait(p)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"cohort/internal/accel"
@@ -56,16 +57,18 @@ func newRig(t *testing.T, dev accel.Device) *rig {
 	})
 	// A trivial IRQ handler: resolve by setting A/D in the tables.
 	net.Attach(0, noc.PortIRQ, func(msg noc.Msg) {
-		irq := msg.Payload.(IRQ)
-		page := irq.VA &^ uint64(mem.PageSize-1)
+		if msg.Src != eng.Tile() {
+			panic(fmt.Sprintf("IRQ from tile %d, engine is on %d", msg.Src, eng.Tile()))
+		}
+		page := msg.Addr &^ uint64(mem.PageSize-1)
 		set := mmu.FlagA
-		if irq.Write {
+		if msg.Flags&IRQStore != 0 {
 			set |= mmu.FlagD
 		}
 		if _, _, err := tabs.SetFlags(page, set); err != nil {
 			panic(err)
 		}
-		irq.Engine.ResolveFault()
+		eng.ResolveFault()
 	})
 	return &rig{k: k, net: net, m: m, sys: sys, bus: bus, tabs: tabs,
 		eng: eng, req: bus.Requester(0), base: mmioBase, alloc: alloc}

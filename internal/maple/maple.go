@@ -196,7 +196,8 @@ func (u *Unit) drain() {
 		}
 		if len(u.outWaiters) > 0 {
 			reply := u.outWaiters[0]
-			u.outWaiters = u.outWaiters[1:]
+			// Shift rather than reslice, so appends reuse the backing array.
+			u.outWaiters = u.outWaiters[:copy(u.outWaiters, u.outWaiters[1:])]
 			u.stats.MMIOWordsOut++
 			u.cfg.Kernel.TraceInstant(u.trkMMIO, "word-out")
 			reply(v)
@@ -221,7 +222,7 @@ func (u *Unit) regRead(off uint64, reply func(uint64)) {
 	case RegDataOut:
 		if len(u.outBuf) > 0 {
 			v := u.outBuf[0]
-			u.outBuf = u.outBuf[1:]
+			u.outBuf = u.outBuf[:copy(u.outBuf, u.outBuf[1:])] // keep the backing array
 			u.stats.MMIOWordsOut++
 			u.cfg.Kernel.TraceInstant(u.trkMMIO, "word-out")
 			reply(v)

@@ -32,25 +32,39 @@ type Handler func(kind Kind, addr, val uint64) uint64
 // retires. This models hardware stalling an MMIO response — e.g. a data
 // register read that waits for the accelerator to produce a word, during
 // which the issuing core stays stalled (§2.1).
+//
+// reply belongs to a recycled access record. Calling it a second time, once
+// the access has retired, panics; after the record serves a later access, a
+// stale reply would answer that access instead, so never keep reply past
+// the one call.
 type AsyncHandler func(kind Kind, addr, val uint64, reply func(uint64))
 
 type device struct {
+	bus        *Bus
 	base, size uint64
 	tile       int
 	latency    sim.Time
 	h          AsyncHandler
+	// Accesses in service live in free-listed records; the latency event
+	// carries a record index, so serving an access allocates nothing.
+	accs    []*access
+	free    []uint32
+	serveFn func(uint32) // d.serve, bound once
 }
 
-type req struct {
+// access is one register access at a device, from its arrival to its reply.
+// A request message carries the access kind in Kind, the requester's op id
+// in ID, and the address and write value in Addr and Val; the response
+// carries the id and the read value.
+type access struct {
+	d         *device
+	slot      uint32 // index in d.accs
 	kind      Kind
 	addr, val uint64
 	src       int
-	id        uint64
-}
-
-type resp struct {
-	id  uint64
-	val uint64
+	id        uint32
+	live      bool         // arrived and not yet replied to
+	reply     func(uint64) // a.respond, bound once
 }
 
 // Bus routes MMIO requests from requesters to the device owning the target
@@ -58,7 +72,7 @@ type resp struct {
 type Bus struct {
 	k       *sim.Kernel
 	net     *noc.Network
-	devices []device
+	devices []*device
 	byTile  map[int]bool
 	reqs    map[int]*Requester
 }
@@ -91,22 +105,50 @@ func (b *Bus) AttachAsyncDevice(tile int, base, size uint64, latency sim.Time, h
 		panic(fmt.Sprintf("mmio: tile %d already has a device", tile))
 	}
 	b.byTile[tile] = true
-	d := device{base: base, size: size, tile: tile, latency: latency, h: h}
+	d := &device{bus: b, base: base, size: size, tile: tile, latency: latency, h: h}
+	d.serveFn = d.serve
 	b.devices = append(b.devices, d)
 	sort.Slice(b.devices, func(i, j int) bool { return b.devices[i].base < b.devices[j].base })
-	b.net.Attach(tile, noc.PortDevice, func(msg noc.Msg) {
-		r := msg.Payload.(req)
-		b.k.After(d.latency, func() {
-			d.h(r.kind, r.addr, r.val, func(val uint64) {
-				b.net.Send(tile, r.src, noc.PortDevice, 16, resp{id: r.id, val: val})
-			})
-		})
-	})
+	b.net.Attach(tile, noc.PortDevice, d.arrive)
+}
+
+// arrive takes a request off the network into a free access record and
+// serves it after the device latency.
+func (d *device) arrive(msg noc.Msg) {
+	var i uint32
+	if n := len(d.free); n > 0 {
+		i = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		i = uint32(len(d.accs))
+		a := &access{d: d, slot: i}
+		a.reply = a.respond
+		d.accs = append(d.accs, a)
+	}
+	a := d.accs[i]
+	a.kind, a.addr, a.val, a.src, a.id, a.live = Kind(msg.Kind), msg.Addr, msg.Val, msg.Src, msg.ID, true
+	k := d.bus.k
+	k.AtCall(k.Now()+d.latency, d.serveFn, i)
+}
+
+func (d *device) serve(i uint32) {
+	a := d.accs[i]
+	d.h(a.kind, a.addr, a.val, a.reply)
+}
+
+// respond sends the access's response and retires its record.
+func (a *access) respond(val uint64) {
+	if !a.live {
+		panic("mmio: reply to a retired access (a device replied twice)")
+	}
+	a.live = false
+	d := a.d
+	d.bus.net.Send(d.tile, a.src, noc.PortDevice, 16, &noc.Payload{ID: a.id, Val: val})
+	d.free = append(d.free, a.slot)
 }
 
 func (b *Bus) find(addr uint64) *device {
-	for i := range b.devices {
-		d := &b.devices[i]
+	for _, d := range b.devices {
 		if addr >= d.base && addr < d.base+d.size {
 			return d
 		}
@@ -116,18 +158,21 @@ func (b *Bus) find(addr uint64) *device {
 
 // Requester is a core-side MMIO port. One per requesting tile.
 type Requester struct {
-	bus     *Bus
-	tile    int
-	nextID  uint64
-	pending map[uint64]*pendingOp
-	stats   Stats
-	track   string // trace-track name, precomputed at construction
+	bus   *Bus
+	tile  int
+	ops   []*pendingOp // by op id
+	free  []uint32     // ids of retired ops
+	stats Stats
+	track string // trace-track name, precomputed at construction
 }
 
+// pendingOp is one access a requester has issued. Ops are recycled, each
+// keeping its signal: do returns its op to the free list after its own Wait
+// returns and it has read val, since nothing else touches the op.
 type pendingOp struct {
 	done *sim.Signal
 	val  uint64
-	ok   bool
+	ok   bool // the response has arrived
 }
 
 // Stats counts MMIO operations issued by a requester.
@@ -144,21 +189,21 @@ func (b *Bus) Requester(tile int) *Requester {
 	if b.byTile[tile] {
 		panic(fmt.Sprintf("mmio: tile %d hosts a device; cannot also be a requester", tile))
 	}
-	r := &Requester{bus: b, tile: tile, pending: make(map[uint64]*pendingOp),
-		track: fmt.Sprintf("mmio.t%d", tile)}
+	r := &Requester{bus: b, tile: tile, track: fmt.Sprintf("mmio.t%d", tile)}
 	b.reqs[tile] = r
-	b.net.Attach(tile, noc.PortDevice, func(msg noc.Msg) {
-		rs := msg.Payload.(resp)
-		op := r.pending[rs.id]
-		if op == nil {
-			panic("mmio: response with no pending op")
-		}
-		delete(r.pending, rs.id)
-		op.val = rs.val
-		op.ok = true
-		op.done.Fire()
-	})
+	b.net.Attach(tile, noc.PortDevice, r.handle)
 	return r
+}
+
+// handle completes the op a response names.
+func (r *Requester) handle(msg noc.Msg) {
+	if int(msg.ID) >= len(r.ops) || r.ops[msg.ID].ok {
+		panic("mmio: response with no pending op")
+	}
+	op := r.ops[msg.ID]
+	op.val = msg.Val
+	op.ok = true
+	op.done.Fire()
 }
 
 // Stats returns a copy of the requester's counters.
@@ -178,15 +223,23 @@ func (r *Requester) do(p *sim.Proc, kind Kind, addr, val uint64) uint64 {
 	if traced {
 		t0 = k.Now()
 	}
-	r.nextID++
-	id := r.nextID
-	op := &pendingOp{done: sim.NewSignal(k)}
-	r.pending[id] = op
+	var id uint32
+	if n := len(r.free); n > 0 {
+		id = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		id = uint32(len(r.ops))
+		r.ops = append(r.ops, &pendingOp{done: sim.NewSignal(k)})
+	}
+	op := r.ops[id]
+	op.ok = false
 	r.bus.net.Send(r.tile, d.tile, noc.PortDevice, 16,
-		req{kind: kind, addr: addr, val: val, src: r.tile, id: id})
+		&noc.Payload{Kind: uint8(kind), ID: id, Addr: addr, Val: val})
 	for !op.ok {
 		op.done.Wait(p)
 	}
+	v := op.val
+	r.free = append(r.free, id)
 	if traced {
 		// One span per round trip: the paper's non-speculative stall (§2.1)
 		// is literally the span's width — polls show as back-to-back reads.
@@ -196,7 +249,7 @@ func (r *Requester) do(p *sim.Proc, kind Kind, addr, val uint64) uint64 {
 		}
 		k.TraceSpan(r.track, name, t0)
 	}
-	return op.val
+	return v
 }
 
 // Read performs an uncached load; the calling process stalls for the full

@@ -1,6 +1,7 @@
 package mmio
 
 import (
+	"strings"
 	"testing"
 
 	"cohort/internal/noc"
@@ -122,4 +123,68 @@ func TestSerializedOpsFromTwoRequesters(t *testing.T) {
 		}
 		last[who] = seq
 	}
+}
+
+// A warm MMIO write and read round trip allocates nothing: the requester
+// recycles its ops and the device its access records, each op keeping its
+// signal, and messages carry typed payloads.
+func TestWarmRoundTripAllocs(t *testing.T) {
+	k := sim.New()
+	defer k.Close()
+	net := noc.New(k, noc.DefaultConfig(2, 2))
+	bus := NewBus(k, net)
+	var reg uint64
+	bus.AttachDevice(3, 0x1000_0000, 0x1000, 4, func(kind Kind, addr, val uint64) uint64 {
+		if kind == Write {
+			reg = val
+		}
+		return reg
+	})
+	r := bus.Requester(0)
+	start := sim.NewSignal(k)
+	v := uint64(0)
+	k.Spawn("core", func(p *sim.Proc) {
+		for {
+			start.Wait(p)
+			v++
+			r.Write(p, 0x1000_0008, v)
+			if got := r.Read(p, 0x1000_0008); got != v {
+				panic("read back a stale register")
+			}
+		}
+	})
+	k.Run(0)
+	round := func() {
+		start.Fire()
+		k.Run(0)
+	}
+	round()
+	if n := testing.AllocsPerRun(50, round); n != 0 {
+		t.Fatalf("%.1f allocations per warm write+read round trip, want 0", n)
+	}
+	if st := r.Stats(); st.Reads != 52 || st.Writes != 52 || reg != 52 {
+		t.Fatalf("stats %+v, register %d: want 52 of each", st, reg)
+	}
+}
+
+// A device that replies twice to one access panics at the second reply,
+// before it can answer anything with the recycled record.
+func TestReplyTwicePanics(t *testing.T) {
+	k := sim.New()
+	defer k.Close()
+	net := noc.New(k, noc.DefaultConfig(2, 2))
+	bus := NewBus(k, net)
+	bus.AttachAsyncDevice(3, 0x1000_0000, 0x1000, 4, func(kind Kind, addr, val uint64, reply func(uint64)) {
+		reply(1)
+		reply(2)
+	})
+	r := bus.Requester(0)
+	k.Spawn("core", func(p *sim.Proc) { r.Read(p, 0x1000_0000) })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "retired access") {
+			t.Fatalf("second reply: recovered %q, want a retired-access panic", msg)
+		}
+	}()
+	k.Run(0)
 }

@@ -26,12 +26,30 @@ const (
 	numPorts
 )
 
-// Msg is one network message. Payload is interpreted by the receiver.
+// LineBytes is the size of the data a message can carry: one cache line.
+const LineBytes = 64
+
+// Payload is a message's contents: a small header, whose fields the protocol
+// of the destination port interprets, and one line of data. It is a
+// fixed-size value, so it travels inline in the message's in-flight record
+// and sending a message does not allocate. The source of a message is
+// Msg.Src.
+type Payload struct {
+	Kind  uint8  // message kind, numbered by the destination port's protocol
+	Flags uint8  // kind-specific flags
+	ID    uint32 // transaction id, for protocols that match replies to requests
+	Addr  uint64 // line or register address
+	Val   uint64 // register value, word count or other scalar
+	Line  [LineBytes]byte
+}
+
+// Msg is one network message. Size sets its timing only: a header-only
+// message still has a Line, which the receiver ignores.
 type Msg struct {
 	Src, Dst int  // tile IDs
 	Port     Port // destination unit within the tile
 	Size     int  // bytes, controls flit count / serialization latency
-	Payload  any
+	Payload
 }
 
 // Handler receives messages delivered to a tile. It runs in kernel context
@@ -160,7 +178,7 @@ func (n *Network) flits(size int) uint64 {
 // Send injects a message at src destined for dst's port. It may be called
 // from kernel context or a process; delivery happens via the port handler
 // after the modelled network latency.
-func (n *Network) Send(src, dst int, port Port, size int, payload any) {
+func (n *Network) Send(src, dst int, port Port, size int, pl *Payload) {
 	if src < 0 || src >= n.Tiles() || dst < 0 || dst >= n.Tiles() {
 		panic(fmt.Sprintf("noc: bad route %d -> %d", src, dst))
 	}
@@ -172,7 +190,7 @@ func (n *Network) Send(src, dst int, port Port, size int, payload any) {
 		id = uint32(len(n.flights))
 		n.flights = append(n.flights, flight{})
 	}
-	n.flights[id].msg = Msg{Src: src, Dst: dst, Port: port, Size: size, Payload: payload}
+	n.flights[id].msg = Msg{Src: src, Dst: dst, Port: port, Size: size, Payload: *pl}
 	n.stats.Msgs++
 	n.stats.Flits += n.flits(size)
 	if src == dst {
@@ -234,11 +252,10 @@ func (n *Network) arrive(id uint32) {
 // handler, which may send again and reuse the record.
 func (n *Network) deliver(id uint32) {
 	msg := n.flights[id].msg
-	n.flights[id] = flight{} // drop the payload reference
 	n.free = append(n.free, id)
 	h := n.handlers[msg.Dst][msg.Port]
 	if h == nil {
-		panic(fmt.Sprintf("noc: message %T delivered to tile %d port %d with no handler", msg.Payload, msg.Dst, msg.Port))
+		panic(fmt.Sprintf("noc: message kind %d delivered to tile %d port %d with no handler", msg.Kind, msg.Dst, msg.Port))
 	}
 	h(msg)
 }

@@ -32,8 +32,8 @@ func TestDeliveryAndLatencyScalesWithHops(t *testing.T) {
 	var at0to1, at0to3 sim.Time
 	n.Attach(1, PortCache, func(m Msg) { at0to1 = k.Now() })
 	n.Attach(3, PortCache, func(m Msg) { at0to3 = k.Now() })
-	n.Send(0, 1, PortCache, 8, "a")
-	n.Send(0, 3, PortCache, 8, "b")
+	n.Send(0, 1, PortCache, 8, &Payload{})
+	n.Send(0, 3, PortCache, 8, &Payload{})
 	k.Run(0)
 	if at0to1 == 0 || at0to3 == 0 {
 		t.Fatal("messages not delivered")
@@ -47,9 +47,9 @@ func TestLocalDelivery(t *testing.T) {
 	k := sim.New()
 	n := New(k, DefaultConfig(2, 2))
 	msgs := collect(n, 0)
-	n.Send(0, 0, PortCache, 8, 42)
+	n.Send(0, 0, PortCache, 8, &Payload{Val: 42})
 	k.Run(0)
-	if len(*msgs) != 1 || (*msgs)[0].Payload.(int) != 42 {
+	if len(*msgs) != 1 || (*msgs)[0].Val != 42 {
 		t.Fatalf("local delivery failed: %v", *msgs)
 	}
 }
@@ -68,15 +68,15 @@ func TestPerPairFIFOOrdering(t *testing.T) {
 		if i%3 == 0 {
 			size = 72
 		}
-		n.Send(0, 15, PortCache, size, i)
+		n.Send(0, 15, PortCache, size, &Payload{Val: uint64(i)})
 	}
 	k.Run(0)
 	if len(*msgs) != 20 {
 		t.Fatalf("delivered %d, want 20", len(*msgs))
 	}
 	for i, m := range *msgs {
-		if m.Payload.(int) != i {
-			t.Fatalf("out of order: position %d got %d", i, m.Payload)
+		if m.Val != uint64(i) {
+			t.Fatalf("out of order: position %d got %d", i, m.Val)
 		}
 	}
 }
@@ -88,8 +88,8 @@ func TestLinkSerializationAddsDelay(t *testing.T) {
 	n := New(k, DefaultConfig(2, 1))
 	var arrivals []sim.Time
 	n.Attach(1, PortCache, func(Msg) { arrivals = append(arrivals, k.Now()) })
-	n.Send(0, 1, PortCache, 64, "x")
-	n.Send(0, 1, PortCache, 64, "y")
+	n.Send(0, 1, PortCache, 64, &Payload{})
+	n.Send(0, 1, PortCache, 64, &Payload{})
 	k.Run(0)
 	if len(arrivals) != 2 {
 		t.Fatalf("delivered %d, want 2", len(arrivals))
@@ -103,7 +103,7 @@ func TestLinkSerializationAddsDelay(t *testing.T) {
 	n2 := New(k2, DefaultConfig(2, 1))
 	var solo sim.Time
 	n2.Attach(1, PortCache, func(Msg) { solo = k2.Now() })
-	n2.Send(0, 1, PortCache, 64, "z")
+	n2.Send(0, 1, PortCache, 64, &Payload{})
 	k2.Run(0)
 	if solo != arrivals[0] {
 		t.Fatalf("first contended arrival %d differs from solo %d", arrivals[0], solo)
@@ -124,7 +124,7 @@ func TestAllMessagesDeliveredProperty(t *testing.T) {
 		src, dst := rng.Intn(9), rng.Intn(9)
 		size := 8 + rng.Intn(70)
 		delay := sim.Time(rng.Intn(50))
-		k.After(delay, func() { n.Send(src, dst, PortCache, size, i) })
+		k.After(delay, func() { n.Send(src, dst, PortCache, size, &Payload{Val: uint64(i)}) })
 		want[dst]++
 	}
 	k.Run(0)
@@ -147,7 +147,7 @@ func TestBadRoutePanics(t *testing.T) {
 	}()
 	k := sim.New()
 	n := New(k, DefaultConfig(2, 2))
-	n.Send(0, 9, PortCache, 8, nil)
+	n.Send(0, 9, PortCache, 8, &Payload{})
 }
 
 func TestDeterminism(t *testing.T) {
@@ -156,10 +156,10 @@ func TestDeterminism(t *testing.T) {
 		n := New(k, DefaultConfig(2, 2))
 		var order []int
 		for tile := 0; tile < 4; tile++ {
-			n.Attach(tile, PortCache, func(m Msg) { order = append(order, m.Payload.(int)) })
+			n.Attach(tile, PortCache, func(m Msg) { order = append(order, int(m.Val)) })
 		}
 		for i := 0; i < 50; i++ {
-			n.Send(i%4, (i*7)%4, PortCache, 8+(i%64), i)
+			n.Send(i%4, (i*7)%4, PortCache, 8+(i%64), &Payload{Val: uint64(i)})
 		}
 		k.Run(0)
 		return order
@@ -176,20 +176,21 @@ func TestDeterminism(t *testing.T) {
 }
 
 // A warm network delivers a multi-hop message without allocating: in-flight
-// records are recycled and hop events carry an index, not a closure.
+// records are recycled, carry the payload inline, and hop events carry an
+// index, not a closure.
 func TestSendAllocs(t *testing.T) {
 	k := sim.New()
 	n := New(k, DefaultConfig(2, 2))
-	type req struct{ addr uint64 }
-	payload := &req{addr: 0x40}
 	got := 0
 	n.Attach(3, PortDir, func(m Msg) {
-		if m.Payload.(*req) == payload && m.Src == 0 {
+		if m.Kind == 2 && m.Addr == 0x40 && m.Line[63] == 0xa5 && m.Src == 0 {
 			got++
 		}
 	})
 	send := func() {
-		n.Send(0, 3, PortDir, 64, payload) // two hops: east, then south
+		pl := Payload{Kind: 2, Addr: 0x40}
+		pl.Line[63] = 0xa5
+		n.Send(0, 3, PortDir, 64, &pl) // two hops: east, then south
 		k.Run(0)
 	}
 	send() // warm up the in-flight records and the event heap

@@ -62,22 +62,26 @@ func New(s *soc.SoC) *OS {
 }
 
 // handleIRQ services a Cohort page-fault interrupt in kernel context after
-// the modelled service latency.
+// the modelled service latency. The interrupt's source tile names the
+// faulting engine.
 func (os *OS) handleIRQ(msg noc.Msg) {
-	irq, ok := msg.Payload.(engine.IRQ)
-	if !ok {
-		panic(fmt.Sprintf("osmodel: unexpected IRQ payload %T", msg.Payload))
-	}
-	os.SoC.K.After(os.Costs.IRQ, func() {
-		pr := os.byEngine[irq.Engine]
-		if pr == nil {
-			panic("osmodel: Cohort fault for an unregistered engine")
+	var e *engine.Engine
+	for _, se := range os.SoC.Engines {
+		if se.Tile() == msg.Src {
+			e = se
 		}
-		if err := pr.fixFault(irq.VA, irq.Write); err != nil {
-			panic(fmt.Sprintf("osmodel: unresolvable Cohort fault at %#x: %v", irq.VA, err))
+	}
+	va, write := msg.Addr, msg.Flags&engine.IRQStore != 0
+	os.SoC.K.After(os.Costs.IRQ, func() {
+		pr := os.byEngine[e]
+		if pr == nil {
+			panic(fmt.Sprintf("osmodel: Cohort fault from tile %d, which has no registered engine", msg.Src))
+		}
+		if err := pr.fixFault(va, write); err != nil {
+			panic(fmt.Sprintf("osmodel: unresolvable Cohort fault at %#x: %v", va, err))
 		}
 		// First resolution register: fault fixed, walker retries (§4.2.4).
-		irq.Engine.ResolveFault()
+		e.ResolveFault()
 	})
 }
 

@@ -9,7 +9,10 @@ import (
 
 // The property test below runs random programs on the kernel and on a naive
 // reference scheduler that keeps its events in a sorted slice and never runs
-// a Wait inline. Both must produce the same log of (now, who, step) entries.
+// a Wait inline. Both must produce the same log of (now, who, step, val)
+// entries. Programs also Put to and Get from bounded and unbounded queues,
+// which the reference keeps as plain slices, so the values a Get returns
+// check the kernel's queues for FIFO order across their compactions.
 
 type opKind int
 
@@ -21,6 +24,8 @@ const (
 	opNotify                // queue a continuation on signal sig; it fires signal arg if arg >= 0
 	opStop                  // Stop
 	opSpawn                 // spawn a process running script arg
+	opPut                   // Put the next value to queue sig, parking while it is full
+	opGet                   // Get from queue sig, parking while it is empty
 )
 
 type op struct {
@@ -34,25 +39,40 @@ type program struct {
 	scripts [][]op // the first nInit are spawned before Run; the rest only by opSpawn
 	nInit   int
 	nSig    int
+	queues  []int  // queue capacities (<= 0 unbounded)
 	pre     []op   // opAt callbacks and opNotify continuations queued before Run
 	limits  []Time // Run limits, in order; the kernel is then drained with Run(0)
 }
 
 // logEntry records a process executing step `step` (len(script) = exit), a
 // callback or continuation firing (who < 0), or Run returning (who == runMark).
+// A Put or Get that completes logs its step a second time with the value it
+// put or got in val.
 type logEntry struct {
 	now  Time
 	who  int
 	step int
+	val  int
 }
 
 const runMark = -1 << 20
 
 func genProgram(rng *rand.Rand) program {
 	pg := program{nInit: 1 + rng.Intn(4), nSig: 1 + rng.Intn(2)}
+	for i := 1 + rng.Intn(2); i > 0; i-- {
+		pg.queues = append(pg.queues, rng.Intn(4))
+	}
 	nScripts := pg.nInit + rng.Intn(3)
 	delays := []Time{0, 0, 1, 1, 2, 3, 7}
 	genOp := func(canSpawn bool) op {
+		if rng.Intn(10) < 3 {
+			// Queue traffic dense enough that the queues fill, drain and
+			// compact their backing arrays.
+			if rng.Intn(2) == 0 {
+				return op{kind: opPut, sig: rng.Intn(len(pg.queues))}
+			}
+			return op{kind: opGet, sig: rng.Intn(len(pg.queues))}
+		}
 		sig := rng.Intn(pg.nSig)
 		switch r := rng.Intn(100); {
 		case r < 40:
@@ -103,14 +123,18 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 	for i := range sigs {
 		sigs[i] = NewSignal(k)
 	}
-	nextProc, nextCB := 0, 0
+	queues := make([]*Queue[int], len(pg.queues))
+	for i, c := range pg.queues {
+		queues[i] = NewQueue[int](k, c)
+	}
+	nextProc, nextCB, nextVal := 0, 0, 0
 	// callback returns a new kernel-context callback that logs itself and
 	// fires signal fire, if fire >= 0.
 	callback := func(fire int) func() {
 		id := nextCB
 		nextCB++
 		return func() {
-			log = append(log, logEntry{k.Now(), -1 - id, 0})
+			log = append(log, logEntry{k.Now(), -1 - id, 0, 0})
 			if fire >= 0 {
 				sigs[fire].Fire()
 			}
@@ -130,7 +154,7 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 		ops := pg.scripts[script]
 		k.Spawn("p", func(p *Proc) {
 			for pc, o := range ops {
-				log = append(log, logEntry{p.Now(), id, pc})
+				log = append(log, logEntry{p.Now(), id, pc, 0})
 				switch o.kind {
 				case opWait:
 					p.Wait(o.d)
@@ -144,9 +168,17 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 					k.Stop()
 				case opSpawn:
 					spawn(o.arg)
+				case opPut:
+					nextVal++
+					v := nextVal
+					queues[o.sig].Put(p, v)
+					log = append(log, logEntry{p.Now(), id, pc, v})
+				case opGet:
+					v := queues[o.sig].Get(p)
+					log = append(log, logEntry{p.Now(), id, pc, v})
 				}
 			}
-			log = append(log, logEntry{p.Now(), id, len(ops)})
+			log = append(log, logEntry{p.Now(), id, len(ops), 0})
 		})
 	}
 	for i := 0; i < pg.nInit; i++ {
@@ -156,10 +188,10 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 		pre(o)
 	}
 	for i, l := range pg.limits {
-		log = append(log, logEntry{k.Run(l), runMark, i})
+		log = append(log, logEntry{k.Run(l), runMark, i, 0})
 	}
 	for i := len(pg.limits); !k.Idle(); i++ {
-		log = append(log, logEntry{k.Run(0), runMark, i})
+		log = append(log, logEntry{k.Run(0), runMark, i, 0})
 	}
 	blocked, procs = k.Blocked(), k.Procs()
 	k.Close()
@@ -168,6 +200,10 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 
 // refKernel is the reference scheduler: processes are script cursors, every
 // Wait schedules an event, and the next event is found by sorting.
+//
+// Queue i is the slice queues[i], whose not-empty and not-full conditions
+// are signals nSig+2i and nSig+2i+1. A process parked in a Put or Get keeps
+// its step and retries it when resumed, as Queue.Put and Queue.Get loop.
 type refKernel struct {
 	pg      *program
 	now     Time
@@ -177,8 +213,11 @@ type refKernel struct {
 	waiters [][]refEvent // per signal: parked processes and continuations, in wait order
 	pcs     []int        // per process: next step; len(script)+1 once exited
 	scripts []int        // per process: script index
+	retry   []int        // per process: the value a parked Put retries, or -1 for a parked Get; 0 if not parked in either
+	queues  [][]int
 	live    int
 	nextCB  int
+	nextVal int
 	log     []logEntry
 }
 
@@ -215,6 +254,7 @@ func (r *refKernel) pre(o op) {
 func (r *refKernel) spawn(script int) {
 	r.pcs = append(r.pcs, 0)
 	r.scripts = append(r.scripts, script)
+	r.retry = append(r.retry, 0)
 	r.live++
 	r.schedule(refEvent{at: r.now, proc: len(r.pcs) - 1})
 }
@@ -242,7 +282,7 @@ func (r *refKernel) run(limit Time) Time {
 		r.events = r.events[1:]
 		r.now = e.at
 		if e.proc < 0 {
-			r.log = append(r.log, logEntry{r.now, -1 - e.cb, 0})
+			r.log = append(r.log, logEntry{r.now, -1 - e.cb, 0, 0})
 			if e.sig >= 0 {
 				r.fire(e.sig)
 			}
@@ -259,7 +299,44 @@ func (r *refKernel) step(id int) {
 	for r.pcs[id] < len(ops) {
 		pc := r.pcs[id]
 		o := ops[pc]
-		r.log = append(r.log, logEntry{r.now, id, pc})
+		switch o.kind {
+		case opPut:
+			v := r.retry[id]
+			if v == 0 {
+				r.log = append(r.log, logEntry{r.now, id, pc, 0})
+				r.nextVal++
+				v = r.nextVal
+			}
+			q := r.queues[o.sig]
+			if c := r.pg.queues[o.sig]; c > 0 && len(q) >= c {
+				r.retry[id] = v
+				r.waiters[r.pg.nSig+2*o.sig+1] = append(r.waiters[r.pg.nSig+2*o.sig+1], refEvent{proc: id})
+				return
+			}
+			r.queues[o.sig] = append(q, v)
+			r.fire(r.pg.nSig + 2*o.sig)
+			r.retry[id] = 0
+			r.log = append(r.log, logEntry{r.now, id, pc, v})
+			r.pcs[id]++
+			continue
+		case opGet:
+			if r.retry[id] == 0 {
+				r.log = append(r.log, logEntry{r.now, id, pc, 0})
+			}
+			q := r.queues[o.sig]
+			if len(q) == 0 {
+				r.retry[id] = -1
+				r.waiters[r.pg.nSig+2*o.sig] = append(r.waiters[r.pg.nSig+2*o.sig], refEvent{proc: id})
+				return
+			}
+			r.queues[o.sig] = q[1:]
+			r.fire(r.pg.nSig + 2*o.sig + 1)
+			r.retry[id] = 0
+			r.log = append(r.log, logEntry{r.now, id, pc, q[0]})
+			r.pcs[id]++
+			continue
+		}
+		r.log = append(r.log, logEntry{r.now, id, pc, 0})
 		r.pcs[id]++
 		switch o.kind {
 		case opWait:
@@ -278,13 +355,14 @@ func (r *refKernel) step(id int) {
 			r.spawn(o.arg)
 		}
 	}
-	r.log = append(r.log, logEntry{r.now, id, len(ops)})
+	r.log = append(r.log, logEntry{r.now, id, len(ops), 0})
 	r.pcs[id]++
 	r.live--
 }
 
 func runReference(pg program) (log []logEntry, blocked, procs int) {
-	r := &refKernel{pg: &pg, waiters: make([][]refEvent, pg.nSig)}
+	r := &refKernel{pg: &pg, waiters: make([][]refEvent, pg.nSig+2*len(pg.queues)),
+		queues: make([][]int, len(pg.queues))}
 	for i := 0; i < pg.nInit; i++ {
 		r.spawn(i)
 	}
@@ -292,10 +370,10 @@ func runReference(pg program) (log []logEntry, blocked, procs int) {
 		r.pre(o)
 	}
 	for i, l := range pg.limits {
-		r.log = append(r.log, logEntry{r.run(l), runMark, i})
+		r.log = append(r.log, logEntry{r.run(l), runMark, i, 0})
 	}
 	for i := len(pg.limits); len(r.events) > 0; i++ {
-		r.log = append(r.log, logEntry{r.run(0), runMark, i})
+		r.log = append(r.log, logEntry{r.run(0), runMark, i, 0})
 	}
 	for _, ws := range r.waiters {
 		for _, w := range ws {

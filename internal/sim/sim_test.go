@@ -469,3 +469,43 @@ func TestSignalFireAllocs(t *testing.T) {
 		t.Fatalf("Blocked=%d hits=%d, want 1 102", k.Blocked(), hits)
 	}
 }
+
+// A warm queue at capacity cycles Get and Put without allocating: TryGet
+// advances a head index, and TryPut slides the items down only when the
+// backing array is full.
+func TestQueueSteadyStateAllocs(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8, 0} {
+		k := New()
+		q := NewQueue[int](k, capacity)
+		depth := capacity
+		if depth <= 0 {
+			depth = 5 // unbounded: hold a steady backlog instead
+		}
+		next, want := 0, 0
+		for ; next < depth; next++ {
+			if !q.TryPut(next) {
+				t.Fatalf("cap %d: TryPut %d refused below capacity", capacity, next)
+			}
+		}
+		cycle := func() {
+			v, ok := q.TryGet()
+			if !ok || v != want {
+				t.Fatalf("cap %d: TryGet = %d %v, want %d", capacity, v, ok, want)
+			}
+			want++
+			if !q.TryPut(next) {
+				t.Fatalf("cap %d: TryPut %d refused after a Get", capacity, next)
+			}
+			next++
+		}
+		for i := 0; i < 4*depth; i++ {
+			cycle() // warm up: the backing array reaches its steady size
+		}
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Fatalf("cap %d: %.1f allocations per Get/Put cycle, want 0", capacity, n)
+		}
+		if q.Len() != depth {
+			t.Fatalf("cap %d: Len = %d, want %d", capacity, q.Len(), depth)
+		}
+	}
+}

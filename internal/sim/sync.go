@@ -57,10 +57,15 @@ func (s *Signal) Waiting() int { return len(s.waiters) }
 // channel of unbounded (capacity <= 0) or bounded capacity. Processes block
 // in Get and Put; kernel-context state machines use TryGet and TryPut and
 // notify themselves when the queue changes.
+//
+// The queued items are items[head:]. TryGet advances head instead of
+// reslicing, so the backing array is kept: TryPut slides the items down to
+// the front only when the array is full, and a warm queue does not allocate.
 type Queue[T any] struct {
 	k        *Kernel
 	capacity int
 	items    []T
+	head     int
 	notEmpty *Signal
 	notFull  *Signal
 }
@@ -71,13 +76,23 @@ func NewQueue[T any](k *Kernel, capacity int) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // TryPut appends v if there is room and reports whether it did. Safe from
 // kernel context.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.capacity > 0 && len(q.items) >= q.capacity {
+	n := q.Len()
+	if q.capacity > 0 && n >= q.capacity {
 		return false
+	}
+	if len(q.items) == cap(q.items) && q.head > 0 && 2*q.head >= n {
+		// The backing array is full but at least as many slots are free
+		// at its front as items are queued: slide the items down instead
+		// of growing. The TryGets that freed the slots pay for the copy;
+		// with fewer free slots, append grows the array as usual.
+		copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, v)
 	q.notEmpty.Fire()
@@ -102,11 +117,15 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 // TryGet removes and returns the head item if present.
 func (q *Queue[T]) TryGet() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0 // empty: rewind to the front
+	}
 	q.notFull.Fire()
 	return v, true
 }
@@ -124,8 +143,8 @@ func (q *Queue[T]) Get(p *Proc) T {
 // Peek returns the head item without removing it.
 func (q *Queue[T]) Peek() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return zero, false
 	}
-	return q.items[0], true
+	return q.items[q.head], true
 }
