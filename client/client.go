@@ -4,7 +4,8 @@
 // protocol (cohort/internal/wire) and the daemon's socket handling replace
 // the shared-memory queues.
 //
-// A Conn carries exactly one session. The typical small-job shape:
+// A Conn carries exactly one session; its connection closes after the
+// session's final frame. The typical small-job shape:
 //
 //	c, err := client.Connect(addr, client.Options{Tenant: "me", Accel: "sha256"})
 //	out, res, err := c.Stream(words)   // concurrent send + receive
@@ -57,8 +58,7 @@ type Options struct {
 	// egress) arrive as occasional Telemetry frames mid-stream and finally on
 	// Done. Read the latest with Conn.LastServerTiming; subtracting the
 	// server-resident time from an end-to-end measurement isolates network +
-	// client-side cost. Off by default — old daemons ignore unknown JSON
-	// fields and simply never send timing.
+	// client-side cost. Off by default.
 	ServerTiming bool
 	// Cluster, when set, turns on client-side shard routing: Connect fetches
 	// the gateway's /ring snapshot, rebuilds the consistent-hash ring locally,
@@ -181,16 +181,21 @@ func connect(addr string, opts Options) (*Conn, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
+	req := wire.OpenRequest{
+		Tenant: opts.Tenant, Accel: opts.Accel, CSR: opts.CSR,
+		Weight: opts.Weight, Quota: opts.Quota, QueueCap: opts.QueueCap,
+		Timing: opts.ServerTiming,
+	}
+	if err := req.Validate(); err != nil {
+		// The daemon would refuse it as a bad request; no retry can help.
+		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
+	}
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("cohort client: dial %s: %w", addr, err)
 	}
 	c := &Conn{c: nc, r: wire.NewReader(nc), w: wire.NewWriter(nc)}
-	if err := c.w.JSON(wire.Open, wire.OpenRequest{
-		Tenant: opts.Tenant, Accel: opts.Accel, CSR: opts.CSR,
-		Weight: opts.Weight, Quota: opts.Quota, QueueCap: opts.QueueCap,
-		Timing: opts.ServerTiming,
-	}); err != nil {
+	if err := c.w.Open(&req); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("cohort client: send open: %w", err)
 	}
@@ -201,8 +206,8 @@ func connect(addr string, opts Options) (*Conn, error) {
 	}
 	switch t {
 	case wire.OpenOK:
-		var rep wire.OpenReply
-		if err := wire.Unmarshal(t, payload, &rep); err != nil {
+		rep, err := wire.DecodeOpenReply(payload)
+		if err != nil {
 			nc.Close()
 			return nil, err
 		}

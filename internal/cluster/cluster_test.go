@@ -33,6 +33,7 @@ type shardProc struct {
 	name string
 	wire string
 	http string
+	ln   *countingListener
 	s    *sched.Scheduler
 	sv   *sched.Server
 	web  *obsrv.Server
@@ -51,10 +52,7 @@ func startShard(t *testing.T, name string) *shardProc {
 	t.Helper()
 	s := sched.New(sched.Config{Engines: 1, Quantum: 64, QueueCap: 16384})
 	sv := sched.NewServer(s, nil) // default catalog: "null" is 1:1 pass-through
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listenCounting(t, "127.0.0.1:0")
 	go sv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on stop
 	web := obsrv.New(obsrv.Options{
 		Health: func() []obsrv.Health {
@@ -71,7 +69,7 @@ func startShard(t *testing.T, name string) *shardProc {
 	if err := web.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	sp := &shardProc{name: name, wire: ln.Addr().String(), http: web.Addr(), s: s, sv: sv, web: web}
+	sp := &shardProc{name: name, wire: ln.Addr().String(), http: web.Addr(), ln: ln, s: s, sv: sv, web: web}
 	t.Cleanup(sp.stop)
 	return sp
 }

@@ -121,7 +121,7 @@ func TestWordsWritersAgree(t *testing.T) {
 func TestNextDataControlFrames(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.JSON(Open, OpenRequest{Tenant: "t", Accel: "null"}); err != nil {
+	if err := w.Open(&OpenRequest{Tenant: "t", Accel: "null"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Words([]cohort.Word{7, 8, 9}); err != nil {
@@ -136,7 +136,7 @@ func TestNextDataControlFrames(t *testing.T) {
 		t.Fatalf("frame 1 = %v ws=%v err=%v, want open control", typ, ws, err)
 	}
 	var req OpenRequest
-	if err := Unmarshal(typ, payload, &req); err != nil || req.Accel != "null" {
+	if err := DecodeOpen(payload, &req); err != nil || req.Accel != "null" {
 		t.Fatalf("open decode: %+v %v", req, err)
 	}
 	typ, ws, _, err = r.NextData()

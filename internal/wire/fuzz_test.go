@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"cohort"
@@ -16,10 +17,11 @@ import (
 // conversations, truncated headers, truncated payloads, oversized lengths,
 // invalid types and misaligned Data.
 func FuzzReader(f *testing.F) {
-	// A valid little conversation: Open JSON, a 3-word Data frame, CloseSend.
+	// A valid little conversation: a binary Open, a 3-word Data frame,
+	// CloseSend.
 	var valid bytes.Buffer
 	w := NewWriter(&valid)
-	if err := w.JSON(Open, OpenRequest{Tenant: "t", Accel: "sha256"}); err != nil {
+	if err := w.Open(&OpenRequest{Tenant: "t", Accel: "sha256"}); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Words([]cohort.Word{1, 2, 3}); err != nil {
@@ -56,7 +58,7 @@ func FuzzReader(f *testing.F) {
 			if ta != tb {
 				t.Fatalf("frame %d: Next type %v, NextData type %v", frame, ta, tb)
 			}
-			if ta < Open || ta > Done {
+			if ta < Open || ta > Telemetry {
 				t.Fatalf("frame %d: invalid type %d returned without error", frame, ta)
 			}
 			if len(pa) > MaxFrame {
@@ -81,6 +83,61 @@ func FuzzReader(f *testing.F) {
 			} else if !bytes.Equal(pa, pb) {
 				t.Fatalf("frame %d: control payloads differ", frame)
 			}
+		}
+	})
+}
+
+// FuzzOpen throws arbitrary payloads at the binary Open decoder and checks:
+// no panic; OpenTenant accepts exactly what DecodeOpen accepts and agrees on
+// the tenant; and every accepted payload is canonical — it re-encodes to the
+// same bytes and decodes again to the same request. The seeds are encoded
+// requests covering every field, a JSON Open from before the binary layout,
+// and truncations of a valid payload.
+func FuzzOpen(f *testing.F) {
+	full, err := AppendOpen(nil, &OpenRequest{
+		Tenant: "alice", Accel: "aes128", CSR: make([]byte, 16), Weight: 3,
+		Quota: 1 << 40, QueueCap: 4096, Timing: true, Reuse: true,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	for _, req := range []OpenRequest{{Tenant: "t", Accel: "sha256"}, {Weight: -1, QueueCap: -7}} {
+		b, err := AppendOpen(nil, &req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Add([]byte(`{"tenant":"t","accel":"sha256"}`))
+	f.Add(full[:openFixed])
+	f.Add(full[:len(full)-1])
+	f.Add(append(append([]byte(nil), full...), 0))
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var req OpenRequest
+		err := DecodeOpen(p, &req)
+		tenant, terr := OpenTenant(p)
+		if (err == nil) != (terr == nil) {
+			t.Fatalf("DecodeOpen err=%v, OpenTenant err=%v", err, terr)
+		}
+		if err != nil {
+			return
+		}
+		if tenant != req.Tenant {
+			t.Fatalf("OpenTenant %q, DecodeOpen tenant %q", tenant, req.Tenant)
+		}
+		b, err := AppendOpen(nil, &req)
+		if err != nil {
+			t.Fatalf("accepted request %+v does not re-encode: %v", req, err)
+		}
+		if !bytes.Equal(b, p) {
+			t.Fatalf("re-encode differs:\n got %x\nwant %x", b, p)
+		}
+		var again OpenRequest
+		if err := DecodeOpen(b, &again); err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("round trip: %+v (%v), want %+v", again, err, req)
 		}
 	})
 }

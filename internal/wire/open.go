@@ -1,0 +1,262 @@
+package wire
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+)
+
+// OpenRequest is the client's session ask — the wire form of
+// sched.SessionConfig. It travels in the binary Open layout (see
+// AppendOpen), not as JSON.
+type OpenRequest struct {
+	Tenant   string
+	Accel    string
+	CSR      []byte
+	Weight   int
+	Quota    uint64
+	QueueCap int
+	// Timing asks the server to stream Telemetry frames with the session's
+	// server-side stage-latency breakdown and to attach the final breakdown
+	// to Done (DoneReply.Timing).
+	Timing bool
+	// Reuse asks the server to keep the connection open after a clean Done
+	// so the next Open can follow on it: the gateway sets it on its shard
+	// legs. Direct clients leave it unset; their connection carries one
+	// session and closes after the final frame.
+	Reuse bool
+}
+
+// OpenReply acknowledges admission and tells the client the accelerator's
+// block geometry so it can frame its stream sensibly.
+type OpenReply struct {
+	Session  uint64
+	InWords  int
+	OutWords int
+}
+
+// openVersion is the layout version an Open payload starts with.
+const openVersion = 1
+
+// Open flag bits (byte 1 of the payload). Any other bit is malformed.
+const (
+	openTiming byte = 1 << 0
+	openReuse  byte = 1 << 1
+	openFlags       = openTiming | openReuse
+)
+
+// Field caps, set by the width of each length prefix.
+const (
+	maxTenantBytes = math.MaxUint8
+	maxAccelBytes  = math.MaxUint8
+	maxCSRBytes    = math.MaxUint16
+)
+
+// openFixed is the size of the Open payload's fixed part: version, flags,
+// weight, quota, queue_cap.
+const openFixed = 1 + 1 + 4 + 8 + 4
+
+// openReplyBytes is the size of an OpenOK payload.
+const openReplyBytes = 8 + 4 + 4
+
+// errOpenShort is every truncation of an Open: a fixed part cut short or a
+// length prefix that runs past the payload.
+var errOpenShort = errors.New("wire: open payload truncated")
+
+// AppendOpen appends req's Open payload to dst. The layout, little-endian:
+//
+//	off  size  field
+//	0    1     version (openVersion)
+//	1    1     flags: bit 0 timing, bit 1 reuse
+//	2    4     weight     (int32)
+//	6    8     quota      (uint64)
+//	14   4     queue_cap  (int32)
+//	18   1+n   tenant     (uint8 length, bytes)
+//	..   1+n   accel      (uint8 length, bytes)
+//	..   2+n   csr        (uint16 length, bytes)
+//
+// Nothing follows the CSR. Fields that do not fit their width are an error.
+func AppendOpen(dst []byte, req *OpenRequest) ([]byte, error) {
+	if err := req.Validate(); err != nil {
+		return dst, err
+	}
+	var flags byte
+	if req.Timing {
+		flags |= openTiming
+	}
+	if req.Reuse {
+		flags |= openReuse
+	}
+	dst = append(dst, openVersion, flags)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(req.Weight)))
+	dst = binary.LittleEndian.AppendUint64(dst, req.Quota)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(req.QueueCap)))
+	dst = append(dst, byte(len(req.Tenant)))
+	dst = append(dst, req.Tenant...)
+	dst = append(dst, byte(len(req.Accel)))
+	dst = append(dst, req.Accel...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(req.CSR)))
+	return append(dst, req.CSR...), nil
+}
+
+// Validate reports whether every field of req fits the Open layout.
+func (req *OpenRequest) Validate() error {
+	switch {
+	case len(req.Tenant) > maxTenantBytes:
+		return fmt.Errorf("wire: open tenant is %d bytes, max %d", len(req.Tenant), maxTenantBytes)
+	case len(req.Accel) > maxAccelBytes:
+		return fmt.Errorf("wire: open accel is %d bytes, max %d", len(req.Accel), maxAccelBytes)
+	case len(req.CSR) > maxCSRBytes:
+		return fmt.Errorf("wire: open csr is %d bytes, max %d", len(req.CSR), maxCSRBytes)
+	case req.Weight < math.MinInt32 || req.Weight > math.MaxInt32:
+		return fmt.Errorf("wire: open weight %d out of int32 range", req.Weight)
+	case req.QueueCap < math.MinInt32 || req.QueueCap > math.MaxInt32:
+		return fmt.Errorf("wire: open queue_cap %d out of int32 range", req.QueueCap)
+	}
+	return nil
+}
+
+// openFields is a validated Open payload whose variable fields alias it.
+type openFields struct {
+	flags              byte
+	weight, queueCap   int32
+	quota              uint64
+	tenant, accel, csr []byte
+}
+
+// parseOpen validates p against the Open layout without copying: the
+// version, the flag bits, every length prefix, and that nothing trails the
+// CSR.
+func parseOpen(p []byte) (openFields, error) {
+	var f openFields
+	if len(p) < openFixed {
+		return f, errOpenShort
+	}
+	if p[0] != openVersion {
+		return f, fmt.Errorf("wire: open version %d, want %d", p[0], openVersion)
+	}
+	f.flags = p[1]
+	if f.flags&^openFlags != 0 {
+		return f, fmt.Errorf("wire: open flags %#x carry unknown bits", f.flags)
+	}
+	f.weight = int32(binary.LittleEndian.Uint32(p[2:]))
+	f.quota = binary.LittleEndian.Uint64(p[6:])
+	f.queueCap = int32(binary.LittleEndian.Uint32(p[14:]))
+	rest := p[openFixed:]
+	var ok bool
+	if f.tenant, rest, ok = lenField(rest, 1); !ok {
+		return f, errOpenShort
+	}
+	if f.accel, rest, ok = lenField(rest, 1); !ok {
+		return f, errOpenShort
+	}
+	if f.csr, rest, ok = lenField(rest, 2); !ok {
+		return f, errOpenShort
+	}
+	if len(rest) > 0 {
+		return f, fmt.Errorf("wire: open payload has %d trailing bytes", len(rest))
+	}
+	return f, nil
+}
+
+// lenField splits one length-prefixed field (a prefix of 1 or 2 bytes) off
+// b. ok is false when the prefix or the field runs past b.
+func lenField(b []byte, prefix int) (field, rest []byte, ok bool) {
+	if len(b) < prefix {
+		return nil, nil, false
+	}
+	n := int(b[0])
+	if prefix == 2 {
+		n = int(binary.LittleEndian.Uint16(b))
+	}
+	b = b[prefix:]
+	if len(b) < n {
+		return nil, nil, false
+	}
+	return b[:n], b[n:], true
+}
+
+// DecodeOpen decodes an Open payload into req. The strings and CSR are
+// copies, so req outlives the reader's scratch buffer. A malformed payload
+// — wrong version, unknown flag bits, a truncated field, trailing bytes —
+// is an error the server answers with CodeBadRequest.
+func DecodeOpen(p []byte, req *OpenRequest) error {
+	f, err := parseOpen(p)
+	if err != nil {
+		return err
+	}
+	*req = OpenRequest{
+		Tenant: string(f.tenant), Accel: string(f.accel),
+		Weight: int(f.weight), Quota: f.quota, QueueCap: int(f.queueCap),
+		Timing: f.flags&openTiming != 0, Reuse: f.flags&openReuse != 0,
+	}
+	if len(f.csr) > 0 {
+		req.CSR = append([]byte(nil), f.csr...)
+	}
+	return nil
+}
+
+// OpenTenant validates an Open payload like DecodeOpen and returns only its
+// tenant — what a router needs, without decoding the rest.
+func OpenTenant(p []byte) (string, error) {
+	f, err := parseOpen(p)
+	if err != nil {
+		return "", err
+	}
+	return string(f.tenant), nil
+}
+
+// appendOpenReply appends rep's OpenOK payload to dst: session (uint64),
+// in_words and out_words (uint32 each), little-endian.
+func appendOpenReply(dst []byte, rep OpenReply) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, rep.Session)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rep.InWords))
+	return binary.LittleEndian.AppendUint32(dst, uint32(rep.OutWords))
+}
+
+// DecodeOpenReply decodes an OpenOK payload.
+func DecodeOpenReply(p []byte) (OpenReply, error) {
+	if len(p) != openReplyBytes {
+		return OpenReply{}, fmt.Errorf("wire: open-ok payload is %d bytes, want %d", len(p), openReplyBytes)
+	}
+	return OpenReply{
+		Session:  binary.LittleEndian.Uint64(p),
+		InWords:  int(binary.LittleEndian.Uint32(p[8:])),
+		OutWords: int(binary.LittleEndian.Uint32(p[12:])),
+	}, nil
+}
+
+// Open writes req as an Open frame.
+func (fw *Writer) Open(req *OpenRequest) error {
+	b, err := AppendOpen(fw.buf[:0], req)
+	if err != nil {
+		return err
+	}
+	return fw.control(Open, b)
+}
+
+// ReuseOpen writes the Open payload p as an Open frame with its reuse flag
+// set, on a copy in the Writer's scratch: p is not modified and nothing is
+// re-encoded. p must be a valid Open payload (OpenTenant or DecodeOpen
+// accepted it).
+func (fw *Writer) ReuseOpen(p []byte) error {
+	b := append(fw.buf[:0], p...)
+	b[1] |= openReuse
+	return fw.control(Open, b)
+}
+
+// OpenOK writes rep as an OpenOK frame.
+func (fw *Writer) OpenOK(rep OpenReply) error {
+	return fw.control(OpenOK, appendOpenReply(fw.buf[:0], rep))
+}
+
+// control writes a control payload built by appending to the scratch
+// buffer, and keeps the buffer for the next frame when it is small enough:
+// a binary control frame costs no allocation once the Writer is warm.
+func (fw *Writer) control(t Type, b []byte) error {
+	if cap(b) <= maxRetain {
+		fw.buf = b
+	}
+	return fw.Frame(t, b)
+}

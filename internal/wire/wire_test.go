@@ -13,7 +13,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.JSON(Open, OpenRequest{Tenant: "t", Accel: "sha256", Weight: 2}); err != nil {
+	if err := w.Open(&OpenRequest{Tenant: "t", Accel: "sha256", Weight: 2}); err != nil {
 		t.Fatal(err)
 	}
 	words := []cohort.Word{0, 1, 1 << 63, ^cohort.Word(0)}
@@ -30,7 +30,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame 1 = %v %v, want open", typ, err)
 	}
 	var req OpenRequest
-	if err := Unmarshal(typ, payload, &req); err != nil {
+	if err := DecodeOpen(payload, &req); err != nil {
 		t.Fatal(err)
 	}
 	if req.Tenant != "t" || req.Accel != "sha256" || req.Weight != 2 {
