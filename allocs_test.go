@@ -49,8 +49,7 @@ func TestBuiltinAcceleratorsZeroAlloc(t *testing.T) {
 // engine alone), over the shipped SHA-256 accelerator, and over the echo stub
 // with an always-on flight recorder attached, both with a ring that wraps
 // many times (16 events per track) and with one that barely does (4096).
-// WithBackoff(0, 0) selects the spin-yield idle policy, so even a
-// momentarily idle engine stays off the timer path.
+// A momentarily idle engine parks on its bell, which allocates nothing either.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -73,7 +72,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := []RegisterOption{WithBackoff(0, 0)}
+			var opts []RegisterOption
 			if c.flight > 0 {
 				opts = append(opts, WithFlightRecorder(NewFlightRecorder(c.flight), "echo"))
 			}

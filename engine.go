@@ -37,10 +37,6 @@ type Accelerator interface {
 // (§4.1's batched index updates, applied on the consume side).
 const DefaultBatch = 8
 
-// backoffSpinYields is how many failed polls an engine burns spinning (with
-// yields) before it starts sleeping, when a sleep backoff is configured.
-const backoffSpinYields = 128
-
 // Engine is a running software Cohort engine: a goroutine bridging an input
 // queue to an accelerator to an output queue, exactly as the paper's
 // hardware engine replaces a software thread (§3.3). Create with Register.
@@ -52,8 +48,11 @@ type Engine struct {
 	done  chan struct{}
 	once  sync.Once
 	batch int
-	boMin time.Duration
-	boMax time.Duration
+
+	// bell is the engine's doorbell: in's push bell and out's pop bell, so a
+	// word arriving, a close, or room freed downstream wakes the parked
+	// engine (§4.2's invalidation of the monitored index line).
+	bell *Bell
 
 	// Recovery policy (WithRetry / WithProcessTimeout). retries is the
 	// per-block transient-fault retry budget; retryMin the first retry pause
@@ -73,7 +72,7 @@ type Engine struct {
 	elemsOut  atomic.Uint64
 	blocks    atomic.Uint64
 	wakeups   atomic.Uint64
-	sleeps    atomic.Uint64
+	parks     atomic.Uint64
 	errs      atomic.Uint64
 	dropped   atomic.Uint64
 	retried   atomic.Uint64
@@ -101,8 +100,6 @@ type RegisterOption func(*registerCfg)
 type registerCfg struct {
 	csr         []byte
 	batch       int
-	boMin       time.Duration
-	boMax       time.Duration
 	retries     int
 	retryMin    time.Duration
 	procTimeout time.Duration
@@ -127,10 +124,10 @@ func WithBatch(blocks int) RegisterOption {
 }
 
 // WithFlightRecorder attaches the engine to an always-on, fixed-memory
-// flight recorder: the engine emits poll/backoff idle spans, a drain span per
+// flight recorder: the engine emits an idle span per park, a drain span per
 // wakeup, a compute span per block and a publish span per output publication
 // onto the named track (default: the accelerator's name), and the ring is
-// auto-dumped (FlightRecorder.AutoDump) if the engine parks with a terminal
+// auto-dumped (FlightRecorder.AutoDump) if the engine stops with a terminal
 // accelerator error. Without this option tracing is a guaranteed no-op — no
 // clock reads, no formatting, no allocation.
 func WithFlightRecorder(f *FlightRecorder, track string) RegisterOption {
@@ -145,7 +142,7 @@ func WithFlightRecorder(f *FlightRecorder, track string) RegisterOption {
 // Transient (or carrying a `Transient() bool` method in their chain) —
 // non-terminal: the engine re-runs the failing block up to n times, pausing
 // backoff, 2·backoff, ... (capped at 64·backoff) between attempts. A block
-// still failing after n retries, or failing with an unmarked error, parks
+// still failing after n retries, or failing with an unmarked error, stops
 // the engine exactly as before (Err). The default (n = 0) keeps every
 // Process error terminal.
 func WithRetry(n int, backoff time.Duration) RegisterOption {
@@ -153,7 +150,7 @@ func WithRetry(n int, backoff time.Duration) RegisterOption {
 }
 
 // WithProcessTimeout bounds a single accelerator Process call: a call that
-// has not returned after d parks the engine with ErrProcessTimeout instead
+// has not returned after d stops the engine with ErrProcessTimeout instead
 // of wedging its goroutine forever — the queues, the session and the
 // watchdog all stay live for containment. The timeout is terminal, never
 // retried: Go cannot cancel the in-flight call, so the abandoned call may
@@ -164,19 +161,14 @@ func WithProcessTimeout(d time.Duration) RegisterOption {
 	return func(c *registerCfg) { c.procTimeout = d }
 }
 
-// WithBackoff makes an idle engine sleep with exponentially growing pauses
-// in [min, max] instead of spinning, mirroring the hardware engine's backoff
-// unit (§4.2.5): after a burst of spin-yields the engine sleeps min,
-// doubling up to max until work arrives. The zero configuration (or min<=0)
-// keeps the pure spin-yield behavior.
-func WithBackoff(min, max time.Duration) RegisterOption {
-	return func(c *registerCfg) { c.boMin, c.boMax = min, max }
-}
-
 // Register connects an accelerator between two queues and starts its engine
 // — the cohort_register syscall of Table 1. The caller keeps using plain
 // Push/Pop (or the bulk PushSlice/PopSlice) on the queues; chains are built
 // by registering another engine whose input is this engine's output queue.
+//
+// The engine takes in's push bell and out's pop bell (Fifo.OnPush, OnPop)
+// and parks on them whenever it has nothing to do; it fails if either side
+// already has a bell. Both come off when the engine exits.
 func Register(acc Accelerator, in, out *Fifo[Word], opts ...RegisterOption) (*Engine, error) {
 	if acc.InWords() < 1 || acc.OutWords() < 0 {
 		return nil, fmt.Errorf("cohort: accelerator %s has invalid block ratio %d:%d",
@@ -192,9 +184,6 @@ func Register(acc Accelerator, in, out *Fifo[Word], opts ...RegisterOption) (*En
 	if cfg.batch < 1 {
 		return nil, fmt.Errorf("cohort: register %s: batch must be >= 1, got %d", acc.Name(), cfg.batch)
 	}
-	if cfg.boMax < cfg.boMin {
-		return nil, fmt.Errorf("cohort: register %s: backoff max %v < min %v", acc.Name(), cfg.boMax, cfg.boMin)
-	}
 	if cfg.retries < 0 {
 		return nil, fmt.Errorf("cohort: register %s: negative retry budget %d", acc.Name(), cfg.retries)
 	}
@@ -203,10 +192,18 @@ func Register(acc Accelerator, in, out *Fifo[Word], opts ...RegisterOption) (*En
 			return nil, fmt.Errorf("cohort: configure %s: %w", acc.Name(), err)
 		}
 	}
+	bell := NewBell()
+	if !in.pushBell.CompareAndSwap(nil, bell) {
+		return nil, fmt.Errorf("cohort: register %s: input queue already has a push bell", acc.Name())
+	}
+	if !out.popBell.CompareAndSwap(nil, bell) {
+		in.OnPush(nil)
+		return nil, fmt.Errorf("cohort: register %s: output queue already has a pop bell", acc.Name())
+	}
 	e := &Engine{
 		acc: acc, in: in, out: out,
 		stop: make(chan struct{}), done: make(chan struct{}),
-		batch: cfg.batch, boMin: cfg.boMin, boMax: cfg.boMax,
+		batch: cfg.batch, bell: bell,
 		retries: cfg.retries, retryMin: cfg.retryMin, procTimeout: cfg.procTimeout,
 	}
 	if cfg.flight != nil {
@@ -221,86 +218,29 @@ func Register(acc Accelerator, in, out *Fifo[Word], opts ...RegisterOption) (*En
 	return e, nil
 }
 
-// backoff implements the §4.2.5 backoff unit in software: spin-yield for a
-// burst, then sleep with exponentially growing pauses capped at max. A zero
-// min disables sleeping entirely.
-type backoff struct {
-	spins    int
-	cur      time.Duration
-	min, max time.Duration
-	sleeps   *atomic.Uint64 // counts actual timer sleeps; may be nil
-}
-
-// wait blocks once according to the policy; it returns false if stop closed
-// while waiting.
-func (b *backoff) wait(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return false
-	default:
-	}
-	if b.min <= 0 {
-		runtime.Gosched()
-		return true
-	}
-	if b.spins < backoffSpinYields {
-		b.spins++
-		runtime.Gosched()
-		return true
-	}
-	d := b.cur
-	if d <= 0 {
-		d = b.min
-	}
-	b.cur = 2 * d
-	if b.cur > b.max {
-		b.cur = b.max
-	}
-	if b.sleeps != nil {
-		b.sleeps.Add(1)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-stop:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-func (b *backoff) reset() { b.spins, b.cur = 0, 0 }
-
 // run is the engine loop: drain a block batch from the input queue (the
 // consumer endpoint + ratchet) with one read-index publication, process the
 // whole blocks, and publish their results with one write-index publication
 // (the producer endpoint). Up to batch × InWords words move per wakeup, so
 // the atomic release-stores on both queues — and the cross-core invalidations
 // they cause — are amortized over the whole run: §4.1's batched index
-// updates, on the consume and the produce side alike.
+// updates, on the consume and the produce side alike. With no complete block
+// to take, the engine parks on its bell until the producer publishes.
 func (e *Engine) run() {
-	defer close(e.done)
+	defer func() {
+		// Every exit hands the bells back, so the queues can be registered
+		// again once Done is closed.
+		e.in.pushBell.CompareAndSwap(e.bell, nil)
+		e.out.popBell.CompareAndSwap(e.bell, nil)
+		close(e.done)
+	}()
 	inW := e.acc.InWords()
 	buf := make([]Word, e.batch*inW)
-	bo := backoff{min: e.boMin, max: e.boMax, sleeps: &e.sleeps}
 	fill := 0
 	// One wakeup in histoSampleEvery times its drain for the latency
 	// histogram; the others read no clock.
 	countdown := histoSampleEvery
-	// Traced engines only: the idle stretch in progress, on the recorder clock.
-	var now, idleStart, idleSleeps uint64
-	idling := false
-	endIdle := func() {
-		if idling {
-			// Name the stretch by how it was spent.
-			name := "poll"
-			if e.sleeps.Load() != idleSleeps {
-				name = "backoff"
-			}
-			e.trk.SpanAt(name, idleStart, now-idleStart)
-			idling = false
-		}
-	}
+	var now uint64 // traced engines only: the wakeup's start, on the recorder clock
 	for {
 		if e.trk != nil {
 			now = e.flight.rec.Now()
@@ -308,29 +248,22 @@ func (e *Engine) run() {
 		n := e.in.TryPopInto(buf[fill:])
 		fill += n
 		if fill < inW {
-			// Not even one complete block yet: back off (or bail out).
+			// Not even one complete block yet: park (or bail out).
 			if n > 0 {
-				bo.reset()
 				continue
 			}
 			if e.in.Drained() {
-				endIdle()
 				e.finishEOS(fill)
 				return
 			}
-			if e.trk != nil && !idling {
-				idling, idleStart, idleSleeps = true, now, e.sleeps.Load()
-			}
-			if !bo.wait(e.stop) {
+			if !e.park(e.inputReady) {
 				return
 			}
 			continue
 		}
 		if e.trk != nil {
-			endIdle()
 			e.trk.Span("drain", now)
 		}
-		bo.reset()
 		e.wakeups.Add(1)
 		n = fill / inW * inW
 		ok := false
@@ -350,15 +283,49 @@ func (e *Engine) run() {
 	}
 }
 
+// inputReady is the last look before parking on an empty input: a word or
+// the end of stream has arrived.
+func (e *Engine) inputReady() bool { return e.in.Len() > 0 || e.in.Closed() }
+
+// outputReady is the last look before parking on a full output.
+func (e *Engine) outputReady() bool { return e.out.Len() < e.out.Cap() }
+
+// park waits on the engine's bell with the Bell protocol: arm, take a last
+// look with ready, and block until a publication rings or stop closes. A
+// park does no polling and reads no timer; the caller re-checks its queue
+// after every return. It returns false when stop closed.
+func (e *Engine) park(ready func() bool) bool {
+	e.bell.Arm()
+	defer e.bell.Disarm()
+	if ready() {
+		return true
+	}
+	e.parks.Add(1)
+	var t0 uint64
+	if e.trk != nil {
+		t0 = e.flight.rec.Now()
+	}
+	select {
+	case <-e.stop:
+		return false
+	case <-e.bell.C():
+	}
+	if e.trk != nil {
+		e.trk.Span("idle", t0)
+	}
+	return true
+}
+
 // drain runs one batch of whole blocks through the accelerator, copying each
 // result straight into the output ring's free segments and publishing once:
 // when the batch ends, early when the acquired segments fill up (the consumer
-// must see them to free room), or at the block where the engine parks. The
-// counters move once per batch: WordsIn up front, as the words are handed to
-// processing (the Watchdog reads WordsIn > Blocks·InWords as work in flight),
-// blocks and WordsOut at the end, by what was completed and published. It
-// returns false when the engine must park: a terminal fault (recorded by
-// processBlock) or an Unregister.
+// must see them to free room), or at the block where the engine stops. With
+// the output full it parks until the consumer frees room. The counters move
+// once per batch: WordsIn up front, as the words are handed to processing
+// (the Watchdog reads WordsIn > Blocks·InWords as work in flight), blocks and
+// WordsOut at the end, by what was completed and published. It returns false
+// when the engine must stop: a terminal fault (recorded by processBlock) or
+// an Unregister.
 func (e *Engine) drain(in []Word, inW int) bool {
 	e.elemsIn.Add(uint64(len(in)))
 	var seg, next []Word // what is left of the acquired write segments
@@ -389,12 +356,8 @@ loop:
 				e.publish(staged)
 				staged = 0
 				if seg, next = e.out.WriteSegments(); len(seg) == 0 {
-					select {
-					case <-e.stop:
-						ok = false
+					if ok = e.park(e.outputReady); !ok {
 						break loop
-					default:
-						runtime.Gosched()
 					}
 				}
 				continue
@@ -417,20 +380,28 @@ func (e *Engine) publish(n int) {
 	if n == 0 {
 		return
 	}
-	if e.trk == nil {
-		e.out.CommitWrite(n)
-		return
+	var t0 uint64
+	if e.trk != nil {
+		t0 = e.flight.rec.Now()
 	}
-	t0 := e.flight.rec.Now()
 	e.out.CommitWrite(n)
-	e.trk.Span("publish", t0)
+	if e.trk != nil {
+		e.trk.Span("publish", t0)
+	}
+	// A consumer woken by this publication lands in this goroutine's runnext
+	// slot, and a compute-bound engine would keep the P until the scheduler
+	// preempts it (~10 ms), while the consumer's queue piles up. Yield once so
+	// the woken side runs now.
+	if b := e.out.pushBell.Load(); b != nil && b.armed.Load() != 0 {
+		runtime.Gosched()
+	}
 }
 
 // processBlock runs one block through the accelerator under the configured
 // recovery policy: transient failures are retried up to the WithRetry budget
 // with doubling pauses; a terminal failure (unmarked error, exhausted budget,
 // or ErrProcessTimeout) records the error via fail. Returns ok=false when the
-// engine must park — after fail, or because stop closed during a retry pause
+// engine must stop — after fail, or because stop closed during a retry pause
 // (no error recorded: that is an ordinary Unregister).
 func (e *Engine) processBlock(in []Word) ([]Word, bool) {
 	res, err := e.callProcess(in)
@@ -497,10 +468,10 @@ func (e *Engine) callProcess(in []Word) ([]Word, error) {
 // fail records a terminal accelerator error. A terminally failing accelerator
 // — an unmarked error, an exhausted retry budget, a process timeout — is
 // terminal for the engine (the stream's block framing is gone) but must
-// not take the process down: record it and park, like a hardware engine
+// not take the process down: record it and stop, like a hardware engine
 // raising an error IRQ and halting its FSM. Out-of-line so the wrapped
 // error's allocation never lands in the run loops' frames. When a flight
-// recorder is attached, parking dumps the ring — the last moments before
+// recorder is attached, stopping dumps the ring — the last moments before
 // the fault, ending with this engine's "error" instant.
 func (e *Engine) fail(err error) {
 	e.errs.Add(1)
@@ -534,8 +505,8 @@ func (e *Engine) finishEOS(fill int) {
 // assembled block are dropped. Prefer closing the input queue (Fifo.Close)
 // for a graceful finish — the engine then processes every complete block,
 // closes its output queue, and exits on its own. Idempotent, safe for
-// concurrent callers; returns once the engine goroutine has exited (at most
-// one backoff pause later).
+// concurrent callers; returns once the engine goroutine has exited, which a
+// parked engine does at once.
 func (e *Engine) Unregister() {
 	e.once.Do(func() { close(e.stop) })
 	<-e.done
@@ -549,7 +520,7 @@ func (e *Engine) Done() <-chan struct{} { return e.done }
 
 // Err returns the terminal error that stopped the engine, or nil while it is
 // healthy. A non-nil error means the accelerator failed mid-stream and the
-// engine has parked (its goroutine exited); Unregister still works.
+// engine has stopped (its goroutine exited); Unregister still works.
 func (e *Engine) Err() error {
 	if p := e.errp.Load(); p != nil {
 		return *p
@@ -566,7 +537,7 @@ type EngineStats struct {
 	WordsOut      uint64 // words produced into the output queue
 	Blocks        uint64 // accelerator blocks processed
 	Wakeups       uint64 // drain iterations that found at least one block
-	BackoffSleeps uint64 // timer sleeps taken by the backoff unit
+	BackoffSleeps uint64 // parks: times the idle engine blocked on its bell
 	Errors        uint64 // terminal accelerator failures (see Err)
 	Retries       uint64 // transient-fault Process re-attempts (WithRetry)
 	Recovered     uint64 // blocks that succeeded after at least one retry
@@ -581,7 +552,7 @@ type EngineStats struct {
 // distribution summarized as interpolated quantiles.
 func (s EngineStats) String() string {
 	return fmt.Sprintf(
-		"words_in=%d words_out=%d blocks=%d wakeups=%d backoff_sleeps=%d errors=%d retries=%d recovered=%d drain_ns{p50=%.0f p95=%.0f p99=%.0f n=%d}",
+		"words_in=%d words_out=%d blocks=%d wakeups=%d parks=%d errors=%d retries=%d recovered=%d drain_ns{p50=%.0f p95=%.0f p99=%.0f n=%d}",
 		s.WordsIn, s.WordsOut, s.Blocks, s.Wakeups, s.BackoffSleeps, s.Errors, s.Retries, s.Recovered,
 		s.DrainNs.Quantile(0.5), s.DrainNs.Quantile(0.95), s.DrainNs.Quantile(0.99), s.DrainNs.Samples())
 }
@@ -593,7 +564,7 @@ func (e *Engine) StatsDetail() EngineStats {
 		WordsOut:      e.elemsOut.Load(),
 		Blocks:        e.blocks.Load(),
 		Wakeups:       e.wakeups.Load(),
-		BackoffSleeps: e.sleeps.Load(),
+		BackoffSleeps: e.parks.Load(),
 		Errors:        e.errs.Load(),
 		Retries:       e.retried.Load(),
 		Recovered:     e.recovered.Load(),
@@ -609,7 +580,7 @@ func (e *Engine) ResetStats() {
 	e.elemsOut.Store(0)
 	e.blocks.Store(0)
 	e.wakeups.Store(0)
-	e.sleeps.Store(0)
+	e.parks.Store(0)
 	e.errs.Store(0)
 	e.dropped.Store(0)
 	e.retried.Store(0)
@@ -627,8 +598,9 @@ func Chain(in, out *Fifo[Word], queueCap int, accs ...Accelerator) ([]*Engine, e
 	return ChainWith(in, out, queueCap, nil, accs...)
 }
 
-// ChainWith is Chain with engine options (e.g. WithBatch, WithBackoff)
-// applied to every stage. Per-accelerator CSR config must still be done via
+// ChainWith is Chain with engine options (e.g. WithBatch, WithRetry)
+// applied to every stage. If a stage fails to register, the stages already
+// running are unregistered, which hands back their queues' bells. Per-accelerator CSR config must still be done via
 // Configure before chaining (a chain-wide WithCSR would misconfigure
 // heterogeneous stages).
 func ChainWith(in, out *Fifo[Word], queueCap int, opts []RegisterOption, accs ...Accelerator) ([]*Engine, error) {

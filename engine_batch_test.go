@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestEngineBatchedSHAMatchesReference(t *testing.T) {
@@ -60,38 +59,11 @@ func TestEngineBatchOneMatchesSeedBehavior(t *testing.T) {
 	}
 }
 
-func TestEngineWithBackoffStillDrains(t *testing.T) {
-	in, _ := NewFifo[Word](64)
-	out, _ := NewFifo[Word](64)
-	e, err := Register(NewNull(), in, out, WithBackoff(50*time.Microsecond, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Let the engine go fully idle (deep in its backoff), then feed it.
-	time.Sleep(5 * time.Millisecond)
-	for round := 0; round < 3; round++ {
-		in.Push(Word(round))
-		if got := out.Pop(); got != Word(round) {
-			t.Fatalf("round %d: got %d", round, got)
-		}
-		time.Sleep(3 * time.Millisecond) // idle again between rounds
-	}
-	// Unregister must return promptly even while the engine sleeps.
-	start := time.Now()
-	e.Unregister()
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("Unregister took %v with a sleeping engine", d)
-	}
-}
-
 func TestRegisterOptionValidation(t *testing.T) {
 	in, _ := NewFifo[Word](4)
 	out, _ := NewFifo[Word](4)
 	if _, err := Register(NewNull(), in, out, WithBatch(0)); err == nil {
 		t.Fatal("batch 0 accepted")
-	}
-	if _, err := Register(NewNull(), in, out, WithBackoff(time.Millisecond, time.Microsecond)); err == nil {
-		t.Fatal("backoff max < min accepted")
 	}
 }
 
@@ -99,7 +71,7 @@ func TestChainWithOptions(t *testing.T) {
 	in, _ := NewFifo[Word](64)
 	out, _ := NewFifo[Word](64)
 	engines, err := ChainWith(in, out, 32,
-		[]RegisterOption{WithBatch(4), WithBackoff(10*time.Microsecond, 100*time.Microsecond)},
+		[]RegisterOption{WithBatch(4)},
 		NewNull(), NewNull())
 	if err != nil {
 		t.Fatal(err)

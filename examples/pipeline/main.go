@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"time"
 
 	"cohort"
 	"cohort/internal/accel"
@@ -47,10 +46,9 @@ func main() {
 
 	rawQ, _ := cohort.NewFifo[cohort.Word](4 * encoder.InWords())
 	bitsQ, _ := cohort.NewFifo[cohort.Word](4 * encoder.OutWords())
-	// WithBatch lets the engine drain whole frames per wakeup; WithBackoff
-	// parks it between frames instead of spinning (§4.2.5's backoff unit).
-	engine, err := cohort.Register(encoder, rawQ, bitsQ,
-		cohort.WithBatch(4), cohort.WithBackoff(50*time.Microsecond, time.Millisecond))
+	// WithBatch lets the engine drain whole frames per wakeup; between frames
+	// it parks on the queues' doorbells instead of spinning (§4.2).
+	engine, err := cohort.Register(encoder, rawQ, bitsQ, cohort.WithBatch(4))
 	if err != nil {
 		log.Fatal(err)
 	}

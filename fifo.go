@@ -98,7 +98,8 @@ func (q *Fifo[T]) noteOccupancy(occ uint64) {
 // publication (TryPush, TryPushSlice, CommitWrite and the blocking forms
 // built on them) and Close rings it, waking a consumer parked on b. A nil b
 // detaches. Safe to call while the queue is in use; a publication racing
-// with the call may ring the old bell or the new one.
+// with the call may ring the old bell or the new one. An engine owns its
+// input's push bell and its output's pop bell while it runs (Register).
 func (q *Fifo[T]) OnPush(b *Bell) { q.pushBell.Store(b) }
 
 // OnPop attaches b as the queue's pop doorbell: every read-index

@@ -10,7 +10,7 @@ import (
 
 // FlightRecorder is the native runtime's trace recorder: always-on,
 // fixed-memory tracing for long-running services. Engines attached with
-// WithFlightRecorder emit poll/backoff idle spans, a drain span per wakeup, a
+// WithFlightRecorder emit an idle span per park, a drain span per wakeup, a
 // compute span per block and a publish span per output publication onto
 // per-engine tracks, stamped in microseconds since the recorder was created.
 // Each track is a bounded ring that keeps only the most recent events: memory

@@ -176,3 +176,22 @@ func TestParkedPoolWakesAWorkerPerSession(t *testing.T) {
 		}
 	}
 }
+
+// TestParkEngineRefusesSessionQueues: a session's queues carry the pool's
+// bells, so a native engine cannot be registered on either side of them.
+func TestParkEngineRefusesSessionQueues(t *testing.T) {
+	s := New(Config{Engines: 1})
+	defer s.Close()
+	in, _ := cohort.NewFifo[cohort.Word](64)
+	out, _ := cohort.NewFifo[cohort.Word](64)
+	if _, err := s.Register(SessionConfig{Tenant: "t", Accel: cohort.NewNull(), In: in, Out: out}); err != nil {
+		t.Fatal(err)
+	}
+	other, _ := cohort.NewFifo[cohort.Word](64)
+	if _, err := cohort.Register(cohort.NewNull(), in, other); err == nil {
+		t.Fatal("an engine took a session's input queue")
+	}
+	if _, err := cohort.Register(cohort.NewNull(), other, out); err == nil {
+		t.Fatal("an engine took a session's output queue")
+	}
+}

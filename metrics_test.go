@@ -154,26 +154,25 @@ func TestEngineRecordsAcceleratorError(t *testing.T) {
 }
 
 // TestEngineStatsDetailAndReset exercises the unified stats surface: the
-// histogram gathers samples, backoff sleeps are counted, and ResetStats
-// zeroes everything.
+// histogram gathers samples, parks are counted, and ResetStats zeroes
+// everything.
 func TestEngineStatsDetailAndReset(t *testing.T) {
 	in, _ := NewFifo[Word](1024)
 	out, _ := NewFifo[Word](1024)
-	e, err := Register(NewNull(), in, out, WithBatch(1),
-		WithBackoff(100*time.Microsecond, time.Millisecond))
+	e, err := Register(NewNull(), in, out, WithBatch(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Unregister()
 	buf := make([]Word, 64)
-	// Many small bursts with idle gaps: wakeups for the histogram sampler,
-	// idle stretches long enough for timer sleeps.
+	// Many small bursts, each started on a parked engine: wakeups for the
+	// histogram sampler, and a park per idle gap.
 	for round := 0; round < 8; round++ {
+		awaitParks(e, uint64(round+1))
 		for i := 0; i < 64; i++ {
 			in.Push(Word(i))
 		}
 		out.PopSlice(buf)
-		time.Sleep(2 * time.Millisecond)
 	}
 	st := e.StatsDetail()
 	if st.WordsIn != 512 || st.WordsOut != 512 {
@@ -182,8 +181,8 @@ func TestEngineStatsDetailAndReset(t *testing.T) {
 	if st.Wakeups == 0 || st.Blocks != 512 {
 		t.Errorf("wakeups/blocks = %d/%d", st.Wakeups, st.Blocks)
 	}
-	if st.BackoffSleeps == 0 {
-		t.Error("no backoff sleeps counted despite idle gaps")
+	if st.BackoffSleeps < 8 {
+		t.Errorf("parks = %d, want at least one per idle gap (8)", st.BackoffSleeps)
 	}
 	if st.Wakeups >= histoSampleEvery && st.DrainNs.Samples() == 0 {
 		t.Errorf("histogram empty after %d wakeups", st.Wakeups)
@@ -191,8 +190,8 @@ func TestEngineStatsDetailAndReset(t *testing.T) {
 	if s := st.DrainNs.String(); st.DrainNs.Samples() > 0 && !strings.Contains(s, "ns:") {
 		t.Errorf("histogram String() = %q", s)
 	}
-	// Quiesce first: an idle engine keeps counting backoff sleeps, so a
-	// live one could move BackoffSleeps between the reset and the read.
+	// Quiesce first: a live engine woken by the pops above could park again
+	// between the reset and the read.
 	e.Unregister()
 	e.ResetStats()
 	st = e.StatsDetail()
@@ -202,8 +201,8 @@ func TestEngineStatsDetailAndReset(t *testing.T) {
 }
 
 // TestEngineTraceSpans checks the native half of the tentpole: a traced
-// engine emits drain/compute/publish spans and idle poll-or-backoff spans
-// into a Perfetto-loadable document.
+// engine emits drain/compute/publish spans and an idle span per park into a
+// Perfetto-loadable document.
 func TestEngineTraceSpans(t *testing.T) {
 	tr := NewFlightRecorder(4096)
 	in, _ := NewFifo[Word](256)
@@ -218,7 +217,7 @@ func TestEngineTraceSpans(t *testing.T) {
 			in.Push(Word(i))
 		}
 		out.PopSlice(buf)
-		time.Sleep(time.Millisecond) // idle gap → poll/backoff span
+		awaitParks(e, uint64(round+1)) // idle gap → idle span
 	}
 	e.Unregister()
 
@@ -241,7 +240,7 @@ func TestEngineTraceSpans(t *testing.T) {
 			t.Errorf("trace missing %q events; have %v", want, names)
 		}
 	}
-	if !names["poll"] && !names["backoff"] {
+	if !names["idle"] {
 		t.Errorf("trace has no idle spans; have %v", names)
 	}
 }
