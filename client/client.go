@@ -4,8 +4,11 @@
 // protocol (cohort/internal/wire) and the daemon's socket handling replace
 // the shared-memory queues.
 //
-// A Conn carries exactly one session; its connection closes after the
-// session's final frame. The typical small-job shape:
+// A Conn carries exactly one session. Its TCP connection outlives it when
+// the session ends cleanly — CloseSend sent, results read up to a Done with
+// no Code — and Close then keeps the connection for the next Connect to the
+// same address, which sends its Open on it instead of dialling. Any other
+// ending closes the connection. The typical small-job shape:
 //
 //	c, err := client.Connect(addr, client.Options{Tenant: "me", Accel: "sha256"})
 //	out, res, err := c.Stream(words)   // concurrent send + receive
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -102,20 +106,27 @@ var ErrFault = errors.New("cohort client: accelerator fault")
 
 // Conn is one open session. Send/CloseSend may run concurrently with Recv,
 // RecvInto (one goroutine each side); no method may be called concurrently
-// with itself or, on the same side, with each other.
+// with itself or, on the same side, with each other. Close may run from any
+// goroutine, more than once.
 type Conn struct {
-	c       net.Conn
-	r       *wire.Reader
-	w       *wire.Writer
+	*link
 	session uint64
 	inW     int
 	outW    int
+
+	// closeSent is set once CloseSend has reached the connection; Send and
+	// CloseSend refuse after it, so a kept connection is never written by a
+	// session that no longer owns it.
+	closeSent atomic.Bool
+	closed    atomic.Bool
 
 	// pending is the unconsumed tail of the last received Data frame (it
 	// aliases the reader's pooled buffer on the fast path), carried across
 	// RecvInto calls smaller than a frame.
 	pending []cohort.Word
-	result  *wire.DoneReply
+	// result is the session's Done, set once the receive side has read it;
+	// atomic because Close may read it from another goroutine.
+	result  atomic.Pointer[wire.DoneReply]
 	recvErr error
 
 	// timing is the most recent server-side stage breakdown (Telemetry frame
@@ -175,7 +186,53 @@ func reconnectable(err error) bool {
 	return !errors.Is(err, ErrRejected)
 }
 
-// connect performs one dial + Open handshake.
+// link is one TCP connection to a daemon or gateway with its framing
+// state. It outlives the Conn that carried a session when that session ends
+// cleanly: Close keeps it on idle for the next Connect to addr.
+type link struct {
+	c    net.Conn
+	r    *wire.Reader
+	w    *wire.Writer
+	addr string
+}
+
+// idle holds, per address, the connections between sessions, newest last.
+// It needs no cap: a connection is dialled only when its address's stack is
+// empty, so the stack never holds more connections than the caller once
+// had sessions open to that address at the same time. A connection whose
+// far end has gone stays until the next Connect to its address finds it
+// dead.
+var idle = struct {
+	sync.Mutex
+	links map[string][]*link
+}{links: make(map[string][]*link)}
+
+// popIdle takes the newest idle connection to addr, or returns nil.
+func popIdle(addr string) *link {
+	idle.Lock()
+	defer idle.Unlock()
+	ls := idle.links[addr]
+	if len(ls) == 0 {
+		return nil
+	}
+	l := ls[len(ls)-1]
+	ls[len(ls)-1] = nil
+	idle.links[addr] = ls[:len(ls)-1]
+	return l
+}
+
+// park keeps l for the next Connect to its address.
+func park(l *link) {
+	idle.Lock()
+	idle.links[l.addr] = append(idle.links[l.addr], l)
+	idle.Unlock()
+}
+
+// connect opens one session on addr: on an idle connection when there is
+// one, else on a fresh dial. The Open always asks the server to keep the
+// connection after a clean Done. An idle connection that fails before the
+// reply — the far end closed it, restarted or quiesced — is closed and addr
+// dialled afresh: that is not a failed attempt.
 func connect(addr string, opts Options) (*Conn, error) {
 	timeout := opts.DialTimeout
 	if timeout <= 0 {
@@ -184,42 +241,62 @@ func connect(addr string, opts Options) (*Conn, error) {
 	req := wire.OpenRequest{
 		Tenant: opts.Tenant, Accel: opts.Accel, CSR: opts.CSR,
 		Weight: opts.Weight, Quota: opts.Quota, QueueCap: opts.QueueCap,
-		Timing: opts.ServerTiming,
+		Timing: opts.ServerTiming, Reuse: true,
 	}
 	if err := req.Validate(); err != nil {
 		// The daemon would refuse it as a bad request; no retry can help.
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+	for l := popIdle(addr); ; l = nil {
+		reused := l != nil
+		if !reused {
+			nc, err := net.DialTimeout("tcp", addr, timeout)
+			if err != nil {
+				return nil, fmt.Errorf("cohort client: dial %s: %w", addr, err)
+			}
+			l = &link{c: nc, r: wire.NewReader(nc), w: wire.NewWriter(nc), addr: addr}
+		}
+		t, payload, err := l.open(&req)
+		if err == nil {
+			return l.opened(t, payload)
+		}
+		l.c.Close()
+		if !reused {
+			return nil, err
+		}
+	}
+}
+
+// open sends req on l and reads the server's reply, which is valid until
+// l's next read.
+func (l *link) open(req *wire.OpenRequest) (wire.Type, []byte, error) {
+	if err := l.w.Open(req); err != nil {
+		return 0, nil, fmt.Errorf("cohort client: send open: %w", err)
+	}
+	t, payload, err := l.r.Next()
 	if err != nil {
-		return nil, fmt.Errorf("cohort client: dial %s: %w", addr, err)
+		return 0, nil, fmt.Errorf("cohort client: await open reply: %w", err)
 	}
-	c := &Conn{c: nc, r: wire.NewReader(nc), w: wire.NewWriter(nc)}
-	if err := c.w.Open(&req); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("cohort client: send open: %w", err)
-	}
-	t, payload, err := c.r.Next()
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("cohort client: await open reply: %w", err)
-	}
+	return t, payload, nil
+}
+
+// opened reads the server's answer to an Open sent on l: a Conn for an
+// OpenOK, a typed rejection for an Error. l is closed unless a Conn took it.
+func (l *link) opened(t wire.Type, payload []byte) (*Conn, error) {
 	switch t {
 	case wire.OpenOK:
 		rep, err := wire.DecodeOpenReply(payload)
 		if err != nil {
-			nc.Close()
+			l.c.Close()
 			return nil, err
 		}
-		c.session, c.inW, c.outW = rep.Session, rep.InWords, rep.OutWords
-		return c, nil
+		return &Conn{link: l, session: rep.Session, inW: rep.InWords, outW: rep.OutWords}, nil
 	case wire.Error:
+		l.c.Close()
 		var rej wire.ErrorReply
 		if err := wire.Unmarshal(t, payload, &rej); err != nil {
-			nc.Close()
 			return nil, err
 		}
-		nc.Close()
 		switch rej.Code {
 		case wire.CodeAdmission:
 			return nil, fmt.Errorf("%w (%w): %s", ErrAdmission, ErrRejected, rej.Message)
@@ -228,7 +305,7 @@ func connect(addr string, opts Options) (*Conn, error) {
 		}
 		return nil, fmt.Errorf("%w: %s", ErrRejected, rej.Message)
 	default:
-		nc.Close()
+		l.c.Close()
 		return nil, fmt.Errorf("cohort client: unexpected %s frame before open reply", t)
 	}
 }
@@ -249,6 +326,9 @@ func (c *Conn) OutWords() int { return c.outW }
 // many blocks per Send is the single biggest lever on serving throughput:
 // one frame and one syscall amortize over every block in the slice.
 func (c *Conn) Send(ws []cohort.Word) error {
+	if c.closeSent.Load() {
+		return errSendClosed
+	}
 	if err := c.w.Words(ws); err != nil {
 		return fmt.Errorf("cohort client: send data: %w", err)
 	}
@@ -259,6 +339,9 @@ func (c *Conn) Send(ws []cohort.Word) error {
 // no joining copy) — for producers whose pending blocks live in scattered
 // buffers, e.g. a queue's two ring segments.
 func (c *Conn) SendN(segs ...[]cohort.Word) error {
+	if c.closeSent.Load() {
+		return errSendClosed
+	}
 	if err := c.w.WordsN(segs...); err != nil {
 		return fmt.Errorf("cohort client: send data: %w", err)
 	}
@@ -270,18 +353,25 @@ func (c *Conn) SendN(segs ...[]cohort.Word) error {
 // remaining results and a final Done. Call exactly once, after the last
 // Send.
 func (c *Conn) CloseSend() error {
+	if c.closeSent.Load() {
+		return errSendClosed
+	}
 	if err := c.w.Frame(wire.CloseSend, nil); err != nil {
 		return fmt.Errorf("cohort client: close send: %w", err)
 	}
+	c.closeSent.Store(true)
 	return nil
 }
+
+// errSendClosed is a Send or CloseSend after CloseSend.
+var errSendClosed = errors.New("cohort client: send after CloseSend")
 
 // nextData advances the result stream to the next non-empty Data frame,
 // absorbing Done and Error frames along the way. On the fast path the
 // returned slice aliases the wire reader's pooled buffer: it is valid until
 // the next read and must not be handed to the application without a copy.
 func (c *Conn) nextData() ([]cohort.Word, error) {
-	if c.result != nil {
+	if c.result.Load() != nil {
 		return nil, io.EOF
 	}
 	if c.recvErr != nil {
@@ -316,7 +406,7 @@ func (c *Conn) nextData() ([]cohort.Word, error) {
 				c.recvErr = err
 				return nil, err
 			}
-			c.result = &done
+			c.result.Store(&done)
 			if done.Timing != nil {
 				c.timing.Store(done.Timing)
 			}
@@ -396,7 +486,7 @@ func (c *Conn) RecvInto(buf []cohort.Word) (int, error) {
 
 // Result returns the daemon's final session counters. Nil until Recv has
 // returned io.EOF (or a session-ended error).
-func (c *Conn) Result() *wire.DoneReply { return c.result }
+func (c *Conn) Result() *wire.DoneReply { return c.result.Load() }
 
 // LastServerTiming returns the most recent server-side stage breakdown the
 // daemon has sent for this session — nil until the first Telemetry frame
@@ -444,9 +534,22 @@ func (c *Conn) Stream(in []cohort.Word) ([]cohort.Word, *wire.DoneReply, error) 
 	if err := <-sendErr; err != nil && recvErr == nil {
 		recvErr = err
 	}
-	return out, c.result, recvErr
+	return out, c.result.Load(), recvErr
 }
 
-// Close releases the connection. A session whose stream was not finished
-// with CloseSend is killed by the daemon on disconnect.
-func (c *Conn) Close() error { return c.c.Close() }
+// Close ends the Conn. A session that ended cleanly — CloseSend sent and its
+// results read up to a Done with no Code — leaves its connection open for
+// the next Connect to the same address. Any other ending closes the
+// connection: an Error, a kill, a Done with a Code, results left unread, or
+// no CloseSend, in which case the daemon kills the session on disconnect.
+// Calls after the first do nothing.
+func (c *Conn) Close() error {
+	if c.closed.Swap(true) {
+		return nil
+	}
+	if res := c.result.Load(); res != nil && res.KeepsConn() && c.closeSent.Load() {
+		park(c.link)
+		return nil
+	}
+	return c.c.Close()
+}

@@ -1,8 +1,8 @@
 // Command cohortd is the Cohort serving daemon: a fixed pool of accelerator
 // engine workers, time-multiplexed across remote tenant sessions by the
 // weighted-fair scheduler in internal/sched, fronted by the framed TCP
-// protocol in internal/wire. A connection carries one session at a time —
-// a client's carries one, a cohortgw leg one after another; connect with the
+// protocol in internal/wire. A connection carries one session at a time,
+// one after another — a client's as a cohortgw leg's; connect with the
 // cohort/client package.
 //
 // The observability plane (-http) serves /metrics with per-tenant labeled

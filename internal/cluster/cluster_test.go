@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -81,6 +80,7 @@ type fleet struct {
 	cat    *cluster.Catalog
 	events *telem.Log
 	gwWire string
+	gwLn   *countingListener
 	gwHTTP string
 	gw     *cluster.Gateway
 	gwWeb  *obsrv.Server
@@ -105,17 +105,7 @@ func startFleet(t *testing.T, n int) *fleet {
 	t.Cleanup(cat.Stop)
 	f.cat = cat
 
-	gw, err := cluster.NewGateway(cluster.GatewayConfig{Catalog: cat, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go gw.Serve(ln) //nolint:errcheck // returns ErrGatewayClosed on stop
-	t.Cleanup(func() { gw.Close() })
-	f.gw, f.gwWire = gw, ln.Addr().String()
+	f.startGateway(t, "127.0.0.1:0")
 
 	fl := cluster.NewFleet(cat, time.Second)
 	gwWeb := obsrv.New(obsrv.Options{
@@ -134,6 +124,19 @@ func startFleet(t *testing.T, n int) *fleet {
 	t.Cleanup(func() { gwWeb.Close() })
 	f.gwWeb, f.gwHTTP = gwWeb, gwWeb.Addr()
 	return f
+}
+
+// startGateway serves a gateway over the fleet's catalog on addr.
+func (f *fleet) startGateway(t *testing.T, addr string) {
+	t.Helper()
+	gw, err := cluster.NewGateway(cluster.GatewayConfig{Catalog: f.cat, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := listenCounting(t, addr)
+	go gw.Serve(ln) //nolint:errcheck // returns ErrGatewayClosed on stop
+	t.Cleanup(func() { gw.Close() })
+	f.gw, f.gwLn, f.gwWire = gw, ln, ln.Addr().String()
 }
 
 // tenantOwnedBy finds a tenant name the current ring routes to the given

@@ -21,14 +21,17 @@ import (
 // the zero-copy Data codecs (pooled read buffers in, writev scatter-gather
 // out — a Data frame transits the gateway without a joining copy).
 //
-// A gateway→shard leg carries one session at a time, not one in all. The
-// gateway sets the reuse flag on every Open it forwards; after a session
-// whose final frame was a Done that keeps the connection (no Code; see
-// wire.DoneKeepsConn), with the client's CloseSend relayed, the leg goes
-// onto its shard's stack of idle legs and the next Open for that shard
-// takes it instead of dialling. A reused leg that fails before its
-// shard answers the Open — the shard restarted or quiesced — is closed and
-// the shard dialled afresh; the client never sees it.
+// Both hops carry one session at a time, not one in all, under one rule: a
+// connection stays open after a session only if its Open set the reuse
+// flag, the client's CloseSend went through, and the final frame was a Done
+// that keeps the connection (no Code; see wire.DoneKeepsConn). The gateway
+// sets the flag on every Open it forwards; after such a session the leg
+// goes onto its shard's stack of idle legs and the next Open for that shard
+// takes it instead of dialling. A reused leg that fails before its shard
+// answers the Open — the shard restarted or quiesced — is closed and the
+// shard dialled afresh; the client never sees it. On the client hop the
+// gateway is the server: a client connection whose Open set the flag loops
+// back for the client's next Open under the same rule.
 //
 // Failover lives in the Open walk, not the splice: if the owner shard is
 // draining, admission-full, or undialable, the gateway tries the next ring
@@ -264,7 +267,9 @@ func (g *Gateway) dial(sh Shard) (*leg, error) {
 	return &leg{c: c, r: wire.NewReader(c), w: wire.NewWriter(c)}, nil
 }
 
-// handle owns one client connection: route the Open, then splice.
+// handle owns one client connection: route each Open, then splice. A
+// connection whose Open asked for reuse loops back for the next Open after
+// a clean Done (see session); every other ending closes it.
 func (g *Gateway) handle(client net.Conn) {
 	defer g.wg.Done()
 	defer g.forget(client)
@@ -272,16 +277,28 @@ func (g *Gateway) handle(client net.Conn) {
 
 	cr := wire.NewReader(client)
 	cw := wire.NewWriter(client)
-
-	t, payload, err := cr.Next()
-	if err != nil || t != wire.Open {
-		return // half-open probe; not worth an Error frame
+	for {
+		t, payload, err := cr.Next()
+		if err != nil || t != wire.Open {
+			return // half-open probe, or the client left; not worth an Error frame
+		}
+		if !g.session(client, cr, cw, payload) {
+			return
+		}
 	}
+}
+
+// session routes one Open and splices its session. It reports whether the
+// client connection stays open for the next Open: the Open asked for
+// reuse, the client's CloseSend reached the shard, and the shard's Done
+// keeps the connection.
+func (g *Gateway) session(client net.Conn, cr *wire.Reader, cw *wire.Writer, payload []byte) bool {
 	tenant, err := wire.OpenTenant(payload)
 	if err != nil {
 		cw.JSON(wire.Error, wire.ErrorReply{Message: err.Error(), Code: wire.CodeBadRequest})
-		return
+		return false
 	}
+	reuse := wire.OpenReuse(payload)
 	g.opens.Add(1)
 
 	candidates := g.cfg.Catalog.Route(tenant, g.cfg.Replicas)
@@ -290,9 +307,9 @@ func (g *Gateway) handle(client net.Conn) {
 	case refused:
 		g.rejects.Add(1)
 		cw.JSON(wire.Error, g.noShardReply())
-		return
+		return false
 	case forwarded, abandoned:
-		return
+		return false
 	}
 
 	counters := g.counters[shard.Name]
@@ -330,18 +347,24 @@ func (g *Gateway) handle(client net.Conn) {
 	fin := <-down
 	if !fin.ok {
 		g.drop(l)
-		return
+		return false
 	}
 	// The shard's final frame was Done; it kept the leg only if it had read
 	// CloseSend and the Done keeps the connection. The leg is settled before
 	// the client hears the Done, so a client that opens its next session on
 	// receipt finds the leg already idle.
-	if closeSent && wire.DoneKeepsConn(fin.done) {
+	keep := closeSent && wire.DoneKeepsConn(fin.done)
+	if keep {
 		g.park(shard.Name, l)
 	} else {
 		g.drop(l)
 	}
-	cw.Frame(wire.Done, fin.done)
+	if cw.Frame(wire.Done, fin.done) != nil || !keep || !reuse {
+		return false
+	}
+	// pumpDown stopped reads on the client at the Done; the next Open needs
+	// them back.
+	return client.SetReadDeadline(time.Time{}) == nil
 }
 
 // admitOutcome is how an Open walk ended.

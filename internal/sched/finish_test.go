@@ -1,0 +1,104 @@
+package sched
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"runtime"
+	"slices"
+	"testing"
+
+	"cohort"
+	"cohort/internal/wire"
+)
+
+// writeRecorder is a connection that is not a socket, so the wire Writer
+// hands it each flush as one Write; it records every Write.
+type writeRecorder struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+func (w *writeRecorder) Close() error { return nil }
+
+// TestFinalDataAndDoneShareOneWrite: when a session's last quantum leaves
+// its results in the output queue as the session retires, the result pump
+// sends those results and the Done in one write — with and without
+// timing — and keeps the connection. A killed session's results go out
+// before its Error, which closes the connection.
+func TestFinalDataAndDoneShareOneWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		timing bool
+		kill   bool
+		writes int
+		final  wire.Type
+	}{
+		{"done", false, false, 1, wire.Done},
+		{"done-timing", true, false, 1, wire.Done},
+		{"killed", false, true, 2, wire.Error},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Engines: 1, Quantum: 64, QueueCap: 64})
+			defer s.Close()
+			ss, err := s.Register(SessionConfig{Tenant: "t", Accel: cohort.NewNull()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := make([]cohort.Word, 16)
+			for i := range in {
+				in[i] = cohort.Word(i) * 2654435761
+			}
+			ss.In().PushSlice(in)
+			if tc.kill {
+				for ss.Out().Len() < len(in) {
+					select {
+					case <-ss.Done():
+						t.Fatal("session retired before its results were out")
+					default:
+						runtime.Gosched()
+					}
+				}
+				ss.Kill()
+			} else {
+				ss.CloseSend()
+			}
+			<-ss.Done() // retired: Out is closed and holds every result word
+
+			conn := &writeRecorder{}
+			sv := NewServer(s, nil)
+			if kept := sv.pumpResults(conn, wire.NewWriter(conn), ss, tc.timing, true); kept != !tc.kill {
+				t.Fatalf("pumpResults kept the connection: %v, want %v", kept, !tc.kill)
+			}
+			if len(conn.writes) != tc.writes {
+				t.Fatalf("%d writes, want %d", len(conn.writes), tc.writes)
+			}
+			fr := wire.NewReader(bytes.NewReader(bytes.Join(conn.writes, nil)))
+			typ, ws, _, err := fr.NextData()
+			if err != nil || typ != wire.Data || !slices.Equal(ws, in) {
+				t.Fatalf("frame 1 = %v %v %v, want the 16 result words", typ, ws, err)
+			}
+			typ, _, p, err := fr.NextData()
+			if err != nil || typ != tc.final {
+				t.Fatalf("frame 2 = %v %v, want %v", typ, err, tc.final)
+			}
+			if typ == wire.Done {
+				var done wire.DoneReply
+				if err := wire.Unmarshal(typ, p, &done); err != nil || done.Blocks != 16 || done.Code != "" {
+					t.Fatalf("done %+v %v, want 16 clean blocks", done, err)
+				}
+				if (done.Timing != nil) != tc.timing {
+					t.Fatalf("done timing %+v with timing=%v", done.Timing, tc.timing)
+				}
+			}
+			if _, _, _, err := fr.NextData(); err != io.EOF {
+				t.Fatalf("frames past the final one: %v", err)
+			}
+		})
+	}
+}

@@ -99,7 +99,7 @@ func (rc *rawConn) closed(t *testing.T) {
 
 // TestServerReusesConnection: clean sessions whose Open asks for reuse run
 // one after another on one connection; a session without the flag closes it
-// after its Done, as a direct client expects.
+// after its Done.
 func TestServerReusesConnection(t *testing.T) {
 	_, addr := startReuseServer(t)
 	rc := dialRaw(t, addr)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -32,13 +33,13 @@ func DefaultCatalog() Catalog {
 }
 
 // Server exposes a Scheduler over the wire protocol: a TCP connection carries
-// one session at a time — one in all for a direct client, one after another
-// for a gateway leg whose Opens ask for reuse. The reader half of each
-// connection feeds the session input queue (a full queue stops the socket
-// read — per-tenant backpressure reaches all the way back to the remote
-// producer via TCP flow control); the writer half streams results out as the
-// scheduler completes them and finishes with a Done frame carrying the
-// session's counters.
+// one session at a time — one after another while its Opens ask for reuse
+// (the client package's and the gateway's do), one in all otherwise. The
+// reader half of each connection feeds the session input queue (a full
+// queue stops the socket read — per-tenant backpressure reaches all the way
+// back to the remote producer via TCP flow control); the writer half
+// streams results out as the scheduler completes them and finishes with a
+// Done frame carrying the session's counters.
 //
 // Both halves run the batched wire hot path: inbound Data frames decode into
 // pooled word buffers and land in the input queue with one TryPushSlice per
@@ -383,16 +384,18 @@ func (sv *Server) pushWords(ss *Session, ws []cohort.Word) bool {
 }
 
 // pumpResults streams the session output queue to the client as Data
-// frames, then sends the final Done frame and closes the connection — unless
-// reuse is set and the Done carries no Code, in which case the connection
-// stays open and pumpResults reports true. The output queue is closed by the
-// scheduler at retirement, so draining it is the handler's retirement
-// barrier.
+// frames, then sends the final frame (see finish) and closes the
+// connection — unless reuse is set and the final frame is a Done with no
+// Code, in which case the connection stays open and pumpResults reports
+// true. The output queue is closed by the scheduler at retirement, so
+// draining it is the handler's retirement barrier.
 //
 // Every pass coalesces all completed blocks currently in the queue — up to
 // a whole frame's worth — into one Data frame, written with a single writev
 // directly from the queue's two ring segments (wire.Writer.WordsN): the
-// engine's batched index publication, applied to the socket.
+// engine's batched index publication, applied to the socket. The pass that
+// finds Out closed with every word left in one frame's reach writes those
+// words and the Done together.
 func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, reuse bool) bool {
 	out, ready := ss.Out(), ss.OutReady()
 	// bound caps the batch-floor wait below: a policy limit, not a poll.
@@ -412,8 +415,13 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 	// never starve a trickling session.
 	var floorWaited bool
 	for {
+		// Closed is loaded before the segments: nothing is published after
+		// Close, so a pass that sees Out closed also sees every word left.
+		closed := out.Closed()
 		a, b := out.ReadSegments()
-		if n := len(a) + len(b); n > 0 {
+		if n := len(a) + len(b); closed && n <= ss.coalesceCap() {
+			return sv.finish(c, fw, ss, a, b, timing, reuse)
+		} else if n > 0 {
 			// Per-pass knob reads (knobs.go): the controller retunes the
 			// frame cap and flush floor while the pump runs.
 			coalesce := ss.coalesceCap()
@@ -470,10 +478,7 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 			}
 			continue
 		}
-		if out.Drained() {
-			break
-		}
-		// Empty but not drained: park until the scheduler publishes or
+		// Empty but not closed: park until the scheduler publishes or
 		// closes Out. Rings coalesce, so every wakeup re-scans the queue.
 		ready.Arm()
 		if out.Len() == 0 && !out.Closed() { // last look
@@ -486,16 +491,58 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 		}
 		ready.Disarm()
 	}
-	st := ss.Stats()
+}
+
+// finish writes the session's final frame, after the words a and b that
+// were left in its closed output queue: a Done shares one writev with them
+// (wire.Writer.WordsDone), an Error follows them. It reports whether the
+// connection stays open for the next Open — reuse is set and the frame is
+// a Done with no Code — and closes it otherwise.
+func (sv *Server) finish(c net.Conn, fw *wire.Writer, ss *Session, a, b []cohort.Word, timing, reuse bool) bool {
+	n := len(a) + len(b)
+	if n > 0 {
+		// These words are the last a sampled quantum can have stamped: close
+		// its wire stage as their write starts, so Done.Timing counts it.
+		ss.observeWire()
+	}
+	t, payload, keep := finalFrame(ss, timing)
+	var err error
+	switch {
+	case n == 0:
+		err = fw.Frame(t, payload)
+	case t == wire.Done:
+		err = fw.WordsDone(payload, a, b)
+	default:
+		if err = fw.WordsN(a, b); err == nil {
+			err = fw.Frame(t, payload)
+		}
+	}
+	ss.Out().CommitRead(n)
+	if err == nil && reuse && keep {
+		return true
+	}
+	// Closing here (not in handle) makes the final frame reliably the last
+	// thing the client sees even while the reader half is still parked in a
+	// read.
+	c.Close()
+	return false
+}
+
+// finalFrame encodes a retired session's final frame. A session that died
+// mid-stream (kill, accelerator fault) ends in an Error, so the client
+// surfaces a typed error instead of a truncated-looking stream. Any other
+// ends in a Done with its counters, why it ended short if it did
+// (quota, shutdown), and its whole-life timing when the Open asked for
+// it. keep is DoneReply.KeepsConn: whether the frame leaves a reuse
+// connection open.
+func finalFrame(ss *Session, timing bool) (t wire.Type, payload []byte, keep bool) {
 	serr := ss.Err()
 	if serr != nil && (errors.Is(serr, ErrKilled) || retireCode(serr) == wire.CodeFault) {
-		// The session died mid-stream (accelerator fault, kill): an Error
-		// frame is the final word, so the client surfaces a typed error
-		// instead of a truncated-looking stream.
-		fw.JSON(wire.Error, wire.ErrorReply{Message: serr.Error(), Code: retireCode(serr)})
-		c.Close()
-		return false
+		// Plain structs: Marshal cannot fail.
+		payload, _ = json.Marshal(wire.ErrorReply{Message: serr.Error(), Code: retireCode(serr)})
+		return wire.Error, payload, false
 	}
+	st := ss.Stats()
 	done := wire.DoneReply{
 		Blocks: st.Blocks, WordsIn: st.WordsIn, WordsOut: st.WordsOut,
 		DroppedWords: st.DroppedWords,
@@ -505,17 +552,11 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 		done.Code = retireCode(serr)
 	}
 	if timing {
-		t := ss.Telemetry()
-		done.Timing = &t
+		tel := ss.Telemetry()
+		done.Timing = &tel
 	}
-	if fw.JSON(wire.Done, done) == nil && reuse && done.KeepsConn() {
-		return true
-	}
-	// Closing here (not in handle) makes the final frame reliably the last
-	// thing the client sees even while the reader half is still parked in a
-	// read.
-	c.Close()
-	return false
+	payload, _ = json.Marshal(done)
+	return wire.Done, payload, done.KeepsConn()
 }
 
 // retireCode maps a session's terminal error to its wire code.

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"testing"
 
 	"cohort"
@@ -112,6 +114,74 @@ func TestWordsWritersAgree(t *testing.T) {
 			if got[i] != ws[i] {
 				t.Fatalf("trial %d: word %d = %#x, want %#x", trial, i, got[i], ws[i])
 			}
+		}
+	}
+}
+
+// writeCounter is a net.Conn that is not a socket (as a wrapped or
+// in-memory connection is): it records each Write.
+type writeCounter struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestWordsDoneMatchesTwoFrames: a Data frame and a Done written together
+// (WordsDone, any segment split) are byte for byte the reference codec's
+// Data frame (WordsCopy) followed by a separately written Done, and read
+// back frame for frame. On a connection they are one write.
+func TestWordsDoneMatchesTwoFrames(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	done, err := json.Marshal(DoneReply{Blocks: 3, WordsIn: 12, WordsOut: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 100; trial++ {
+		ws := randWords(r, 1+r.Intn(200))
+		cut := r.Intn(len(ws) + 1)
+
+		var ref, got bytes.Buffer
+		if err := NewWriter(&ref).WordsCopy(ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewWriter(&ref).Frame(Done, done); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewWriter(&got).WordsDone(done, ws[:cut], ws[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ref.Bytes(), got.Bytes()) {
+			t.Fatalf("trial %d: WordsDone(split at %d) differs from WordsCopy + Frame(Done)", trial, cut)
+		}
+
+		conn := &writeCounter{}
+		if err := NewWriter(conn).WordsDone(done, ws[:cut], ws[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		if len(conn.writes) != 1 || !bytes.Equal(conn.writes[0], ref.Bytes()) {
+			t.Fatalf("trial %d: WordsDone made %d writes on a connection, want 1 of the same bytes", trial, len(conn.writes))
+		}
+
+		rd := NewReader(&got)
+		typ, words, _, err := rd.NextData()
+		if err != nil || typ != Data || len(words) != len(ws) {
+			t.Fatalf("trial %d: frame 1 = %v, %d words, %v; want data, %d words", trial, typ, len(words), err, len(ws))
+		}
+		for i := range ws {
+			if words[i] != ws[i] {
+				t.Fatalf("trial %d: word %d = %#x, want %#x", trial, i, words[i], ws[i])
+			}
+		}
+		typ, _, payload, err := rd.NextData()
+		if err != nil || typ != Done || !bytes.Equal(payload, done) {
+			t.Fatalf("trial %d: frame 2 = %v %q %v, want the done", trial, typ, payload, err)
+		}
+		if _, _, _, err := rd.NextData(); err != io.EOF {
+			t.Fatalf("trial %d: after the done: %v, want EOF", trial, err)
 		}
 	}
 }

@@ -22,9 +22,10 @@ type OpenRequest struct {
 	// to Done (DoneReply.Timing).
 	Timing bool
 	// Reuse asks the server to keep the connection open after a clean Done
-	// so the next Open can follow on it: the gateway sets it on its shard
-	// legs. Direct clients leave it unset; their connection carries one
-	// session and closes after the final frame.
+	// so the next Open can follow on it. Every hop sets it: the client
+	// package on each Open, the gateway on each Open it forwards to a shard.
+	// Without it the connection carries one session and closes after the
+	// final frame.
 	Reuse bool
 }
 
@@ -206,6 +207,10 @@ func OpenTenant(p []byte) (string, error) {
 	}
 	return string(f.tenant), nil
 }
+
+// OpenReuse reports whether a valid Open payload (OpenTenant or DecodeOpen
+// accepted it) carries the reuse flag.
+func OpenReuse(p []byte) bool { return p[1]&openReuse != 0 }
 
 // appendOpenReply appends rep's OpenOK payload to dst: session (uint64),
 // in_words and out_words (uint32 each), little-endian.

@@ -69,6 +69,9 @@ func TestReuseOpenCopies(t *testing.T) {
 	if err != nil || typ != Open {
 		t.Fatalf("frame = %v %v, want open", typ, err)
 	}
+	if OpenReuse(p) || !OpenReuse(got) {
+		t.Fatalf("OpenReuse = %v before and %v after ReuseOpen, want false and true", OpenReuse(p), OpenReuse(got))
+	}
 	var req OpenRequest
 	if err := DecodeOpen(got, &req); err != nil {
 		t.Fatal(err)

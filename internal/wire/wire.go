@@ -26,9 +26,14 @@
 // The connection closes after the final frame, with one exception: an Open
 // with the reuse flag (OpenRequest.Reuse) whose session ends in a Done with
 // no Code, after the server has read the client's CloseSend, leaves the
-// connection open for the next Open. The gateway sets the flag on its shard
-// legs so one TCP connection serves its sessions one after another; direct
-// clients never set it.
+// connection open for the next Open. Every hop sets the flag — the client
+// package on its connections, the gateway on its shard legs — so one TCP
+// connection serves its sessions one after another, and both ends of a hop
+// apply the same rule (DoneReply.KeepsConn) to decide whether it stays.
+//
+// A session's last results and its Done may share one write
+// (Writer.WordsDone); they are still two frames, and a reader sees nothing
+// different.
 //
 // Open layout (little-endian; AppendOpen):
 //
@@ -66,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"syscall"
 
 	"cohort"
 )
@@ -232,8 +238,10 @@ func (t *TelemetryReply) ServerMeanNs() float64 {
 // Writer frames outbound messages. Not safe for concurrent use; give each
 // writing goroutine its own.
 type Writer struct {
-	w   io.Writer
-	hdr [headerBytes]byte
+	w io.Writer
+	// hdr holds the headers of the frames staged for one flush: a Data
+	// frame and, for WordsDone, the Done after it.
+	hdr [2][headerBytes]byte
 	// base is the scatter-gather vector's stable backing; vecs is the view
 	// handed to net.Buffers.WriteTo, which consumes it in place. Rebuilding
 	// vecs from base each frame keeps the vector allocation-free even though
@@ -241,11 +249,18 @@ type Writer struct {
 	base net.Buffers
 	vecs net.Buffers
 	buf  []byte // fallback/reference encode scratch; retention capped at maxRetain
+	// join is set for a net.Conn that is not a socket (a wrapper, a pipe):
+	// net.Buffers would hand it one Write per segment, so flush joins the
+	// segments into joined and makes one Write, as a socket gets one writev.
+	join   bool
+	joined []byte // join scratch; retention capped at maxRetain
 }
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, base: make(net.Buffers, 0, 4)}
+	_, isConn := w.(net.Conn)
+	_, isSocket := w.(syscall.Conn)
+	return &Writer{w: w, base: make(net.Buffers, 0, 6), join: isConn && !isSocket}
 }
 
 // scratch returns an n-byte encode buffer, reusing the retained one when it
@@ -263,23 +278,43 @@ func (fw *Writer) scratch(n int) []byte {
 }
 
 // flush writes the queued header+payload vector with one writev when the
-// destination is a net.Conn (net.Buffers scatter-gather): the header and
+// destination is a socket (net.Buffers scatter-gather): the headers and
 // every payload segment go out in a single syscall with no joining copy.
-// For other writers each segment is written in order.
+// Any other net.Conn gets the segments joined into one Write; plain
+// writers get each segment in order.
 func (fw *Writer) flush() error {
-	fw.vecs = fw.base
-	_, err := fw.vecs.WriteTo(fw.w)
+	var err error
+	if fw.join {
+		b := fw.joined[:0]
+		for _, seg := range fw.base {
+			b = append(b, seg...)
+		}
+		if cap(b) <= maxRetain {
+			fw.joined = b
+		}
+		_, err = fw.w.Write(b)
+	} else {
+		fw.vecs = fw.base
+		_, err = fw.vecs.WriteTo(fw.w)
+	}
 	// Drop payload references so the vector does not pin caller buffers.
 	clear(fw.base)
 	fw.base = fw.base[:0]
 	return err
 }
 
-// putHeader stages the frame header as the vector's first segment.
+// putHeader starts the vector with a frame header.
 func (fw *Writer) putHeader(t Type, n int) {
-	fw.hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(fw.hdr[1:headerBytes], uint32(n))
-	fw.base = append(fw.base[:0], fw.hdr[:])
+	fw.base = fw.base[:0]
+	fw.appendHeader(0, t, n)
+}
+
+// appendHeader encodes a frame header into header slot i and stages it.
+func (fw *Writer) appendHeader(i int, t Type, n int) {
+	h := fw.hdr[i][:]
+	h[0] = byte(t)
+	binary.BigEndian.PutUint32(h[1:], uint32(n))
+	fw.base = append(fw.base, h)
 }
 
 // Frame writes one frame. The payload may be nil. The payload is not
@@ -318,6 +353,32 @@ func (fw *Writer) Words(ws []cohort.Word) error {
 // a batch of completed blocks. Header and segments reach the kernel as one
 // writev; nothing is copied on little-endian hosts.
 func (fw *Writer) WordsN(segs ...[]cohort.Word) error {
+	if err := fw.stageWords(segs); err != nil {
+		return err
+	}
+	return fw.flush()
+}
+
+// WordsDone writes segs as one Data frame and then a Done frame carrying
+// the payload done, both in one writev: a session's last results and its
+// final frame leave in a single syscall. A reader sees the same two frames
+// WordsN and Frame(Done, done) would write.
+func (fw *Writer) WordsDone(done []byte, segs ...[]cohort.Word) error {
+	if len(done) > MaxFrame {
+		return fmt.Errorf("wire: %s payload %d bytes exceeds MaxFrame", Done, len(done))
+	}
+	if err := fw.stageWords(segs); err != nil {
+		return err
+	}
+	fw.appendHeader(1, Done, len(done))
+	if len(done) > 0 {
+		fw.base = append(fw.base, done)
+	}
+	return fw.flush()
+}
+
+// stageWords starts the vector with a Data frame carrying segs.
+func (fw *Writer) stageWords(segs [][]cohort.Word) error {
 	total := 0
 	for _, s := range segs {
 		total += len(s)
@@ -326,6 +387,7 @@ func (fw *Writer) WordsN(segs ...[]cohort.Word) error {
 		return fmt.Errorf("wire: data frame of %d words exceeds MaxFrame", total)
 	}
 	n := total * WordBytes
+	fw.putHeader(Data, n)
 	if !hostLittle {
 		// Big-endian fallback: encode every segment into one scratch buffer.
 		b := fw.scratch(n)
@@ -334,19 +396,17 @@ func (fw *Writer) WordsN(segs ...[]cohort.Word) error {
 			encodeWords(b[off:], s)
 			off += len(s) * WordBytes
 		}
-		fw.putHeader(Data, n)
 		if n > 0 {
 			fw.base = append(fw.base, b)
 		}
-		return fw.flush()
+		return nil
 	}
-	fw.putHeader(Data, n)
 	for _, s := range segs {
 		if len(s) > 0 {
 			fw.base = append(fw.base, wordsBytes(s))
 		}
 	}
-	return fw.flush()
+	return nil
 }
 
 // WordsCopy writes ws as one Data frame through the pre-coalescing codec: a
