@@ -25,8 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -109,7 +107,7 @@ var ErrFault = errors.New("cohort client: accelerator fault")
 // with itself or, on the same side, with each other. Close may run from any
 // goroutine, more than once.
 type Conn struct {
-	*link
+	wc      *wire.Conn
 	session uint64
 	inW     int
 	outW    int
@@ -186,53 +184,13 @@ func reconnectable(err error) bool {
 	return !errors.Is(err, ErrRejected)
 }
 
-// link is one TCP connection to a daemon or gateway with its framing
-// state. It outlives the Conn that carried a session when that session ends
-// cleanly: Close keeps it on idle for the next Connect to addr.
-type link struct {
-	c    net.Conn
-	r    *wire.Reader
-	w    *wire.Writer
-	addr string
-}
-
-// idle holds, per address, the connections between sessions, newest last.
-// It needs no cap: a connection is dialled only when its address's stack is
-// empty, so the stack never holds more connections than the caller once
-// had sessions open to that address at the same time. A connection whose
-// far end has gone stays until the next Connect to its address finds it
-// dead.
-var idle = struct {
-	sync.Mutex
-	links map[string][]*link
-}{links: make(map[string][]*link)}
-
-// popIdle takes the newest idle connection to addr, or returns nil.
-func popIdle(addr string) *link {
-	idle.Lock()
-	defer idle.Unlock()
-	ls := idle.links[addr]
-	if len(ls) == 0 {
-		return nil
-	}
-	l := ls[len(ls)-1]
-	ls[len(ls)-1] = nil
-	idle.links[addr] = ls[:len(ls)-1]
-	return l
-}
-
-// park keeps l for the next Connect to its address.
-func park(l *link) {
-	idle.Lock()
-	idle.links[l.addr] = append(idle.links[l.addr], l)
-	idle.Unlock()
-}
+// idle keeps the connections between sessions, per address (wire.Pool). It
+// is package-level because Connect is a function.
+var idle wire.Pool
 
 // connect opens one session on addr: on an idle connection when there is
-// one, else on a fresh dial. The Open always asks the server to keep the
-// connection after a clean Done. An idle connection that fails before the
-// reply — the far end closed it, restarted or quiesced — is closed and addr
-// dialled afresh: that is not a failed attempt.
+// one, else on a fresh dial (wire.Pool.Open). The Open always asks the
+// server to keep the connection after a clean Done.
 func connect(addr string, opts Options) (*Conn, error) {
 	timeout := opts.DialTimeout
 	if timeout <= 0 {
@@ -243,71 +201,40 @@ func connect(addr string, opts Options) (*Conn, error) {
 		Weight: opts.Weight, Quota: opts.Quota, QueueCap: opts.QueueCap,
 		Timing: opts.ServerTiming, Reuse: true,
 	}
-	if err := req.Validate(); err != nil {
+	var buf [64]byte // the Open's scratch: a typical Open encodes on the stack
+	open, err := wire.AppendOpen(buf[:0], &req)
+	if err != nil {
 		// The daemon would refuse it as a bad request; no retry can help.
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	for l := popIdle(addr); ; l = nil {
-		reused := l != nil
-		if !reused {
-			nc, err := net.DialTimeout("tcp", addr, timeout)
-			if err != nil {
-				return nil, fmt.Errorf("cohort client: dial %s: %w", addr, err)
-			}
-			l = &link{c: nc, r: wire.NewReader(nc), w: wire.NewWriter(nc), addr: addr}
-		}
-		t, payload, err := l.open(&req)
-		if err == nil {
-			return l.opened(t, payload)
-		}
-		l.c.Close()
-		if !reused {
-			return nil, err
-		}
-	}
-}
-
-// open sends req on l and reads the server's reply, which is valid until
-// l's next read.
-func (l *link) open(req *wire.OpenRequest) (wire.Type, []byte, error) {
-	if err := l.w.Open(req); err != nil {
-		return 0, nil, fmt.Errorf("cohort client: send open: %w", err)
-	}
-	t, payload, err := l.r.Next()
+	wc, t, payload, err := idle.Open(addr, timeout, open)
 	if err != nil {
-		return 0, nil, fmt.Errorf("cohort client: await open reply: %w", err)
+		return nil, fmt.Errorf("cohort client: %w", err)
 	}
-	return t, payload, nil
-}
-
-// opened reads the server's answer to an Open sent on l: a Conn for an
-// OpenOK, a typed rejection for an Error. l is closed unless a Conn took it.
-func (l *link) opened(t wire.Type, payload []byte) (*Conn, error) {
-	switch t {
-	case wire.OpenOK:
+	if t == wire.OpenOK {
 		rep, err := wire.DecodeOpenReply(payload)
-		if err != nil {
-			l.c.Close()
-			return nil, err
+		if err == nil {
+			return &Conn{wc: wc, session: rep.Session, inW: rep.InWords, outW: rep.OutWords}, nil
 		}
-		return &Conn{link: l, session: rep.Session, inW: rep.InWords, outW: rep.OutWords}, nil
-	case wire.Error:
-		l.c.Close()
-		var rej wire.ErrorReply
-		if err := wire.Unmarshal(t, payload, &rej); err != nil {
-			return nil, err
-		}
-		switch rej.Code {
-		case wire.CodeAdmission:
-			return nil, fmt.Errorf("%w (%w): %s", ErrAdmission, ErrRejected, rej.Message)
-		case wire.CodeDraining:
-			return nil, fmt.Errorf("%w (%w): %s", ErrDraining, ErrRejected, rej.Message)
-		}
-		return nil, fmt.Errorf("%w: %s", ErrRejected, rej.Message)
-	default:
-		l.c.Close()
+		wc.Close()
+		return nil, err
+	}
+	// Any other reply ends the connection; payload stays readable.
+	wc.Close()
+	if t != wire.Error {
 		return nil, fmt.Errorf("cohort client: unexpected %s frame before open reply", t)
 	}
+	var rej wire.ErrorReply
+	if err := wire.Unmarshal(t, payload, &rej); err != nil {
+		return nil, err
+	}
+	switch rej.Code {
+	case wire.CodeAdmission:
+		return nil, fmt.Errorf("%w (%w): %s", ErrAdmission, ErrRejected, rej.Message)
+	case wire.CodeDraining:
+		return nil, fmt.Errorf("%w (%w): %s", ErrDraining, ErrRejected, rej.Message)
+	}
+	return nil, fmt.Errorf("%w: %s", ErrRejected, rej.Message)
 }
 
 // Session returns the daemon-assigned session id.
@@ -329,7 +256,7 @@ func (c *Conn) Send(ws []cohort.Word) error {
 	if c.closeSent.Load() {
 		return errSendClosed
 	}
-	if err := c.w.Words(ws); err != nil {
+	if err := c.wc.W.Words(ws); err != nil {
 		return fmt.Errorf("cohort client: send data: %w", err)
 	}
 	return nil
@@ -342,7 +269,7 @@ func (c *Conn) SendN(segs ...[]cohort.Word) error {
 	if c.closeSent.Load() {
 		return errSendClosed
 	}
-	if err := c.w.WordsN(segs...); err != nil {
+	if err := c.wc.W.WordsN(segs...); err != nil {
 		return fmt.Errorf("cohort client: send data: %w", err)
 	}
 	return nil
@@ -356,7 +283,7 @@ func (c *Conn) CloseSend() error {
 	if c.closeSent.Load() {
 		return errSendClosed
 	}
-	if err := c.w.Frame(wire.CloseSend, nil); err != nil {
+	if err := c.wc.W.Frame(wire.CloseSend, nil); err != nil {
 		return fmt.Errorf("cohort client: close send: %w", err)
 	}
 	c.closeSent.Store(true)
@@ -378,7 +305,7 @@ func (c *Conn) nextData() ([]cohort.Word, error) {
 		return nil, c.recvErr
 	}
 	for {
-		t, ws, payload, err := c.r.NextData()
+		t, ws, payload, err := c.wc.R.NextData()
 		if err != nil {
 			c.recvErr = fmt.Errorf("cohort client: recv: %w", err)
 			return nil, c.recvErr
@@ -455,7 +382,7 @@ func (c *Conn) Recv() ([]cohort.Word, error) {
 	c.pending = nil
 	out := make([]cohort.Word, len(ws))
 	copy(out, ws)
-	c.r.Release()
+	c.wc.R.Release()
 	return out, nil
 }
 
@@ -479,7 +406,7 @@ func (c *Conn) RecvInto(buf []cohort.Word) (int, error) {
 		c.pending = ws[n:]
 	} else {
 		c.pending = nil
-		c.r.Release()
+		c.wc.R.Release()
 	}
 	return n, nil
 }
@@ -547,9 +474,9 @@ func (c *Conn) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	if res := c.result.Load(); res != nil && res.KeepsConn() && c.closeSent.Load() {
-		park(c.link)
+	if wire.KeepsConn(true, c.closeSent.Load(), c.result.Load()) {
+		idle.Put(c.wc)
 		return nil
 	}
-	return c.c.Close()
+	return c.wc.Close()
 }

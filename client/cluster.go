@@ -36,7 +36,7 @@ type ClusterOptions struct {
 // RemoteAddr returns the address of the daemon this connection landed on —
 // with Options.Cluster that is the shard chosen by the ring, not the
 // gateway.
-func (c *Conn) RemoteAddr() string { return c.c.RemoteAddr().String() }
+func (c *Conn) RemoteAddr() string { return c.wc.RemoteAddr().String() }
 
 // clusterConnect performs one routed dial + Open: fetch the ring, walk the
 // tenant's candidates, connect directly. fallback is Connect's addr

@@ -30,7 +30,7 @@ func gwMetric(t *testing.T, reg *cohort.Registry, name string) uint64 {
 // Opens that no shard would take. A client that hangs up before its OpenOK
 // is relayed, and an Open that meets a closing gateway, were refused by
 // nobody: neither counts, and neither gets a no-shard Error. Each Open
-// runs through handle over an in-memory pipe, so the outcome does not
+// runs through session over an in-memory pipe, so the outcome does not
 // depend on timing: the pipe's write fails the moment the client end is
 // closed.
 func TestAbandonedOpenIsNotARejection(t *testing.T) {
@@ -64,14 +64,20 @@ func TestAbandonedOpenIsNotARejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// run hands one client connection to handle, sends the Open, passes the
-	// client end to after, and returns once the handler has finished.
+	// run hands one client connection to session, sends the Open, passes
+	// the client end to after, and returns once the session has finished.
 	run := func(after func(c net.Conn)) {
 		client, srv := net.Pipe()
 		defer client.Close()
 		done := make(chan struct{})
-		g.wg.Add(1)
-		go func() { defer close(done); g.handle(srv) }()
+		go func() {
+			defer close(done)
+			defer srv.Close()
+			c := wire.NewConn(srv)
+			if typ, p, err := c.R.Next(); err == nil && typ == wire.Open {
+				g.session(c, p)
+			}
+		}()
 		// A pipe write returns only once the handler has read every byte.
 		if err := wire.NewWriter(client).Frame(wire.Open, open); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"sync"
 	"time"
 
 	"cohort"
@@ -51,7 +50,6 @@ func DefaultCatalog() Catalog {
 type Server struct {
 	sch     *Scheduler
 	catalog Catalog
-	wg      sync.WaitGroup
 
 	// Log, when non-nil, receives structured connection-lifecycle records:
 	// session admissions (tenant, accel, session id, remote address),
@@ -59,10 +57,7 @@ type Server struct {
 	// disables lifecycle logging; the serve hot path never logs either way.
 	Log *slog.Logger
 
-	mu     sync.Mutex
-	closed bool
-	ln     net.Listener
-	conns  map[net.Conn]bool // live connections; true while idle between sessions
+	conns *wire.ConnSet
 }
 
 // NewServer wraps sch. A nil catalog means DefaultCatalog.
@@ -70,7 +65,7 @@ func NewServer(sch *Scheduler, catalog Catalog) *Server {
 	if catalog == nil {
 		catalog = DefaultCatalog()
 	}
-	return &Server{sch: sch, catalog: catalog, conns: make(map[net.Conn]bool)}
+	return &Server{sch: sch, catalog: catalog, conns: wire.NewConnSet(ErrServerClosed)}
 }
 
 // ErrServerClosed is returned by Serve after Close, mirroring net/http.
@@ -78,152 +73,25 @@ var ErrServerClosed = errors.New("sched: server closed")
 
 // Serve accepts connections on ln until Close. It always returns a non-nil
 // error: ErrServerClosed after a clean Close, the accept error otherwise.
-func (sv *Server) Serve(ln net.Listener) error {
-	sv.mu.Lock()
-	if sv.closed {
-		sv.mu.Unlock()
-		ln.Close()
-		return ErrServerClosed
-	}
-	sv.ln = ln
-	sv.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			sv.mu.Lock()
-			closed := sv.closed
-			sv.mu.Unlock()
-			if closed {
-				return ErrServerClosed
-			}
-			return err
-		}
-		sv.mu.Lock()
-		if sv.closed {
-			sv.mu.Unlock()
-			c.Close()
-			return ErrServerClosed
-		}
-		sv.conns[c] = false
-		sv.wg.Add(1)
-		sv.mu.Unlock()
-		go sv.handle(c)
-	}
-}
+func (sv *Server) Serve(ln net.Listener) error { return sv.conns.Serve(ln, sv.serve) }
 
 // Close stops accepting, closes every live connection (their sessions are
 // killed), and waits for the handlers to drain. It does not close the
 // Scheduler — the owner may front it with several listeners.
-func (sv *Server) Close() error {
-	sv.mu.Lock()
-	sv.closed = true
-	ln := sv.ln
-	for c := range sv.conns {
-		c.Close()
-	}
-	sv.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	sv.wg.Wait()
-	return err
-}
+func (sv *Server) Close() error { return sv.conns.Close() }
 
-// Quiesce stops accepting new connections and waits up to timeout for the
-// in-flight handlers to finish on their own. It is the wire-level half of a
-// drain: Scheduler.Drained says every session *retired*, but the handler
-// may still be writing that session's final Done frame — a Close at that
-// instant cuts the frame off mid-write and the client sees a lost
-// connection instead of its stats. Quiesce closes no connection that is
-// carrying a session; handlers exit naturally once the final frame is
-// flushed (the writer closes the connection, unblocking the reader).
-// Connections idle between sessions (a reused gateway leg after a clean
-// Done) close at once, and so does any connection that goes idle later, so
-// reused legs never hold a drain to its timeout. A handler that outlives the
-// timeout — e.g. a fresh connection that never opened a session — is left
-// for Close to kill. Reports whether every handler finished.
-func (sv *Server) Quiesce(timeout time.Duration) bool {
-	sv.mu.Lock()
-	sv.closed = true
-	ln := sv.ln
-	sv.ln = nil // Quiesce owns the close; a later Close must not re-close
-	for c, idle := range sv.conns {
-		if idle {
-			c.Close()
-		}
-	}
-	sv.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	idle := make(chan struct{})
-	go func() { sv.wg.Wait(); close(idle) }()
-	select {
-	case <-idle:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
-}
-
-func (sv *Server) forget(c net.Conn) {
-	sv.mu.Lock()
-	delete(sv.conns, c)
-	sv.mu.Unlock()
-}
-
-// handle owns one connection: admit a session, pump the two directions,
-// tear down. The handler goroutine is the socket reader; it spawns one
-// writer goroutine per session for the result stream. A connection whose
-// Open asked for reuse loops back for the next Open after a clean Done
-// (see serve); every other ending closes it.
-func (sv *Server) handle(c net.Conn) {
-	defer sv.wg.Done()
-	defer sv.forget(c)
-	defer c.Close()
-
-	fr := wire.NewReader(c)
-	fw := wire.NewWriter(c)
-	for first := true; ; first = false {
-		if !first && !sv.setIdle(c, true) {
-			return // quiescing: an idle connection closes at once
-		}
-		t, payload, err := fr.Next()
-		if err != nil || t != wire.Open {
-			// Not worth an Error frame on a half-open probe; just drop it.
-			return
-		}
-		if !first && !sv.setIdle(c, false) {
-			return // Quiesce closed the idle connection under this Open
-		}
-		if !sv.serve(c, fr, fw, payload) {
-			return
-		}
-	}
-}
-
-// setIdle records whether c sits between sessions. It reports false once the
-// server is quiescing or closed: the caller then closes c instead of waiting
-// on it or starting a session on it.
-func (sv *Server) setIdle(c net.Conn, idle bool) bool {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	if sv.closed {
-		return false
-	}
-	sv.conns[c] = idle
-	return true
-}
+// Quiesce stops accepting and waits up to timeout for in-flight handlers to
+// finish on their own (wire.ConnSet.Quiesce), so a drain does not cut off a
+// retired session's final Done mid-write. Reports whether all finished.
+func (sv *Server) Quiesce(timeout time.Duration) bool { return sv.conns.Quiesce(timeout) }
 
 // serve runs the session one Open asks for. It reports whether the
-// connection stays open for the next Open: the Open asked for reuse, the
-// reader consumed the client's CloseSend, and the final frame was a Done
-// with no Code. Every other ending closes the connection.
-func (sv *Server) serve(c net.Conn, fr *wire.Reader, fw *wire.Writer, payload []byte) bool {
+// connection stays open for the next Open (wire.KeepsConn); every other
+// ending closes it.
+func (sv *Server) serve(c *wire.Conn, payload []byte) bool {
 	var req wire.OpenRequest
 	if err := wire.DecodeOpen(payload, &req); err != nil {
-		fw.JSON(wire.Error, wire.ErrorReply{Message: err.Error(), Code: wire.CodeBadRequest})
+		c.W.JSON(wire.Error, wire.ErrorReply{Message: err.Error(), Code: wire.CodeBadRequest})
 		return false
 	}
 	factory, ok := sv.catalog[req.Accel]
@@ -232,14 +100,14 @@ func (sv *Server) serve(c net.Conn, fr *wire.Reader, fw *wire.Writer, payload []
 			sv.Log.Warn("session rejected", "tenant", req.Tenant, "accel", req.Accel,
 				"remote", c.RemoteAddr().String(), "code", wire.CodeUnknownAccel)
 		}
-		fw.JSON(wire.Error, wire.ErrorReply{
+		c.W.JSON(wire.Error, wire.ErrorReply{
 			Message: fmt.Sprintf("unknown accelerator %q", req.Accel), Code: wire.CodeUnknownAccel,
 		})
 		return false
 	}
 	acc, err := factory()
 	if err != nil {
-		fw.JSON(wire.Error, wire.ErrorReply{Message: err.Error(), Code: wire.CodeBadRequest})
+		c.W.JSON(wire.Error, wire.ErrorReply{Message: err.Error(), Code: wire.CodeBadRequest})
 		return false
 	}
 	ss, err := sv.sch.Register(SessionConfig{
@@ -260,15 +128,15 @@ func (sv *Server) serve(c net.Conn, fr *wire.Reader, fw *wire.Writer, payload []
 			sv.Log.Warn("session rejected", "tenant", req.Tenant, "accel", req.Accel,
 				"remote", c.RemoteAddr().String(), "code", code, "err", err)
 		}
-		fw.JSON(wire.Error, wire.ErrorReply{Message: err.Error(), Code: code})
+		c.W.JSON(wire.Error, wire.ErrorReply{Message: err.Error(), Code: code})
 		return false
 	}
 	if sv.Log != nil {
 		sv.Log.Info("session open", "session", ss.ID(), "tenant", ss.Tenant(),
-			"accel", req.Accel, "weight", cfgWeight(req.Weight), "timing", req.Timing,
+			"accel", req.Accel, "weight", ss.weight, "timing", req.Timing,
 			"remote", c.RemoteAddr().String())
 	}
-	if err := fw.OpenOK(wire.OpenReply{
+	if err := c.W.OpenOK(wire.OpenReply{
 		Session: ss.ID(), InWords: acc.InWords(), OutWords: acc.OutWords(),
 	}); err != nil {
 		ss.Kill()
@@ -279,14 +147,13 @@ func (sv *Server) serve(c net.Conn, fr *wire.Reader, fw *wire.Writer, payload []
 	// and closes the connection unless the session ends reusable: Done is
 	// always the final frame.
 	kept := make(chan bool, 1)
-	go func() { kept <- sv.pumpResults(c, fw, ss, req.Timing, req.Reuse) }()
+	go func() { kept <- sv.pumpResults(c.Conn, c.W, ss, req.Timing, req.Reuse) }()
 
-	closeSent := sv.readStream(fr, ss)
-	if !closeSent {
+	if !sv.readStream(c.R, ss) {
 		// The producer vanished mid-stream: discard its session.
 		ss.Kill()
 	}
-	reuse := <-kept && closeSent
+	keep := <-kept
 	if sv.Log != nil {
 		st := ss.Stats()
 		args := []any{"session", ss.ID(), "tenant", ss.Tenant(),
@@ -298,15 +165,7 @@ func (sv *Server) serve(c net.Conn, fr *wire.Reader, fw *wire.Writer, payload []
 			sv.Log.Info("session closed", args...)
 		}
 	}
-	return reuse
-}
-
-// cfgWeight mirrors Register's weight defaulting for log records.
-func cfgWeight(w int) int {
-	if w == 0 {
-		return 1
-	}
-	return w
+	return keep
 }
 
 // readStream feeds inbound Data frames into the session input queue until
@@ -385,9 +244,8 @@ func (sv *Server) pushWords(ss *Session, ws []cohort.Word) bool {
 
 // pumpResults streams the session output queue to the client as Data
 // frames, then sends the final frame (see finish) and closes the
-// connection — unless reuse is set and the final frame is a Done with no
-// Code, in which case the connection stays open and pumpResults reports
-// true. The output queue is closed by the scheduler at retirement, so
+// connection — unless wire.KeepsConn keeps it, in which case pumpResults
+// reports true. The output queue is closed by the scheduler at retirement, so
 // draining it is the handler's retirement barrier.
 //
 // Every pass coalesces all completed blocks currently in the queue — up to
@@ -496,8 +354,8 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 // finish writes the session's final frame, after the words a and b that
 // were left in its closed output queue: a Done shares one writev with them
 // (wire.Writer.WordsDone), an Error follows them. It reports whether the
-// connection stays open for the next Open — reuse is set and the frame is
-// a Done with no Code — and closes it otherwise.
+// connection stays open for the next Open (wire.KeepsConn), and closes it
+// otherwise.
 func (sv *Server) finish(c net.Conn, fw *wire.Writer, ss *Session, a, b []cohort.Word, timing, reuse bool) bool {
 	n := len(a) + len(b)
 	if n > 0 {
@@ -505,7 +363,7 @@ func (sv *Server) finish(c net.Conn, fw *wire.Writer, ss *Session, a, b []cohort
 		// its wire stage as their write starts, so Done.Timing counts it.
 		ss.observeWire()
 	}
-	t, payload, keep := finalFrame(ss, timing)
+	t, payload, keep := finalFrame(ss, timing, reuse)
 	var err error
 	switch {
 	case n == 0:
@@ -518,12 +376,12 @@ func (sv *Server) finish(c net.Conn, fw *wire.Writer, ss *Session, a, b []cohort
 		}
 	}
 	ss.Out().CommitRead(n)
-	if err == nil && reuse && keep {
+	if err == nil && keep {
 		return true
 	}
-	// Closing here (not in handle) makes the final frame reliably the last
-	// thing the client sees even while the reader half is still parked in a
-	// read.
+	// Closing here, not when the handler returns, makes the final frame
+	// reliably the last thing the client sees even while the reader half is
+	// still parked in a read.
 	c.Close()
 	return false
 }
@@ -533,9 +391,10 @@ func (sv *Server) finish(c net.Conn, fw *wire.Writer, ss *Session, a, b []cohort
 // surfaces a typed error instead of a truncated-looking stream. Any other
 // ends in a Done with its counters, why it ended short if it did
 // (quota, shutdown), and its whole-life timing when the Open asked for
-// it. keep is DoneReply.KeepsConn: whether the frame leaves a reuse
-// connection open.
-func finalFrame(ss *Session, timing bool) (t wire.Type, payload []byte, keep bool) {
+// it. keep is wire.KeepsConn: whether the frame leaves the connection open.
+// The reader closes the input queue when it consumes the client's
+// CloseSend, and nothing else closes it.
+func finalFrame(ss *Session, timing, reuse bool) (t wire.Type, payload []byte, keep bool) {
 	serr := ss.Err()
 	if serr != nil && (errors.Is(serr, ErrKilled) || retireCode(serr) == wire.CodeFault) {
 		// Plain structs: Marshal cannot fail.
@@ -556,7 +415,7 @@ func finalFrame(ss *Session, timing bool) (t wire.Type, payload []byte, keep boo
 		done.Timing = &tel
 	}
 	payload, _ = json.Marshal(done)
-	return wire.Done, payload, done.KeepsConn()
+	return wire.Done, payload, wire.KeepsConn(reuse, ss.in.Closed(), &done)
 }
 
 // retireCode maps a session's terminal error to its wire code.

@@ -89,7 +89,7 @@ func FuzzReader(f *testing.F) {
 
 // FuzzOpen throws arbitrary payloads at the binary Open decoder and checks:
 // no panic; OpenTenant accepts exactly what DecodeOpen accepts and agrees on
-// the tenant; and every accepted payload is canonical — it re-encodes to the
+// the tenant and the reuse flag; and every accepted payload is canonical — it re-encodes to the
 // same bytes and decodes again to the same request. The seeds are encoded
 // requests covering every field, a JSON Open from before the binary layout,
 // and truncations of a valid payload.
@@ -118,15 +118,15 @@ func FuzzOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var req OpenRequest
 		err := DecodeOpen(p, &req)
-		tenant, terr := OpenTenant(p)
+		tenant, reuse, terr := OpenTenant(p)
 		if (err == nil) != (terr == nil) {
 			t.Fatalf("DecodeOpen err=%v, OpenTenant err=%v", err, terr)
 		}
 		if err != nil {
 			return
 		}
-		if tenant != req.Tenant {
-			t.Fatalf("OpenTenant %q, DecodeOpen tenant %q", tenant, req.Tenant)
+		if tenant != req.Tenant || reuse != req.Reuse {
+			t.Fatalf("OpenTenant %q reuse %v, DecodeOpen tenant %q reuse %v", tenant, reuse, req.Tenant, req.Reuse)
 		}
 		b, err := AppendOpen(nil, &req)
 		if err != nil {

@@ -199,18 +199,14 @@ func DecodeOpen(p []byte, req *OpenRequest) error {
 }
 
 // OpenTenant validates an Open payload like DecodeOpen and returns only its
-// tenant — what a router needs, without decoding the rest.
-func OpenTenant(p []byte) (string, error) {
+// tenant and reuse flag — what a router needs, without decoding the rest.
+func OpenTenant(p []byte) (tenant string, reuse bool, err error) {
 	f, err := parseOpen(p)
 	if err != nil {
-		return "", err
+		return "", false, err
 	}
-	return string(f.tenant), nil
+	return string(f.tenant), f.flags&openReuse != 0, nil
 }
-
-// OpenReuse reports whether a valid Open payload (OpenTenant or DecodeOpen
-// accepted it) carries the reuse flag.
-func OpenReuse(p []byte) bool { return p[1]&openReuse != 0 }
 
 // appendOpenReply appends rep's OpenOK payload to dst: session (uint64),
 // in_words and out_words (uint32 each), little-endian.

@@ -35,7 +35,7 @@ func TestOpenRejectsMalformed(t *testing.T) {
 		if err := DecodeOpen(p, &req); err == nil {
 			t.Errorf("%s: DecodeOpen accepted %x as %+v", name, p, req)
 		}
-		if _, err := OpenTenant(p); err == nil {
+		if _, _, err := OpenTenant(p); err == nil {
 			t.Errorf("%s: OpenTenant accepted %x", name, p)
 		}
 	}
@@ -69,8 +69,10 @@ func TestReuseOpenCopies(t *testing.T) {
 	if err != nil || typ != Open {
 		t.Fatalf("frame = %v %v, want open", typ, err)
 	}
-	if OpenReuse(p) || !OpenReuse(got) {
-		t.Fatalf("OpenReuse = %v before and %v after ReuseOpen, want false and true", OpenReuse(p), OpenReuse(got))
+	_, before, _ := OpenTenant(p)
+	_, after, _ := OpenTenant(got)
+	if before || !after {
+		t.Fatalf("OpenTenant reuse = %v before and %v after ReuseOpen, want false and true", before, after)
 	}
 	var req OpenRequest
 	if err := DecodeOpen(got, &req); err != nil {
@@ -82,7 +84,8 @@ func TestReuseOpenCopies(t *testing.T) {
 }
 
 // TestDoneKeepsConn: only a Done with no Code keeps a reuse connection, and
-// the encoded form agrees with the decoded rule the server applies.
+// a relay that decodes the encoded Done reaches the same verdict; a Done
+// that does not decode keeps nothing.
 func TestDoneKeepsConn(t *testing.T) {
 	tel := TelemetryReply{}
 	for _, c := range []struct {
@@ -95,7 +98,7 @@ func TestDoneKeepsConn(t *testing.T) {
 		{"quota", DoneReply{Err: "quota exceeded", Code: CodeQuota}, false},
 		{"shutdown", DoneReply{Err: "closed", Code: CodeClosed}, false},
 	} {
-		if got := c.done.KeepsConn(); got != c.want {
+		if got := KeepsConn(true, true, &c.done); got != c.want {
 			t.Errorf("%s: KeepsConn = %v, want %v", c.name, got, c.want)
 		}
 		var buf bytes.Buffer
@@ -106,11 +109,15 @@ func TestDoneKeepsConn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := DoneKeepsConn(payload); got != c.want {
-			t.Errorf("%s: DoneKeepsConn(%s) = %v, want %v", c.name, payload, got, c.want)
+		var decoded DoneReply
+		if err := Unmarshal(Done, payload, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if got := KeepsConn(true, true, &decoded); got != c.want {
+			t.Errorf("%s: KeepsConn of decoded %s = %v, want %v", c.name, payload, got, c.want)
 		}
 	}
-	if DoneKeepsConn([]byte("{not json")) {
+	if Unmarshal(Done, []byte("{not json"), &DoneReply{}) == nil || KeepsConn(true, true, nil) {
 		t.Error("an undecodable Done keeps the connection")
 	}
 }

@@ -26,10 +26,12 @@
 // The connection closes after the final frame, with one exception: an Open
 // with the reuse flag (OpenRequest.Reuse) whose session ends in a Done with
 // no Code, after the server has read the client's CloseSend, leaves the
-// connection open for the next Open. Every hop sets the flag — the client
-// package on its connections, the gateway on its shard legs — so one TCP
-// connection serves its sessions one after another, and both ends of a hop
-// apply the same rule (DoneReply.KeepsConn) to decide whether it stays.
+// connection open for the next Open. Every hop sets the flag, so one TCP
+// connection serves its sessions one after another. This package owns that
+// lifecycle for all three hops, and the client package, sched.Server and
+// cluster.Gateway keep no copy of it: the rule both ends apply (KeepsConn),
+// the dialler's kept connections with their redial-once Open (Pool), and
+// the serving end's accept, track, close and quiesce (ConnSet).
 //
 // A session's last results and its Done may share one write
 // (Writer.WordsDone); they are still two frames, and a reader sees nothing
@@ -186,20 +188,6 @@ type DoneReply struct {
 	// Timing is the session's whole-life server-side stage breakdown,
 	// present only when the Open requested it (OpenRequest.Timing).
 	Timing *TelemetryReply `json:"timing,omitempty"`
-}
-
-// KeepsConn reports whether a session that ended in d leaves a reuse
-// connection open for the next Open: only a Done with no Code does. The
-// server closes the connection after any other Done, so a relay must not
-// keep it either.
-func (d *DoneReply) KeepsConn() bool { return d.Code == "" }
-
-// DoneKeepsConn is KeepsConn for an encoded Done payload, for a relay that
-// forwards the Done without otherwise decoding it. A payload that does not
-// decode keeps nothing.
-func DoneKeepsConn(payload []byte) bool {
-	var d DoneReply
-	return Unmarshal(Done, payload, &d) == nil && d.KeepsConn()
 }
 
 // StageTiming is one pipeline stage's latency summary inside a
