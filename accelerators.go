@@ -1,6 +1,7 @@
 package cohort
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -51,7 +52,7 @@ func (a *blockAccel) Process(in []Word) ([]Word, error) { return a.process(in) }
 // produces its 256-bit digest (4 words) out, like the prototype's OpenCores
 // core (§5.2).
 func NewSHA256() Accelerator {
-	var blk [accel.SHA256BlockSize]byte
+	var blk [sha256.BlockSize]byte
 	out := make([]Word, 4)
 	return &blockAccel{
 		name:     "sha256",
@@ -61,7 +62,7 @@ func NewSHA256() Accelerator {
 			for i, w := range in[:8] {
 				binary.LittleEndian.PutUint64(blk[8*i:], w)
 			}
-			sum := accel.SHA256Sum64(&blk)
+			sum := sha256.Sum256(blk[:])
 			for i := range out {
 				out[i] = binary.LittleEndian.Uint64(sum[8*i:])
 			}
@@ -223,9 +224,9 @@ func DecodeH264Output(block []Word) ([]byte, error) {
 	if len(block) == 0 {
 		return nil, fmt.Errorf("cohort: empty h264 output block")
 	}
-	n := int(block[0])
+	n := block[0]
 	raw := accel.WordsToBytes(block[1:])
-	if n > len(raw) {
+	if n > uint64(len(raw)) {
 		return nil, fmt.Errorf("cohort: h264 output claims %d bytes, block holds %d", n, len(raw))
 	}
 	return raw[:n], nil

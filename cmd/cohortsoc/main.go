@@ -7,6 +7,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"log"
@@ -90,15 +92,16 @@ func main() {
 	// trace stay readable.
 	s.K.Close()
 
-	// Software reference: AES-ECB (zero key, no CSR passed) then SHA-256.
-	zero, _ := accel.NewAES(make([]byte, 16))
+	// Software reference, from the standard library rather than the AES
+	// kernel the device runs: AES-ECB (zero key, no CSR passed) then SHA-256.
+	zero, _ := aes.NewCipher(make([]byte, aes.BlockSize))
 	ok := true
+	var enc [sha256.BlockSize]byte
 	for b := 0; b < *blocks; b++ {
-		enc := make([]byte, 64)
-		for o := 0; o < 64; o += 16 {
+		for o := 0; o < len(enc); o += aes.BlockSize {
 			zero.Encrypt(enc[o:], data[b*64+o:])
 		}
-		want := accel.SHA256Sum(enc)
+		want := sha256.Sum256(enc[:])
 		got := accel.WordsToBytes(digests[b*4 : b*4+4])
 		if !bytes.Equal(got, want[:]) {
 			ok = false

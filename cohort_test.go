@@ -269,6 +269,19 @@ func TestH264AcceleratorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeH264OutputRejectsBadLength: a length word past the block's
+// bytes is an error, including one that would be negative as an int.
+func TestDecodeH264OutputRejectsBadLength(t *testing.T) {
+	for _, block := range [][]Word{nil, {9, 0}, {1 << 63, 0}, {^Word(0)}} {
+		if stream, err := DecodeH264Output(block); err == nil {
+			t.Errorf("DecodeH264Output(%#x) = %d bytes, want an error", block, len(stream))
+		}
+	}
+	if stream, err := DecodeH264Output([]Word{8, 0}); err != nil || len(stream) != 8 {
+		t.Errorf("DecodeH264Output({8, 0}) = %d bytes, %v; want 8 bytes", len(stream), err)
+	}
+}
+
 func TestH264CSRGeometryMismatchRejected(t *testing.T) {
 	acc, err := NewH264(H264Config{Width: 16, Height: 16, QP: 2})
 	if err != nil {

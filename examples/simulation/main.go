@@ -40,6 +40,6 @@ func main() {
 		}
 	}
 	fmt.Println("\nEvery run is verified: the popped digests are compared against a")
-	fmt.Println("from-scratch SHA-256 computed on the host. See cmd/cohortbench for")
+	fmt.Println("SHA-256 computed on the host with crypto/sha256. See cmd/cohortbench for")
 	fmt.Println("the full figure/table sweeps.")
 }

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"cohort/internal/sim"
@@ -131,7 +132,7 @@ func NewAXIStreamLoopback(perBeatLatency sim.Time) *AXIStreamDevice {
 func NewAXIStreamSHA(perBeatLatency sim.Time) *AXIStreamDevice {
 	return NewAXIStreamDevice("axis-sha256", perBeatLatency,
 		func(packet []uint64) ([]uint64, error) {
-			sum := SHA256Sum(WordsToBytes(packet))
+			sum := sha256.Sum256(WordsToBytes(packet))
 			return BytesToWords(sum[:]), nil
 		})
 }

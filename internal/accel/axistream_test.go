@@ -3,6 +3,7 @@ package accel
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -86,6 +87,24 @@ func TestAXIStreamSHAVariableLengthMessages(t *testing.T) {
 	for i := range packets {
 		if !bytes.Equal(WordsToBytes(got[i]), want[i][:]) {
 			t.Fatalf("message %d digest mismatch", i)
+		}
+	}
+}
+
+// TestSHA256NISTVectors: the NIST SHA-256 example messages that fill whole
+// beats (448 and 896 bits), each as one multi-beat packet, against the
+// published digests.
+func TestSHA256NISTVectors(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+			"248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+		{"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+			"cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+	}
+	for _, c := range cases {
+		got := runStream(t, NewAXIStreamSHA(1), [][]uint64{BytesToWords([]byte(c.in))})[0]
+		if hex.EncodeToString(WordsToBytes(got)) != c.want {
+			t.Errorf("SHA256(%q) = %x, want %s", c.in, WordsToBytes(got), c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -208,11 +209,11 @@ func NewSHADevice() *BlockDevice {
 		outWords: 4,
 		latency:  SHALatency,
 		process: func(in, out []uint64) {
-			var blk [SHA256BlockSize]byte
+			var blk [sha256.BlockSize]byte
 			for i, w := range in {
 				binary.LittleEndian.PutUint64(blk[8*i:], w)
 			}
-			sum := SHA256Sum64(&blk)
+			sum := sha256.Sum256(blk[:])
 			for i := range out {
 				out[i] = binary.LittleEndian.Uint64(sum[8*i:])
 			}

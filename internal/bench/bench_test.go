@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -173,4 +176,38 @@ func TestRangeHelper(t *testing.T) {
 	if lo != 1 || hi != 3 {
 		t.Fatalf("Range = %v,%v", lo, hi)
 	}
+}
+
+// TestReferenceKnownAnswers pins the software reference that verifies every
+// simulated run to answers taken outside Go, since it hashes with the same
+// crypto/sha256 the SHA device runs. Words carry bytes little-endian.
+//
+//	printf '%s' 'ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/' | sha256sum
+//	printf '%s' 'ABCDEFGHIJKLMNOP' | openssl enc -aes-128-ecb -K 00000000000000000000000000000000 -nopad | xxd -p
+func TestReferenceKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		w        Workload
+		msg, out string
+	}{
+		{SHA, "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+			"7543b37fa53fde2c84f07fd39f368555966aa1c0eb2f2fd26b294d79966e290e"},
+		{AES, "ABCDEFGHIJKLMNOP", "61d78258eb1abd6fff479d1dabb6103b"},
+	} {
+		out, err := hex.DecodeString(c.out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reference(c.w, leWords([]byte(c.msg))), leWords(out); !slices.Equal(got, want) {
+			t.Errorf("%v reference(%q) = %#x, want %#x", c.w, c.msg, got, want)
+		}
+	}
+}
+
+// leWords packs b (a multiple of 8 bytes long) into little-endian words.
+func leWords(b []byte) []uint64 {
+	w := make([]uint64, len(b)/8)
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return w
 }

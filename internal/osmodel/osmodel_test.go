@@ -565,7 +565,7 @@ func TestHugePageQueuesReduceEngineTLBMisses(t *testing.T) {
 			}
 			in.PushBatch(ctx, data, 64)
 			got := out.PopBatch(ctx, 1024, 64)
-			zero := accel.SHA256Sum(make([]byte, 64))
+			zero := sha256.Sum256(make([]byte, 64))
 			zw := accel.BytesToWords(zero[:])
 			for i := 0; i < 4; i++ {
 				if got[i] != zw[i] {
