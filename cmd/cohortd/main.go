@@ -88,7 +88,6 @@ const (
 type policyConfig struct {
 	enabled bool
 	spec    policy.Spec
-	decide  time.Duration
 }
 
 func main() {
@@ -105,9 +104,8 @@ func main() {
 		sloTick       = flag.Duration("slo-tick", time.Second, "telemetry sampling period")
 		sloShort      = flag.Duration("slo-short", 10*time.Second, "short observation window for rates, quantiles and burn rates")
 		sloLong       = flag.Duration("slo-long", 5*time.Minute, "long observation window for burn-rate confirmation")
-		adaptive      = flag.Bool("adaptive", false, "enable the online policy controller: epsilon-greedy bandit over (quantum, coalesce) arms plus AIMD batch-floor tuning, fed by the telemetry sampler (-slo-tick cadence); decisions land on /policy, /events and cohort_policy_* metrics")
+		adaptive      = flag.Bool("adaptive", false, "enable the online policy controller: an epsilon-greedy bandit over scheduler-wide (quantum, coalesce) arms, deciding on every telemetry sampler tick (-slo-tick); decisions land on /policy, /events and cohort_policy_* metrics")
 		policySpec    = flag.String("policy", "", "adaptive-controller spec: JSON object literal or @file, e.g. {\"quantum\":[8,32,128],\"coalesce_words\":[1024,65536],\"epsilon\":0.1}")
-		policyTick    = flag.Duration("policy-tick", 0, "minimum spacing between controller decisions (0: decide on every sampler tick)")
 		drain         = flag.Bool("drain", false, "drain on SIGTERM/SIGINT: stop admitting sessions, flush the in-flight ones (up to 30s), then exit — the rolling-restart path; /drain (POST) starts a drain early")
 		logLevel      = flag.String("log-level", "info", "log floor: debug, info, warn or error")
 		smoke         = flag.Bool("smoke", false, "run the loopback self-test and exit")
@@ -132,7 +130,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cohortd: %v\n", err)
 		os.Exit(2)
 	}
-	pc := policyConfig{enabled: *adaptive, spec: spec, decide: *policyTick}
+	pc := policyConfig{enabled: *adaptive, spec: spec}
 
 	cfg := sched.Config{
 		Engines: *engines, Quantum: *quantum, SwitchCost: *switchCost,
@@ -215,13 +213,11 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 		ctl = policy.New(pc.spec.Apply(policy.Config{
 			Sched:    s,
 			Frames:   frames,
-			Decide:   pc.decide,
 			Registry: reg,
 			Events:   events,
 		}))
 		ctl.Start()
-		logger.Info("adaptive controller up",
-			"arms", len(ctl.Doc().Arms), "decide", pc.decide)
+		logger.Info("adaptive controller up", "arms", len(ctl.Doc().Arms))
 	}
 
 	var web *obsrv.Server

@@ -12,14 +12,16 @@
 //
 // Both daemons run the identical stack — registry, sampler, event ring, the
 // same -switch-cost and starting -quantum — except the adaptive one also
-// runs internal/policy over the sampler's frames. The controller's arm 0 IS
-// the static configuration, so the bandit starts where the static run is
-// pinned and must discover the better arms online; with a non-zero
-// -switch-cost a small static quantum pays the modeled CSR-swap on every
-// session switch and the gap is large. The -ab-report JSON document
-// records both goodputs, the adaptive/static ratio, and the controller's
-// full /policy document (arms, reward estimates, switch history) — CI gates
-// on adaptive >= static and at least one policy_switch.
+// runs internal/policy over the sampler's frames. The controller's arm 0
+// has the static run's quantum but a 4096-word frame cap, where the static
+// daemon keeps wire.MaxFrameWords; so the bandit starts near where the
+// static run is pinned and must discover the better arms online. With a
+// non-zero -switch-cost a small static quantum pays the modeled CSR-swap on
+// every session switch and the gap is large. The -ab-report JSON document
+// records both goodputs, the adaptive/static ratio, each run's worker swaps
+// and the controller's full /policy document (arms, reward estimates,
+// switch history) — CI gates on adaptive >= static and at least one
+// policy_switch.
 package main
 
 import (
@@ -90,9 +92,10 @@ func parseABModes(spec string) ([]abMode, error) {
 	return modes, nil
 }
 
-// harnessArms is the A/B action space. Arm 0 is the static configuration —
-// the bandit's sweep starts exactly where the static run is pinned — and
-// the remaining arms trade switch overhead for latency at increasing
+// harnessArms is the A/B action space. Arm 0 has the static run's quantum
+// (with a 4096-word frame cap, not the static daemon's wire.MaxFrameWords),
+// so the bandit's sweep starts near where the static run is pinned; the
+// remaining arms trade switch overhead for latency at increasing
 // quantum/coalesce.
 func harnessArms(staticQuantum int) []policy.Arm {
 	arms := []policy.Arm{
@@ -117,6 +120,7 @@ type abRunResult struct {
 	LatBlockP50us    float64     `json:"lat_block_p50_us"`
 	LatBlockP99us    float64     `json:"lat_block_p99_us"`
 	ThrBlockP99us    float64     `json:"thr_block_p99_us"`
+	Swaps            uint64      `json:"swaps"` // worker swaps between sessions (sched.SchedStats.Swaps)
 	Policy           *policy.Doc `json:"policy,omitempty"`
 }
 
@@ -242,12 +246,9 @@ func writeJSON(path string, v any) {
 // spawnABDaemon brings up one in-process daemon for an A/B run. Static and
 // adaptive variants run the IDENTICAL stack — registry, telemetry sampler,
 // event ring, latency sampling — so the controller is the only difference
-// being measured; docFn returns nil for static daemons.
-func spawnABDaemon(cfg runConfig, m abMode) (addr string, docFn func() *policy.Doc, stop func(), err error) {
-	quantum := m.quantum
-	if quantum == 0 {
-		quantum = cfg.quantum
-	}
+// being measured. report fills a run's worker swaps and, for an adaptive
+// daemon, its /policy document.
+func spawnABDaemon(cfg runConfig, m abMode, quantum int) (addr string, report func(*abRunResult), stop func(), err error) {
 	reg := cohort.NewRegistry()
 	events := telem.NewLog(256, nil)
 	s := sched.New(sched.Config{
@@ -297,20 +298,24 @@ func spawnABDaemon(cfg runConfig, m abMode) (addr string, docFn func() *policy.D
 		}
 		sampler.Stop()
 	}
-	docFn = func() *policy.Doc {
-		if ctl == nil {
-			return nil
+	report = func(r *abRunResult) {
+		r.Swaps = s.Stats().Swaps
+		if ctl != nil {
+			d := ctl.Doc()
+			r.Policy = &d
 		}
-		d := ctl.Doc()
-		return &d
 	}
-	return ln.Addr().String(), docFn, stop, nil
+	return ln.Addr().String(), report, stop, nil
 }
 
 // abRun drives the skewed mix against one freshly spawned daemon. Seeds are
 // per tenant index, so every mode replays the identical arrival trace.
 func abRun(cfg runConfig, m abMode) (abRunResult, error) {
-	addr, docFn, stop, err := spawnABDaemon(cfg, m)
+	quantum := m.quantum
+	if quantum == 0 {
+		quantum = cfg.quantum
+	}
+	addr, report, stop, err := spawnABDaemon(cfg, m, quantum)
 	if err != nil {
 		return abRunResult{}, err
 	}
@@ -366,10 +371,6 @@ func abRun(cfg runConfig, m abMode) (abRunResult, error) {
 	}
 	elapsed := time.Since(start)
 
-	quantum := m.quantum
-	if quantum == 0 {
-		quantum = cfg.quantum
-	}
 	res := abRunResult{
 		Mode: m.label, Quantum: quantum, Blocks: blocks, Words: words,
 		ElapsedS:         round4(elapsed.Seconds()),
@@ -378,15 +379,15 @@ func abRun(cfg runConfig, m abMode) (abRunResult, error) {
 		LatBlockP50us:    quantUS(latLat, 0.50),
 		LatBlockP99us:    quantUS(latLat, 0.99),
 		ThrBlockP99us:    quantUS(thrLat, 0.99),
-		Policy:           docFn(),
 	}
-	fmt.Printf("BenchmarkServeAB/mode=%s/tenants=%d/block=%d/switch-cost=%v \t%8d\t%12.1f ns/op\t%10.2f MB/s\t%10.1f lat-p99-us\n",
+	report(&res)
+	fmt.Printf("BenchmarkServeAB/mode=%s/tenants=%d/block=%d/switch-cost=%v \t%8d\t%12.1f ns/op\t%10.2f MB/s\t%10.1f lat-p99-us\t%8d swaps\n",
 		m.label, cfg.tenants, cfg.block, cfg.switchCost, blocks,
 		float64(elapsed.Nanoseconds())/float64(max(blocks, 1)),
-		float64(words)*8/1e6/elapsed.Seconds(), res.LatBlockP99us)
+		float64(words)*8/1e6/elapsed.Seconds(), res.LatBlockP99us, res.Swaps)
 	if p := res.Policy; p != nil {
-		fmt.Printf("  policy: %d frames, %d decisions, %d switches (%d explore), final arm %d, batch %d words\n",
-			p.Frames, p.Decisions, p.Switches, p.Explorations, p.CurrentArm, p.BatchWords)
+		fmt.Printf("  policy: %d frames, %d decisions, %d switches (%d explore), final arm %d\n",
+			p.Frames, p.Decisions, p.Switches, p.Explorations, p.CurrentArm)
 		for i, a := range p.Arms {
 			cur := " "
 			if a.Current {

@@ -201,7 +201,10 @@ func (q *Fifo[T]) TryPush(v T) bool {
 	return true
 }
 
-// Push appends v, spinning (with yields) while the queue is full.
+// Push appends v, spinning (with yields) while the queue is full. It yields
+// instead of parking because the queue's two bells belong to whoever
+// registered it (an Engine or a sched session, OnPush/OnPop): a blocking
+// call has no doorbell of its own to wait on.
 func (q *Fifo[T]) Push(v T) {
 	for !q.TryPush(v) {
 		runtime.Gosched()
@@ -226,7 +229,8 @@ func (q *Fifo[T]) TryPop() (T, bool) {
 	return v, true
 }
 
-// Pop removes and returns the head element, spinning while empty.
+// Pop removes and returns the head element, spinning (with yields) while
+// empty. It yields for the reason Push does: the bells are the registrant's.
 func (q *Fifo[T]) Pop() T {
 	for {
 		if v, ok := q.TryPop(); ok {
@@ -299,6 +303,7 @@ func (q *Fifo[T]) TryPushSlice(vs []T) int {
 }
 
 // PushSlice pushes all of vs, spinning (with yields) while the queue is full.
+// It yields for the reason Push does: the bells are the registrant's.
 func (q *Fifo[T]) PushSlice(vs []T) {
 	for len(vs) > 0 {
 		n := q.TryPushSlice(vs)
@@ -341,7 +346,7 @@ func (q *Fifo[T]) TryPopInto(dst []T) int {
 }
 
 // PopSlice fills dst completely, spinning (with yields) while the queue is
-// empty.
+// empty. It yields for the reason Push does: the bells are the registrant's.
 func (q *Fifo[T]) PopSlice(dst []T) {
 	for len(dst) > 0 {
 		n := q.TryPopInto(dst)

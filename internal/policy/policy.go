@@ -1,31 +1,26 @@
 // Package policy closes the loop between measurement and configuration —
-// ROADMAP item 3, the Cohmeleon direction. The serving stack exports a rich
-// observation vector (windowed per-tenant rates and stage quantiles from
-// internal/telem, themselves differentiated from internal/sched's lifetime
-// counters and histograms) but until this package every scheduler knob was
-// frozen at daemon start. The Controller subscribes to the telemetry
-// sampler's frames and adapts the knobs live:
+// the Cohmeleon direction: learn the configuration from measured reward
+// instead of hand-tuning it. The Controller subscribes to the telemetry
+// sampler's windowed frames (internal/telem) and, on every frame, adapts the
+// scheduler's two live knobs, quantum and frame-coalesce cap:
 //
 //   - An epsilon-greedy bandit chooses among discrete (quantum,
 //     coalesce-words) arms. Reward is windowed service goodput (the sum of
 //     per-tenant short-window output word rates). Estimates are EWMAs, so
 //     the controller tracks workload drift without forgetting everything it
 //     has learned.
-//   - An AIMD rule tunes the pump's batch floor: breach the wire-stage p99
-//     target and the floor halves (multiplicative decrease); run under it
-//     and the floor creeps up additively, harvesting coalescing wins until
-//     latency pushes back.
 //   - Hysteresis keeps one-tick blips from thrashing: an exploit switch
 //     needs the challenger to beat the incumbent's estimate by a relative
 //     margin on several consecutive decisions. Exploration and the initial
 //     round-robin sweep are exempt — they are how estimates get built.
 //
-// Decisions apply through the scheduler's Retune path, which defers a new
-// quantum to the next quantum boundary — fairness invariants hold through
-// every switch (see DESIGN.md). Each arm change lands in the event ring as
-// a policy_switch event carrying before/after knobs and the observed
-// reward, and the controller exports cohort_policy_* metrics plus the
-// /policy document (current arms, reward estimates, switch history).
+// Decisions apply through sched.Scheduler.Retune, which sets the knob pair
+// scheduler-wide and defers a new quantum to each session's next quantum
+// boundary — fairness invariants hold through every switch (see DESIGN.md).
+// Each arm change lands in the event ring as a policy_switch event carrying
+// before/after knobs and the observed reward, and the controller exports
+// cohort_policy_* metrics plus the /policy document (current arm, reward
+// estimates, switch history).
 package policy
 
 import (
@@ -55,8 +50,8 @@ func (a Arm) String() string {
 
 // Retuner is the slice of *sched.Scheduler the controller acts through.
 type Retuner interface {
-	// RetuneAll applies knobs to every live session and future admissions.
-	RetuneAll(sched.Knobs) int
+	// Retune sets the scheduler-wide knob pair.
+	Retune(sched.Knobs)
 }
 
 // EventSink receives policy_switch events — satisfied by *telem.Log and by
@@ -83,22 +78,6 @@ type Config struct {
 	// Margin is the relative reward edge the challenger needs each of those
 	// times (default 0.05: beat the incumbent's estimate by 5%).
 	Margin float64
-	// Alpha is the reward-estimate EWMA weight for new observations
-	// (default 0.3).
-	Alpha float64
-	// Decide is the minimum spacing between decisions; frames arriving
-	// sooner only update estimates (default 0: decide every frame).
-	Decide time.Duration
-
-	// BatchTargetP99 is the AIMD setpoint for the worst tenant's
-	// short-window wire-stage p99 (default 2ms — the pump's own fallback
-	// park, so a floor that costs more than one park always retreats).
-	BatchTargetP99 time.Duration
-	// BatchStep is the additive increase in words (default 256).
-	BatchStep int
-	// MaxBatch caps the floor in words (default 16384); the scheduler
-	// additionally clamps it to the live coalesce cap.
-	MaxBatch int
 
 	Seed     int64            // exploration RNG seed (deterministic runs)
 	Registry *cohort.Registry // optional: cohort_policy_* source
@@ -146,22 +125,20 @@ type ArmStatus struct {
 
 // Doc is the /policy document: the controller's full observable state.
 type Doc struct {
-	Enabled       bool           `json:"enabled"`
-	Epsilon       float64        `json:"epsilon"`
-	Hysteresis    int            `json:"hysteresis"`
-	Margin        float64        `json:"margin"`
-	Settle        int            `json:"settle"`
-	Frames        uint64         `json:"frames"`
-	IdleFrames    uint64         `json:"idle_frames"`
-	Decisions     uint64         `json:"decisions"`
-	Switches      uint64         `json:"switches"`
-	Explorations  uint64         `json:"explorations"`
-	CurrentArm    int            `json:"current_arm"`
-	BatchWords    int            `json:"batch_words"`
-	BatchTargetMs float64        `json:"batch_target_p99_ms"`
-	LastReward    float64        `json:"last_reward"`
-	Arms          []ArmStatus    `json:"arms"`
-	History       []SwitchRecord `json:"history"`
+	Enabled      bool           `json:"enabled"`
+	Epsilon      float64        `json:"epsilon"`
+	Hysteresis   int            `json:"hysteresis"`
+	Margin       float64        `json:"margin"`
+	Settle       int            `json:"settle"`
+	Frames       uint64         `json:"frames"`
+	IdleFrames   uint64         `json:"idle_frames"`
+	Decisions    uint64         `json:"decisions"`
+	Switches     uint64         `json:"switches"`
+	Explorations uint64         `json:"explorations"`
+	CurrentArm   int            `json:"current_arm"`
+	LastReward   float64        `json:"last_reward"`
+	Arms         []ArmStatus    `json:"arms"`
+	History      []SwitchRecord `json:"history"`
 }
 
 // Controller is the online policy loop. Create with New, feed it frames via
@@ -178,8 +155,6 @@ type Controller struct {
 	settleLeft   int
 	pendingBest  int // exploit challenger being debounced (-1 none)
 	pendingWins  int
-	batch        int // current AIMD batch floor (words)
-	lastDecision time.Time
 	lastReward   float64
 	frames       uint64
 	idleFrames   uint64
@@ -190,6 +165,9 @@ type Controller struct {
 }
 
 const historyCap = 64
+
+// alpha is the reward-estimate EWMA weight for new observations.
+const alpha = 0.3
 
 // New builds a Controller. Knobs are not touched until the first frame
 // arrives (or Observe is called).
@@ -211,18 +189,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.Margin <= 0 {
 		cfg.Margin = 0.05
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.3
-	}
-	if cfg.BatchTargetP99 <= 0 {
-		cfg.BatchTargetP99 = 2 * time.Millisecond
-	}
-	if cfg.BatchStep <= 0 {
-		cfg.BatchStep = 256
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 16384
 	}
 	c := &Controller{
 		cfg:         cfg,
@@ -268,9 +234,9 @@ func (c *Controller) Stop() {
 }
 
 // Observe runs one control step on a windowed frame: credit the current
-// arm's reward estimate, run the AIMD batch rule, and (decision cadence
-// permitting) pick the next arm. Exported so tests and the A/B harness can
-// drive the controller with synthetic frames, no sampler required.
+// arm's reward estimate and pick the next arm. Exported so tests and the A/B
+// harness can drive the controller with synthetic frames, no sampler
+// required.
 func (c *Controller) Observe(doc telem.WindowsDoc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -300,19 +266,12 @@ func (c *Controller) Observe(doc telem.WindowsDoc) {
 		if st.plays == 0 {
 			st.est = reward // first credit seeds the estimate directly
 		} else {
-			st.est += c.cfg.Alpha * (reward - st.est)
+			st.est += alpha * (reward - st.est)
 		}
 		st.plays++
 		st.last = reward
 	}
 
-	c.stepBatchLocked(doc)
-
-	if c.cfg.Decide > 0 && !c.lastDecision.IsZero() &&
-		doc.At.Sub(c.lastDecision) < c.cfg.Decide {
-		return
-	}
-	c.lastDecision = doc.At
 	c.decisions++
 
 	next, reason := c.pickLocked()
@@ -332,53 +291,6 @@ func observation(doc telem.WindowsDoc) (reward float64, busy bool) {
 		}
 	}
 	return reward, busy
-}
-
-// stepBatchLocked is the AIMD rule: multiplicative decrease on a wire-stage
-// p99 breach, additive increase otherwise. The worst tenant sets the pace —
-// the floor is a fleet-wide knob and the slowest consumer pays for it.
-func (c *Controller) stepBatchLocked(doc telem.WindowsDoc) {
-	var worst float64
-	seen := false
-	for _, t := range doc.Tenants {
-		if w := t.Short.Stages.Wire; w.Samples > 0 {
-			seen = true
-			if w.P99Ns > worst {
-				worst = w.P99Ns
-			}
-		}
-	}
-	if !seen {
-		return // no wire samples this window: leave the floor alone
-	}
-	prev := c.batch
-	if worst > float64(c.cfg.BatchTargetP99.Nanoseconds()) {
-		c.batch /= 2
-	} else {
-		c.batch += c.cfg.BatchStep
-	}
-	max := c.cfg.MaxBatch
-	if c.cur >= 0 && c.cfg.Arms[c.cur].CoalesceWords < max {
-		max = c.cfg.Arms[c.cur].CoalesceWords
-	}
-	if c.batch > max {
-		c.batch = max
-	}
-	if c.batch < 0 {
-		c.batch = 0
-	}
-	if c.batch != prev {
-		c.cfg.Sched.RetuneAll(sched.Knobs{BatchWords: setOrReset(c.batch)})
-	}
-}
-
-// setOrReset maps an absolute knob value onto sched.Knobs field semantics
-// (0 there means "keep", so an absolute zero must travel as reset).
-func setOrReset(v int) int {
-	if v == 0 {
-		return -1
-	}
-	return v
 }
 
 // pickLocked chooses the next arm: finish the initial round-robin sweep of
@@ -438,14 +350,7 @@ func (c *Controller) switchLocked(next int, reward float64, reason string, at ti
 	c.cur = next
 	c.settleLeft = c.cfg.Settle
 	c.pendingBest, c.pendingWins = -1, 0
-	if c.batch > to.CoalesceWords {
-		c.batch = to.CoalesceWords
-	}
-	c.cfg.Sched.RetuneAll(sched.Knobs{
-		Quantum:       to.Quantum,
-		CoalesceWords: to.CoalesceWords,
-		BatchWords:    setOrReset(c.batch),
-	})
+	c.cfg.Sched.Retune(sched.Knobs{Quantum: to.Quantum, CoalesceWords: to.CoalesceWords})
 	c.switches++
 	rec := SwitchRecord{
 		At: at, FromArm: fromIdx, ToArm: next,
@@ -458,8 +363,8 @@ func (c *Controller) switchLocked(next int, reward float64, reason string, at ti
 	c.history = append(c.history, rec)
 	if c.cfg.Events != nil {
 		c.cfg.Events.Emit(telem.EventPolicySwitch, "", 0,
-			fmt.Sprintf("%s: arm %d (%s) -> arm %d (%s), batch %d words, reward %.0f words/s",
-				reason, fromIdx, from, next, to, c.batch, reward))
+			fmt.Sprintf("%s: arm %d (%s) -> arm %d (%s), reward %.0f words/s",
+				reason, fromIdx, from, next, to, reward))
 	}
 }
 
@@ -468,22 +373,20 @@ func (c *Controller) Doc() Doc {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d := Doc{
-		Enabled:       true,
-		Epsilon:       c.cfg.Epsilon,
-		Hysteresis:    c.cfg.Hysteresis,
-		Margin:        c.cfg.Margin,
-		Settle:        c.cfg.Settle,
-		Frames:        c.frames,
-		IdleFrames:    c.idleFrames,
-		Decisions:     c.decisions,
-		Switches:      c.switches,
-		Explorations:  c.explorations,
-		CurrentArm:    c.cur,
-		BatchWords:    c.batch,
-		BatchTargetMs: float64(c.cfg.BatchTargetP99) / float64(time.Millisecond),
-		LastReward:    c.lastReward,
-		Arms:          make([]ArmStatus, len(c.cfg.Arms)),
-		History:       append([]SwitchRecord(nil), c.history...),
+		Enabled:      true,
+		Epsilon:      c.cfg.Epsilon,
+		Hysteresis:   c.cfg.Hysteresis,
+		Margin:       c.cfg.Margin,
+		Settle:       c.cfg.Settle,
+		Frames:       c.frames,
+		IdleFrames:   c.idleFrames,
+		Decisions:    c.decisions,
+		Switches:     c.switches,
+		Explorations: c.explorations,
+		CurrentArm:   c.cur,
+		LastReward:   c.lastReward,
+		Arms:         make([]ArmStatus, len(c.cfg.Arms)),
+		History:      append([]SwitchRecord(nil), c.history...),
 	}
 	for i, a := range c.cfg.Arms {
 		d.Arms[i] = ArmStatus{
@@ -516,7 +419,6 @@ func (c *Controller) metrics() []cohort.Metric {
 		{Name: "policy_arm", Value: uint64(c.cur + 1)}, // 0 = none yet
 		{Name: "policy_quantum", Value: uint64(q)},
 		{Name: "policy_coalesce_words", Value: uint64(cw)},
-		{Name: "policy_batch_words", Value: uint64(c.batch)},
 		cohort.FloatMetric("policy_reward", c.lastReward),
 		cohort.FloatMetric("policy_reward_est", est),
 	}
@@ -531,9 +433,6 @@ type Spec struct {
 	Settle        int     `json:"settle"`
 	Hysteresis    int     `json:"hysteresis"`
 	Margin        float64 `json:"margin"`
-	TargetP99Ms   float64 `json:"batch_target_p99_ms"`
-	BatchStep     int     `json:"batch_step_words"`
-	MaxBatch      int     `json:"max_batch_words"`
 }
 
 // ParseSpec parses the -policy flag value: inline JSON, or a file path when
@@ -587,15 +486,6 @@ func (sp Spec) Apply(cfg Config) Config {
 	}
 	if sp.Margin > 0 {
 		cfg.Margin = sp.Margin
-	}
-	if sp.TargetP99Ms > 0 {
-		cfg.BatchTargetP99 = time.Duration(sp.TargetP99Ms * float64(time.Millisecond))
-	}
-	if sp.BatchStep > 0 {
-		cfg.BatchStep = sp.BatchStep
-	}
-	if sp.MaxBatch > 0 {
-		cfg.MaxBatch = sp.MaxBatch
 	}
 	return cfg
 }

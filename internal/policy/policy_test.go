@@ -9,47 +9,28 @@ import (
 	"cohort/internal/telem"
 )
 
-// fakeRetuner records every RetuneAll call and tracks the effective knob
-// state the way sched.Session.applyKnobs would (>0 set, 0 keep, <0 reset).
+// fakeRetuner records every Retune call; the last one is the knob pair in
+// effect.
 type fakeRetuner struct {
-	calls    []sched.Knobs
-	quantum  int
-	coalesce int
-	batch    int
+	calls []sched.Knobs
+	sched.Knobs
 }
 
-func (f *fakeRetuner) RetuneAll(k sched.Knobs) int {
+func (f *fakeRetuner) Retune(k sched.Knobs) {
 	f.calls = append(f.calls, k)
-	apply := func(cur *int, v int) {
-		switch {
-		case v > 0:
-			*cur = v
-		case v < 0:
-			*cur = 0
-		}
-	}
-	apply(&f.quantum, k.Quantum)
-	apply(&f.coalesce, k.CoalesceWords)
-	apply(&f.batch, k.BatchWords)
-	return 1
+	f.Knobs = k
 }
 
 var pt0 = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 
-// busyFrame builds a one-tenant frame carrying the given goodput and
-// wire-stage p99 — the two signals the controller consumes.
-func busyFrame(at time.Time, wordsOut float64, wireP99 time.Duration) telem.WindowsDoc {
+// busyFrame builds a one-tenant frame carrying the given goodput — the
+// signal the controller consumes.
+func busyFrame(at time.Time, wordsOut float64) telem.WindowsDoc {
 	return telem.WindowsDoc{
 		At: at,
 		Tenants: []telem.TenantWindows{{
 			Tenant: "alice",
-			Short: telem.WindowView{
-				BlocksPerSec:   wordsOut / 8,
-				WordsOutPerSec: wordsOut,
-				Stages: telem.WindowStages{
-					Wire: telem.StageWindow{Samples: 16, P99Ns: float64(wireP99.Nanoseconds())},
-				},
-			},
+			Short:  telem.WindowView{BlocksPerSec: wordsOut / 8, WordsOutPerSec: wordsOut},
 		}},
 	}
 }
@@ -60,8 +41,6 @@ var testArms = []Arm{
 	{Quantum: 64, CoalesceWords: 65536},
 	{Quantum: 256, CoalesceWords: 65536},
 }
-
-const underTarget = 500 * time.Microsecond // well below the 2ms default
 
 // newTestController builds a controller with exploration effectively off
 // (Epsilon must be > 0 to not be defaulted) so runs are deterministic.
@@ -80,7 +59,7 @@ func newTestController(f *fakeRetuner, hysteresis int) *Controller {
 // controller has actually applied — a closed loop, like the real sampler.
 func drive(c *Controller, f *fakeRetuner, at *time.Time, n int, rewardOf func(quantum int) float64) {
 	for i := 0; i < n; i++ {
-		c.Observe(busyFrame(*at, rewardOf(f.quantum), underTarget))
+		c.Observe(busyFrame(*at, rewardOf(f.Quantum)))
 		*at = at.Add(time.Second)
 	}
 }
@@ -109,8 +88,8 @@ func TestSweepThenConvergeOnBestArm(t *testing.T) {
 	if est := doc.Arms[2].RewardEst; est != 300 {
 		t.Errorf("arm 2 reward estimate = %v, want 300", est)
 	}
-	if f.quantum != 256 || f.coalesce != 65536 {
-		t.Errorf("applied knobs q=%d c=%d, want q=256 c=65536", f.quantum, f.coalesce)
+	if f.Knobs != (sched.Knobs{Quantum: 256, CoalesceWords: 65536}) {
+		t.Errorf("applied knobs %+v, want q=256 c=65536", f.Knobs)
 	}
 	if len(doc.History) != 3 || doc.History[0].FromArm != -1 || doc.History[0].Reason != "sweep" {
 		t.Errorf("history = %+v, want 3 sweep records starting from arm -1", doc.History)
@@ -132,7 +111,7 @@ func TestHysteresisSuppressesOneFrameBlip(t *testing.T) {
 
 	// One-frame reward collapse on the incumbent: the challenger now beats
 	// the dented estimate, but hysteresis demands consecutive wins.
-	c.Observe(busyFrame(at, 10, underTarget))
+	c.Observe(busyFrame(at, 10))
 	at = at.Add(time.Second)
 	if doc := c.Doc(); doc.Switches != 4 {
 		t.Fatalf("blip caused a switch: %d switches, want still 4", doc.Switches)
@@ -179,58 +158,7 @@ func TestIdleAndCounterResetFramesDecideNothing(t *testing.T) {
 			before.Arms[0].RewardEst, after.Arms[0].RewardEst)
 	}
 	if len(f.calls) != calls {
-		t.Errorf("idle frames wrote knobs: %d RetuneAll calls, want %d", len(f.calls), calls)
-	}
-}
-
-func TestAIMDBatchFloorGrowsAndHalves(t *testing.T) {
-	f := &fakeRetuner{}
-	c := New(Config{
-		Sched:      f,
-		Arms:       []Arm{{Quantum: 8, CoalesceWords: 1024}}, // clamp ceiling
-		Epsilon:    1e-12,
-		Settle:     1,
-		Hysteresis: 2,
-		BatchStep:  256,
-		Seed:       1,
-	})
-	at := pt0
-	// Under-target frames: additive increase, clamped at the arm's coalesce
-	// cap (1024 < MaxBatch default), then steady — no redundant writes.
-	for i := 0; i < 8; i++ {
-		c.Observe(busyFrame(at, 1000, underTarget))
-		at = at.Add(time.Second)
-	}
-	if doc := c.Doc(); doc.BatchWords != 1024 {
-		t.Fatalf("batch after growth = %d, want clamp at arm coalesce 1024", doc.BatchWords)
-	}
-	steady := len(f.calls)
-	c.Observe(busyFrame(at, 1000, underTarget))
-	at = at.Add(time.Second)
-	if len(f.calls) != steady {
-		t.Fatalf("steady-state frame still wrote knobs (%d -> %d calls)", steady, len(f.calls))
-	}
-
-	// Breach the wire p99 target: multiplicative decrease, halving per frame.
-	c.Observe(busyFrame(at, 1000, 10*time.Millisecond))
-	at = at.Add(time.Second)
-	if doc := c.Doc(); doc.BatchWords != 512 {
-		t.Fatalf("batch after breach = %d, want 512", doc.BatchWords)
-	}
-	for i := 0; i < 12; i++ { // halve to zero
-		c.Observe(busyFrame(at, 1000, 10*time.Millisecond))
-		at = at.Add(time.Second)
-	}
-	if doc := c.Doc(); doc.BatchWords != 0 {
-		t.Fatalf("batch under sustained breach = %d, want 0", doc.BatchWords)
-	}
-	// Absolute zero must travel as a reset (-1), not as "keep".
-	last := f.calls[len(f.calls)-1]
-	if last.BatchWords != -1 {
-		t.Fatalf("zero floor sent as BatchWords=%d, want -1 (reset)", last.BatchWords)
-	}
-	if f.batch != 0 {
-		t.Fatalf("effective batch floor = %d, want 0", f.batch)
+		t.Errorf("idle frames wrote knobs: %d Retune calls, want %d", len(f.calls), calls)
 	}
 }
 

@@ -202,7 +202,7 @@ func TestFaultFairnessPreserved(t *testing.T) {
 		}
 	}()
 
-	checkAliceBobRatio(t, snaps)
+	checkAliceBobRatio(t, snaps, 500)
 	<-chaos.Done()
 	if chaos.Err() == nil {
 		t.Error("chaos session did not record its terminal fault")

@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"bytes"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cohort"
 	"cohort/internal/wire"
 )
 
@@ -32,22 +35,15 @@ func waitBlocks(t *testing.T, ss *Session, want uint64) {
 	}
 }
 
-// TestRetuneAllAdmitInheritanceAndQuantumBoundary: a RetuneAll issued before
-// any session exists becomes the admission default; a session admitted after
-// it inherits the tuned quantum, and its backlog drains in backlog/quantum
-// scheduling quanta — the tuned value, not Config.Quantum, governed every
-// dispatch from the first boundary on.
-func TestRetuneAllAdmitInheritanceAndQuantumBoundary(t *testing.T) {
+// TestRetuneBeforeAdmitGovernsQuantum: a Retune issued before any session
+// exists governs the sessions admitted after it — a backlog drains in
+// backlog/quantum scheduling quanta at the tuned value, not Config.Quantum,
+// from the first boundary on — and an empty Retune restores the defaults.
+func TestRetuneBeforeAdmitGovernsQuantum(t *testing.T) {
 	s := New(Config{Engines: 1, Quantum: 8, QueueCap: 128})
 	defer s.Close()
 
-	if n := s.RetuneAll(Knobs{Quantum: 32, CoalesceWords: 8192}); n != 0 {
-		t.Fatalf("RetuneAll with no sessions retuned %d", n)
-	}
-	if ak := s.AdmitKnobs(); ak.Quantum != 32 || ak.CoalesceWords != 8192 {
-		t.Fatalf("admit knobs = %+v, want quantum 32, coalesce 8192", ak)
-	}
-
+	s.Retune(Knobs{Quantum: 32, CoalesceWords: 8192})
 	var cnt atomic.Uint64
 	ss, err := s.Register(SessionConfig{
 		Tenant: "alice", Accel: &tallyAccel{mine: &cnt}, Weight: 1,
@@ -56,31 +52,14 @@ func TestRetuneAllAdmitInheritanceAndQuantumBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := ss.Knobs(); k.Quantum != 32 || k.CoalesceWords != 8192 {
-		t.Fatalf("admitted session knobs = %+v, want inherited {32, 8192}", k)
-	}
 	waitBlocks(t, ss, 64)
 	if q := ss.Stats().Quanta; q != 2 {
 		t.Fatalf("64 blocks drained in %d quanta, want 2 (tuned quantum 32, not config 8)", q)
 	}
 
-	rows := s.Sessions()
-	if len(rows) != 1 || rows[0].Tuned == nil || rows[0].Tuned.Quantum != 32 {
-		t.Fatalf("sessions rows = %+v, want one row with Tuned.Quantum=32", rows)
-	}
-
-	// Reset restores the config default and the /sessions column disappears.
-	if !s.Retune(ss.ID(), Knobs{Quantum: -1, CoalesceWords: -1}) {
-		t.Fatal("Retune on live session reported not found")
-	}
-	if k := ss.Knobs(); k != (Knobs{}) {
-		t.Fatalf("knobs after reset = %+v, want zero", k)
-	}
-	if rows := s.Sessions(); rows[0].Tuned != nil {
-		t.Fatalf("Tuned column after reset = %+v, want omitted", rows[0].Tuned)
-	}
-	if got := ss.effQuantum(8); got != 8 {
-		t.Fatalf("effQuantum after reset = %d, want config default 8", got)
+	s.Retune(Knobs{})
+	if q, c := s.quantum.Load(), s.coalesce.Load(); q != 8 || c != wire.MaxFrameWords {
+		t.Fatalf("knobs after reset = %d/%d, want config quantum 8 and %d", q, c, wire.MaxFrameWords)
 	}
 }
 
@@ -95,62 +74,139 @@ func TestRetuneClamps(t *testing.T) {
 	}
 
 	before := s.retunes.Load()
-	s.Retune(ss.ID(), Knobs{
+	s.Retune(Knobs{
 		Quantum:       maxTunedQuantum * 10,
 		CoalesceWords: 2, // below one output block (outW = 4)
-		BatchWords:    wire.MaxFrameWords * 2,
 	})
-	k := ss.Knobs()
-	if k.Quantum != maxTunedQuantum {
-		t.Errorf("quantum clamped to %d, want %d", k.Quantum, maxTunedQuantum)
+	if q := s.quantum.Load(); q != maxTunedQuantum {
+		t.Errorf("quantum clamped to %d, want %d", q, maxTunedQuantum)
 	}
-	if k.CoalesceWords != 4 {
-		t.Errorf("coalesce clamped to %d, want one output block (4)", k.CoalesceWords)
-	}
-	if k.BatchWords != wire.MaxFrameWords {
-		t.Errorf("batch clamped to %d, want %d", k.BatchWords, wire.MaxFrameWords)
+	if c := ss.coalesceCap(); c != 4 {
+		t.Errorf("coalesce cap read as %d, want one output block (4)", c)
 	}
 	if got := s.retunes.Load(); got != before+1 {
 		t.Errorf("retunes counter = %d, want %d", got, before+1)
 	}
 
-	s.Retune(ss.ID(), Knobs{CoalesceWords: wire.MaxFrameWords * 3})
-	if k := ss.Knobs(); k.CoalesceWords != wire.MaxFrameWords {
-		t.Errorf("coalesce clamped to %d, want %d", k.CoalesceWords, wire.MaxFrameWords)
-	}
-
-	if s.Retune(ss.ID()+999, Knobs{Quantum: 16}) {
-		t.Error("Retune on unknown session id reported success")
+	s.Retune(Knobs{CoalesceWords: wire.MaxFrameWords * 3})
+	if c := ss.coalesceCap(); c != wire.MaxFrameWords {
+		t.Errorf("coalesce clamped to %d, want %d", c, wire.MaxFrameWords)
 	}
 }
 
-// TestBatchFloorNeverExceedsCoalesce: the pump clamps the flush floor to the
-// live coalesce cap on every pass, so the two knobs can be retuned in either
-// order without creating a floor the cap forbids reaching (which would park
-// the pump for its full 2ms bound on every frame).
-func TestBatchFloorNeverExceedsCoalesce(t *testing.T) {
-	s := New(Config{Engines: 1, Quantum: 8, QueueCap: 64})
+// echoTally is a tallyAccel that returns each 1-word block as its output
+// word and skips the busy loop: a stream whose order the test can check.
+type echoTally struct {
+	tallyAccel
+	out [1]cohort.Word
+}
+
+func (a *echoTally) OutWords() int { return 1 }
+func (a *echoTally) Process(in []cohort.Word) ([]cohort.Word, error) {
+	a.tick()
+	a.out[0] = in[0]
+	return a.out[:], nil
+}
+
+// seqStream returns a closed input queue holding the words 0..n-1 and an
+// output queue with room for all n results, so output room never clamps a
+// quantum and the pump's pace cannot bend the block ratio.
+func seqStream(t *testing.T, n int) (in, out *cohort.Fifo[cohort.Word]) {
+	t.Helper()
+	in, out = backlog(t, n, 0), backlog(t, n, 0)
+	ws := make([]cohort.Word, n)
+	for i := range ws {
+		ws[i] = cohort.Word(i)
+	}
+	in.PushSlice(ws)
+	in.Close()
+	return in, out
+}
+
+// TestRetuneRacesServe: the knob pair retuned in a tight loop — quantum
+// between 1 and maxTunedQuantum, coalesce between one block and a whole
+// frame — while a 2:1-weighted pair streams through one worker and two
+// result pumps. Every word must arrive in order, and the block ratio must
+// hold TestWeightedFairness's 2.0 ± 10%. A quantum of maxTunedQuantum
+// moves either tenant's virtual time by up to 4096 blocks at once, so the
+// window is 7×40000 of alice's blocks instead of 7×500.
+func TestRetuneRacesServe(t *testing.T) {
+	const every = 40000
+	var aCnt, bCnt atomic.Uint64
+	snaps := make(chan uint64, 16)
+	gate := make(chan struct{})
+	accA := &echoTally{tallyAccel: tallyAccel{mine: &aCnt, other: &bCnt, every: every, snaps: snaps}}
+	accB := &echoTally{tallyAccel: tallyAccel{mine: &bCnt, gate: gate}}
+	// Alice takes her eighth snapshot at 8×every blocks; bob stays
+	// backlogged past half of that plus a maximal quantum.
+	nA, nB := 8*every, 5*every
+	inA, outA := seqStream(t, nA)
+	inB, outB := seqStream(t, nB)
+
+	s := New(Config{Engines: 1, Quantum: 8})
 	defer s.Close()
-	ss, err := s.Register(SessionConfig{
-		Tenant: "alice", Accel: &miniEcho{}, Weight: 1,
-	})
+	b, err := s.Register(SessionConfig{Tenant: "bob", Accel: accB, Weight: 1, In: inB, Out: outB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Register(SessionConfig{Tenant: "alice", Accel: accA, Weight: 2, In: inA, Out: outA})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s.Retune(ss.ID(), Knobs{BatchWords: 5000})
-	s.Retune(ss.ID(), Knobs{CoalesceWords: 100})
-	if f := ss.batchFloor(ss.coalesceCap()); f != 100 {
-		t.Fatalf("effective floor = %d, want clamp to coalesce cap 100", f)
+	stop := make(chan struct{})
+	var retuner sync.WaitGroup
+	retuner.Add(1)
+	go func() {
+		defer retuner.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Retune(Knobs{Quantum: 1, CoalesceWords: 1})
+			s.Retune(Knobs{Quantum: maxTunedQuantum, CoalesceWords: wire.MaxFrameWords})
+		}
+	}()
+	sv := NewServer(s, nil)
+	conns := []*writeRecorder{{}, {}}
+	var pumps sync.WaitGroup
+	for i, ss := range []*Session{a, b} {
+		pumps.Add(1)
+		go func(c *writeRecorder, ss *Session) {
+			defer pumps.Done()
+			sv.pumpResults(c, wire.NewWriter(c), ss, false, false)
+		}(conns[i], ss)
 	}
-	// Raising the cap back re-exposes the full floor — nothing was lost.
-	s.Retune(ss.ID(), Knobs{CoalesceWords: 8192})
-	if f := ss.batchFloor(ss.coalesceCap()); f != 5000 {
-		t.Fatalf("floor after cap raise = %d, want 5000", f)
-	}
-	// Keep (0) leaves knobs alone; merge semantics on the admit set too.
-	s.RetuneAll(Knobs{BatchWords: 0, CoalesceWords: 0, Quantum: 16})
-	if k := ss.Knobs(); k.BatchWords != 5000 || k.CoalesceWords != 8192 || k.Quantum != 16 {
-		t.Fatalf("knobs after keep-merge = %+v, want {16, 8192, 5000}", k)
+	close(gate)
+
+	checkAliceBobRatio(t, snaps, every)
+	close(stop)
+	retuner.Wait()
+	s.Retune(Knobs{}) // drain the rest in whole frames
+	pumps.Wait()
+
+	for i, want := range []int{nA, nB} {
+		fr := wire.NewReader(bytes.NewReader(bytes.Join(conns[i].writes, nil)))
+		next := 0
+		for {
+			typ, ws, _, err := fr.NextData()
+			if err != nil {
+				t.Fatalf("stream %d: %v after %d words", i, err, next)
+			}
+			if typ != wire.Data {
+				if typ != wire.Done || next != want {
+					t.Fatalf("stream %d ended with %v after %d words, want Done after %d", i, typ, next, want)
+				}
+				break
+			}
+			for _, w := range ws {
+				if w != cohort.Word(next) {
+					t.Fatalf("stream %d: word %d = %d, out of order", i, next, w)
+				}
+				next++
+			}
+		}
 	}
 }

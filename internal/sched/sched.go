@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"cohort"
+	"cohort/internal/wire"
 )
 
 // Sentinel errors surfaced by Register and Session.Err.
@@ -183,9 +184,6 @@ type SessionInfo struct {
 	// Latency is the session's sampled stage breakdown (stage quantiles in
 	// nanoseconds); stages with zero samples render with samples=0.
 	Latency *StageBreakdown `json:"latency,omitempty"`
-	// Tuned is the session's live knob overrides (knobs.go); omitted while
-	// every knob still sits at the scheduler default.
-	Tuned *Knobs `json:"tuned,omitempty"`
 }
 
 // Session is one tenant's live binding to the service: a queue pair, an
@@ -210,13 +208,6 @@ type Session struct {
 	// results reach the pump the moment they publish.
 	outBell *cohort.Bell // Out's push side: results published, or Out closed
 	inBell  *cohort.Bell // In's pop side: input consumed, room freed
-
-	// Live-tunable knobs (knobs.go). Zero means "use the scheduler default";
-	// written by Retune from any goroutine, read at quantum boundaries (serve
-	// loop) and pump passes (server.go) via the eff* helpers.
-	tunedQuantum  atomic.Int32
-	tunedCoalesce atomic.Int32
-	tunedBatch    atomic.Int32
 
 	// Scheduler state, guarded by Scheduler.mu.
 	pass    float64
@@ -327,8 +318,14 @@ func (ss *Session) Stats() SessionStats {
 // Scheduler multiplexes tenant sessions onto a fixed pool of engine workers.
 // Create with New; admit tenants with Register; stop with Close.
 type Scheduler struct {
-	cfg  Config
-	stop chan struct{}
+	cfg Config
+	// quantum and coalesce are the live knob pair (knobs.go): written by
+	// Retune, read once per scheduling decision and once per pump pass.
+	// They sit here, not next to mu, so those reads never share a cache
+	// line with the lock every decision takes.
+	quantum  atomic.Int32
+	coalesce atomic.Int32
+	stop     chan struct{}
 	// bell is the pool's doorbell: every session's In rings it on push (and
 	// Close) and its Out on pop (room for a backpressured session). Idle
 	// workers park on it.
@@ -345,10 +342,6 @@ type Scheduler struct {
 	nextID   uint64
 	vtime    float64 // virtual time: pass of the most recently dispatched session
 	sessions map[uint64]*Session
-
-	// admitKnobs is the knob set newly admitted sessions inherit — updated by
-	// RetuneAll so a controller decision outlives session churn. Guarded by mu.
-	admitKnobs Knobs
 
 	// drained closes (via drainedOnce) when the scheduler is draining and the
 	// last live session has retired — the rolling-restart barrier cohortd's
@@ -374,7 +367,7 @@ type Scheduler struct {
 	admitted   atomic.Uint64
 	rejections atomic.Uint64
 	retirals   atomic.Uint64
-	retunes    atomic.Uint64 // sessions touched by Retune/RetuneAll (knobs.go)
+	retunes    atomic.Uint64 // Retune calls (knobs.go)
 
 	faultsTransient atomic.Uint64 // transient accelerator faults retried
 	faultsRecovered atomic.Uint64 // blocks completed after retries
@@ -443,6 +436,8 @@ func New(cfg Config) *Scheduler {
 		tenantTot: make(map[string]*tenantTotals),
 		workerOps: make([]atomic.Uint64, cfg.Engines),
 	}
+	s.quantum.Store(int32(cfg.Quantum))
+	s.coalesce.Store(wire.MaxFrameWords)
 	if cfg.Trace != nil {
 		s.schedTrk = cfg.Trace.Track("sched")
 		s.workerTrks = make([]*cohort.TraceTrack, cfg.Engines)
@@ -568,7 +563,6 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 	ss.lat = &stageSet{}
 	ss.tlat = s.tenantStagesLocked(ss.tenant)
 	ss.ttot = s.tenantTotalsLocked(ss.tenant)
-	ss.applyKnobs(s.admitKnobs) // inherit the controller's standing decision
 	// Doorbells: pushes (and CloseSend) into In and room freed in Out wake an
 	// idle worker, whoever the producer is; results in Out and room freed in
 	// In wake the session's own pumps.
@@ -706,9 +700,6 @@ func (s *Scheduler) Sessions() []SessionInfo {
 		}
 		lat := ss.lat.breakdown()
 		info.Latency = &lat
-		if k := ss.Knobs(); k != (Knobs{}) {
-			info.Tuned = &k
-		}
 		if err := ss.Err(); err != nil {
 			info.Err = err.Error()
 		}
@@ -1006,13 +997,13 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 		return
 	}
 	inW := ss.inW
-	// Quantum boundary: latch the effective quantum once. A Retune landing
-	// after this load affects the next decision, never this one, so stride
-	// accounting below always matches the clamp the dispatch used. A tuned
-	// quantum above the admit-time default grows the input staging buffer
-	// here — once per upward retune, never in steady state — while slicing
-	// keeps working for smaller quanta without reallocating.
-	quantum := ss.effQuantum(s.cfg.Quantum)
+	// Quantum boundary: latch the live quantum once. A Retune landing after
+	// this load affects the next decision, never this one, so the blocks
+	// clamp below always fits the staging buffer sized here. A tuned quantum
+	// above the admit-time default grows the buffer — once per session and
+	// upward retune, never in steady state — while slicing keeps working for
+	// smaller quanta without reallocating.
+	quantum := int(s.quantum.Load())
 	if need := quantum * inW; cap(ss.buf) < need {
 		ss.buf = make([]cohort.Word, need)
 	}
@@ -1214,10 +1205,14 @@ func (s *Scheduler) processBlock(ss *Session, in []cohort.Word) ([]cohort.Word, 
 }
 
 // pushOut publishes one block's results into the session output queue. The
-// backpressure clamp in serveQuantum guarantees room in the common case; the
-// loop only spins when an accelerator produces more than its declared
-// OutWords, and still gives up if the session is killed or the scheduler
-// stops.
+// backpressure clamp in serveQuantum reserves room for every block of
+// declared size, so this runs only for an accelerator that returns more
+// words than its declared OutWords (TestQuantumPublishesIntoRing's
+// over-declared case). It spins, with yields, rather than parking: Out's pop
+// bell is the pool's shared bell, and a ring wakes one waiter: a worker
+// parked there would swallow the wakeup an idle worker needs for another
+// session's input. It still gives up if the session is killed or the
+// scheduler stops.
 func (s *Scheduler) pushOut(ss *Session, ws []cohort.Word) bool {
 	for len(ws) > 0 {
 		n := ss.out.TryPushSlice(ws)

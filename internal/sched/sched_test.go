@@ -41,14 +41,21 @@ func (a *tallyAccel) InWords() int           { return 1 }
 func (a *tallyAccel) OutWords() int          { return 0 }
 func (a *tallyAccel) Configure([]byte) error { return nil }
 func (a *tallyAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
-	if a.gate != nil {
-		<-a.gate
-	}
 	x := in[0] + 1
 	for i := 0; i < 800; i++ {
 		x = x*2654435761 + 1
 	}
 	a.sink = x
+	a.tick()
+	return nil, nil
+}
+
+// tick waits on the gate, counts one completed block and takes the snapshot
+// due at that count.
+func (a *tallyAccel) tick() {
+	if a.gate != nil {
+		<-a.gate
+	}
 	n := a.mine.Add(1)
 	if a.every > 0 && n%a.every == 0 {
 		select {
@@ -56,7 +63,6 @@ func (a *tallyAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
 		default:
 		}
 	}
-	return nil, nil
 }
 
 // backlog returns a fifo of capacity cap pre-filled with n words — a tenant
@@ -87,21 +93,22 @@ func nextSnap(t *testing.T, snaps <-chan uint64) uint64 {
 }
 
 // checkAliceBobRatio reads alice's in-worker snapshots of bob's block count —
-// one per 500 of her own blocks — and asserts the 2:1 weights on the delta
-// between her 500th and her 4000th block: 3500 alice blocks against
-// 1750 ± 10% of bob's, both tenants backlogged throughout. A delta is immune
-// to whatever either tenant was served before the window opened.
-func checkAliceBobRatio(t *testing.T, snaps <-chan uint64) {
+// one per `every` of her own blocks — and asserts the 2:1 weights on the
+// delta between her first and eighth snapshot: 7×every alice blocks against
+// 3.5×every ± 10% of bob's, both tenants backlogged throughout. A delta is
+// immune to whatever either tenant was served before the window opened.
+func checkAliceBobRatio(t *testing.T, snaps <-chan uint64, every int) {
 	t.Helper()
 	first := nextSnap(t, snaps)
 	last := first
 	for i := 0; i < 7; i++ {
 		last = nextSnap(t, snaps)
 	}
-	ratio := 3500 / float64(last-first)
-	t.Logf("alice 500→4000 blocks: bob %d→%d, ratio %.3f (weights 2:1)", first, last, ratio)
+	window := 7 * every
+	ratio := float64(window) / float64(last-first)
+	t.Logf("alice %d→%d blocks: bob %d→%d, ratio %.3f (weights 2:1)", every, 8*every, first, last, ratio)
 	if ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("block ratio alice:bob = 3500:%d = %.3f, want 2.0 ± 10%%", last-first, ratio)
+		t.Errorf("block ratio alice:bob = %d:%d = %.3f, want 2.0 ± 10%%", window, last-first, ratio)
 	}
 }
 
@@ -131,7 +138,7 @@ func TestWeightedFairness(t *testing.T) {
 	}
 	close(gate)
 
-	checkAliceBobRatio(t, snaps)
+	checkAliceBobRatio(t, snaps, 500)
 	if sw := a.Stats().Switches + b.Stats().Switches; sw < 2 {
 		t.Errorf("expected the single worker to swap between sessions, switches = %d", sw)
 	}

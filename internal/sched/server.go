@@ -195,16 +195,6 @@ func (sv *Server) readStream(fr *wire.Reader, ss *Session) bool {
 	}
 }
 
-// newStoppedTimer returns a drained timer ready for Reset — the reusable
-// replacement for time.After in per-frame wait loops.
-func newStoppedTimer() *time.Timer {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return t
-}
-
 // pushWords moves one decoded Data frame into the session input queue; each
 // push rings the scheduler's bell. When the queue is full it parks on the
 // session's InSpace bell — not reading the socket is exactly how per-tenant
@@ -249,16 +239,13 @@ func (sv *Server) pushWords(ss *Session, ws []cohort.Word) bool {
 // draining it is the handler's retirement barrier.
 //
 // Every pass coalesces all completed blocks currently in the queue — up to
-// a whole frame's worth — into one Data frame, written with a single writev
+// the coalesce cap (knobs.go), at most a whole frame — into one Data frame, written with a single writev
 // directly from the queue's two ring segments (wire.Writer.WordsN): the
 // engine's batched index publication, applied to the socket. The pass that
 // finds Out closed with every word left in one frame's reach writes those
 // words and the Done together.
 func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, reuse bool) bool {
 	out, ready := ss.Out(), ss.OutReady()
-	// bound caps the batch-floor wait below: a policy limit, not a poll.
-	bound := newStoppedTimer()
-	defer bound.Stop()
 	// Telemetry cadence for opted-in sessions: a frame goes out only when new
 	// stage samples have landed and at least telemetryEvery has passed since
 	// the last one — a trickle, not a stream. Sessions that did not opt in
@@ -267,41 +254,17 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 	const telemetryEvery = 250 * time.Millisecond
 	var lastTelem time.Time
 	var lastSamples uint64
-	// floorWaited latches one batch-floor park per frame: a sub-floor queue
-	// waits for at most one more publication (or 2ms) before flushing
-	// whatever is there, so a retuned floor can add bounded latency but
-	// never starve a trickling session.
-	var floorWaited bool
 	for {
 		// Closed is loaded before the segments: nothing is published after
 		// Close, so a pass that sees Out closed also sees every word left.
 		closed := out.Closed()
 		a, b := out.ReadSegments()
-		if n := len(a) + len(b); closed && n <= ss.coalesceCap() {
+		// One knob read per pass (knobs.go): the controller retunes the
+		// frame cap while the pump runs.
+		coalesce := ss.coalesceCap()
+		if n := len(a) + len(b); closed && n <= coalesce {
 			return sv.finish(c, fw, ss, a, b, timing, reuse)
 		} else if n > 0 {
-			// Per-pass knob reads (knobs.go): the controller retunes the
-			// frame cap and flush floor while the pump runs.
-			coalesce := ss.coalesceCap()
-			if floor := ss.batchFloor(coalesce); n < floor && !floorWaited && !out.Closed() {
-				floorWaited = true
-				ready.Arm()
-				if out.Len() == n && !out.Closed() { // last look
-					bound.Reset(2 * time.Millisecond)
-					select {
-					case <-sv.sch.stop:
-						ready.Disarm()
-						return false
-					case <-ready.C():
-						if !bound.Stop() {
-							<-bound.C
-						}
-					case <-bound.C:
-					}
-				}
-				ready.Disarm()
-				continue
-			}
 			if n > coalesce {
 				// A queue deeper than the frame cap drains across passes.
 				n = coalesce
@@ -315,7 +278,6 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 			// Draining output may unblock a session parked on output-room
 			// backpressure: the read publication rings the scheduler's bell.
 			out.CommitRead(n)
-			floorWaited = false
 			if werr != nil {
 				// Client stopped reading; results are undeliverable.
 				ss.Kill()
