@@ -5,21 +5,21 @@
 // one after another — a client's as a cohortgw leg's; connect with the
 // cohort/client package.
 //
-// The observability plane (-http) serves /metrics with per-tenant labeled
-// session counters and stage-latency histograms, /healthz with a
-// degraded-but-alive verdict over the scheduler's fault-containment counters
-// plus a stall watchdog over every engine worker, /sessions with a JSON
-// snapshot of live sessions (admission timestamps, cumulative counters,
-// sampled latency), /stats/latency with the per-tenant serving-stage
-// breakdown, /trace with the scheduler's flight-recorder ring, and
-// /debug/pprof.
+// The observability plane (-http) serves /metrics with one tenant-labeled
+// source per tenant (its lifetime counters and stage-latency histograms),
+// /healthz with a degraded-but-alive verdict over the scheduler's
+// fault-containment counters plus a stall watchdog over every engine worker,
+// /sessions with a JSON snapshot of live sessions (admission timestamps,
+// cumulative counters, sampled latency; per-session counters are served
+// there only), /stats/latency with the per-tenant serving-stage breakdown,
+// /trace with the scheduler's flight-recorder ring, and /debug/pprof.
 //
 // Windowed telemetry and SLOs: a background sampler (internal/telem) ticks
 // every -slo-tick, derives per-tenant rolling rates and stage quantiles over
-// -slo-short and -slo-long windows (served on /stats/windows and exported as
-// cohort_rate_* gauges), and evaluates the -slo objectives with multi-window
-// burn-rate logic on /stats/slo. -slo accepts a JSON array literal or a file
-// path: [{"tenant":"*","stage":"compute","p99_ms":2,"max_errors_per_s":5}].
+// -slo-short and -slo-long windows (served on /stats/windows), and evaluates
+// the -slo objectives with multi-window burn-rate logic on /stats/slo. -slo
+// accepts a JSON array literal or a file path:
+// [{"tenant":"*","stage":"compute","p99_ms":2,"max_errors_per_s":5}].
 // A breach flips /healthz to degraded with the reason; every breach,
 // recovery, session kill, terminal fault, watchdog stall/recovery and
 // admission rejection lands in the structured event ring on /events
@@ -194,7 +194,7 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 	cohort.RegisterWatchdog(reg, "watchdog", dog)
 
 	// Windowed telemetry sampler: rolling per-tenant rates and stage
-	// quantiles, multi-window SLO evaluation, cohort_rate_* gauges.
+	// quantiles on /stats/windows, multi-window SLO evaluation.
 	sampler := telem.New(telem.Config{
 		Registry: reg, Tick: tc.tick, Short: tc.short, Long: tc.long,
 		SLOs: tc.slos, Events: events,

@@ -9,6 +9,7 @@ import (
 	"cohort"
 	"cohort/client"
 	"cohort/internal/cluster"
+	"cohort/internal/sched"
 )
 
 // sessionOnce runs one whole session against addr the way the serve-churn
@@ -38,20 +39,27 @@ func sessionOnce(tb testing.TB, addr string, in, buf []cohort.Word) {
 
 // TestSessionAllocationCeilings caps the heap allocations of one whole
 // session, client and servers together (AllocsPerRun counts the process):
-// the session-lifecycle row of the allocation ledger. Two rows: a client
-// on a warm connection to the shard, and a client on a warm connection to
+// the session-lifecycle row of the allocation ledger. Three rows: a client
+// on a warm connection to the shard, the same against a shard whose
+// scheduler has a metrics Registry, and a client on a warm connection to
 // the gateway, which holds a warm shard leg. The catalog probes once, at
-// Start, so no probe lands inside the count.
+// Start, so no probe lands inside the count. A session owns no metric
+// source, so the Registry row must count exactly what the direct row does.
 //
 // The ceiling is the measured count plus a tenth, headroom for allocations
-// the Go runtime makes differently across releases. parent is the count
-// while every client session still dialled its own connection; before the
-// Open went binary and gateway legs were reused it was 95 and 151.
+// the Go runtime makes differently across releases. History (direct,
+// gateway): 95 and 151 before the Open went binary and gateway legs were
+// reused; 85 and 94 while every client session still dialled its own
+// connection; 32 and 44 while every session registered its own metric
+// source, which cost 3 more with a Registry.
 func TestSessionAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime makes allocations of its own")
 	}
 	sp := startShard(t, "s0")
+	spReg := startShardWith(t, "s0-registry", sched.Config{
+		Engines: 1, Quantum: 64, QueueCap: 16384, Registry: cohort.NewRegistry(),
+	})
 	cat, err := cluster.NewCatalog(cluster.CatalogConfig{
 		Shards:   []cluster.Shard{{Name: sp.name, Addr: sp.wire, HTTP: sp.http}},
 		Interval: time.Hour,
@@ -73,21 +81,26 @@ func TestSessionAllocationCeilings(t *testing.T) {
 	t.Cleanup(func() { gw.Close() })
 
 	in, buf := testWords(32), make([]cohort.Word, 64)
+	counts := map[string]float64{}
 	for _, c := range []struct {
 		name     string
 		addr     string
-		parent   float64
 		measured float64 // Go 1.24, linux/amd64
 	}{
-		{"direct", sp.wire, 85, 35},
-		{"gateway-warm-leg", ln.Addr().String(), 94, 47},
+		{"direct", sp.wire, 29},
+		{"direct-registry", spReg.wire, 29},
+		{"gateway-warm-leg", ln.Addr().String(), 41},
 	} {
 		sessionOnce(t, c.addr, in, buf) // warm: pools, the connection, the gateway's leg
 		n := testing.AllocsPerRun(50, func() { sessionOnce(t, c.addr, in, buf) })
+		counts[c.name] = n
 		t.Logf("%s: %.0f allocations per session", c.name, n)
 		if ceiling := c.measured + c.measured/10; n > ceiling {
-			t.Errorf("%s: %.0f allocations per session, ceiling %.0f (measured %.0f, %.0f before client connections were reused)",
-				c.name, n, ceiling, c.measured, c.parent)
+			t.Errorf("%s: %.0f allocations per session, ceiling %.0f (measured %.0f)",
+				c.name, n, ceiling, c.measured)
 		}
+	}
+	if d, r := counts["direct"], counts["direct-registry"]; r != d {
+		t.Errorf("a Registry costs %+.0f allocations per session (%.0f with, %.0f without), want 0", r-d, r, d)
 	}
 }

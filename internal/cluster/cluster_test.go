@@ -49,7 +49,13 @@ func (sp *shardProc) stop() {
 
 func startShard(t *testing.T, name string) *shardProc {
 	t.Helper()
-	s := sched.New(sched.Config{Engines: 1, Quantum: 64, QueueCap: 16384})
+	return startShardWith(t, name, sched.Config{Engines: 1, Quantum: 64, QueueCap: 16384})
+}
+
+// startShardWith is startShard with the scheduler configured by cfg.
+func startShardWith(t *testing.T, name string, cfg sched.Config) *shardProc {
+	t.Helper()
+	s := sched.New(cfg)
 	sv := sched.NewServer(s, nil) // default catalog: "null" is 1:1 pass-through
 	ln := listenCounting(t, "127.0.0.1:0")
 	go sv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on stop

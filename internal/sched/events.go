@@ -6,14 +6,13 @@ import (
 	"cohort"
 )
 
-// This file is the scheduler's side of the structured event plane and the
-// persistent per-tenant accounting behind the windowed telemetry sampler
-// (internal/telem). Per-session metric sources churn with connections, so a
-// registry consumer deriving per-tenant rates from them would see its
-// cumulative counters jump backwards at every retirement; the "tenant/<name>"
-// sources here accumulate across a tenant's whole session history and
-// unregister only when the scheduler closes — the same lifetime contract as
-// the "latency/<name>" stage aggregates.
+// This file is the scheduler's side of the structured event plane and its
+// per-tenant accounting record. A tenant's record accumulates across its
+// whole session history and is the tenant's one metric source,
+// "tenant/<name>", unregistered only when the scheduler closes: a registry
+// consumer deriving per-tenant rates from it (internal/telem, or Prometheus)
+// never sees a cumulative counter jump backwards at a session retirement.
+// Per-session counters are served by Sessions (/sessions) only.
 
 // EventSink receives the scheduler's state-transition events: session kills,
 // terminal accelerator faults, admission rejections. *telem.Log satisfies it;
@@ -38,11 +37,13 @@ func (s *Scheduler) emit(typ, tenant string, session uint64, detail string) {
 	}
 }
 
-// tenantTotals is one tenant's lifetime serving counters, accumulated across
-// session churn. All fields are atomics bumped from the serving hot path
-// alongside the per-session counters (one extra atomic add per site, nothing
-// allocated), so the totals stay exact without a retirement hand-off step.
-type tenantTotals struct {
+// tenant is one tenant's lifetime accounting: its serving and fault counters
+// and its four stage recorders, accumulated across session churn. The
+// counters are atomics bumped from the serving hot path next to the
+// session's own (nothing allocated), so the record stays exact without a
+// retirement hand-off step. The scheduler-wide fault and admission totals
+// are sums over these records.
+type tenant struct {
 	blocks    atomic.Uint64
 	wordsIn   atomic.Uint64
 	wordsOut  atomic.Uint64
@@ -51,36 +52,35 @@ type tenantTotals struct {
 	terminal  atomic.Uint64
 	kills     atomic.Uint64
 	rejected  atomic.Uint64
+	stages    stageSet
 }
 
-func (tt *tenantTotals) metrics() []cohort.Metric {
-	return []cohort.Metric{
-		{Name: "blocks", Value: tt.blocks.Load()},
-		{Name: "words_in", Value: tt.wordsIn.Load()},
-		{Name: "words_out", Value: tt.wordsOut.Load()},
-		{Name: "retries", Value: tt.retries.Load()},
-		{Name: "recovered", Value: tt.recovered.Load()},
-		{Name: "terminal_faults", Value: tt.terminal.Load()},
-		{Name: "kills", Value: tt.kills.Load()},
-		{Name: "rejected", Value: tt.rejected.Load()},
-	}
+func (t *tenant) metrics() []cohort.Metric {
+	return append([]cohort.Metric{
+		{Name: "blocks", Value: t.blocks.Load()},
+		{Name: "words_in", Value: t.wordsIn.Load()},
+		{Name: "words_out", Value: t.wordsOut.Load()},
+		{Name: "retries", Value: t.retries.Load()},
+		{Name: "recovered", Value: t.recovered.Load()},
+		{Name: "terminal_faults", Value: t.terminal.Load()},
+		{Name: "kills", Value: t.kills.Load()},
+		{Name: "rejected", Value: t.rejected.Load()},
+	}, t.stages.metrics()...)
 }
 
-// tenantTotalsLocked returns (creating on first use) the tenant's persistent
-// counter set and registers its "tenant/<name>" metric source. Caller holds
-// s.mu.
-func (s *Scheduler) tenantTotalsLocked(tenant string) *tenantTotals {
-	if tt, ok := s.tenantTot[tenant]; ok {
-		return tt
+// tenantLocked returns (creating on first use, admitted or rejected) the
+// tenant's record and registers its "tenant/<name>" source. Caller holds
+// s.mu. Lock order is s.mu → Registry.mu only; registry snapshots poll
+// sources outside the registry lock, so there is no inversion.
+func (s *Scheduler) tenantLocked(name string) *tenant {
+	if t, ok := s.tenants[name]; ok {
+		return t
 	}
-	tt := &tenantTotals{}
-	s.tenantTot[tenant] = tt
+	t := &tenant{}
+	s.tenants[name] = t
 	if reg := s.cfg.Registry; reg != nil {
-		// Same lifetime as the latency aggregates: survives session churn,
-		// unregisters only at Close — the monotone per-tenant series the
-		// windowed sampler differentiates into rates.
-		reg.RegisterLabeled("tenant/"+tenant,
-			[]cohort.Label{{Key: "tenant", Value: tenant}}, tt.metrics)
+		reg.RegisterLabeled("tenant/"+name,
+			[]cohort.Label{{Key: "tenant", Value: name}}, t.metrics)
 	}
-	return tt
+	return t
 }

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -169,4 +171,115 @@ func TestTenantTotalsCountRetries(t *testing.T) {
 		return
 	}
 	t.Fatal("no tenant/flaky source")
+}
+
+// TestSchedTotalsAreTenantSums churns sessions of three tenants, one at a
+// time, through retries that recover, a terminal fault, a kill and an
+// admission rejection. After every retirement the scheduler-wide totals
+// (Stats and the "sched" source) must equal the sums over the
+// "tenant/<name>" sources and must not have gone backwards.
+func TestSchedTotalsAreTenantSums(t *testing.T) {
+	reg := cohort.NewRegistry()
+	s := New(Config{Engines: 1, MaxSessions: 1, Retries: 3, Registry: reg})
+	defer s.Close()
+
+	var prev SchedStats
+	seen := map[string]bool{}
+	check := func(step string) {
+		t.Helper()
+		st := s.Stats()
+		var sum, src SchedStats
+		for _, sn := range reg.Snapshot() {
+			var into *SchedStats
+			switch {
+			case sn.Name == "sched":
+				into = &src
+			case strings.HasPrefix(sn.Name, "tenant/"):
+				into = &sum
+			default:
+				continue
+			}
+			for _, m := range sn.Metrics {
+				switch m.Name {
+				case "rejected":
+					into.Rejected += m.Value
+				case "retries", "transient_faults":
+					into.TransientFaults += m.Value
+				case "recovered":
+					into.Recovered += m.Value
+				case "terminal_faults":
+					into.TerminalFaults += m.Value
+				case "kills":
+					into.Kills += m.Value
+				}
+			}
+		}
+		got := [5]uint64{st.Rejected, st.TransientFaults, st.Recovered, st.TerminalFaults, st.Kills}
+		if want := [5]uint64{sum.Rejected, sum.TransientFaults, sum.Recovered, sum.TerminalFaults, sum.Kills}; got != want {
+			t.Fatalf("%s: Stats rejected/transient/recovered/terminal/kills = %v, tenant sums %v", step, got, want)
+		}
+		if srcv := [5]uint64{src.Rejected, src.TransientFaults, src.Recovered, src.TerminalFaults, src.Kills}; got != srcv {
+			t.Fatalf("%s: Stats %v, sched source %v", step, got, srcv)
+		}
+		before := [5]uint64{prev.Rejected, prev.TransientFaults, prev.Recovered, prev.TerminalFaults, prev.Kills}
+		for i := range got {
+			if got[i] < before[i] {
+				t.Fatalf("%s: totals went backwards: %v after %v", step, got, before)
+			}
+		}
+		if n := reg.Len(); n != 1+len(seen) {
+			t.Fatalf("%s: registry holds %d sources, want %d (sched + one per tenant)", step, n, 1+len(seen))
+		}
+		prev = st
+	}
+	register := func(tenant string, acc cohort.Accelerator) *Session {
+		t.Helper()
+		seen[tenant] = true
+		ss, err := s.Register(SessionConfig{Tenant: tenant, Accel: acc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+
+	tenants := []string{"a", "b", "c"}
+	for round := 0; round < 9; round++ {
+		tenant := tenants[round%3]
+		acc := cohort.Accelerator(cohort.NewFaultAccel(cohort.NewNull(), cohort.FaultPlan{
+			Transient: []cohort.TransientFault{{Block: 1, Count: 2}},
+		}))
+		if round == 4 {
+			acc = cohort.NewFaultAccel(cohort.NewNull(), cohort.FaultPlan{TerminalAfter: 1})
+		}
+		ss := register(tenant, acc)
+		step := fmt.Sprintf("round %d (%s)", round, tenant)
+		switch round {
+		case 4:
+			ss.In().PushSlice(make([]cohort.Word, 8))
+		case 5:
+			ss.Kill()
+		case 7:
+			if _, err := s.Register(SessionConfig{Tenant: "a", Accel: cohort.NewNull()}); !errors.Is(err, ErrTooManySessions) {
+				t.Fatalf("second live session: err = %v, want ErrTooManySessions", err)
+			}
+			fallthrough
+		default:
+			// Serve every block, then look while the session is still live:
+			// its retirement must not take its counts out of the totals.
+			ss.In().PushSlice(make([]cohort.Word, 8))
+			for ss.Stats().Blocks < 8 {
+				runtime.Gosched()
+			}
+			check(step + " served")
+			ss.CloseSend()
+		}
+		<-ss.Done()
+		check(step + " retired")
+	}
+
+	want := SchedStats{Rejected: 1, TransientFaults: 14, Recovered: 7, TerminalFaults: 1, Kills: 1}
+	if got := s.Stats(); got.Rejected != want.Rejected || got.TransientFaults != want.TransientFaults ||
+		got.Recovered != want.Recovered || got.TerminalFaults != want.TerminalFaults || got.Kills != want.Kills {
+		t.Fatalf("final totals %+v, want %+v", got, want)
+	}
 }

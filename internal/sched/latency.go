@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -129,7 +130,7 @@ func stageTiming(r *cohort.LatencyRecorder) wire.StageTiming {
 
 // TenantLatency is one tenant's row in the /stats/latency document. The
 // aggregate persists across that tenant's session churn: it accumulates from
-// the first session the tenant ever opens until the scheduler closes.
+// the tenant's first registration until the scheduler closes.
 type TenantLatency struct {
 	Tenant string `json:"tenant"`
 	// Live is how many of the tenant's sessions are currently registered.
@@ -143,41 +144,21 @@ type TenantLatency struct {
 // tenant name — the /stats/latency payload.
 func (s *Scheduler) LatencyStats() []TenantLatency {
 	s.mu.Lock()
-	tenants := make(map[string]*stageSet, len(s.tenantLat))
-	for t, sl := range s.tenantLat {
-		tenants[t] = sl
-	}
+	tenants := maps.Clone(s.tenants)
 	live := make(map[string]int)
 	for _, ss := range s.sessions {
 		live[ss.tenant]++
 	}
 	s.mu.Unlock()
 	out := make([]TenantLatency, 0, len(tenants))
-	for t, sl := range tenants {
+	for name, t := range tenants {
 		out = append(out, TenantLatency{
-			Tenant: t, Live: live[t], SampleEvery: s.cfg.LatencySample,
-			Stages: sl.breakdown(),
+			Tenant: name, Live: live[name], SampleEvery: s.cfg.LatencySample,
+			Stages: t.stages.breakdown(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
-}
-
-// tenantStages returns (creating on first use) the persistent per-tenant
-// aggregate and registers its metric source. Caller holds s.mu.
-func (s *Scheduler) tenantStagesLocked(tenant string) *stageSet {
-	if sl, ok := s.tenantLat[tenant]; ok {
-		return sl
-	}
-	sl := &stageSet{}
-	s.tenantLat[tenant] = sl
-	if reg := s.cfg.Registry; reg != nil {
-		// Tenant aggregates outlive sessions: the source unregisters only at
-		// Close, so dashboards keep a tenant's history across session churn.
-		reg.RegisterLabeled("latency/"+tenant,
-			[]cohort.Label{{Key: "tenant", Value: tenant}}, sl.metrics)
-	}
-	return sl
 }
 
 // Telemetry renders the session's whole-life stage breakdown as the wire
@@ -193,9 +174,6 @@ func (ss *Session) LatencySamples() uint64 {
 		ss.lat.compute.Samples() + ss.lat.wire.Samples()
 }
 
-// LatencyBreakdown snapshots the session's own stage quantiles.
-func (ss *Session) LatencyBreakdown() StageBreakdown { return ss.lat.breakdown() }
-
 // observeStage files one stage delta into both the session's own set and its
 // tenant's persistent aggregate.
 func (ss *Session) observeStage(stage string, d time.Duration) {
@@ -206,16 +184,16 @@ func (ss *Session) observeStage(stage string, d time.Duration) {
 	switch stage {
 	case StageQueue:
 		ss.lat.queue.Observe(ns)
-		ss.tlat.queue.Observe(ns)
+		ss.ten.stages.queue.Observe(ns)
 	case StageSched:
 		ss.lat.sched.Observe(ns)
-		ss.tlat.sched.Observe(ns)
+		ss.ten.stages.sched.Observe(ns)
 	case StageCompute:
 		ss.lat.compute.Observe(ns)
-		ss.tlat.compute.Observe(ns)
+		ss.ten.stages.compute.Observe(ns)
 	case StageWire:
 		ss.lat.wire.Observe(ns)
-		ss.tlat.wire.Observe(ns)
+		ss.ten.stages.wire.Observe(ns)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestLatencyAttributionLoopback(t *testing.T) {
 		t.Errorf("compute p99 %.0f < p50 %.0f", p, stats[0].Stages.Compute.P50Ns)
 	}
 
-	// The persistent "latency/<tenant>" source renders tenant-labeled stage
+	// The persistent "tenant/<tenant>" record renders tenant-labeled stage
 	// summary families on /metrics even with the session gone.
 	var b bytes.Buffer
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -98,7 +98,7 @@ func TestLatencyAttributionLoopback(t *testing.T) {
 		"# TYPE cohort_stage_sched_ns summary",
 		"# TYPE cohort_stage_compute_ns summary",
 		"# TYPE cohort_stage_wire_ns summary",
-		`cohort_stage_compute_ns_count{source="latency/lat",tenant="lat"}`,
+		`cohort_stage_compute_ns_count{source="tenant/lat",tenant="lat"}`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -31,8 +31,8 @@
 //   - Admission control: Register fails once MaxSessions sessions are live.
 //   - Clean teardown: closing a session's input queue (Fifo.Close) lets the
 //     scheduler finish every complete block, drop trailing partial words,
-//     close the output queue, and retire the session — unregistering its
-//     metrics and waking anyone blocked on Done.
+//     close the output queue, and retire the session, waking anyone blocked
+//     on Done.
 package sched
 
 import (
@@ -84,9 +84,9 @@ type Config struct {
 	// QueueCap is the default per-direction session queue capacity in words
 	// (default 1024); SessionConfig.QueueCap overrides per session.
 	QueueCap int
-	// Registry, when non-nil, receives one labeled metric source per session
-	// (registered at admission, unregistered at retirement) plus a "sched"
-	// source for the scheduler's own counters.
+	// Registry, when non-nil, receives a "sched" source for the scheduler's
+	// own counters plus one tenant-labeled "tenant/<name>" source per tenant
+	// ever registered (events.go); all unregister at Close.
 	Registry *cohort.Registry
 	// Trace, when non-nil, records scheduler activity into the flight
 	// recorder's rings: admit/retire instants on the "sched" track and
@@ -227,19 +227,20 @@ type Session struct {
 	retries   atomic.Uint64
 	recovered atomic.Uint64
 
-	// Latency attribution (latency.go): the session's own stage histograms,
-	// its tenant's persistent aggregate, and the ingress/egress stamps the
-	// socket pumps exchange with the scheduler.
+	// ten is the tenant's lifetime record (events.go): every counter above
+	// but quanta, switches and dropped is bumped there too.
+	ten *tenant
+
+	// Latency attribution (latency.go): the session's own stage histograms
+	// and the ingress/egress stamps the socket pumps exchange with the
+	// scheduler.
 	admitted  time.Time
-	lat       *stageSet
-	tlat      *stageSet
-	ttot      *tenantTotals // tenant lifetime counters (events.go)
+	lat       stageSet
 	ingressNs atomic.Uint64
 	egressNs  atomic.Uint64
 
-	// Precomputed names so the serve loop never formats.
-	serveSpan  string
-	metricName string
+	// Precomputed so the serve loop never formats.
+	serveSpan string
 }
 
 // ID returns the scheduler-assigned session id.
@@ -270,8 +271,8 @@ func (ss *Session) Kill() {
 	ss.sch.bell.Ring()
 }
 
-// Done returns a channel closed when the session has fully retired: its
-// output queue is closed and its metrics are unregistered.
+// Done returns a channel closed when the session has fully retired: it has
+// left the session table and its output queue is closed.
 func (ss *Session) Done() <-chan struct{} { return ss.done }
 
 // OutReady returns Out's push doorbell: it rings whenever the scheduler
@@ -351,32 +352,26 @@ type Scheduler struct {
 	drainedOnce  sync.Once
 	drainRejects atomic.Uint64
 
-	// tenantLat and tenantTot map tenant name → persistent per-tenant
-	// aggregates (latency.go, events.go); entries accumulate across session
-	// churn and unregister only at Close. Guarded by mu.
-	tenantLat map[string]*stageSet
-	tenantTot map[string]*tenantTotals
+	// tenants maps tenant name → its lifetime record (events.go). Entries
+	// are never removed: they accumulate across session churn and
+	// unregister only at Close. Guarded by mu.
+	tenants map[string]*tenant
 
 	// workerOps[i] counts worker i's scheduling-loop passes — the monotone
 	// progress counter WatchWorkers feeds the stall watchdog. A parked worker
 	// makes no passes.
 	workerOps []atomic.Uint64
 
-	decisions  atomic.Uint64
-	swaps      atomic.Uint64
-	admitted   atomic.Uint64
-	rejections atomic.Uint64
-	retirals   atomic.Uint64
-	retunes    atomic.Uint64 // Retune calls (knobs.go)
-
-	faultsTransient atomic.Uint64 // transient accelerator faults retried
-	faultsRecovered atomic.Uint64 // blocks completed after retries
-	faultsTerminal  atomic.Uint64 // sessions retired by a terminal accelerator fault
-	kills           atomic.Uint64 // sessions retired by Kill
+	decisions atomic.Uint64
+	swaps     atomic.Uint64
+	admitted  atomic.Uint64
+	retirals  atomic.Uint64
+	retunes   atomic.Uint64 // Retune calls (knobs.go)
 }
 
 // SchedStats is a snapshot of the scheduler's service-wide counters — the
-// containment scoreboard the chaos harness asserts over.
+// containment scoreboard the chaos harness asserts over. Rejected and the
+// four fault counters are sums over the tenant records.
 type SchedStats struct {
 	Decisions       uint64 // scheduling decisions dispatched
 	Swaps           uint64 // worker swaps between sessions
@@ -393,20 +388,28 @@ type SchedStats struct {
 // Stats snapshots the scheduler's counters.
 func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
-	live := uint64(len(s.sessions))
-	s.mu.Unlock()
-	return SchedStats{
-		Decisions:       s.decisions.Load(),
-		Swaps:           s.swaps.Load(),
-		Admitted:        s.admitted.Load(),
-		Rejected:        s.rejections.Load(),
-		Retired:         s.retirals.Load(),
-		Live:            live,
-		TransientFaults: s.faultsTransient.Load(),
-		Recovered:       s.faultsRecovered.Load(),
-		TerminalFaults:  s.faultsTerminal.Load(),
-		Kills:           s.kills.Load(),
+	defer s.mu.Unlock()
+	return s.statsLocked()
+}
+
+// statsLocked is Stats with s.mu held. Tenant records are never removed, so
+// the sums never go backwards.
+func (s *Scheduler) statsLocked() SchedStats {
+	st := SchedStats{
+		Decisions: s.decisions.Load(),
+		Swaps:     s.swaps.Load(),
+		Admitted:  s.admitted.Load(),
+		Retired:   s.retirals.Load(),
+		Live:      uint64(len(s.sessions)),
 	}
+	for _, t := range s.tenants {
+		st.Rejected += t.rejected.Load()
+		st.TransientFaults += t.retries.Load()
+		st.Recovered += t.recovered.Load()
+		st.TerminalFaults += t.terminal.Load()
+		st.Kills += t.kills.Load()
+	}
+	return st
 }
 
 // New starts a scheduler with cfg's worker pool. Close it when done.
@@ -432,8 +435,7 @@ func New(cfg Config) *Scheduler {
 		bell:      cohort.NewBell(),
 		drained:   make(chan struct{}),
 		sessions:  make(map[uint64]*Session),
-		tenantLat: make(map[string]*stageSet),
-		tenantTot: make(map[string]*tenantTotals),
+		tenants:   make(map[string]*tenant),
 		workerOps: make([]atomic.Uint64, cfg.Engines),
 	}
 	s.quantum.Store(int32(cfg.Quantum))
@@ -448,7 +450,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.Registry != nil {
 		cfg.Registry.Register("sched", func() []cohort.Metric {
 			s.mu.Lock()
-			live := uint64(len(s.sessions))
+			st := s.statsLocked()
 			draining := uint64(0)
 			if s.draining {
 				draining = 1
@@ -457,17 +459,17 @@ func New(cfg Config) *Scheduler {
 			return []cohort.Metric{
 				{Name: "draining", Value: draining},
 				{Name: "drain_rejected", Value: s.drainRejects.Load()},
-				{Name: "decisions", Value: s.decisions.Load()},
-				{Name: "swaps", Value: s.swaps.Load()},
-				{Name: "admitted", Value: s.admitted.Load()},
-				{Name: "rejected", Value: s.rejections.Load()},
-				{Name: "retired", Value: s.retirals.Load()},
+				{Name: "decisions", Value: st.Decisions},
+				{Name: "swaps", Value: st.Swaps},
+				{Name: "admitted", Value: st.Admitted},
+				{Name: "rejected", Value: st.Rejected},
+				{Name: "retired", Value: st.Retired},
 				{Name: "retunes", Value: s.retunes.Load()},
-				{Name: "sessions", Value: live},
-				{Name: "transient_faults", Value: s.faultsTransient.Load()},
-				{Name: "recovered", Value: s.faultsRecovered.Load()},
-				{Name: "terminal_faults", Value: s.faultsTerminal.Load()},
-				{Name: "kills", Value: s.kills.Load()},
+				{Name: "sessions", Value: st.Live},
+				{Name: "transient_faults", Value: st.TransientFaults},
+				{Name: "recovered", Value: st.Recovered},
+				{Name: "terminal_faults", Value: st.TerminalFaults},
+				{Name: "kills", Value: st.Kills},
 			}
 		})
 	}
@@ -481,8 +483,8 @@ func New(cfg Config) *Scheduler {
 // Register admits a tenant session — the service-level cohort_register. It
 // allocates the session's queue pair, installs the CSR configuration, joins
 // the session at the scheduler's current virtual time (so it competes fairly
-// from its first block, with no credit for its idle past), and exposes its
-// counters as a tenant-labeled metric source.
+// from its first block, with no credit for its idle past), and accounts it
+// to its tenant's record.
 func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 	if cfg.Accel == nil {
 		return nil, fmt.Errorf("sched: register %q: nil accelerator", cfg.Tenant)
@@ -538,8 +540,7 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 		return nil, fmt.Errorf("%w (%d sessions flushing)", ErrDraining, live)
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.rejections.Add(1)
-		s.tenantTotalsLocked(cfg.Tenant).rejected.Add(1)
+		s.tenantLocked(cfg.Tenant).rejected.Add(1)
 		s.mu.Unlock()
 		err := fmt.Errorf("%w (%d live, max %d)", ErrTooManySessions, s.cfg.MaxSessions, s.cfg.MaxSessions)
 		s.emit(eventAdmissionReject, cfg.Tenant, 0, err.Error())
@@ -556,13 +557,10 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 		done:    make(chan struct{}),
 		outBell: cohort.NewBell(),
 		inBell:  cohort.NewBell(),
+		ten:     s.tenantLocked(cfg.Tenant),
 	}
 	ss.serveSpan = fmt.Sprintf("serve:%s#%d", ss.tenant, ss.id)
-	ss.metricName = fmt.Sprintf("session/%s#%d", ss.tenant, ss.id)
 	ss.admitted = time.Now()
-	ss.lat = &stageSet{}
-	ss.tlat = s.tenantStagesLocked(ss.tenant)
-	ss.ttot = s.tenantTotalsLocked(ss.tenant)
 	// Doorbells: pushes (and CloseSend) into In and room freed in Out wake an
 	// idle worker, whoever the producer is; results in Out and room freed in
 	// In wake the session's own pumps.
@@ -574,34 +572,6 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 	s.admitted.Add(1)
 	if s.schedTrk != nil {
 		s.schedTrk.Instant("admit:" + ss.tenant)
-	}
-	// Metrics register before mu is released: retire (which unregisters)
-	// cannot run for this session until it is observable, so the source can
-	// never be registered after its own unregistration. Lock order is
-	// s.mu → Registry.mu only; registry snapshots poll sources outside the
-	// registry lock, so there is no inversion.
-	if reg := s.cfg.Registry; reg != nil {
-		labels := []cohort.Label{
-			{Key: "tenant", Value: ss.tenant},
-			{Key: "session", Value: fmt.Sprintf("%d", ss.id)},
-		}
-		reg.RegisterLabeled(ss.metricName, labels, func() []cohort.Metric {
-			st := ss.Stats()
-			ms := []cohort.Metric{
-				{Name: "blocks", Value: st.Blocks},
-				{Name: "words_in", Value: st.WordsIn},
-				{Name: "words_out", Value: st.WordsOut},
-				{Name: "quanta", Value: st.Quanta},
-				{Name: "switches", Value: st.Switches},
-				{Name: "dropped_words", Value: st.DroppedWords},
-				{Name: "retries", Value: st.Retries},
-				{Name: "recovered", Value: st.Recovered},
-				{Name: "weight", Value: uint64(ss.weight)},
-				{Name: "in_queued", Value: uint64(ss.in.Len())},
-				{Name: "out_queued", Value: uint64(ss.out.Len())},
-			}
-			return append(ms, ss.lat.metrics()...)
-		})
 	}
 	s.mu.Unlock()
 	s.bell.Ring() // a supplied In may already hold work
@@ -711,7 +681,8 @@ func (s *Scheduler) Sessions() []SessionInfo {
 
 // Close stops the scheduler: workers are joined, every live session is
 // retired with ErrClosed (queued input discarded, output queues closed, Done
-// channels closed), and the scheduler's metric source is removed. Idempotent.
+// channels closed), and the scheduler's metric sources are removed.
+// Idempotent.
 func (s *Scheduler) Close() {
 	s.once.Do(func() {
 		s.mu.Lock()
@@ -732,26 +703,13 @@ func (s *Scheduler) Close() {
 		// A closed scheduler is trivially drained: never leave a rolling
 		// restart hanging on the Drained barrier after a hard Close.
 		s.drainedOnce.Do(func() { close(s.drained) })
-		if s.cfg.Registry != nil {
-			s.cfg.Registry.Unregister("sched")
+		if reg := s.cfg.Registry; reg != nil {
+			reg.Unregister("sched")
 			s.mu.Lock()
-			tenants := make([]string, 0, len(s.tenantLat))
-			for t := range s.tenantLat {
-				tenants = append(tenants, t)
+			for name := range s.tenants {
+				reg.Unregister("tenant/" + name)
 			}
 			s.mu.Unlock()
-			for _, t := range tenants {
-				s.cfg.Registry.Unregister("latency/" + t)
-			}
-			s.mu.Lock()
-			totals := make([]string, 0, len(s.tenantTot))
-			for t := range s.tenantTot {
-				totals = append(totals, t)
-			}
-			s.mu.Unlock()
-			for _, t := range totals {
-				s.cfg.Registry.Unregister("tenant/" + t)
-			}
 		}
 	})
 }
@@ -833,9 +791,8 @@ func (s *Scheduler) finishServe(ss *Session, blocks int) {
 	}
 }
 
-// retire removes a session from service: it leaves the table, its metrics
-// unregister, its output queue closes (ending the consumer's stream) and its
-// Done channel closes. Safe to call with the session marked serving (the
+// retire removes a session from service: it leaves the table, its output
+// queue closes (ending the consumer's stream) and its Done channel closes. Safe to call with the session marked serving (the
 // caller is the worker holding it) or from Close with workers joined.
 func (s *Scheduler) retire(ss *Session) {
 	s.mu.Lock()
@@ -856,9 +813,6 @@ func (s *Scheduler) retire(ss *Session) {
 		// Drain barrier: this was the last in-flight session of a draining
 		// scheduler — the rolling restart may proceed.
 		s.drainedOnce.Do(func() { close(s.drained) })
-	}
-	if s.cfg.Registry != nil {
-		s.cfg.Registry.Unregister(ss.metricName)
 	}
 	// Close rings outBell, so a parked pump observes the end of stream. Then
 	// the bells come off: a caller-supplied queue outlives its session.
@@ -989,8 +943,7 @@ func (s *Scheduler) hasReady() bool {
 func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time.Time) {
 	if ss.killed.Load() {
 		ss.fail(ErrKilled)
-		s.kills.Add(1)
-		ss.ttot.kills.Add(1)
+		ss.ten.kills.Add(1)
 		// Emit before retiring: Done is the final signal, events included.
 		s.emit(eventSessionKill, ss.tenant, ss.id, "killed before dispatch")
 		s.retire(ss)
@@ -1048,7 +1001,7 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 	copy(ss.buf[c:n], b)
 	ss.in.CommitRead(n)
 	ss.wordsIn.Add(uint64(n))
-	ss.ttot.wordsIn.Add(uint64(n))
+	ss.ten.wordsIn.Add(uint64(n))
 
 	sampled := !tPick.IsZero()
 	var tCompute0 time.Time
@@ -1109,9 +1062,9 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 	}
 	ss.publish(staged)
 	ss.wordsOut.Add(uint64(wordsOut))
-	ss.ttot.wordsOut.Add(uint64(wordsOut))
+	ss.ten.wordsOut.Add(uint64(wordsOut))
 	ss.blocks.Add(uint64(completed))
-	ss.ttot.blocks.Add(uint64(completed))
+	ss.ten.blocks.Add(uint64(completed))
 	if qerr != nil {
 		s.failQuantum(ss, completed, qerr)
 		return
@@ -1147,16 +1100,14 @@ func (s *Scheduler) failQuantum(ss *Session, completed int, err error) {
 	}
 	if errors.Is(err, ErrKilled) {
 		ss.fail(ErrKilled)
-		s.kills.Add(1)
-		ss.ttot.kills.Add(1)
+		ss.ten.kills.Add(1)
 		s.emit(eventSessionKill, ss.tenant, ss.id,
 			fmt.Sprintf("killed mid-quantum after %d blocks", completed))
 		s.retire(ss)
 		return
 	}
 	ss.fail(fmt.Errorf("sched: accelerator %s failed for tenant %s: %w", ss.acc.Name(), ss.tenant, err))
-	s.faultsTerminal.Add(1)
-	ss.ttot.terminal.Add(1)
+	ss.ten.terminal.Add(1)
 	s.emit(eventTerminalFault, ss.tenant, ss.id,
 		fmt.Sprintf("accelerator %s: %v (after %d blocks)", ss.acc.Name(), err, completed))
 	s.retire(ss)
@@ -1177,8 +1128,7 @@ func (s *Scheduler) processBlock(ss *Session, in []cohort.Word) ([]cohort.Word, 
 	pause := s.cfg.RetryBackoff
 	for attempt := 0; attempt < s.cfg.Retries && cohort.IsTransient(err); attempt++ {
 		ss.retries.Add(1)
-		ss.ttot.retries.Add(1)
-		s.faultsTransient.Add(1)
+		ss.ten.retries.Add(1)
 		if pause > 0 {
 			t := time.NewTimer(pause)
 			select {
@@ -1196,8 +1146,7 @@ func (s *Scheduler) processBlock(ss *Session, in []cohort.Word) ([]cohort.Word, 
 		}
 		if res, err = ss.acc.Process(in); err == nil {
 			ss.recovered.Add(1)
-			ss.ttot.recovered.Add(1)
-			s.faultsRecovered.Add(1)
+			ss.ten.recovered.Add(1)
 			return res, nil
 		}
 	}

@@ -243,13 +243,11 @@ func TestSessionChurnNoLeaks(t *testing.T) {
 	if n := len(s.Sessions()); n != 0 {
 		t.Errorf("%d sessions still live after churn", n)
 	}
-	// Per-session sources die with their sessions; what remains is the
-	// scheduler's own "sched" source plus the persistent per-tenant
-	// aggregates — one "latency/<tenant>" stage set and one "tenant/<tenant>"
-	// counter set per tenant (those outlive session churn by design and
-	// unregister only at Close).
-	if n := reg.Len(); n != 1+2*tenants {
-		t.Errorf("registry holds %d sources after churn, want %d", n, 1+2*tenants)
+	// Sessions own no source: the registry holds the scheduler's own
+	// "sched" source plus one persistent "tenant/<tenant>" record per tenant
+	// (records outlive session churn by design and unregister only at Close).
+	if n := reg.Len(); n != 1+tenants {
+		t.Errorf("registry holds %d sources after churn, want %d", n, 1+tenants)
 	}
 	s.Close()
 	if n := reg.Len(); n != 0 {

@@ -7,14 +7,16 @@
 // budget fast enough to page?
 //
 // A background Sampler answers those: on a fixed tick it snapshots the
-// Registry, folds every labeled source into per-tenant cumulative counters
-// and stage histograms, and stores the result in a fixed-memory ring of
-// frames spanning one long window. Windowed values are then just frame
-// subtraction — the rate over the last 10s is (now − frame[10s ago]) ÷
-// elapsed, and the windowed p99 is the quantile of the bucket-wise
-// difference of two cumulative log2 histograms. Nothing in the data path
-// changes: the hot path keeps its allocation-free atomic counters, and the
-// sampler reads them a few times per second from one goroutine.
+// Registry, folds every source into cumulative counters and stage
+// histograms keyed by its tenant label (one "tenant/<name>" record per
+// tenant from internal/sched; unlabeled sources are service-wide), and
+// stores the result in a fixed-memory ring of frames spanning one long
+// window. Windowed values are then just frame subtraction — the rate over
+// the last 10s is (now − frame[10s ago]) ÷ elapsed, and the windowed p99 is
+// the quantile of the bucket-wise difference of two cumulative log2
+// histograms. Nothing in the data path changes: the hot path keeps its
+// allocation-free atomic counters, and the sampler reads them a few times
+// per second from one goroutine.
 //
 // On top of the windows sits a multi-window SLO engine (the SRE burn-rate
 // idiom): each tenant's SLO — a target p99 for one serving stage, a maximum
@@ -126,14 +128,6 @@ type Config struct {
 	Events *Log
 }
 
-// skipSource drops per-session sources — they churn with connections and
-// their lifetime counters are already aggregated into the persistent
-// "tenant/<name>" sources — and the sampler's own exports.
-func skipSource(name string) bool {
-	return strings.HasPrefix(name, "session/") ||
-		strings.HasPrefix(name, "rate/") || name == "telem"
-}
-
 // frame is one tick's cumulative view: per-tenant counters and histograms,
 // keyed tenant+"\x00"+metric (tenant "" holds unlabeled, service-wide
 // sources like sched and watchdog).
@@ -166,7 +160,6 @@ type Sampler struct {
 	tenants       map[string]bool
 	states        map[string]*sloState
 	breaches      uint64 // cumulative breach transitions
-	rateView      map[string]WindowView
 	winDoc        WindowsDoc
 	sloDoc        SLODoc
 	degraded      string
@@ -181,9 +174,10 @@ type Sampler struct {
 }
 
 // New builds a sampler over cfg.Registry and registers its self-metrics
-// ("telem" source) and, as tenants appear, per-tenant short-window rate
-// sources ("rate/<tenant>", exported as cohort_rate_* gauge families).
-// Call Start to begin ticking, or drive tick() directly in tests.
+// ("telem" source). It adds no per-tenant source: windowed rates are served
+// by Windows and Subscribe, and a Prometheus scraper derives its own from
+// the cumulative "tenant/<name>" counters. Call Start to begin ticking, or
+// drive tick() directly in tests.
 func New(cfg Config) *Sampler {
 	if cfg.Registry == nil {
 		panic("telem: Config.Registry is required")
@@ -206,13 +200,12 @@ func New(cfg Config) *Sampler {
 		}
 	}
 	s := &Sampler{
-		cfg:      cfg,
-		nShort:   ticksIn(cfg.Short, cfg.Tick),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		tenants:  make(map[string]bool),
-		states:   make(map[string]*sloState),
-		rateView: make(map[string]WindowView),
+		cfg:     cfg,
+		nShort:  ticksIn(cfg.Short, cfg.Tick),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		tenants: make(map[string]bool),
+		states:  make(map[string]*sloState),
 	}
 	s.nLong = ticksIn(cfg.Long, cfg.Tick)
 	if s.nLong < s.nShort {
@@ -293,22 +286,13 @@ func (s *Sampler) Start() {
 	})
 }
 
-// Stop halts the loop and unregisters the sampler's registry sources.
+// Stop halts the loop and unregisters the sampler's registry source.
 // Idempotent; safe without Start.
 func (s *Sampler) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stop)
 		s.startOnce.Do(func() { close(s.done) }) // never started: nothing to join
 		<-s.done
-		s.mu.Lock()
-		tenants := make([]string, 0, len(s.tenants))
-		for t := range s.tenants {
-			tenants = append(tenants, t)
-		}
-		s.mu.Unlock()
-		for _, t := range tenants {
-			s.cfg.Registry.Unregister("rate/" + t)
-		}
 		s.cfg.Registry.Unregister("telem")
 	})
 }
@@ -326,8 +310,8 @@ func (s *Sampler) tick(now time.Time) {
 	}
 	seen := make(map[string]bool)
 	for i, sn := range snaps {
-		if skipSource(sn.Name) {
-			continue
+		if sn.Name == "telem" {
+			continue // the sampler's own exports
 		}
 		tenant := ""
 		for _, l := range labels[i] {
@@ -360,17 +344,12 @@ func (s *Sampler) tick(now time.Time) {
 	s.mu.Lock()
 	s.frames[s.ticks%uint64(len(s.frames))] = fr
 	s.ticks++
-	var newTenants []string
 	for t := range seen {
-		if !s.tenants[t] {
-			s.tenants[t] = true
-			newTenants = append(newTenants, t)
-		}
+		s.tenants[t] = true
 	}
 	short, long := s.baseFrameLocked(s.nShort), s.baseFrameLocked(s.nLong)
 
-	// Windowed per-tenant views (the /stats/windows document and the
-	// cohort_rate_* export).
+	// Windowed per-tenant views (the /stats/windows document).
 	tenants := make([]string, 0, len(s.tenants))
 	for t := range s.tenants {
 		tenants = append(tenants, t)
@@ -389,13 +368,11 @@ func (s *Sampler) tick(now time.Time) {
 		Tenants: make([]TenantWindows, 0, len(tenants)),
 	}
 	for _, t := range tenants {
-		tw := TenantWindows{
+		doc.Tenants = append(doc.Tenants, TenantWindows{
 			Tenant: t,
 			Short:  tenantView(&fr, short, t),
 			Long:   tenantView(&fr, long, t),
-		}
-		doc.Tenants = append(doc.Tenants, tw)
-		s.rateView[t] = tw.Short
+		})
 	}
 	s.winDoc = doc
 
@@ -461,14 +438,7 @@ func (s *Sampler) tick(now time.Time) {
 		}
 	}
 
-	// Registry and event-log work happens outside s.mu (both take their own
-	// locks; the rate-source callbacks take s.mu when polled).
-	for _, t := range newTenants {
-		t := t
-		s.cfg.Registry.RegisterLabeled("rate/"+t,
-			[]cohort.Label{{Key: "tenant", Value: t}},
-			func() []cohort.Metric { return s.rateMetrics(t) })
-	}
+	// Event-log work happens outside s.mu (the log takes its own lock).
 	if s.cfg.Events != nil {
 		for _, tr := range fired {
 			s.cfg.Events.Append(Event{Time: now, Type: tr.typ, Tenant: tr.tenant, Detail: tr.detail})
@@ -803,21 +773,4 @@ func (s *Sampler) evalLocked(cur, short, long *frame, spec SLO, tenant string, s
 		}
 	}
 	return row
-}
-
-// rateMetrics renders one tenant's short-window rates for its "rate/<t>"
-// registry source — the cohort_rate_* gauge families on /metrics.
-func (s *Sampler) rateMetrics(tenant string) []cohort.Metric {
-	s.mu.Lock()
-	v := s.rateView[tenant]
-	s.mu.Unlock()
-	return []cohort.Metric{
-		cohort.FloatMetric("rate_blocks_per_s", v.BlocksPerSec),
-		cohort.FloatMetric("rate_words_in_per_s", v.WordsInPerSec),
-		cohort.FloatMetric("rate_words_out_per_s", v.WordsOutPerSec),
-		cohort.FloatMetric("rate_retries_per_s", v.RetriesPerSec),
-		cohort.FloatMetric("rate_terminal_faults_per_s", v.TerminalFaultsPerSec),
-		cohort.FloatMetric("rate_kills_per_s", v.KillsPerSec),
-		cohort.FloatMetric("rate_errors_per_s", v.ErrorsPerSec),
-	}
 }

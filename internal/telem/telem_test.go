@@ -11,8 +11,8 @@ import (
 )
 
 // fakeTenant wires a synthetic tenant into a registry the way sched does:
-// a "tenant/<name>" counter source and a "latency/<name>" stage-histogram
-// source, both labeled tenant=<name>. Tests mutate the fields between ticks.
+// one "tenant/<name>" source of counters and stage histograms, labeled
+// tenant=<name>. Tests mutate the fields between ticks.
 type fakeTenant struct {
 	name                   string
 	blocks, retries, kills uint64
@@ -23,16 +23,14 @@ type fakeTenant struct {
 func (f *fakeTenant) install(reg *cohort.Registry) {
 	labels := []cohort.Label{{Key: "tenant", Value: f.name}}
 	reg.RegisterLabeled("tenant/"+f.name, labels, func() []cohort.Metric {
+		h := f.compute.Snapshot()
 		return []cohort.Metric{
 			{Name: "blocks", Value: f.blocks},
 			{Name: "retries", Value: f.retries},
 			{Name: "terminal_faults", Value: f.terminal},
 			{Name: "kills", Value: f.kills},
+			{Name: "stage_compute_ns", Histo: &h},
 		}
-	})
-	reg.RegisterLabeled("latency/"+f.name, labels, func() []cohort.Metric {
-		h := f.compute.Snapshot()
-		return []cohort.Metric{{Name: "stage_compute_ns", Histo: &h}}
 	})
 }
 
@@ -247,7 +245,9 @@ func TestSLOExplicitTenantRowWithoutTraffic(t *testing.T) {
 	}
 }
 
-func TestRateGaugeExport(t *testing.T) {
+// TestSelfMetricsExport: the sampler exports its own "telem" source and no
+// per-tenant one, and Stop removes it again.
+func TestSelfMetricsExport(t *testing.T) {
 	reg := cohort.NewRegistry()
 	ft := &fakeTenant{name: "alice"}
 	ft.install(reg)
@@ -257,23 +257,20 @@ func TestRateGaugeExport(t *testing.T) {
 	ft.blocks += 120
 	s.tick(t0.Add(1 * time.Second))
 
+	if n := reg.Len(); n != 2 {
+		t.Errorf("registry holds %d sources, want 2 (tenant/alice and telem)", n)
+	}
 	var b strings.Builder
 	reg.WritePrometheus(&b)
-	out := b.String()
-	want := `cohort_rate_blocks_per_s{source="rate/alice",tenant="alice"} 120`
-	if !strings.Contains(out, want) {
-		t.Fatalf("prometheus output missing %q:\n%s", want, out)
-	}
-	if !strings.Contains(out, "cohort_telem_ticks") {
+	if !strings.Contains(b.String(), "cohort_telem_ticks") {
 		t.Errorf("prometheus output missing sampler self-metrics")
 	}
 
-	// Stop unregisters the sampler's sources again.
 	s.Stop()
 	var b2 strings.Builder
 	reg.WritePrometheus(&b2)
-	if strings.Contains(b2.String(), "cohort_rate_") || strings.Contains(b2.String(), "cohort_telem_") {
-		t.Errorf("sampler sources survive Stop:\n%s", b2.String())
+	if strings.Contains(b2.String(), "cohort_telem_") {
+		t.Errorf("sampler source survives Stop:\n%s", b2.String())
 	}
 }
 
