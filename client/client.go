@@ -4,11 +4,19 @@
 // protocol (cohort/internal/wire) and the daemon's socket handling replace
 // the shared-memory queues.
 //
+// Connect takes the address of a shard or of a gateway. A gateway answers
+// the Open with a Redirect naming the tenant's candidate shards in ring
+// order; Connect sends the same Open to each in turn until one admits the
+// session, so the session's words travel between the client and the shard
+// alone. A candidate that is draining, admission-full or undialable passes
+// the Open to the next one; any other refusal ends the walk.
+//
 // A Conn carries exactly one session. Its TCP connection outlives it when
 // the session ends cleanly — CloseSend sent, results read up to a Done with
 // no Code — and Close then keeps the connection for the next Connect to the
 // same address, which sends its Open on it instead of dialling. Any other
-// ending closes the connection. The typical small-job shape:
+// ending closes the connection. The connection to a gateway is kept after
+// each Redirect. The typical small-job shape:
 //
 //	c, err := client.Connect(addr, client.Options{Tenant: "me", Accel: "sha256"})
 //	out, res, err := c.Stream(words)   // concurrent send + receive
@@ -62,13 +70,6 @@ type Options struct {
 	// server-resident time from an end-to-end measurement isolates network +
 	// client-side cost. Off by default.
 	ServerTiming bool
-	// Cluster, when set, turns on client-side shard routing: Connect fetches
-	// the gateway's /ring snapshot, rebuilds the consistent-hash ring locally,
-	// and dials the tenant's owning shard directly — the data path skips the
-	// gateway proxy hop entirely. The addr argument to Connect becomes the
-	// fallback wire address (normally the gateway's), used when the ring
-	// cannot be fetched. See ClusterOptions.
-	Cluster *ClusterOptions
 }
 
 // ErrRejected wraps the daemon's refusal to open the session (admission
@@ -87,13 +88,16 @@ var ErrAdmission = errors.New("cohort client: admission control full")
 // flushing in-flight sessions. It wraps ErrRejected (errors.Is matches both)
 // and, unlike ErrAdmission, there is nothing to wait for: the right move is
 // to go to another shard immediately, so Options.Reconnect retries it with
-// no pause and no backoff doubling (through a gateway or with
-// Options.Cluster routing, the next attempt lands elsewhere).
+// no pause and no backoff doubling (through a gateway, the next attempt
+// lands elsewhere once the gateway sees the drain). Through a gateway it
+// surfaces only when every candidate refused.
 var ErrDraining = errors.New("cohort client: daemon draining")
 
-// ErrKilled: the daemon forcibly tore the session down mid-stream (operator
-// kill, dead peer verdict). Results already received are valid; the stream is
-// incomplete.
+// ErrKilled: the session ended mid-stream without its final frame — the
+// daemon tore it down (operator kill, dead peer verdict), or the connection
+// to it was lost (the shard died). Results already received are valid; the
+// stream is incomplete, and replaying its residual input on a fresh session
+// is the failover.
 var ErrKilled = errors.New("cohort client: session killed")
 
 // ErrFault: the session's accelerator failed terminally mid-stream and the
@@ -140,12 +144,7 @@ func Connect(addr string, opts Options) (*Conn, error) {
 	if opts.Accel == "" {
 		return nil, errors.New("cohort client: Options.Accel is required")
 	}
-	dial := func() (*Conn, error) { return connect(addr, opts) }
-	if opts.Cluster != nil {
-		// Client-side routing: fetch the ring, dial the shard directly.
-		dial = func() (*Conn, error) { return clusterConnect(addr, opts) }
-	}
-	c, err := dial()
+	c, err := connect(addr, opts)
 	if err == nil || opts.Reconnect <= 0 {
 		return c, err
 	}
@@ -167,7 +166,7 @@ func Connect(addr string, opts Options) (*Conn, error) {
 				pause = maxPause
 			}
 		}
-		if c, err = dial(); err == nil {
+		if c, err = connect(addr, opts); err == nil {
 			return c, nil
 		}
 	}
@@ -188,9 +187,11 @@ func reconnectable(err error) bool {
 // is package-level because Connect is a function.
 var idle wire.Pool
 
-// connect opens one session on addr: on an idle connection when there is
-// one, else on a fresh dial (wire.Pool.Open). The Open always asks the
-// server to keep the connection after a clean Done.
+// connect opens one session through addr. When addr answers with a
+// Redirect, connect walks its candidates: a routing refusal (draining,
+// admission-full) or a failed dial moves to the next, any other refusal
+// ends the walk, and a candidate that redirects again is refused, so
+// redirects never chain.
 func connect(addr string, opts Options) (*Conn, error) {
 	timeout := opts.DialTimeout
 	if timeout <= 0 {
@@ -207,34 +208,66 @@ func connect(addr string, opts Options) (*Conn, error) {
 		// The daemon would refuse it as a bad request; no retry can help.
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
+	var cands [2]string // a gateway names 2 candidates unless told otherwise
+	c, redirect, err := openAt(addr, timeout, open, cands[:0])
+	if c != nil || err != nil {
+		return c, err
+	}
+	for _, cand := range redirect {
+		var again []string
+		if c, again, err = openAt(cand, timeout, open, nil); again != nil {
+			return nil, fmt.Errorf("%w: %s redirected again; a redirect must name shards", ErrRejected, cand)
+		}
+		if err == nil || (errors.Is(err, ErrRejected) && !errors.Is(err, ErrDraining) && !errors.Is(err, ErrAdmission)) {
+			return c, err
+		}
+	}
+	return nil, err
+}
+
+// openAt sends the Open on a connection to addr (wire.Pool.Open: an idle one
+// when there is one, else a fresh dial) and reads the answer: a session, or
+// a Redirect's candidates appended to redirect, with the connection kept
+// for the next Open. Any other answer is an error and closes the
+// connection.
+func openAt(addr string, timeout time.Duration, open []byte, redirect []string) (*Conn, []string, error) {
 	wc, t, payload, err := idle.Open(addr, timeout, open)
 	if err != nil {
-		return nil, fmt.Errorf("cohort client: %w", err)
+		return nil, nil, fmt.Errorf("cohort client: %w", err)
 	}
-	if t == wire.OpenOK {
+	switch t {
+	case wire.OpenOK:
 		rep, err := wire.DecodeOpenReply(payload)
 		if err == nil {
-			return &Conn{wc: wc, session: rep.Session, inW: rep.InWords, outW: rep.OutWords}, nil
+			return &Conn{wc: wc, session: rep.Session, inW: rep.InWords, outW: rep.OutWords}, nil, nil
 		}
 		wc.Close()
-		return nil, err
+		return nil, nil, err
+	case wire.Redirect:
+		redirect, err := wire.DecodeRedirect(payload, redirect)
+		if err != nil {
+			wc.Close()
+			return nil, nil, fmt.Errorf("cohort client: %w", err)
+		}
+		idle.Put(wc)
+		return nil, redirect, nil
 	}
 	// Any other reply ends the connection; payload stays readable.
 	wc.Close()
 	if t != wire.Error {
-		return nil, fmt.Errorf("cohort client: unexpected %s frame before open reply", t)
+		return nil, nil, fmt.Errorf("cohort client: unexpected %s frame before open reply", t)
 	}
 	var rej wire.ErrorReply
 	if err := wire.Unmarshal(t, payload, &rej); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch rej.Code {
 	case wire.CodeAdmission:
-		return nil, fmt.Errorf("%w (%w): %s", ErrAdmission, ErrRejected, rej.Message)
+		return nil, nil, fmt.Errorf("%w (%w): %s", ErrAdmission, ErrRejected, rej.Message)
 	case wire.CodeDraining:
-		return nil, fmt.Errorf("%w (%w): %s", ErrDraining, ErrRejected, rej.Message)
+		return nil, nil, fmt.Errorf("%w (%w): %s", ErrDraining, ErrRejected, rej.Message)
 	}
-	return nil, fmt.Errorf("%w: %s", ErrRejected, rej.Message)
+	return nil, nil, fmt.Errorf("%w: %s", ErrRejected, rej.Message)
 }
 
 // Session returns the daemon-assigned session id.
@@ -307,7 +340,13 @@ func (c *Conn) nextData() ([]cohort.Word, error) {
 	for {
 		t, ws, payload, err := c.wc.R.NextData()
 		if err != nil {
-			c.recvErr = fmt.Errorf("cohort client: recv: %w", err)
+			if c.closed.Load() {
+				c.recvErr = fmt.Errorf("cohort client: recv: %w", err)
+			} else {
+				// The far end went before its final frame: the session is as
+				// dead as a killed one, and a replay is the way on.
+				c.recvErr = fmt.Errorf("%w: connection lost before the final frame: %v", ErrKilled, err)
+			}
 			return nil, c.recvErr
 		}
 		switch t {

@@ -1,24 +1,24 @@
 // Command cohortgw is the fleet front door for a sharded cohortd
-// deployment: a wire-protocol gateway that routes every session to a shard
-// via a consistent-hash ring over tenant keys, proxies frames with the
-// zero-copy codecs, and aggregates the fleet's observability planes.
+// deployment: a wire-protocol gateway that places every session on a shard
+// via a consistent-hash ring over tenant keys, answering each Open with a
+// Redirect to the tenant's candidate shards, and aggregates the fleet's
+// observability planes. No session's words pass through it.
 //
 // Shards are declared statically with -shards and probed continuously over
 // their /healthz endpoints: an unreachable shard or one answering 503 is
 // ejected from the ring ("down"), a shard reporting status "draining" is
 // ejected while its in-flight sessions finish ("draining") — each
 // transition lands in the gateway's /events ring as shard_up / shard_drain
-// / shard_down. An Open whose owner shard refuses (draining, admission
-// full) or cannot be dialed (2s timeout) fails over to the next ring
-// candidate before the client hears anything; a shard lost mid-stream
-// surfaces as a typed CodeKilled error the client's reconnect path replays.
+// / shard_down. A Redirect names two candidates in ring order: a client
+// whose owner shard refuses (draining, admission full) or cannot be dialed
+// opens at the next one, and a shard lost mid-stream surfaces to its client
+// as a typed ErrKilled that the client's reconnect path replays.
 //
 // The -http plane serves the fleet merged: /healthz (per-shard rows plus a
 // fleet verdict — unhealthy only when no shard is routable), /sessions and
 // /stats/slo (every shard's document, attributed), /ring (the routing
-// snapshot clients use for client-side routing via
-// client.Options.Cluster, skipping the proxy hop), /shards, /events and
-// /metrics (routing counters per shard).
+// snapshot, an operator's view of placement), /shards, /events and
+// /metrics (the gateway's Open and rejection counters).
 package main
 
 import (
@@ -67,8 +67,8 @@ func main() {
 
 // Fixed routing knobs: every deployment and test runs these values.
 const (
-	replicas  = 2               // ring candidates an Open may try (failover depth)
-	dialTO    = 2 * time.Second // per-shard dial timeout for proxied sessions
+	replicas  = 2               // ring candidates a Redirect names (failover depth)
+	fetchTO   = 2 * time.Second // per-shard fetch timeout for the merged documents
 	eventsCap = 1024            // structured event ring capacity (/events)
 )
 
@@ -87,8 +87,7 @@ func run(members []cluster.Shard, logger *slog.Logger, listen, httpAddr string, 
 	cat.Start()
 
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Catalog: cat, Replicas: replicas, DialTimeout: dialTO,
-		Registry: reg, Log: logger,
+		Catalog: cat, Replicas: replicas, Registry: reg, Log: logger,
 	})
 	if err != nil {
 		cat.Stop()
@@ -102,7 +101,7 @@ func run(members []cluster.Shard, logger *slog.Logger, listen, httpAddr string, 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- gw.Serve(ln) }()
 
-	fleet := cluster.NewFleet(cat, dialTO)
+	fleet := cluster.NewFleet(cat, fetchTO)
 	var web *obsrv.Server
 	if httpAddr != "" {
 		web = obsrv.New(obsrv.Options{

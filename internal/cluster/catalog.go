@@ -14,8 +14,8 @@ import (
 // -shards) overlaid with live health state from an HTTP probe loop against
 // each shard's /healthz. State transitions rebuild the healthy-only routing
 // ring and emit shard_up / shard_drain / shard_down events, so the gateway's
-// routing decisions, the /ring snapshot clients fetch, and the operator's
-// /events tail all move together, from the same observation.
+// routing decisions, the /ring snapshot, and the operator's /events tail all
+// move together, from the same observation.
 
 // Shard states as reported in /ring and /shards documents.
 const (
@@ -75,8 +75,8 @@ type shardState struct {
 }
 
 // Catalog tracks fleet membership and health, and owns the routing ring.
-// Start launches the probe loop; Route and Snapshot serve the gateway's and
-// clients' routing decisions from the latest observation.
+// Start launches the probe loop; Route serves the gateway's routing
+// decisions and Snapshot the /ring view, both from the latest observation.
 type Catalog struct {
 	cfg    CatalogConfig
 	client *http.Client
@@ -284,16 +284,16 @@ func (c *Catalog) apply(results []probeResult) {
 // the healthy members only.
 func (c *Catalog) Route(key string, n int) []Shard {
 	c.mu.Lock()
-	ring := c.ring
-	byName := make(map[string]Shard, len(c.shards))
-	for _, ss := range c.shards {
-		byName[ss.Name] = ss.Shard
-	}
-	c.mu.Unlock()
-	names := ring.LookupN(key, n)
+	defer c.mu.Unlock()
+	names := c.ring.LookupN(key, n)
 	out := make([]Shard, 0, len(names))
 	for _, name := range names {
-		out = append(out, byName[name])
+		for _, ss := range c.shards {
+			if ss.Name == name {
+				out = append(out, ss.Shard)
+				break
+			}
+		}
 	}
 	return out
 }
@@ -305,8 +305,7 @@ func (c *Catalog) Version() uint64 {
 	return c.version
 }
 
-// Snapshot returns the /ring document: the whole fleet with live state, from
-// which a client rebuilds the healthy ring locally.
+// Snapshot returns the /ring document: the whole fleet with live state.
 func (c *Catalog) Snapshot() RingSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,8 +1,7 @@
 // Fleet loopback tests: real schedulers, real TCP wire servers, a real
 // probing catalog and gateway — two shards' worth of serving stack in one
 // process. External test package because it drives the fleet through the
-// cohort/client package, which itself imports internal/cluster for
-// client-side routing.
+// cohort/client package, as a tenant would.
 package cluster_test
 
 import (
@@ -10,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -22,6 +22,7 @@ import (
 	"cohort/internal/obsrv"
 	"cohort/internal/sched"
 	"cohort/internal/telem"
+	"cohort/internal/wire"
 )
 
 const fleetDeadline = 10 * time.Second
@@ -149,10 +150,9 @@ func (f *fleet) startGateway(t *testing.T, addr string) {
 // shard — deterministic, since the ring is a pure function of membership.
 func (f *fleet) tenantOwnedBy(t *testing.T, shard string) string {
 	t.Helper()
-	sn := f.cat.Snapshot()
 	for i := 0; i < 10000; i++ {
 		name := fmt.Sprintf("tenant-%d", i)
-		if cands := sn.Route(name, 1); len(cands) == 1 && cands[0].Name == shard {
+		if cands := f.cat.Route(name, 1); len(cands) == 1 && cands[0].Name == shard {
 			return name
 		}
 	}
@@ -271,7 +271,7 @@ func TestFleetRoutingAndMergedSessions(t *testing.T) {
 		t.Fatalf("fleet /healthz = %d %s, want 200 ok", code, body)
 	}
 
-	// Streams complete word-identically through the proxy.
+	// Streams complete word-identically on the shards they were redirected to.
 	in := testWords(64)
 	for _, c := range conns {
 		if err := c.CloseSend(); err != nil {
@@ -431,9 +431,9 @@ func TestDrainFailover(t *testing.T) {
 }
 
 // TestShardLossMidStreamFailover: a shard dying mid-stream surfaces as a
-// typed ErrKilled through the gateway (not a bare reset), and the client's
-// replayed session completes on the survivor — failover is client replay,
-// no server-side state migration.
+// typed ErrKilled to a client the gateway placed there (not a bare reset),
+// and the client's replayed session completes on the survivor — failover is
+// client replay, no server-side state migration.
 func TestShardLossMidStreamFailover(t *testing.T) {
 	f := startFleet(t, 2)
 	waitFor(t, "both shards healthy", func() bool {
@@ -465,7 +465,7 @@ func TestShardLossMidStreamFailover(t *testing.T) {
 	}
 	victim.stop()
 
-	// The gateway synthesizes a typed kill for the dead leg.
+	// The client reports the lost shard connection as a typed kill.
 	for {
 		_, err = c.RecvInto(buf)
 		if err != nil {
@@ -481,8 +481,9 @@ func TestShardLossMidStreamFailover(t *testing.T) {
 		t.Fatalf("mid-stream shard loss: err = %v, want ErrKilled", err)
 	}
 
-	// Replay on a fresh session: the gateway walks past the dead shard
-	// (dial failure or catalog ejection, whichever lands first).
+	// Replay on a fresh session: the client walks past the dead shard (dial
+	// failure, or the catalog's ejection leaves it out of the Redirect,
+	// whichever lands first).
 	re, err := client.Connect(f.gwWire, client.Options{Tenant: tenant, Accel: "null", Reconnect: 5})
 	if err != nil {
 		t.Fatalf("replay connect: %v", err)
@@ -504,10 +505,10 @@ func TestShardLossMidStreamFailover(t *testing.T) {
 	}
 }
 
-// TestClientSideRouting: Options.Cluster fetches /ring from the gateway and
-// dials the owning shard directly — the gateway proxies zero frames — and a
-// drain reroutes the next connect to the survivor, still directly.
-func TestClientSideRouting(t *testing.T) {
+// TestRedirectNamesRouteOwner: for 100 tenants, the gateway's Redirect
+// names Catalog.Route's candidates in ring order, owner first, all on one
+// kept gateway connection; and a client placed by it talks to the owner.
+func TestRedirectNamesRouteOwner(t *testing.T) {
 	f := startFleet(t, 2)
 	waitFor(t, "both shards healthy", func() bool {
 		n := 0
@@ -518,64 +519,49 @@ func TestClientSideRouting(t *testing.T) {
 		}
 		return n == 2
 	})
-	owner := f.shards[1]
-	tenant := f.tenantOwnedBy(t, owner.name)
-
-	c, err := client.Connect("", client.Options{
-		Tenant: tenant, Accel: "null",
-		Cluster: &client.ClusterOptions{RingHTTP: f.gwHTTP},
-	})
+	nc, err := net.Dial("tcp", f.gwWire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.RemoteAddr(); got != owner.wire {
-		t.Fatalf("client-side routing dialed %s, want owner shard %s", got, owner.wire)
-	}
-	in := testWords(48)
-	out, res, err := c.Stream(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEcho(t, in, out)
-	if res.Err != "" {
-		t.Fatalf("direct-routed result %+v", res)
-	}
-	c.Close()
-
-	// Drain the owner; once the catalog ejects it the client's next ring
-	// fetch routes the tenant to the survivor — no proxy involved.
-	owner.s.Drain()
-	waitFor(t, "catalog sees draining", func() bool {
-		for _, sh := range f.cat.Snapshot().Shards {
-			if sh.Name == owner.name {
-				return sh.State == cluster.StateDraining
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(fleetDeadline))
+	r, w := wire.NewReader(nc), wire.NewWriter(nc)
+	owners := map[string]int{}
+	for i := 0; i < 100; i++ {
+		tenant := fmt.Sprintf("tenant-%d", i)
+		if err := w.Open(&wire.OpenRequest{Tenant: tenant, Accel: "null", Reuse: true}); err != nil {
+			t.Fatal(err)
+		}
+		typ, p, err := r.Next()
+		if err != nil || typ != wire.Redirect {
+			t.Fatalf("%s: reply %v %v, want redirect", tenant, typ, err)
+		}
+		got, err := wire.DecodeRedirect(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := f.cat.Route(tenant, 2)
+		if len(got) != len(want) {
+			t.Fatalf("%s: redirect names %v, want %d candidates", tenant, got, len(want))
+		}
+		for j := range want {
+			if got[j] != want[j].Addr {
+				t.Fatalf("%s: redirect candidate %d is %s, want %s (%v)", tenant, j, got[j], want[j].Addr, got)
 			}
 		}
-		return false
-	})
-	c2, err := client.Connect("", client.Options{
-		Tenant: tenant, Accel: "null", Reconnect: 3,
-		Cluster: &client.ClusterOptions{RingHTTP: f.gwHTTP},
-	})
-	if err != nil {
-		t.Fatal(err)
+		owners[want[0].Name]++
 	}
-	defer c2.Close()
-	if got, want := c2.RemoteAddr(), f.shards[0].wire; got != want {
-		t.Fatalf("post-drain routing dialed %s, want survivor %s", got, want)
+	if len(owners) != 2 {
+		t.Fatalf("100 tenants all owned by one shard: %v", owners)
+	}
+	if n := f.gwLn.accepts.Load(); n != 1 {
+		t.Fatalf("100 Opens took %d gateway accepts, want 1", n)
 	}
 
-	// Fallback: unreachable ring plane degrades to a proxied session via the
-	// gateway wire address.
-	c3, err := client.Connect(f.gwWire, client.Options{
-		Tenant: tenant, Accel: "null",
-		Cluster: &client.ClusterOptions{RingHTTP: "127.0.0.1:1", FetchTimeout: 200 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatalf("fallback connect: %v", err)
-	}
-	defer c3.Close()
-	if got := c3.RemoteAddr(); got != f.gwWire {
-		t.Fatalf("fallback dialed %s, want gateway %s", got, f.gwWire)
+	owner := f.shards[1]
+	c := mustConnect(t, f.gwWire, client.Options{Tenant: f.tenantOwnedBy(t, owner.name), Accel: "null"})
+	defer c.Close()
+	if got := c.RemoteAddr(); got != owner.wire {
+		t.Fatalf("redirected session landed on %s, want owner shard %s", got, owner.wire)
 	}
 }

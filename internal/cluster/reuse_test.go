@@ -1,9 +1,12 @@
 package cluster_test
 
-// Gateway→shard leg reuse, checked by counting the connections each shard
-// accepts. A session's client sees its Done only after the gateway has
-// settled the leg, so a client that opens its next session on receipt meets
-// a deterministic leg state: no sleeps and no wall-clock asserts.
+// Connection reuse on both hops, checked by counting the connections each
+// listener accepts. The gateway keeps a client's connection after each
+// Redirect; the client keeps its connection to the shard after each clean
+// session and finds it by the shard's address, whether a Redirect named it
+// or the caller did. A session's client sees its Done only after the shard
+// has settled the connection, so a client that opens its next session on
+// receipt meets a deterministic state: no sleeps and no wall-clock asserts.
 
 import (
 	"errors"
@@ -43,8 +46,8 @@ func listenCounting(t *testing.T, addr string) *countingListener {
 }
 
 // restartWire replaces the shard's wire server with a fresh one on the same
-// address, as a restarted cohortd would be. Its idle gateway legs die with
-// the old server.
+// address, as a restarted cohortd would be. The clients' kept connections
+// to it die with the old server.
 func (sp *shardProc) restartWire(t *testing.T) {
 	t.Helper()
 	sp.sv.Close()
@@ -80,15 +83,9 @@ func wantAccepts(t *testing.T, sp *shardProc, want int64, after string) {
 	}
 }
 
-func wantIdle(t *testing.T, f *fleet, sp *shardProc, want int, after string) {
-	t.Helper()
-	if n := f.gw.IdleLegs(sp.name); n != want {
-		t.Fatalf("after %s: gateway holds %d idle legs to %s, want %d", after, n, sp.name, want)
-	}
-}
-
 // TestGatewayReusesShardLeg: sequential clean sessions through the gateway
-// share one shard leg — 50 sessions, one accept.
+// share one shard leg, the client's own kept connection to the shard the
+// Redirect names — 50 sessions, one shard accept.
 func TestGatewayReusesShardLeg(t *testing.T) {
 	f := startFleet(t, 1)
 	for i := 0; i < 50; i++ {
@@ -97,62 +94,9 @@ func TestGatewayReusesShardLeg(t *testing.T) {
 	wantAccepts(t, f.shards[0], 1, "50 sequential sessions")
 }
 
-// TestGatewayRedialsAfterUncleanEnd: a session that ends in an Error, a kill
-// or a quota retire does not leave its leg for the next session, which
-// dials a new one. The gateway parks only the legs the shard keeps, so none
-// of these endings leaves a dead leg on the idle stack.
-func TestGatewayRedialsAfterUncleanEnd(t *testing.T) {
-	f := startFleet(t, 1)
-	sp := f.shards[0]
-	cleanSession(t, f.gwWire, "t")
-	wantAccepts(t, sp, 1, "a clean session")
-	wantIdle(t, f, sp, 1, "a clean session")
-
-	// Error: the shard refuses the Open on the idle leg and closes it.
-	if _, err := client.Connect(f.gwWire, client.Options{Tenant: "t", Accel: "no-such"}); err == nil {
-		t.Fatal("unknown accelerator admitted")
-	}
-	wantIdle(t, f, sp, 0, "an Error")
-	cleanSession(t, f.gwWire, "t")
-	wantAccepts(t, sp, 2, "an Error")
-
-	// Kill: the session dies mid-stream on the shard.
-	c, err := client.Connect(f.gwWire, client.Options{Tenant: "t", Accel: "null"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Send(testWords(8)); err != nil {
-		t.Fatal(err)
-	}
-	if !sp.s.Kill(c.Session()) {
-		t.Fatalf("session %d not live on the shard", c.Session())
-	}
-	if _, _, err := c.Stream(nil); err == nil {
-		t.Fatal("killed session ended without an error")
-	}
-	c.Close()
-	wantIdle(t, f, sp, 0, "a kill")
-	cleanSession(t, f.gwWire, "t")
-	wantAccepts(t, sp, 3, "a kill")
-
-	// Quota: the session is retired with a Done that carries a Code.
-	c, err = client.Connect(f.gwWire, client.Options{Tenant: "t", Accel: "null", Quota: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, res, _ := c.Stream(testWords(16)); res == nil || res.Code == "" {
-		t.Fatalf("quota session result %+v, want a Done with a Code", res)
-	}
-	c.Close()
-	wantIdle(t, f, sp, 0, "a quota retire")
-	cleanSession(t, f.gwWire, "t")
-	wantAccepts(t, sp, 4, "a quota retire")
-	wantIdle(t, f, sp, 1, "a clean session after the quota retire")
-}
-
-// TestGatewayIdleLegAfterShardRestart: the shard behind an idle leg
-// restarts; the next session still gets a clean OpenOK, on a fresh leg to
-// the new server.
+// TestGatewayIdleLegAfterShardRestart: the shard behind the client's idle
+// leg restarts; the next session through the gateway still gets a clean
+// OpenOK, on a fresh leg to the new server dialled inside the Connect.
 func TestGatewayIdleLegAfterShardRestart(t *testing.T) {
 	f := startFleet(t, 1)
 	sp := f.shards[0]
@@ -165,9 +109,9 @@ func TestGatewayIdleLegAfterShardRestart(t *testing.T) {
 }
 
 // TestGatewayIdleLegAfterShardQuiesce: Quiesce does not wait for the
-// gateway's idle leg — it returns true with an hour to go — and the next
-// session for that shard's tenant still opens cleanly, on the ring's next
-// candidate.
+// client's idle leg to the shard — it returns true with an hour to go — and
+// the next session for that shard's tenant still opens cleanly through the
+// gateway, on the Redirect's next candidate.
 func TestGatewayIdleLegAfterShardQuiesce(t *testing.T) {
 	f := startFleet(t, 2)
 	tenant := f.tenantOwnedBy(t, "s0")
@@ -182,35 +126,39 @@ func TestGatewayIdleLegAfterShardQuiesce(t *testing.T) {
 
 // Client connection reuse. The client package keeps a connection whose
 // session ended cleanly and sends its next Open on it; the gateway, like a
-// shard, loops back for that Open. Counting the front's accepts shows which
-// endings keep a connection.
+// shard, loops back for that Open. Counting accepts shows which endings
+// keep a connection.
 
 // front is where a test's client sessions go: a shard directly, or the
-// gateway in front of it.
+// gateway in front of it. Either way the session runs on a connection to
+// the shard, counted by shard; through the gateway, gw counts the
+// connections the Redirects travel on.
 type front struct {
-	name string
-	addr string
-	ln   *countingListener
+	name  string
+	addr  string
+	shard *countingListener
+	gw    *countingListener // nil for the direct front
 }
 
 func fronts(f *fleet) []front {
 	sp := f.shards[0]
 	return []front{
-		{"direct", sp.wire, sp.ln},
-		{"gateway", f.gwWire, f.gwLn},
+		{"direct", sp.wire, sp.ln, nil},
+		{"gateway", f.gwWire, sp.ln, f.gwLn},
 	}
 }
 
 func wantFrontAccepts(t *testing.T, fr front, want int64, after string) {
 	t.Helper()
-	if n := fr.ln.accepts.Load(); n != want {
-		t.Fatalf("after %s: %s accepted %d connections, want %d", after, fr.name, n, want)
+	if n := fr.shard.accepts.Load(); n != want {
+		t.Fatalf("after %s (%s): the shard accepted %d connections, want %d", after, fr.name, n, want)
 	}
 }
 
 // TestClientReusesConnection: sequential clean sessions share one client
 // connection on every hop — 50 through the gateway make one gateway accept
-// and one shard accept, and 50 straight to the shard make one more.
+// and one shard accept, and 50 straight to the shard then run on that same
+// kept shard connection, with no accept at all.
 func TestClientReusesConnection(t *testing.T) {
 	f := startFleet(t, 1)
 	sp := f.shards[0]
@@ -224,12 +172,14 @@ func TestClientReusesConnection(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cleanSession(t, sp.wire, "seq")
 	}
-	wantAccepts(t, sp, 2, "50 more sessions straight to the shard")
+	wantAccepts(t, sp, 1, "50 more sessions straight to the shard")
 }
 
 // TestClientRedialsAfterUncleanEnd: every ending but a clean one closes the
-// client's connection instead of keeping it, so the session after it costs
-// exactly one new accept and the one after that none.
+// client's connection to the shard instead of keeping it, so the session
+// after it costs exactly one new shard accept and the one after that none.
+// Through the gateway, the connection the Redirects travel on is kept
+// through every ending: the gateway never sees how a session ended.
 func TestClientRedialsAfterUncleanEnd(t *testing.T) {
 	endings := []struct {
 		name string
@@ -300,13 +250,22 @@ func TestClientRedialsAfterUncleanEnd(t *testing.T) {
 		for _, e := range endings {
 			t.Run(fr.name+"/"+e.name, func(t *testing.T) {
 				cleanSession(t, fr.addr, "t")
-				before := fr.ln.accepts.Load()
+				before := fr.shard.accepts.Load()
+				var gwBefore int64
+				if fr.gw != nil {
+					gwBefore = fr.gw.accepts.Load()
+				}
 				e.run(t, f.shards[0], fr.addr)
 				wantFrontAccepts(t, fr, before, e.name)
 				cleanSession(t, fr.addr, "t")
 				wantFrontAccepts(t, fr, before+1, "the session after "+e.name)
 				cleanSession(t, fr.addr, "t")
 				wantFrontAccepts(t, fr, before+1, "a second session after "+e.name)
+				if fr.gw != nil {
+					if n := fr.gw.accepts.Load(); n != gwBefore {
+						t.Fatalf("after %s: the gateway accepted %d connections, want 0", e.name, n-gwBefore)
+					}
+				}
 			})
 		}
 	}
@@ -381,10 +340,10 @@ func mustConnect(t *testing.T, addr string, opts client.Options) *client.Conn {
 	return c
 }
 
-// TestGatewayClientReuseRule: the gateway closes a client connection after
-// its session unless the Open asked for reuse and the Done has no Code —
-// the rule a shard applies — and it serves the next Open on one that
-// qualifies.
+// TestGatewayClientReuseRule: the gateway keeps a client connection after
+// its Redirect exactly when the Open asked for reuse, and serves the next
+// Open on it. How the session then ends at the shard — cleanly, or retired
+// by its quota — is nothing the gateway sees, and changes nothing.
 func TestGatewayClientReuseRule(t *testing.T) {
 	f := startFleet(t, 1)
 	for _, tc := range []struct {
@@ -394,27 +353,36 @@ func TestGatewayClientReuseRule(t *testing.T) {
 		keeps bool
 	}{
 		{"clean-reuse", wire.OpenRequest{Tenant: "t", Accel: "null", Reuse: true}, "", true},
-		{"quota-reuse", wire.OpenRequest{Tenant: "t", Accel: "null", Quota: 2, Reuse: true}, wire.CodeQuota, false},
+		{"quota-reuse", wire.OpenRequest{Tenant: "t", Accel: "null", Quota: 2, Reuse: true}, wire.CodeQuota, true},
 		{"clean-no-reuse", wire.OpenRequest{Tenant: "t", Accel: "null"}, "", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := net.Dial("tcp", f.gwWire)
+			gw := rawDial(t, f.gwWire)
+			if err := gw.W.Open(&tc.req); err != nil {
+				t.Fatal(err)
+			}
+			typ, p, err := gw.R.Next()
+			if err != nil || typ != wire.Redirect {
+				t.Fatalf("gateway reply = %v %v, want redirect", typ, err)
+			}
+			cands, err := wire.DecodeRedirect(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-			r, w := wire.NewReader(c), wire.NewWriter(c)
-			if err := w.Open(&tc.req); err != nil {
+
+			// Follow the Redirect and run the session to its Done.
+			sh := rawDial(t, cands[0])
+			if err := sh.W.Open(&tc.req); err != nil {
 				t.Fatal(err)
 			}
-			if typ, _, err := r.Next(); err != nil || typ != wire.OpenOK {
-				t.Fatalf("open reply = %v %v, want open-ok", typ, err)
+			if typ, _, err := sh.R.Next(); err != nil || typ != wire.OpenOK {
+				t.Fatalf("shard reply = %v %v, want open-ok", typ, err)
 			}
-			if w.Words(testWords(16)) != nil || w.Frame(wire.CloseSend, nil) != nil {
+			if sh.W.Words(testWords(16)) != nil || sh.W.Frame(wire.CloseSend, nil) != nil {
 				t.Fatal("send failed")
 			}
 			for {
-				typ, _, p, err := r.NextData()
+				typ, _, p, err := sh.R.NextData()
 				if err != nil {
 					t.Fatalf("result stream: %v", err)
 				}
@@ -427,20 +395,32 @@ func TestGatewayClientReuseRule(t *testing.T) {
 				}
 				break
 			}
+
 			if tc.keeps {
 				// The next Open is served on the same connection.
-				if err := w.Open(&tc.req); err != nil {
+				if err := gw.W.Open(&tc.req); err != nil {
 					t.Fatal(err)
 				}
 			}
-			c.SetReadDeadline(time.Now().Add(fleetDeadline))
-			typ, _, err := r.Next()
+			typ, _, err = gw.R.Next()
 			switch {
-			case tc.keeps && (err != nil || typ != wire.OpenOK):
-				t.Fatalf("second open on the kept connection = %v %v, want open-ok", typ, err)
+			case tc.keeps && (err != nil || typ != wire.Redirect):
+				t.Fatalf("second open on the kept connection = %v %v, want redirect", typ, err)
 			case !tc.keeps && (err == nil || errors.Is(err, os.ErrDeadlineExceeded)):
 				t.Fatalf("read %v %v from a connection the gateway should have closed", typ, err)
 			}
 		})
 	}
+}
+
+// rawDial dials addr for a test that speaks the wire protocol itself.
+func rawDial(t *testing.T, addr string) *wire.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	nc.SetDeadline(time.Now().Add(fleetDeadline))
+	return wire.NewConn(nc)
 }

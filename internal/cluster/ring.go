@@ -1,17 +1,16 @@
 // Package cluster is the fleet layer over cohortd: a consistent-hash ring
 // that assigns tenant keys to shards, a catalog that health-probes the fleet
-// and ejects dying or draining shards, a wire-protocol gateway that routes
-// each session to its shard and proxies frames with the zero-copy codecs,
-// and fleet-level aggregation of the per-shard observability planes.
+// and ejects dying or draining shards, a wire-protocol gateway that answers
+// each Open with a Redirect to its tenant's shards, and fleet-level
+// aggregation of the per-shard observability planes.
 //
 // The design splits routing *policy* from routing *mechanism*. Policy is the
 // ring: a pure, deterministic function from the current healthy shard set to
-// a key→shard map, cheap enough to rebuild on every membership change and to
-// reconstruct client-side from a /ring snapshot. Mechanism is either the
-// gateway (clients dial one front door, the gateway proxies) or the client
-// itself (fetch the snapshot, dial the shard directly, skip the proxy hop) —
-// both walk the same failover candidate order, so a shard's death or drain
-// looks identical through either path.
+// a key→shard map, cheap enough to rebuild on every membership change. The
+// gateway applies it once per Open and names the candidates; the mechanism
+// is the client's, which opens at the first candidate that admits the
+// session and talks to that shard alone. The gateway is the control plane
+// and stays off the data path.
 //
 // Nothing migrates between shards. A session lives and dies on the shard
 // that admitted it; failover means the *client* replays its residual input
@@ -21,6 +20,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -169,23 +169,20 @@ func (r *Ring) LookupN(key string, n int) []string {
 		n = len(r.shards)
 	}
 	out := make([]string, 0, n)
-	seen := make(map[int32]struct{}, n)
 	start := r.find(fnv1a(key))
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if _, ok := seen[p.shard]; ok {
-			continue
+		if name := r.shards[r.points[(start+i)%len(r.points)].shard]; !slices.Contains(out, name) {
+			out = append(out, name)
 		}
-		seen[p.shard] = struct{}{}
-		out = append(out, r.shards[p.shard])
 	}
 	return out
 }
 
-// RingSnapshot is the serialized routing state served on /ring: enough for
-// a client to rebuild the healthy ring locally and dial shards directly,
-// skipping the gateway's proxy hop. Version increments on every catalog
-// rebuild so pollers can cheap-check for membership changes.
+// RingSnapshot is the serialized routing state served on /ring, the
+// operator's view of placement: the ring's parameters and every shard with
+// its live state, from which the gateway's routes can be recomputed.
+// Version increments on every catalog rebuild so pollers can cheap-check
+// for membership changes.
 type RingSnapshot struct {
 	Version uint64      `json:"version"`
 	VNodes  int         `json:"vnodes"`
@@ -204,26 +201,6 @@ type ShardInfo struct {
 	State string `json:"state"`
 	// Err is the last probe failure for a down shard.
 	Err string `json:"err,omitempty"`
-}
-
-// Route rebuilds the healthy ring from the snapshot and returns up to n
-// candidate shards for key in failover order — the client-side twin of
-// Catalog.Route.
-func (sn *RingSnapshot) Route(key string, n int) []ShardInfo {
-	healthy := make([]string, 0, len(sn.Shards))
-	byName := make(map[string]ShardInfo, len(sn.Shards))
-	for _, sh := range sn.Shards {
-		byName[sh.Name] = sh
-		if sh.State == StateHealthy {
-			healthy = append(healthy, sh.Name)
-		}
-	}
-	names := NewRing(healthy, sn.VNodes).LookupN(key, n)
-	out := make([]ShardInfo, 0, len(names))
-	for _, name := range names {
-		out = append(out, byName[name])
-	}
-	return out
 }
 
 // ParseShards parses a -shards flag value: comma-separated entries of the

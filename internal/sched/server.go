@@ -33,12 +33,12 @@ func DefaultCatalog() Catalog {
 
 // Server exposes a Scheduler over the wire protocol: a TCP connection carries
 // one session at a time — one after another while its Opens ask for reuse
-// (the client package's and the gateway's do), one in all otherwise. The
-// reader half of each connection feeds the session input queue (a full
-// queue stops the socket read — per-tenant backpressure reaches all the way
-// back to the remote producer via TCP flow control); the writer half
-// streams results out as the scheduler completes them and finishes with a
-// Done frame carrying the session's counters.
+// (the client package's do), one in all otherwise. The reader half of each
+// connection feeds the session input queue (a full queue stops the socket
+// read — per-tenant backpressure reaches all the way back to the remote
+// producer via TCP flow control); the writer half streams results out as
+// the scheduler completes them and finishes with a Done frame carrying the
+// session's counters.
 //
 // Both halves run the batched wire hot path: inbound Data frames decode into
 // pooled word buffers and land in the input queue with one TryPushSlice per

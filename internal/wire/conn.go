@@ -7,11 +7,16 @@ import (
 	"time"
 )
 
-// KeepsConn is the kept-connection rule every hop applies when a session
+// KeepsConn is the kept-connection rule both ends of a session apply when it
 // ends: the connection stays open for the next Open only if the session's
 // Open set the reuse flag, the client's CloseSend went through, and the
 // final frame was a Done with no Code. done is nil when the final frame was
 // anything else or was never read.
+//
+// A Redirect ends no session, so its rule is the reuse flag alone: the
+// gateway keeps the connection after a Redirect when the Open set the flag,
+// and the client, which always sets it, keeps it too. An Error from a
+// gateway closes the connection, as an Error does on every hop.
 func KeepsConn(reuse, closeSent bool, done *DoneReply) bool {
 	return reuse && closeSent && done != nil && done.Code == ""
 }
@@ -36,10 +41,6 @@ func NewConn(c net.Conn) *Conn {
 // connections than its owner once had sessions open there at the same time.
 // One whose far end has gone stays until the next Open finds it dead.
 type Pool struct {
-	// Conns, when set, tracks every connection the pool hands out, so that
-	// closing it closes the busy ones too and makes Open fail.
-	Conns *ConnSet
-
 	mu     sync.Mutex
 	closed bool
 	idle   map[string][]*Conn
@@ -57,17 +58,12 @@ func (p *Pool) Pop(addr string) *Conn {
 	cs[len(cs)-1] = nil
 	p.idle[addr] = cs[:len(cs)-1]
 	p.mu.Unlock()
-	if p.Conns.track(c) != nil {
-		c.Close()
-		return nil
-	}
 	return c
 }
 
 // Put keeps c for the next Open to its address, or closes it once the pool
 // is closed.
 func (p *Pool) Put(c *Conn) {
-	p.Conns.forget(c)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -78,12 +74,6 @@ func (p *Pool) Put(c *Conn) {
 		p.idle = make(map[string][]*Conn)
 	}
 	p.idle[c.addr] = append(p.idle[c.addr], c)
-}
-
-// Drop closes c for good.
-func (p *Pool) Drop(c *Conn) {
-	p.Conns.forget(c)
-	c.Close()
 }
 
 // Close closes every idle connection; a Put after it closes its connection.
@@ -117,10 +107,6 @@ func (p *Pool) Open(addr string, timeout time.Duration, open []byte) (*Conn, Typ
 			}
 			c = NewConn(nc)
 			c.addr = addr
-			if err := p.Conns.track(c); err != nil {
-				nc.Close()
-				return nil, 0, nil, err
-			}
 		}
 		var err error
 		if werr := c.W.ReuseOpen(open); werr != nil {
@@ -130,7 +116,7 @@ func (p *Pool) Open(addr string, timeout time.Duration, open []byte) (*Conn, Typ
 		} else {
 			return c, t, reply, nil
 		}
-		p.Drop(c)
+		c.Close()
 		if !kept {
 			return nil, 0, nil, err
 		}
@@ -138,10 +124,8 @@ func (p *Pool) Open(addr string, timeout time.Duration, open []byte) (*Conn, Typ
 	}
 }
 
-// ConnSet is the serving end of every hop: it accepts connections and runs
-// their sessions, tracks them and the connections a Pool dials for its
-// owner (Pool.Conns), and closes them on Close or Quiesce. A nil *ConnSet
-// tracks nothing.
+// ConnSet is the serving end of every hop: it accepts connections, runs
+// their sessions, tracks them, and closes them on Close or Quiesce.
 type ConnSet struct {
 	closedErr error
 	wg        sync.WaitGroup
@@ -152,8 +136,8 @@ type ConnSet struct {
 	conns  map[net.Conn]bool // tracked connections; true while idle between sessions
 }
 
-// NewConnSet returns an empty set whose Serve, and the Open of a Pool it
-// tracks for, report closedErr once it is closed.
+// NewConnSet returns an empty set whose Serve reports closedErr once it is
+// closed.
 func NewConnSet(closedErr error) *ConnSet {
 	return &ConnSet{closedErr: closedErr, conns: make(map[net.Conn]bool)}
 }
@@ -230,20 +214,8 @@ func (s *ConnSet) mark(c net.Conn, idle, handler bool) bool {
 	return true
 }
 
-// track adds c to the set, so that Close closes it, or returns the set's
-// closed error once it is closed.
-func (s *ConnSet) track(c net.Conn) error {
-	if s == nil || s.mark(c, false, false) {
-		return nil
-	}
-	return s.closedErr
-}
-
 // forget removes c from the set.
 func (s *ConnSet) forget(c net.Conn) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()

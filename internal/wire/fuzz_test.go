@@ -10,9 +10,9 @@ import (
 )
 
 // FuzzReader throws arbitrary byte streams at both deframers and checks the
-// invariants that the serving stack leans on: no panic, no crash, every
-// returned Data payload word-aligned and within MaxFrame, and Next/NextData
-// agreeing frame for frame on the same input. The seed corpus
+// invariants that the serving stack leans on: no panic, no crash, no frame
+// type past Redirect, every returned Data payload word-aligned and within
+// MaxFrame, and Next/NextData agreeing frame for frame on the same input. The seed corpus
 // (testdata/fuzz/FuzzReader) pins the interesting shapes: valid
 // conversations, truncated headers, truncated payloads, oversized lengths,
 // invalid types and misaligned Data.
@@ -39,6 +39,8 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{byte(Data), 0, 0, 0, 12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}) // misaligned data
 	f.Add([]byte{byte(Data), 0, 0, 0, 16, 1, 2, 3})                               // truncated payload
 	f.Add([]byte{byte(Done), 0, 0, 0, 2, '{', '}'})                               // control frame
+	f.Add([]byte{byte(Redirect), 0, 0, 0, 6, 1, 3, 0, 'a', ':', '1'})             // redirect frame
+	f.Add([]byte{byte(Redirect) + 1, 0, 0, 0, 0})                                 // first type past the last
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ra := NewReader(bytes.NewReader(data))
@@ -58,7 +60,7 @@ func FuzzReader(f *testing.F) {
 			if ta != tb {
 				t.Fatalf("frame %d: Next type %v, NextData type %v", frame, ta, tb)
 			}
-			if ta < Open || ta > Telemetry {
+			if ta < Open || ta > Redirect {
 				t.Fatalf("frame %d: invalid type %d returned without error", frame, ta)
 			}
 			if len(pa) > MaxFrame {
@@ -138,6 +140,58 @@ func FuzzOpen(f *testing.F) {
 		var again OpenRequest
 		if err := DecodeOpen(b, &again); err != nil || !reflect.DeepEqual(again, req) {
 			t.Fatalf("round trip: %+v (%v), want %+v", again, err, req)
+		}
+	})
+}
+
+// FuzzRedirect throws arbitrary payloads at the Redirect decoder and checks:
+// no panic; a refused payload leaves dst as it was; and every accepted
+// payload names 1 to maxRedirectAddrs non-empty addresses within
+// maxAddrBytes and is canonical — it re-encodes to the same bytes.
+func FuzzRedirect(f *testing.F) {
+	for _, addrs := range [][]string{
+		{"127.0.0.1:7411"},
+		{"10.0.0.1:7411", "10.0.0.2:7411"},
+		{"a:1", "b:2", "c:3", "d:4", "e:5", "f:6", "g:7", "h:8"},
+	} {
+		b, err := AppendRedirect(nil, addrs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+		f.Add(append(b, 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{9})
+	f.Add([]byte{1, 0, 0})
+	f.Add([]byte{1, 0xff, 0xff})
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		dst := []string{"kept"}
+		got, err := DecodeRedirect(p, dst)
+		if err != nil {
+			if len(got) != 1 || got[0] != "kept" {
+				t.Fatalf("refused payload left dst %q", got)
+			}
+			return
+		}
+		addrs := got[1:]
+		if len(addrs) == 0 || len(addrs) > maxRedirectAddrs {
+			t.Fatalf("accepted %d candidates", len(addrs))
+		}
+		for _, a := range addrs {
+			if len(a) == 0 || len(a) > maxAddrBytes {
+				t.Fatalf("accepted a %d-byte address", len(a))
+			}
+		}
+		b, err := AppendRedirect(nil, addrs)
+		if err != nil {
+			t.Fatalf("accepted %q does not re-encode: %v", addrs, err)
+		}
+		if !bytes.Equal(b, p) {
+			t.Fatalf("re-encode differs:\n got %x\nwant %x", b, p)
 		}
 	})
 }

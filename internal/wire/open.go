@@ -21,11 +21,10 @@ type OpenRequest struct {
 	// server-side stage-latency breakdown and to attach the final breakdown
 	// to Done (DoneReply.Timing).
 	Timing bool
-	// Reuse asks the server to keep the connection open after a clean Done
-	// so the next Open can follow on it. Every hop sets it: the client
-	// package on each Open, the gateway on each Open it forwards to a shard.
-	// Without it the connection carries one session and closes after the
-	// final frame.
+	// Reuse asks the server to keep the connection open after a clean Done,
+	// or a gateway after its Redirect, so the next Open can follow on it.
+	// The client package sets it on every Open. Without it the connection
+	// carries one Open and closes after the answer's final frame.
 	Reuse bool
 }
 
@@ -52,6 +51,18 @@ const (
 	maxTenantBytes = math.MaxUint8
 	maxAccelBytes  = math.MaxUint8
 	maxCSRBytes    = math.MaxUint16
+)
+
+// Bounds on the quantities a client chooses for the server. An Open past
+// either one is malformed: the server would otherwise allocate what the
+// client asks for (two queues of queue_cap words) or let one session claim
+// the workers (a stride weight of 2^31).
+const (
+	// MaxQueueCap is the largest per-direction queue a session may ask
+	// for, in words (512 KiB per queue).
+	MaxQueueCap = 1 << 16
+	// MaxWeight is the largest stride weight a session may ask for.
+	MaxWeight = 1 << 10
 )
 
 // openFixed is the size of the Open payload's fixed part: version, flags,
@@ -110,10 +121,22 @@ func (req *OpenRequest) Validate() error {
 		return fmt.Errorf("wire: open accel is %d bytes, max %d", len(req.Accel), maxAccelBytes)
 	case len(req.CSR) > maxCSRBytes:
 		return fmt.Errorf("wire: open csr is %d bytes, max %d", len(req.CSR), maxCSRBytes)
-	case req.Weight < math.MinInt32 || req.Weight > math.MaxInt32:
+	case req.Weight < math.MinInt32:
 		return fmt.Errorf("wire: open weight %d out of int32 range", req.Weight)
-	case req.QueueCap < math.MinInt32 || req.QueueCap > math.MaxInt32:
+	case req.QueueCap < math.MinInt32:
 		return fmt.Errorf("wire: open queue_cap %d out of int32 range", req.QueueCap)
+	}
+	return checkBounds(req.Weight, req.QueueCap)
+}
+
+// checkBounds refuses a weight above MaxWeight or a queue_cap above
+// MaxQueueCap.
+func checkBounds(weight, queueCap int) error {
+	if weight > MaxWeight {
+		return fmt.Errorf("wire: open weight %d above MaxWeight %d", weight, MaxWeight)
+	}
+	if queueCap > MaxQueueCap {
+		return fmt.Errorf("wire: open queue_cap %d above MaxQueueCap %d", queueCap, MaxQueueCap)
 	}
 	return nil
 }
@@ -127,8 +150,8 @@ type openFields struct {
 }
 
 // parseOpen validates p against the Open layout without copying: the
-// version, the flag bits, every length prefix, and that nothing trails the
-// CSR.
+// version, the flag bits, the weight and queue_cap bounds, every length
+// prefix, and that nothing trails the CSR.
 func parseOpen(p []byte) (openFields, error) {
 	var f openFields
 	if len(p) < openFixed {
@@ -144,6 +167,9 @@ func parseOpen(p []byte) (openFields, error) {
 	f.weight = int32(binary.LittleEndian.Uint32(p[2:]))
 	f.quota = binary.LittleEndian.Uint64(p[6:])
 	f.queueCap = int32(binary.LittleEndian.Uint32(p[14:]))
+	if err := checkBounds(int(f.weight), int(f.queueCap)); err != nil {
+		return f, err
+	}
 	rest := p[openFixed:]
 	var ok bool
 	if f.tenant, rest, ok = lenField(rest, 1); !ok {
@@ -180,8 +206,9 @@ func lenField(b []byte, prefix int) (field, rest []byte, ok bool) {
 
 // DecodeOpen decodes an Open payload into req. The strings and CSR are
 // copies, so req outlives the reader's scratch buffer. A malformed payload
-// — wrong version, unknown flag bits, a truncated field, trailing bytes —
-// is an error the server answers with CodeBadRequest.
+// — wrong version, unknown flag bits, a field past its bound, a truncated
+// field, trailing bytes — is an error the server answers with
+// CodeBadRequest.
 func DecodeOpen(p []byte, req *OpenRequest) error {
 	f, err := parseOpen(p)
 	if err != nil {
@@ -226,6 +253,76 @@ func DecodeOpenReply(p []byte) (OpenReply, error) {
 		InWords:  int(binary.LittleEndian.Uint32(p[8:])),
 		OutWords: int(binary.LittleEndian.Uint32(p[12:])),
 	}, nil
+}
+
+// Redirect bounds: a gateway names at most maxRedirectAddrs candidates,
+// and each is a host:port dial string no longer than a DNS name (253
+// bytes), a colon and a five-digit port.
+const (
+	maxRedirectAddrs = 8
+	maxAddrBytes     = 253 + 1 + 5
+)
+
+// errRedirectShort is every truncation of a Redirect.
+var errRedirectShort = errors.New("wire: redirect payload truncated")
+
+// AppendRedirect appends the Redirect payload naming addrs, in the order
+// the client is to try them, to dst. The layout:
+//
+//	count u8 | count × (addr u16-len, bytes)
+//
+// Between one and maxRedirectAddrs addresses, each 1 to maxAddrBytes bytes
+// long; anything else is an error.
+func AppendRedirect(dst []byte, addrs []string) ([]byte, error) {
+	if len(addrs) == 0 || len(addrs) > maxRedirectAddrs {
+		return dst, fmt.Errorf("wire: redirect names %d candidates, want 1 to %d", len(addrs), maxRedirectAddrs)
+	}
+	dst = append(dst, byte(len(addrs)))
+	for _, a := range addrs {
+		if len(a) == 0 || len(a) > maxAddrBytes {
+			return dst, fmt.Errorf("wire: redirect address is %d bytes, want 1 to %d", len(a), maxAddrBytes)
+		}
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(a)))
+		dst = append(dst, a...)
+	}
+	return dst, nil
+}
+
+// DecodeRedirect appends the addresses of a Redirect payload, as copies, to
+// dst. It refuses zero candidates, more than maxRedirectAddrs, an empty or
+// over-long address, a truncated field and trailing bytes.
+func DecodeRedirect(p []byte, dst []string) ([]string, error) {
+	if len(p) == 0 {
+		return dst, errRedirectShort
+	}
+	n := int(p[0])
+	if n == 0 || n > maxRedirectAddrs {
+		return dst, fmt.Errorf("wire: redirect names %d candidates, want 1 to %d", n, maxRedirectAddrs)
+	}
+	out, rest := dst, p[1:]
+	for i := 0; i < n; i++ {
+		a, r, ok := lenField(rest, 2)
+		if !ok {
+			return dst, errRedirectShort
+		}
+		if len(a) == 0 || len(a) > maxAddrBytes {
+			return dst, fmt.Errorf("wire: redirect address is %d bytes, want 1 to %d", len(a), maxAddrBytes)
+		}
+		out, rest = append(out, string(a)), r
+	}
+	if len(rest) > 0 {
+		return dst, fmt.Errorf("wire: redirect payload has %d trailing bytes", len(rest))
+	}
+	return out, nil
+}
+
+// Redirect writes a Redirect frame naming addrs (AppendRedirect).
+func (fw *Writer) Redirect(addrs []string) error {
+	b, err := AppendRedirect(fw.buf[:0], addrs)
+	if err != nil {
+		return err
+	}
+	return fw.control(Redirect, b)
 }
 
 // Open writes req as an Open frame.

@@ -3,19 +3,28 @@
 // serving scheduler. A connection carries one session at a time.
 //
 // Every frame is a 1-byte type, a 4-byte big-endian payload length, and the
-// payload. Open and OpenOK payloads are a fixed little-endian binary layout
-// (AppendOpen, Writer.OpenOK); Error, Done and Telemetry payloads are
-// JSON. Data payloads are packed little-endian 64-bit words, matching the
-// in-memory queue representation so the daemon can move them with a single
-// copy.
+// payload. Open, OpenOK and Redirect payloads are fixed little-endian binary
+// layouts (AppendOpen, Writer.OpenOK, AppendRedirect); Error, Done and
+// Telemetry payloads are JSON. Data payloads are packed little-endian 64-bit
+// words, matching the in-memory queue representation so the daemon can move
+// them with a single copy.
 //
 // Conversation shape:
 //
-//	client                          server
+//	client                          shard
 //	  Open{tenant,accel,...}  --->
 //	                          <---  OpenOK{session,in_words,out_words}   (or Error)
 //	  Data* / CloseSend       --->
 //	                          <---  Data* ... Done{stats,err}
+//
+// A gateway (cluster.Gateway) answers an Open with a Redirect naming the
+// tenant's candidate shards in ring order, or with an Error when no shard
+// is healthy, and carries nothing else. The client then sends the same Open
+// to each candidate in turn until one answers OpenOK or refuses terminally:
+//
+//	client                          gateway
+//	  Open{tenant,...}        --->
+//	                          <---  Redirect{addr,...}                   (or Error)
 //
 // Data flows full-duplex after OpenOK: the server streams results as blocks
 // complete, while the client is still sending. The server's final frame is
@@ -26,12 +35,14 @@
 // The connection closes after the final frame, with one exception: an Open
 // with the reuse flag (OpenRequest.Reuse) whose session ends in a Done with
 // no Code, after the server has read the client's CloseSend, leaves the
-// connection open for the next Open. Every hop sets the flag, so one TCP
-// connection serves its sessions one after another. This package owns that
-// lifecycle for all three hops, and the client package, sched.Server and
-// cluster.Gateway keep no copy of it: the rule both ends apply (KeepsConn),
-// the dialler's kept connections with their redial-once Open (Pool), and
-// the serving end's accept, track, close and quiesce (ConnSet).
+// connection open for the next Open. A Redirect ends no session, and the
+// gateway keeps the connection after it whenever the Open set the flag. The
+// client sets the flag on every Open, so one TCP connection serves its
+// sessions one after another on each hop. This package owns that lifecycle
+// for both hops, and the client package, sched.Server and cluster.Gateway
+// keep no copy of it: the rule both ends apply (KeepsConn), the dialler's
+// kept connections with their redial-once Open (Pool), and the serving
+// end's accept, track, close and quiesce (ConnSet).
 //
 // A session's last results and its Done may share one write
 // (Writer.WordsDone); they are still two frames, and a reader sees nothing
@@ -45,7 +56,11 @@
 //
 // OpenOK layout: session u64 | in_words u32 | out_words u32. A malformed Open
 // (wrong version, unknown flag bits, a field running past the payload,
-// trailing bytes) is answered with CodeBadRequest.
+// trailing bytes, a weight above MaxWeight or a queue_cap above MaxQueueCap)
+// is answered with CodeBadRequest.
+//
+// Redirect layout: count u8 | count × addr u16-len+bytes, between one and a
+// small constant number of non-empty host:port addresses, nothing after.
 //
 // # Hot path
 //
@@ -95,6 +110,10 @@ const (
 	// (OpenRequest.Timing) — a client that never opts in never sees the
 	// frame type, so old clients stay compatible.
 	Telemetry Type = 7
+	// Redirect is a gateway → client binary list of the tenant's candidate
+	// shard addresses in ring order (AppendRedirect), the gateway's whole
+	// answer to an Open.
+	Redirect Type = 8
 )
 
 func (t Type) String() string {
@@ -113,6 +132,8 @@ func (t Type) String() string {
 		return "done"
 	case Telemetry:
 		return "telemetry"
+	case Redirect:
+		return "redirect"
 	}
 	return fmt.Sprintf("type(%d)", byte(t))
 }
@@ -437,7 +458,7 @@ func (fr *Reader) readHeader() (Type, int, error) {
 	}
 	t := Type(fr.hdr[0])
 	n := int(binary.BigEndian.Uint32(fr.hdr[1:]))
-	if t < Open || t > Telemetry {
+	if t < Open || t > Redirect {
 		return 0, 0, fmt.Errorf("wire: invalid frame type %d", fr.hdr[0])
 	}
 	if n > MaxFrame {
