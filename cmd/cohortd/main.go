@@ -62,7 +62,6 @@ import (
 	"cohort"
 	"cohort/client"
 	"cohort/internal/obsrv"
-	"cohort/internal/policy"
 	"cohort/internal/sched"
 	"cohort/internal/telem"
 )
@@ -84,12 +83,6 @@ const (
 	drainTimeout = 30 * time.Second // max wait for in-flight sessions when draining
 )
 
-// policyConfig carries the adaptive-controller flags into run.
-type policyConfig struct {
-	enabled bool
-	spec    policy.Spec
-}
-
 func main() {
 	var (
 		listen        = flag.String("listen", "127.0.0.1:7411", "serve the wire protocol on this TCP address")
@@ -104,8 +97,6 @@ func main() {
 		sloTick       = flag.Duration("slo-tick", time.Second, "telemetry sampling period")
 		sloShort      = flag.Duration("slo-short", 10*time.Second, "short observation window for rates, quantiles and burn rates")
 		sloLong       = flag.Duration("slo-long", 5*time.Minute, "long observation window for burn-rate confirmation")
-		adaptive      = flag.Bool("adaptive", false, "enable the online policy controller: an epsilon-greedy bandit over scheduler-wide (quantum, coalesce) arms, deciding on every telemetry sampler tick (-slo-tick); decisions land on /policy, /events and cohort_policy_* metrics")
-		policySpec    = flag.String("policy", "", "adaptive-controller spec: JSON object literal or @file, e.g. {\"quantum\":[8,32,128],\"coalesce_words\":[1024,65536],\"epsilon\":0.1}")
 		drain         = flag.Bool("drain", false, "drain on SIGTERM/SIGINT: stop admitting sessions, flush the in-flight ones (up to 30s), then exit — the rolling-restart path; /drain (POST) starts a drain early")
 		logLevel      = flag.String("log-level", "info", "log floor: debug, info, warn or error")
 		smoke         = flag.Bool("smoke", false, "run the loopback self-test and exit")
@@ -125,12 +116,6 @@ func main() {
 		os.Exit(2)
 	}
 	tc := telemConfig{slos: slos, tick: *sloTick, short: *sloShort, long: *sloLong}
-	spec, err := policy.ParseSpec(*policySpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cohortd: %v\n", err)
-		os.Exit(2)
-	}
-	pc := policyConfig{enabled: *adaptive, spec: spec}
 
 	cfg := sched.Config{
 		Engines: *engines, Quantum: *quantum, SwitchCost: *switchCost,
@@ -145,13 +130,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(cfg, tc, pc, logger, *listen, *httpAddr, *drain); err != nil {
+	if err := run(cfg, tc, logger, *listen, *httpAddr, *drain); err != nil {
 		logger.Error("cohortd exiting", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger, listen, httpAddr string, drain bool) error {
+func run(cfg sched.Config, tc telemConfig, logger *slog.Logger, listen, httpAddr string, drain bool) error {
 	reg := cohort.NewRegistry()
 	flight := cohort.NewFlightRecorder(4096)
 	cfg.Registry = reg
@@ -201,41 +186,18 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 	})
 	sampler.Start()
 
-	// Adaptive orchestration (-adaptive): the policy controller closes the
-	// loop from the sampler's windowed frames back into the scheduler's
-	// retune path. Decisions are observable on /policy, /events
-	// (policy_switch) and the cohort_policy_* metric families.
-	var ctl *policy.Controller
-	var cancelSub func()
-	if pc.enabled {
-		frames, cancel := sampler.Subscribe(1)
-		cancelSub = cancel
-		ctl = policy.New(pc.spec.Apply(policy.Config{
-			Sched:    s,
-			Frames:   frames,
-			Registry: reg,
-			Events:   events,
-		}))
-		ctl.Start()
-		logger.Info("adaptive controller up", "arms", len(ctl.Doc().Arms))
-	}
-
 	var web *obsrv.Server
 	if httpAddr != "" {
-		docs := map[string]func() any{
-			"/sessions":      func() any { return s.Sessions() },
-			"/stats/latency": func() any { return s.LatencyStats() },
-			"/stats/slo":     func() any { return sampler.Status() },
-			"/stats/windows": func() any { return sampler.Windows() },
-		}
-		if ctl != nil {
-			docs["/policy"] = func() any { return ctl.Doc() }
-		}
 		web = obsrv.New(obsrv.Options{
 			MetricsText: reg.WritePrometheus,
 			TraceJSON:   func(w io.Writer) error { return flight.WriteChrome(w, "cohortd") },
 			Events:      func(since uint64, max int) any { return events.PageSince(since, max) },
-			Docs:        docs,
+			Docs: map[string]func() any{
+				"/sessions":      func() any { return s.Sessions() },
+				"/stats/latency": func() any { return s.LatencyStats() },
+				"/stats/slo":     func() any { return sampler.Status() },
+				"/stats/windows": func() any { return sampler.Windows() },
+			},
 			// /drain: POST starts draining (stop admitting, flush in-flight
 			// sessions); GET reads progress. Either way the response is the
 			// live drain-progress document.
@@ -285,10 +247,6 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 			},
 		})
 		if err := web.Serve(httpAddr); err != nil {
-			if ctl != nil {
-				cancelSub()
-				ctl.Stop()
-			}
 			sampler.Stop()
 			dog.Stop()
 			sv.Close()
@@ -336,12 +294,6 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 		},
 		func() { sv.Close() },
 		func() { s.Close() },
-		func() {
-			if ctl != nil {
-				cancelSub()
-				ctl.Stop()
-			}
-		},
 		func() { sampler.Stop() },
 		func() { dog.Stop() },
 		func() {

@@ -11,17 +11,15 @@
 // coordinated-omission trap of closed-loop generators). -rate 0 disables
 // pacing and measures saturation goodput instead.
 //
-// Each arrival is one -batch-word request. The client packs every arrival
-// due at wake-up into one zero-copy Data frame (up to 64 arrivals, via
-// SendN).
+// Each arrival is one 64-word request. The client packs every arrival due
+// at wake-up into one zero-copy Data frame (up to 64 arrivals, via SendN).
 //
-// With an empty -addr the daemon runs in-process on a loopback listener.
-// -slo-p99 turns the run into a pass/fail verdict, and -ab compares static
-// and adaptive scheduling over the same arrival trace.
+// With an empty -addr the daemon runs in-process on a loopback listener,
+// serving 64-word echo blocks at a quantum of 64 blocks with no modeled
+// switch cost. -slo-p99 turns the run into a pass/fail verdict.
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -47,32 +45,12 @@ func main() {
 	log.SetPrefix("cohortload: ")
 	var cfg runConfig
 	flag.StringVar(&cfg.addr, "addr", "", "drive external daemons: one address (a cohortd, or a cohortgw front door) or a comma-separated shard list to spread sessions round-robin (empty: spawn one in-process)")
-	flag.StringVar(&cfg.accel, "accel", "echo", "accelerator to open sessions on (spawned daemons add \"echo\" with -block geometry)")
-	flag.IntVar(&cfg.block, "block", 64, "echo accelerator block size in words (spawned daemons only)")
+	flag.StringVar(&cfg.accel, "accel", "echo", "accelerator to open sessions on (spawned daemons add \"echo\" with 64-word blocks)")
 	flag.IntVar(&cfg.tenants, "tenants", 4, "concurrent tenant sessions")
-	flag.IntVar(&cfg.batch, "batch", 64, "words per arrival (one open-loop request)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "aggregate Poisson arrival rate in batches/sec across all tenants (0: unthrottled saturation)")
 	flag.DurationVar(&cfg.duration, "duration", 3*time.Second, "send window per run")
-	flag.IntVar(&cfg.quantum, "quantum", 64, "spawned daemon: blocks per scheduling decision")
-	flag.DurationVar(&cfg.switchCost, "switch-cost", 0, "spawned daemon: modeled CSR-swap cost per session switch")
-	ab := flag.String("ab", "", "static-vs-adaptive A/B over the same Poisson trace and a skewed tenant mix, e.g. \"static,adaptive\" (modes: static, static:q=N, adaptive); spawned daemons only")
-	abOut := flag.String("ab-report", "", "A/B JSON report path (empty: skip)")
 	sloP99 := flag.Duration("slo-p99", 0, "SLO verdict mode: fail (exit 1) if the run's end-to-end block p99 exceeds this (0: off)")
 	flag.Parse()
-
-	if cfg.batch%cfg.block != 0 {
-		log.Fatalf("-batch %d must be a multiple of -block %d", cfg.batch, cfg.block)
-	}
-	if *ab != "" {
-		if cfg.addr != "" {
-			log.Fatal("-ab needs spawned daemons; drop -addr")
-		}
-		fmt.Printf("goos: %s\ngoarch: %s\npkg: cohort/cmd/cohortload\n", runtime.GOOS, runtime.GOARCH)
-		if err := runAB(cfg, *ab, *abOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	fmt.Printf("goos: %s\ngoarch: %s\npkg: cohort/cmd/cohortload\n", runtime.GOOS, runtime.GOARCH)
 	r, err := oneRun(cfg)
@@ -96,22 +74,21 @@ func main() {
 
 // Fixed load-shape knobs: every run uses these values.
 const (
+	block    = 64    // echo accelerator block size in words (spawned daemons)
+	batch    = 64    // words per arrival (one open-loop request); a multiple of block
 	coalesce = 64    // max due arrivals packed per Data frame via SendN
 	engines  = 2     // spawned daemon: engine pool size
+	quantum  = 64    // spawned daemon: blocks per scheduling decision
 	queueCap = 16384 // spawned daemon: per-direction session queue capacity in words
 	seed     = 1     // arrival-process RNG seed
 )
 
 type runConfig struct {
-	addr       string
-	accel      string
-	block      int
-	tenants    int
-	batch      int
-	rate       float64
-	duration   time.Duration
-	quantum    int
-	switchCost time.Duration
+	addr     string
+	accel    string
+	tenants  int
+	rate     float64
+	duration time.Duration
 }
 
 // runResult is one run's aggregate: what the benchstat line and the SLO
@@ -193,58 +170,29 @@ func aggregateStages(ts []*wire.TelemetryReply) *serverStages {
 	return agg
 }
 
-// echoAccel is the load-generator geometry knob: a block pass-through of
-// -block words, so wire/scheduler cost dominates and compute does not.
-type echoAccel struct{ out []cohort.Word }
+// echoAccel is a block pass-through of block words, so wire and scheduler
+// cost dominate and compute does not.
+type echoAccel struct{ out [block]cohort.Word }
 
-func newEcho(block int) *echoAccel { return &echoAccel{out: make([]cohort.Word, block)} }
-
-func (e *echoAccel) Name() string  { return "echo" }
-func (e *echoAccel) InWords() int  { return len(e.out) }
-func (e *echoAccel) OutWords() int { return len(e.out) }
-
-// Configure accepts an optional 8-byte little-endian block size, so one
-// daemon can serve tenants with different echo geometries (the A/B harness
-// mixes small latency-sensitive blocks with large throughput blocks through
-// client.Options.CSR). An empty CSR keeps the daemon's -block default.
-func (e *echoAccel) Configure(csr []byte) error {
-	if len(csr) == 0 {
-		return nil
-	}
-	if len(csr) != 8 {
-		return fmt.Errorf("echo csr: want 8 bytes, got %d", len(csr))
-	}
-	n := int(binary.LittleEndian.Uint64(csr))
-	if n < 1 || n > wire.MaxFrameWords {
-		return fmt.Errorf("echo csr: block size %d out of range [1, %d]", n, wire.MaxFrameWords)
-	}
-	e.out = make([]cohort.Word, n)
-	return nil
-}
-
-// echoCSR encodes a block size for Configure.
-func echoCSR(block int) []byte {
-	csr := make([]byte, 8)
-	binary.LittleEndian.PutUint64(csr, uint64(block))
-	return csr
-}
+func (e *echoAccel) Name() string           { return "echo" }
+func (e *echoAccel) InWords() int           { return block }
+func (e *echoAccel) OutWords() int          { return block }
+func (e *echoAccel) Configure([]byte) error { return nil }
 
 func (e *echoAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
-	copy(e.out, in)
-	return e.out, nil
+	copy(e.out[:], in)
+	return e.out[:], nil
 }
 
 // spawnDaemon brings up an in-process scheduler + wire server on a loopback
 // listener, with the default catalog plus the echo geometry.
 func spawnDaemon(cfg runConfig) (addr string, stop func(), err error) {
 	s := sched.New(sched.Config{
-		Engines: engines, Quantum: cfg.quantum, QueueCap: queueCap,
-		SwitchCost:  cfg.switchCost,
+		Engines: engines, Quantum: quantum, QueueCap: queueCap,
 		MaxSessions: 2*cfg.tenants + 8,
 	})
 	cat := sched.DefaultCatalog()
-	blk := cfg.block
-	cat["echo"] = func() (cohort.Accelerator, error) { return newEcho(blk), nil }
+	cat["echo"] = func() (cohort.Accelerator, error) { return new(echoAccel), nil }
 	sv := sched.NewServer(s, cat)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -346,7 +294,7 @@ func oneRun(cfg runConfig) (runResult, error) {
 	// benchstat-compatible: one line per run, ns/op is per block served.
 	nsPerBlock := float64(elapsed.Nanoseconds()) / float64(max(blocks, 1))
 	fmt.Printf("BenchmarkServe/mode=batched/block=%d/batch=%d/coalesce=%d/tenants=%d \t%8d\t%12.1f ns/op\t%10.2f MB/s\t%10.1f p99-us\n",
-		cfg.block, cfg.batch, coalesce, cfg.tenants, blocks, nsPerBlock,
+		block, batch, coalesce, cfg.tenants, blocks, nsPerBlock,
 		float64(words)*8/1e6/elapsed.Seconds(), res.BlockP99us)
 	if sg := res.ServerStages; sg != nil {
 		// Decomposed e2e latency: the server-resident stage means (sampled
@@ -385,7 +333,6 @@ type worker struct {
 	cfg    config // alias below keeps the struct readable
 	addr   string
 	tenant string
-	csr    []byte // optional accelerator CSR (echo: block-size override)
 	rng    *rand.Rand
 	rate   float64 // arrivals/sec for this session; 0 = unthrottled
 	lat    sampler
@@ -401,7 +348,7 @@ type config = runConfig
 // server's, not the harness's.
 func (w *worker) run() error {
 	c, err := client.Connect(w.addr, client.Options{
-		Tenant: w.tenant, Accel: w.cfg.accel, CSR: w.csr, ServerTiming: true,
+		Tenant: w.tenant, Accel: w.cfg.accel, ServerTiming: true,
 	})
 	if err != nil {
 		return err
@@ -416,7 +363,7 @@ func (w *worker) run() error {
 	recvErr := make(chan error, 1)
 	go func() { recvErr <- w.receive(c, pending) }()
 
-	in := make([]cohort.Word, w.cfg.batch)
+	in := make([]cohort.Word, batch)
 	for i := range in {
 		in[i] = cohort.Word(i)*2654435761 + 99
 	}
@@ -448,12 +395,12 @@ func (w *worker) run() error {
 		}
 		if w.rate > 0 {
 			for _, due := range dues {
-				pending <- batchRec{due: due, words: w.cfg.batch}
+				pending <- batchRec{due: due, words: batch}
 			}
 		} else {
 			// Saturation arrivals in one pass share a due stamp: one record
 			// covers them all (the receiver tracks words, not frames).
-			pending <- batchRec{due: dues[0], words: w.cfg.batch * len(dues)}
+			pending <- batchRec{due: dues[0], words: batch * len(dues)}
 		}
 		// Every due arrival goes out in one zero-copy Data frame (SendN
 		// gathers the segments with a single writev).
@@ -504,7 +451,7 @@ func (w *worker) receive(c *client.Conn, pending <-chan batchRec) error {
 				rem, into = cur.words, 0
 			}
 			take := min(n, rem)
-			done := (into+take)/w.cfg.block - into/w.cfg.block
+			done := (into+take)/block - into/block
 			lat := now.Sub(cur.due).Nanoseconds()
 			for i := 0; i < done; i++ {
 				w.lat.add(lat)
@@ -556,4 +503,3 @@ func quantUS(ns []int64, q float64) float64 {
 }
 
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
-func round4(v float64) float64 { return float64(int64(v*1e4+0.5)) / 1e4 }

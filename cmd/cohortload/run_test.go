@@ -9,10 +9,7 @@ import (
 // an in-process daemon, concurrent tenant sessions, the open-loop sender and
 // receiver, and the server-stage telemetry the clients opt into.
 func TestOneRunSpawned(t *testing.T) {
-	cfg := runConfig{
-		accel: "echo", block: 64, tenants: 2, batch: 64,
-		duration: 200 * time.Millisecond, quantum: 64,
-	}
+	cfg := runConfig{accel: "echo", tenants: 2, duration: 200 * time.Millisecond}
 	r, err := oneRun(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -20,8 +17,8 @@ func TestOneRunSpawned(t *testing.T) {
 	if r.Blocks == 0 {
 		t.Fatal("no blocks served")
 	}
-	if r.Words != r.Blocks*uint64(cfg.block) {
-		t.Errorf("words = %d, want blocks*block = %d", r.Words, r.Blocks*uint64(cfg.block))
+	if r.Words != r.Blocks*block {
+		t.Errorf("words = %d, want blocks*block = %d", r.Words, r.Blocks*block)
 	}
 	st := r.ServerStages
 	if st == nil {

@@ -14,7 +14,7 @@
 //	/debug/pprof/*  standard Go profiling (CPU, heap, goroutine, ...)
 //
 // Every other endpoint is a snapshot document from Options.Docs (cohortd's
-// /sessions, /stats/*, /policy; cohortgw's /ring, /shards), served by one
+// /sessions, /stats/*; cohortgw's /ring, /shards), served by one
 // handler. Every JSON endpoint sets Content-Type: application/json and
 // Cache-Control: no-store — the payloads are live snapshots that must never
 // be served stale by an intermediary. Only wired routes are registered, and
@@ -85,8 +85,7 @@ type Options struct {
 	// marshaled as JSON (e.g. sched.DrainStatus).
 	Drain func(trigger bool) any
 	// Docs maps a path to a live snapshot served as indented JSON, e.g.
-	// "/sessions" to sched.Scheduler.Sessions or "/policy" to
-	// policy.Controller.Doc.
+	// "/sessions" to sched.Scheduler.Sessions.
 	Docs map[string]func() any
 }
 

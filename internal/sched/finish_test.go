@@ -30,27 +30,31 @@ func (w *writeRecorder) Close() error { return nil }
 // its results in the output queue as the session retires, the result pump
 // sends those results and the Done in one write — with and without
 // timing — and keeps the connection. A killed session's results go out
-// before its Error, which closes the connection.
+// before its Error, which closes the connection. Results deeper than one
+// frame go out in whole frames first, and the last frame's worth shares
+// the Done's write.
 func TestFinalDataAndDoneShareOneWrite(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		timing bool
-		kill   bool
-		writes int
-		final  wire.Type
+		name          string
+		words         int
+		timing        bool
+		kill          bool
+		writes, datas int
+		final         wire.Type
 	}{
-		{"done", false, false, 1, wire.Done},
-		{"done-timing", true, false, 1, wire.Done},
-		{"killed", false, true, 2, wire.Error},
+		{"done", 16, false, false, 1, 1, wire.Done},
+		{"done-timing", 16, true, false, 1, 1, wire.Done},
+		{"killed", 16, false, true, 2, 1, wire.Error},
+		{"deeper-than-a-frame", wire.MaxFrameWords + 16, false, false, 2, 2, wire.Done},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Engines: 1, Quantum: 64, QueueCap: 64})
+			s := New(Config{Engines: 1, Quantum: 64, QueueCap: max(64, tc.words)})
 			defer s.Close()
 			ss, err := s.Register(SessionConfig{Tenant: "t", Accel: cohort.NewNull()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			in := make([]cohort.Word, 16)
+			in := make([]cohort.Word, tc.words)
 			for i := range in {
 				in[i] = cohort.Word(i) * 2654435761
 			}
@@ -79,18 +83,24 @@ func TestFinalDataAndDoneShareOneWrite(t *testing.T) {
 				t.Fatalf("%d writes, want %d", len(conn.writes), tc.writes)
 			}
 			fr := wire.NewReader(bytes.NewReader(bytes.Join(conn.writes, nil)))
-			typ, ws, _, err := fr.NextData()
-			if err != nil || typ != wire.Data || !slices.Equal(ws, in) {
-				t.Fatalf("frame 1 = %v %v %v, want the 16 result words", typ, ws, err)
+			var got []cohort.Word
+			datas := 0
+			typ, ws, p, err := fr.NextData()
+			for ; err == nil && typ == wire.Data; typ, ws, p, err = fr.NextData() {
+				got = append(got, ws...)
+				datas++
 			}
-			typ, _, p, err := fr.NextData()
+			if datas != tc.datas || !slices.Equal(got, in) {
+				t.Fatalf("%d Data frames carried %d words, want %d frames carrying the %d result words in order",
+					datas, len(got), tc.datas, len(in))
+			}
 			if err != nil || typ != tc.final {
-				t.Fatalf("frame 2 = %v %v, want %v", typ, err, tc.final)
+				t.Fatalf("final frame = %v %v, want %v", typ, err, tc.final)
 			}
 			if typ == wire.Done {
 				var done wire.DoneReply
-				if err := wire.Unmarshal(typ, p, &done); err != nil || done.Blocks != 16 || done.Code != "" {
-					t.Fatalf("done %+v %v, want 16 clean blocks", done, err)
+				if err := wire.Unmarshal(typ, p, &done); err != nil || done.Blocks != uint64(tc.words) || done.Code != "" {
+					t.Fatalf("done %+v %v, want %d clean blocks", done, err, tc.words)
 				}
 				if (done.Timing != nil) != tc.timing {
 					t.Fatalf("done timing %+v with timing=%v", done.Timing, tc.timing)

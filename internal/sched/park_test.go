@@ -9,6 +9,18 @@ import (
 	"cohort"
 )
 
+// miniEcho is a 4:4 accelerator whose sessions produce output.
+type miniEcho struct{ out [4]uint64 }
+
+func (m *miniEcho) Name() string           { return "mini" }
+func (m *miniEcho) InWords() int           { return 4 }
+func (m *miniEcho) OutWords() int          { return 4 }
+func (m *miniEcho) Configure([]byte) error { return nil }
+func (m *miniEcho) Process(in []uint64) ([]uint64, error) {
+	copy(m.out[:], in)
+	return m.out[:], nil
+}
+
 // parkQuiet waits (up to a second) for a 20ms window in which no worker
 // makes a scheduling-loop pass, and reports whether one came. Workers that
 // park on the pool's bell go quiet within a pass or two of running out of

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"cohort"
-	"cohort/internal/wire"
 )
 
 // Sentinel errors surfaced by Register and Session.Err.
@@ -73,8 +72,9 @@ type Config struct {
 	// service multiplexes sessions onto (default 1).
 	Engines int
 	// Quantum is the largest number of blocks one scheduling decision serves
-	// before the engine re-arbitrates (default 32). Smaller quanta interleave
-	// finer; larger quanta amortize the switch cost over more work.
+	// before the engine re-arbitrates (default 32), fixed for the scheduler's
+	// life. Smaller quanta interleave finer; larger quanta amortize the
+	// switch cost over more work.
 	Quantum int
 	// SwitchCost is the modeled cohort_register CSR-swap cost, charged (as a
 	// real sleep) whenever a worker swaps from one session to another.
@@ -319,14 +319,8 @@ func (ss *Session) Stats() SessionStats {
 // Scheduler multiplexes tenant sessions onto a fixed pool of engine workers.
 // Create with New; admit tenants with Register; stop with Close.
 type Scheduler struct {
-	cfg Config
-	// quantum and coalesce are the live knob pair (knobs.go): written by
-	// Retune, read once per scheduling decision and once per pump pass.
-	// They sit here, not next to mu, so those reads never share a cache
-	// line with the lock every decision takes.
-	quantum  atomic.Int32
-	coalesce atomic.Int32
-	stop     chan struct{}
+	cfg  Config
+	stop chan struct{}
 	// bell is the pool's doorbell: every session's In rings it on push (and
 	// Close) and its Out on pop (room for a backpressured session). Idle
 	// workers park on it.
@@ -366,7 +360,6 @@ type Scheduler struct {
 	swaps     atomic.Uint64
 	admitted  atomic.Uint64
 	retirals  atomic.Uint64
-	retunes   atomic.Uint64 // Retune calls (knobs.go)
 }
 
 // SchedStats is a snapshot of the scheduler's service-wide counters — the
@@ -438,8 +431,6 @@ func New(cfg Config) *Scheduler {
 		tenants:   make(map[string]*tenant),
 		workerOps: make([]atomic.Uint64, cfg.Engines),
 	}
-	s.quantum.Store(int32(cfg.Quantum))
-	s.coalesce.Store(wire.MaxFrameWords)
 	if cfg.Trace != nil {
 		s.schedTrk = cfg.Trace.Track("sched")
 		s.workerTrks = make([]*cohort.TraceTrack, cfg.Engines)
@@ -464,7 +455,6 @@ func New(cfg Config) *Scheduler {
 				{Name: "admitted", Value: st.Admitted},
 				{Name: "rejected", Value: st.Rejected},
 				{Name: "retired", Value: st.Retired},
-				{Name: "retunes", Value: s.retunes.Load()},
 				{Name: "sessions", Value: st.Live},
 				{Name: "transient_faults", Value: st.TransientFaults},
 				{Name: "recovered", Value: st.Recovered},
@@ -950,13 +940,9 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 		return
 	}
 	inW := ss.inW
-	// Quantum boundary: latch the live quantum once. A Retune landing after
-	// this load affects the next decision, never this one, so the blocks
-	// clamp below always fits the staging buffer sized here. A tuned quantum
-	// above the admit-time default grows the buffer — once per session and
-	// upward retune, never in steady state — while slicing keeps working for
-	// smaller quanta without reallocating.
-	quantum := int(s.quantum.Load())
+	// The staging buffer holds one quantum of blocks; it is allocated on the
+	// session's first decision and reused by every later one.
+	quantum := s.cfg.Quantum
 	if need := quantum * inW; cap(ss.buf) < need {
 		ss.buf = make([]cohort.Word, need)
 	}

@@ -451,3 +451,61 @@ func TestQuantumPublishesIntoRing(t *testing.T) {
 		})
 	}
 }
+
+// decisionProbe is a 1:0 accelerator that counts the blocks each scheduling
+// decision hands it: a session's quanta counter advances once a decision
+// finishes, so while decision k runs it reads k.
+type decisionProbe struct {
+	ss     atomic.Pointer[Session]
+	blocks []int // blocks served by decision k, at index k
+}
+
+func (p *decisionProbe) Name() string           { return "probe" }
+func (p *decisionProbe) InWords() int           { return 1 }
+func (p *decisionProbe) OutWords() int          { return 0 }
+func (p *decisionProbe) Configure([]byte) error { return nil }
+func (p *decisionProbe) Process([]cohort.Word) ([]cohort.Word, error) {
+	k := int(p.ss.Load().quanta.Load())
+	for len(p.blocks) <= k {
+		p.blocks = append(p.blocks, 0)
+	}
+	p.blocks[k]++
+	return nil, nil
+}
+
+// TestConfigQuantumBoundsEachDecision: Config.Quantum is the most blocks one
+// scheduling decision serves, and a backlog is served in full quanta, so a
+// 64-block stream published at once drains in exactly 64/Quantum decisions
+// of Quantum blocks each.
+func TestConfigQuantumBoundsEachDecision(t *testing.T) {
+	for _, tc := range []struct{ quantum, quanta int }{{8, 8}, {32, 2}} {
+		t.Run(fmt.Sprintf("quantum=%d", tc.quantum), func(t *testing.T) {
+			s := New(Config{Engines: 1, Quantum: tc.quantum, QueueCap: 128})
+			defer s.Close()
+			probe := &decisionProbe{}
+			ss, err := s.Register(SessionConfig{Tenant: "alice", Accel: probe, Weight: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe.ss.Store(ss)
+			if n := ss.In().TryPushSlice(make([]cohort.Word, 64)); n != 64 {
+				t.Fatalf("pushed %d of 64 words", n)
+			}
+			ss.CloseSend()
+			select {
+			case <-ss.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("session never retired: %d/64 blocks served", ss.Stats().Blocks)
+			}
+			if q := ss.Stats().Quanta; q != uint64(tc.quanta) {
+				t.Fatalf("64 blocks drained in %d quanta, want %d at quantum %d", q, tc.quanta, tc.quantum)
+			}
+			for k, n := range probe.blocks {
+				if n != tc.quantum {
+					t.Fatalf("decisions served %v blocks, want %d decisions of %d (decision %d)",
+						probe.blocks, tc.quanta, tc.quantum, k)
+				}
+			}
+		})
+	}
+}

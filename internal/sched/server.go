@@ -239,11 +239,11 @@ func (sv *Server) pushWords(ss *Session, ws []cohort.Word) bool {
 // draining it is the handler's retirement barrier.
 //
 // Every pass coalesces all completed blocks currently in the queue — up to
-// the coalesce cap (knobs.go), at most a whole frame — into one Data frame, written with a single writev
-// directly from the queue's two ring segments (wire.Writer.WordsN): the
-// engine's batched index publication, applied to the socket. The pass that
-// finds Out closed with every word left in one frame's reach writes those
-// words and the Done together.
+// a whole frame, wire.MaxFrameWords — into one Data frame, written with a
+// single writev directly from the queue's two ring segments
+// (wire.Writer.WordsN): the engine's batched index publication, applied to
+// the socket. The pass that finds Out closed with every word left in one
+// frame's reach writes those words and the Done together.
 func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, reuse bool) bool {
 	out, ready := ss.Out(), ss.OutReady()
 	// Telemetry cadence for opted-in sessions: a frame goes out only when new
@@ -259,15 +259,12 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 		// Close, so a pass that sees Out closed also sees every word left.
 		closed := out.Closed()
 		a, b := out.ReadSegments()
-		// One knob read per pass (knobs.go): the controller retunes the
-		// frame cap while the pump runs.
-		coalesce := ss.coalesceCap()
-		if n := len(a) + len(b); closed && n <= coalesce {
+		if n := len(a) + len(b); closed && n <= wire.MaxFrameWords {
 			return sv.finish(c, fw, ss, a, b, timing, reuse)
 		} else if n > 0 {
-			if n > coalesce {
-				// A queue deeper than the frame cap drains across passes.
-				n = coalesce
+			if n > wire.MaxFrameWords {
+				// A queue deeper than one frame drains across passes.
+				n = wire.MaxFrameWords
 				if n <= len(a) {
 					a, b = a[:n], nil
 				} else {

@@ -1,10 +1,9 @@
 // Package telem is the serving stack's windowed telemetry and SLO plane,
 // layered on the metrics Registry. Everything the Registry exports is
 // cumulative-since-boot — the right shape for dashboards that rate() on
-// their own, the wrong shape for the questions an operator (or the adaptive
-// controller of ROADMAP item 3) actually asks: what is tenant alice's p99
-// *right now*, is the error rate *rising*, has the service burned its error
-// budget fast enough to page?
+// their own, the wrong shape for the questions an operator actually asks:
+// what is tenant alice's p99 *right now*, is the error rate *rising*, has
+// the service burned its error budget fast enough to page?
 //
 // A background Sampler answers those: on a fixed tick it snapshots the
 // Registry, folds every source into cumulative counters and stage
@@ -163,21 +162,13 @@ type Sampler struct {
 	winDoc        WindowsDoc
 	sloDoc        SLODoc
 	degraded      string
-
-	// Frame subscribers (Subscribe): each tick's WindowsDoc is offered to
-	// every registered channel without blocking — a subscriber that has not
-	// drained its buffer misses that frame (subDrops counts the misses).
-	// Guarded by mu; delivery happens outside it.
-	subs     map[int]chan WindowsDoc
-	nextSub  int
-	subDrops uint64
 }
 
 // New builds a sampler over cfg.Registry and registers its self-metrics
 // ("telem" source). It adds no per-tenant source: windowed rates are served
-// by Windows and Subscribe, and a Prometheus scraper derives its own from
-// the cumulative "tenant/<name>" counters. Call Start to begin ticking, or
-// drive tick() directly in tests.
+// by Windows, and a Prometheus scraper derives its own from the cumulative
+// "tenant/<name>" counters. Call Start to begin ticking, or drive tick()
+// directly in tests.
 func New(cfg Config) *Sampler {
 	if cfg.Registry == nil {
 		panic("telem: Config.Registry is required")
@@ -215,47 +206,16 @@ func New(cfg Config) *Sampler {
 	cfg.Registry.Register("telem", func() []cohort.Metric {
 		s.mu.Lock()
 		ticks, tenants, breaches := s.ticks, len(s.tenants), s.breaches
-		subs, drops := len(s.subs), s.subDrops
 		s.mu.Unlock()
 		h := s.sampleNs.Snapshot()
 		return []cohort.Metric{
 			{Name: "telem_ticks", Value: ticks},
 			{Name: "telem_tenants", Value: uint64(tenants)},
 			{Name: "slo_breaches", Value: breaches},
-			{Name: "telem_subscribers", Value: uint64(subs)},
-			{Name: "telem_sub_drops", Value: drops},
 			{Name: "telem_sample_ns", Histo: &h},
 		}
 	})
 	return s
-}
-
-// Subscribe registers a consumer for the sampler's windowed frames: every
-// tick's WindowsDoc (the same document Windows serves) is offered to the
-// returned channel with a non-blocking send, so a slow consumer skips frames
-// instead of stalling the sampler — exactly right for a controller, which
-// only ever wants the freshest observation vector. buf is the channel depth
-// (floor 1). The cancel func unregisters the subscriber; the channel is
-// never closed, so consumers must select against their own stop signal.
-func (s *Sampler) Subscribe(buf int) (<-chan WindowsDoc, func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan WindowsDoc, buf)
-	s.mu.Lock()
-	if s.subs == nil {
-		s.subs = make(map[int]chan WindowsDoc)
-	}
-	id := s.nextSub
-	s.nextSub++
-	s.subs[id] = ch
-	s.mu.Unlock()
-	cancel := func() {
-		s.mu.Lock()
-		delete(s.subs, id)
-		s.mu.Unlock()
-	}
-	return ch, cancel
 }
 
 // ticksIn rounds d up to whole ticks, floor 1.
@@ -416,27 +376,7 @@ func (s *Sampler) tick(now time.Time) {
 	slo.Degraded = strings.Join(degraded, "; ")
 	s.sloDoc = slo
 	s.degraded = slo.Degraded
-	var subs []chan WindowsDoc
-	if len(s.subs) > 0 {
-		subs = make([]chan WindowsDoc, 0, len(s.subs))
-		for _, ch := range s.subs {
-			subs = append(subs, ch)
-		}
-	}
 	s.mu.Unlock()
-
-	// Frame delivery is a non-blocking offer per subscriber: the tick never
-	// waits on a consumer. Dropped offers are counted, not retried — the
-	// next tick carries a fresher document anyway.
-	for _, ch := range subs {
-		select {
-		case ch <- doc:
-		default:
-			s.mu.Lock()
-			s.subDrops++
-			s.mu.Unlock()
-		}
-	}
 
 	// Event-log work happens outside s.mu (the log takes its own lock).
 	if s.cfg.Events != nil {
@@ -604,8 +544,7 @@ type TenantWindows struct {
 
 // WindowsDoc is the /stats/windows document: per-tenant rolling rates and
 // windowed stage quantiles over the short and long windows, plus the
-// service-wide view. This is the observation vector ROADMAP item 3's
-// adaptive controller consumes.
+// service-wide view.
 type WindowsDoc struct {
 	At      time.Time       `json:"at"`
 	TickMs  float64         `json:"tick_ms"`

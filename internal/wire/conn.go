@@ -41,9 +41,8 @@ func NewConn(c net.Conn) *Conn {
 // connections than its owner once had sessions open there at the same time.
 // One whose far end has gone stays until the next Open finds it dead.
 type Pool struct {
-	mu     sync.Mutex
-	closed bool
-	idle   map[string][]*Conn
+	mu   sync.Mutex
+	idle map[string][]*Conn
 }
 
 // Pop takes the newest idle connection to addr, or returns nil.
@@ -61,41 +60,23 @@ func (p *Pool) Pop(addr string) *Conn {
 	return c
 }
 
-// Put keeps c for the next Open to its address, or closes it once the pool
-// is closed.
+// Put keeps c for the next Open to its address.
 func (p *Pool) Put(c *Conn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		c.Close()
-		return
-	}
 	if p.idle == nil {
 		p.idle = make(map[string][]*Conn)
 	}
 	p.idle[c.addr] = append(p.idle[c.addr], c)
 }
 
-// Close closes every idle connection; a Put after it closes its connection.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	for _, cs := range p.idle {
-		for _, c := range cs {
-			c.Close()
-		}
-	}
-	p.idle = nil
-}
-
-// Open sends the Open payload open, with its reuse flag set, on a
-// connection to addr and reads the reply, which is valid until the
-// connection's next read. It takes an idle connection first. One that fails
-// before the reply — the far end closed it, restarted or quiesced — is
-// closed and addr dialled once more inside the call: that is not a failed
-// attempt. A fresh connection that fails returns its error. open must be a
-// valid Open payload (AppendOpen made it, or OpenTenant accepted it).
+// Open sends the Open payload open on a connection to addr and reads the
+// reply, which is valid until the connection's next read. It takes an idle
+// connection first. One that fails before the reply — the far end closed
+// it, restarted or quiesced — is closed and addr dialled once more inside
+// the call: that is not a failed attempt. A fresh connection that fails
+// returns its error. open must be a valid Open payload that already
+// carries the reuse flag (AppendOpen made it from a request with Reuse).
 func (p *Pool) Open(addr string, timeout time.Duration, open []byte) (*Conn, Type, []byte, error) {
 	c := p.Pop(addr)
 	for {
@@ -109,7 +90,9 @@ func (p *Pool) Open(addr string, timeout time.Duration, open []byte) (*Conn, Typ
 			c.addr = addr
 		}
 		var err error
-		if werr := c.W.ReuseOpen(open); werr != nil {
+		// The copy into the Writer's scratch keeps open from escaping, so a
+		// caller's Open can live on its stack.
+		if werr := c.W.control(Open, append(c.W.buf[:0], open...)); werr != nil {
 			err = fmt.Errorf("send open: %w", werr)
 		} else if t, reply, rerr := c.R.Next(); rerr != nil {
 			err = fmt.Errorf("await open reply: %w", rerr)

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"io"
 	"net"
 	"os"
 	"sync/atomic"
@@ -138,25 +137,6 @@ func TestNoRedialOfFreshConnection(t *testing.T) {
 	ln.Close()
 	if _, _, _, err := p.Open(gone, time.Second, open); err == nil {
 		t.Fatal("Open succeeded with nothing listening")
-	}
-}
-
-// TestIdlePutAfterClose: Close closes the idle connections, and a Put after
-// it closes its connection instead of keeping it.
-func TestIdlePutAfterClose(t *testing.T) {
-	var p Pool
-	kept, keptFar := net.Pipe()
-	late, lateFar := net.Pipe()
-	p.Put(&Conn{Conn: kept, addr: "a"})
-	p.Close()
-	p.Put(&Conn{Conn: late, addr: "a"})
-	for name, far := range map[string]net.Conn{"idle": keptFar, "late": lateFar} {
-		if _, err := far.Read(make([]byte, 1)); err != io.EOF {
-			t.Errorf("%s connection still open after Close: read err %v", name, err)
-		}
-	}
-	if p.Pop("a") != nil {
-		t.Fatal("Pop after Close returned a connection")
 	}
 }
 

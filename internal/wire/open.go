@@ -334,16 +334,6 @@ func (fw *Writer) Open(req *OpenRequest) error {
 	return fw.control(Open, b)
 }
 
-// ReuseOpen writes the Open payload p as an Open frame with its reuse flag
-// set, on a copy in the Writer's scratch: p is not modified and nothing is
-// re-encoded. p must be a valid Open payload (OpenTenant or DecodeOpen
-// accepted it).
-func (fw *Writer) ReuseOpen(p []byte) error {
-	b := append(fw.buf[:0], p...)
-	b[1] |= openReuse
-	return fw.control(Open, b)
-}
-
 // OpenOK writes rep as an OpenOK frame.
 func (fw *Writer) OpenOK(rep OpenReply) error {
 	return fw.control(OpenOK, appendOpenReply(fw.buf[:0], rep))

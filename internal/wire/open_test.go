@@ -71,39 +71,6 @@ func TestOpenRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestReuseOpenCopies: ReuseOpen sends the payload with only the reuse flag
-// changed and leaves the caller's bytes alone.
-func TestReuseOpenCopies(t *testing.T) {
-	p, err := AppendOpen(nil, &OpenRequest{Tenant: "t", Accel: "null", Timing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := append([]byte(nil), p...)
-	var buf bytes.Buffer
-	if err := NewWriter(&buf).ReuseOpen(p); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p, orig) {
-		t.Fatal("ReuseOpen modified its input")
-	}
-	typ, got, err := NewReader(&buf).Next()
-	if err != nil || typ != Open {
-		t.Fatalf("frame = %v %v, want open", typ, err)
-	}
-	_, before, _ := OpenTenant(p)
-	_, after, _ := OpenTenant(got)
-	if before || !after {
-		t.Fatalf("OpenTenant reuse = %v before and %v after ReuseOpen, want false and true", before, after)
-	}
-	var req OpenRequest
-	if err := DecodeOpen(got, &req); err != nil {
-		t.Fatal(err)
-	}
-	if want := (OpenRequest{Tenant: "t", Accel: "null", Timing: true, Reuse: true}); !equalOpen(req, want) {
-		t.Fatalf("decoded %+v, want %+v", req, want)
-	}
-}
-
 // TestDoneKeepsConn: only a Done with no Code keeps a reuse connection, and
 // a client that decodes the encoded Done reaches the same verdict; a Done
 // that does not decode keeps nothing.
@@ -164,27 +131,22 @@ func TestOpenReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenFramesAllocationFree: once a Writer is warm, Open, ReuseOpen,
-// OpenOK and Redirect frames cost no allocation.
+// TestOpenFramesAllocationFree: once a Writer is warm, Open, OpenOK and
+// Redirect frames cost no allocation.
 func TestOpenFramesAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	req := &OpenRequest{Tenant: "tenant", Accel: "sha256", CSR: make([]byte, 16)}
-	p, err := AppendOpen(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sink countWriter
 	w := NewWriter(&sink)
 	addrs := []string{"10.0.0.1:7411", "10.0.0.2:7411"}
 	if n := testing.AllocsPerRun(100, func() {
-		if w.Open(req) != nil || w.ReuseOpen(p) != nil || w.OpenOK(OpenReply{Session: 1}) != nil ||
-			w.Redirect(addrs) != nil {
+		if w.Open(req) != nil || w.OpenOK(OpenReply{Session: 1}) != nil || w.Redirect(addrs) != nil {
 			t.Fatal("write failed")
 		}
 	}); n != 0 {
-		t.Fatalf("%.1f allocations per Open+ReuseOpen+OpenOK+Redirect, want 0", n)
+		t.Fatalf("%.1f allocations per Open+OpenOK+Redirect, want 0", n)
 	}
 }
 
