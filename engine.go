@@ -320,17 +320,17 @@ func (e *Engine) park(ready func() bool) bool {
 // result straight into the output ring's free segments and publishing once:
 // when the batch ends, early when the acquired segments fill up (the consumer
 // must see them to free room), or at the block where the engine stops. With
-// the output full it parks until the consumer frees room. The counters move
-// once per batch: WordsIn up front, as the words are handed to processing
-// (the Watchdog reads WordsIn > Blocks·InWords as work in flight), blocks and
-// WordsOut at the end, by what was completed and published. It returns false
-// when the engine must stop: a terminal fault (recorded by processBlock) or
-// an Unregister.
+// the output full it parks until the consumer frees room. WordsIn moves up
+// front, as the words are handed to processing (the Watchdog reads WordsIn >
+// Blocks·InWords as work in flight); WordsOut and Blocks move with each
+// publication, before it, by what it makes visible, so a consumer that has
+// popped a word finds it counted. It returns false when the engine must
+// stop: a terminal fault (recorded by processBlock) or an Unregister.
 func (e *Engine) drain(in []Word, inW int) bool {
 	e.elemsIn.Add(uint64(len(in)))
 	var seg, next []Word // what is left of the acquired write segments
 	staged := 0          // words written into them, not yet published
-	wordsOut, blocks := 0, 0
+	blocks, counted := 0, 0
 	ok := true
 loop:
 	for ; len(in) > 0; in = in[inW:] {
@@ -353,8 +353,10 @@ loop:
 			if len(seg) == 0 {
 				// The acquired room is used up: publish it so the consumer can
 				// free more, then take whatever is free now — or wait for some.
-				e.publish(staged)
-				staged = 0
+				// The block being copied is counted by the publication that
+				// ends it.
+				e.publish(staged, blocks-1-counted)
+				staged, counted = 0, blocks-1
 				if seg, next = e.out.WriteSegments(); len(seg) == 0 {
 					if ok = e.park(e.outputReady); !ok {
 						break loop
@@ -365,21 +367,23 @@ loop:
 			n := copy(seg, res)
 			seg, res = seg[n:], res[n:]
 			staged += n
-			wordsOut += n
 		}
 	}
-	e.publish(staged)
-	e.elemsOut.Add(uint64(wordsOut))
-	e.blocks.Add(uint64(blocks))
+	e.publish(staged, blocks-counted)
 	return ok
 }
 
-// publish makes n words written into the output ring's segments visible to
-// the consumer with a single write-index store.
-func (e *Engine) publish(n int) {
+// publish counts n words and the blocks they complete, then makes the words
+// written into the output ring's segments visible to the consumer with a
+// single write-index store.
+func (e *Engine) publish(n, blocks int) {
+	if blocks > 0 {
+		e.blocks.Add(uint64(blocks))
+	}
 	if n == 0 {
 		return
 	}
+	e.elemsOut.Add(uint64(n))
 	var t0 uint64
 	if e.trk != nil {
 		t0 = e.flight.rec.Now()
