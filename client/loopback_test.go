@@ -31,9 +31,9 @@ func (e *echoAcc) Process(in []cohort.Word) ([]cohort.Word, error) {
 // startLoopback brings up a real scheduler and TCP server on 127.0.0.1 with
 // an "echo" catalog entry of the given block size beside the real "sha256". A
 // non-nil registry wires the scheduler's metric sources, as cohortd does.
-func startLoopback(tb testing.TB, block int, reg *cohort.Registry) (addr string, stop func()) {
+func startLoopback(tb testing.TB, block int, reg *cohort.Registry) (addr string, s *sched.Scheduler, stop func()) {
 	tb.Helper()
-	s := sched.New(sched.Config{Engines: 1, Quantum: 64, QueueCap: 16384, Registry: reg})
+	s = sched.New(sched.Config{Engines: 1, Quantum: 64, QueueCap: 16384, Registry: reg})
 	catalog := sched.Catalog{
 		"echo":   func() (cohort.Accelerator, error) { return newEcho(block), nil },
 		"sha256": func() (cohort.Accelerator, error) { return cohort.NewSHA256(), nil },
@@ -44,7 +44,7 @@ func startLoopback(tb testing.TB, block int, reg *cohort.Registry) (addr string,
 		tb.Fatal(err)
 	}
 	go sv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on stop
-	return ln.Addr().String(), func() {
+	return ln.Addr().String(), s, func() {
 		sv.Close()
 		s.Close()
 	}
@@ -70,14 +70,14 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		t.Run(tc.accel, func(t *testing.T) {
 			// Run the guard under production observability: the scheduler
 			// publishes its sources into a registry and the windowed telemetry
-			// sampler ticks against it concurrently. The sampler's own per-tick
+			// sampler reads its records concurrently. The sampler's own per-tick
 			// allocations happen on its goroutine a handful of times during the
 			// measurement — far fewer than the run count — so the per-run
 			// average still pins the serving hot path itself at zero.
 			reg := cohort.NewRegistry()
-			addr, stop := startLoopback(t, block, reg)
+			addr, s, stop := startLoopback(t, block, reg)
 			defer stop()
-			sampler := telem.New(telem.Config{Registry: reg, Tick: 100 * time.Millisecond})
+			sampler := telem.New(telem.Config{Source: s.Totals, Tick: 100 * time.Millisecond})
 			sampler.Start()
 			defer sampler.Stop()
 
@@ -120,7 +120,7 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 // over across calls, in order, with no words lost.
 func TestRecvIntoCarry(t *testing.T) {
 	const block = 8
-	addr, stop := startLoopback(t, block, nil)
+	addr, _, stop := startLoopback(t, block, nil)
 	defer stop()
 	c, err := client.Connect(addr, client.Options{Tenant: "carry", Accel: "echo"})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestRecvIntoCarry(t *testing.T) {
 // and collects every result word up to Done.
 func TestStreamRoundTrip(t *testing.T) {
 	const block = 16
-	addr, stop := startLoopback(t, block, nil)
+	addr, _, stop := startLoopback(t, block, nil)
 	defer stop()
 	c, err := client.Connect(addr, client.Options{Tenant: "stream", Accel: "echo"})
 	if err != nil {
@@ -199,7 +199,7 @@ func TestStreamRoundTrip(t *testing.T) {
 // benchLoopback streams b.N blocks through a real TCP session, sending
 // sendBatch words per frame. CI logs these next to the wire microbenches.
 func benchLoopback(b *testing.B, block, sendBatch int) {
-	addr, stop := startLoopback(b, block, nil)
+	addr, _, stop := startLoopback(b, block, nil)
 	defer stop()
 	c, err := client.Connect(addr, client.Options{Tenant: "bench", Accel: "echo"})
 	if err != nil {

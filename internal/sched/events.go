@@ -8,11 +8,12 @@ import (
 
 // This file is the scheduler's side of the structured event plane and its
 // per-tenant accounting record. A tenant's record accumulates across its
-// whole session history and is the tenant's one metric source,
-// "tenant/<name>", unregistered only when the scheduler closes: a registry
-// consumer deriving per-tenant rates from it (internal/telem, or Prometheus)
-// never sees a cumulative counter jump backwards at a session retirement.
-// Per-session counters are served by Sessions (/sessions) only.
+// whole session history; Totals snapshots it (the windowed sampler in
+// internal/telem reads those snapshots), and it is the tenant's one metric
+// source, "tenant/<name>", unregistered only when the scheduler closes. A
+// consumer deriving per-tenant rates from either never sees a cumulative
+// counter jump backwards at a session retirement. Per-session counters are
+// served by Sessions (/sessions) only.
 
 // EventSink receives the scheduler's state-transition events: session kills,
 // terminal accelerator faults, admission rejections. *telem.Log satisfies it;
@@ -44,6 +45,7 @@ func (s *Scheduler) emit(typ, tenant string, session uint64, detail string) {
 // retirement hand-off step. The scheduler-wide fault and admission totals
 // are sums over these records.
 type tenant struct {
+	name      string
 	blocks    atomic.Uint64
 	wordsIn   atomic.Uint64
 	wordsOut  atomic.Uint64
@@ -55,17 +57,46 @@ type tenant struct {
 	stages    stageSet
 }
 
+// TenantTotals is a snapshot of one tenant's record: its eight lifetime
+// counters and its four stage records. It is comparable, so a consumer can
+// tell an unchanged tenant from a changed one.
+type TenantTotals struct {
+	Tenant         string
+	Blocks         uint64 // accelerator blocks completed
+	WordsIn        uint64 // words consumed from the tenant's input queues
+	WordsOut       uint64 // words produced into its output queues
+	Retries        uint64 // transient-fault retry attempts
+	Recovered      uint64 // blocks that completed after one or more retries
+	TerminalFaults uint64 // sessions retired by a terminal accelerator fault
+	Kills          uint64 // sessions retired by Kill
+	Rejected       uint64 // registrations refused by admission control
+	Stages         StageTotals
+}
+
+func (t *tenant) totals() TenantTotals {
+	return TenantTotals{
+		Tenant:         t.name,
+		Blocks:         t.blocks.Load(),
+		WordsIn:        t.wordsIn.Load(),
+		WordsOut:       t.wordsOut.Load(),
+		Retries:        t.retries.Load(),
+		Recovered:      t.recovered.Load(),
+		TerminalFaults: t.terminal.Load(),
+		Kills:          t.kills.Load(),
+		Rejected:       t.rejected.Load(),
+		Stages:         t.stages.totals(),
+	}
+}
+
+// metrics renders the tenant's "tenant/<name>" registry source.
 func (t *tenant) metrics() []cohort.Metric {
-	return append([]cohort.Metric{
-		{Name: "blocks", Value: t.blocks.Load()},
-		{Name: "words_in", Value: t.wordsIn.Load()},
-		{Name: "words_out", Value: t.wordsOut.Load()},
-		{Name: "retries", Value: t.retries.Load()},
-		{Name: "recovered", Value: t.recovered.Load()},
-		{Name: "terminal_faults", Value: t.terminal.Load()},
-		{Name: "kills", Value: t.kills.Load()},
-		{Name: "rejected", Value: t.rejected.Load()},
-	}, t.stages.metrics()...)
+	tt := t.totals()
+	st := &tt.Stages
+	return append(cohort.FieldMetrics(tt), // the eight counters, in field order
+		cohort.Metric{Name: "stage_queue_ns", Histo: &st.Queue.Histo},
+		cohort.Metric{Name: "stage_sched_ns", Histo: &st.Sched.Histo},
+		cohort.Metric{Name: "stage_compute_ns", Histo: &st.Compute.Histo},
+		cohort.Metric{Name: "stage_wire_ns", Histo: &st.Wire.Histo})
 }
 
 // tenantLocked returns (creating on first use, admitted or rejected) the
@@ -76,7 +107,7 @@ func (s *Scheduler) tenantLocked(name string) *tenant {
 	if t, ok := s.tenants[name]; ok {
 		return t
 	}
-	t := &tenant{}
+	t := &tenant{name: name}
 	s.tenants[name] = t
 	if reg := s.cfg.Registry; reg != nil {
 		reg.RegisterLabeled("tenant/"+name,

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"maps"
-	"sort"
 	"time"
 
 	"cohort"
@@ -55,76 +53,69 @@ type stageSet struct {
 	wire    cohort.LatencyRecorder
 }
 
-// metrics renders the set as histogram-valued metrics for a Registry source.
-func (sl *stageSet) metrics() []cohort.Metric {
-	q, s, c, w := sl.queue.Snapshot(), sl.sched.Snapshot(), sl.compute.Snapshot(), sl.wire.Snapshot()
-	return []cohort.Metric{
-		{Name: "stage_queue_ns", Histo: &q},
-		{Name: "stage_sched_ns", Histo: &s},
-		{Name: "stage_compute_ns", Histo: &c},
-		{Name: "stage_wire_ns", Histo: &w},
+// StageTotal is one stage's cumulative record: its log2 histogram and the
+// exact sum of its samples in nanoseconds.
+type StageTotal struct {
+	Histo cohort.LatencyHistogram
+	SumNs uint64
+}
+
+// StageTotals is a snapshot of one scope's four stage records, in pipeline
+// order. Every latency view summarizes one through Since.
+type StageTotals struct {
+	Queue, Sched, Compute, Wire StageTotal
+}
+
+// totals snapshots the set.
+func (sl *stageSet) totals() StageTotals {
+	return StageTotals{
+		Queue:   stageTotal(&sl.queue),
+		Sched:   stageTotal(&sl.sched),
+		Compute: stageTotal(&sl.compute),
+		Wire:    stageTotal(&sl.wire),
 	}
 }
 
-// StageQuantiles is one stage's distribution summary: sample count, exact
-// mean, and interpolated log2-bucket quantiles, all in nanoseconds.
-type StageQuantiles struct {
-	Samples uint64  `json:"samples"`
-	MeanNs  float64 `json:"mean_ns"`
-	P50Ns   float64 `json:"p50_ns"`
-	P95Ns   float64 `json:"p95_ns"`
-	P99Ns   float64 `json:"p99_ns"`
+func stageTotal(r *cohort.LatencyRecorder) StageTotal {
+	return StageTotal{Histo: r.Snapshot(), SumNs: r.SumNs()}
 }
 
-// quantiles summarizes one recorder.
-func quantiles(r *cohort.LatencyRecorder) StageQuantiles {
-	h := r.Snapshot()
+// Since summarizes what the stages recorded after base, an earlier snapshot
+// of the same scope: a window is Since(the window's first snapshot), a
+// lifetime view is Since(StageTotals{}). A bucket or sum that went
+// backwards (a restarted source) counts as 0.
+func (t StageTotals) Since(base StageTotals) wire.Stages {
+	return wire.Stages{
+		Queue:   t.Queue.since(base.Queue),
+		Sched:   t.Sched.since(base.Sched),
+		Compute: t.Compute.since(base.Compute),
+		Wire:    t.Wire.since(base.Wire),
+	}
+}
+
+// since is one stage's share of Since: sample count, exact mean, and
+// interpolated log2-bucket quantiles of the bucket-wise difference.
+func (t StageTotal) since(base StageTotal) wire.StageTiming {
+	var h cohort.LatencyHistogram
+	for i, c := range t.Histo.Buckets {
+		if b := base.Histo.Buckets[i]; c > b {
+			h.Buckets[i] = c - b
+		}
+	}
 	n := h.Samples()
-	sq := StageQuantiles{Samples: n}
 	if n == 0 {
-		return sq
+		return wire.StageTiming{}
 	}
-	sq.MeanNs = float64(r.SumNs()) / float64(n)
-	sq.P50Ns = h.Quantile(0.5)
-	sq.P95Ns = h.Quantile(0.95)
-	sq.P99Ns = h.Quantile(0.99)
-	return sq
-}
-
-// StageBreakdown is the four-stage summary of one scope (a session or a
-// tenant) — the /stats/latency row body and the /sessions latency field.
-type StageBreakdown struct {
-	Queue   StageQuantiles `json:"queue"`
-	Sched   StageQuantiles `json:"sched"`
-	Compute StageQuantiles `json:"compute"`
-	Wire    StageQuantiles `json:"wire"`
-}
-
-// breakdown summarizes a stage set.
-func (sl *stageSet) breakdown() StageBreakdown {
-	return StageBreakdown{
-		Queue:   quantiles(&sl.queue),
-		Sched:   quantiles(&sl.sched),
-		Compute: quantiles(&sl.compute),
-		Wire:    quantiles(&sl.wire),
+	var sum uint64
+	if t.SumNs > base.SumNs {
+		sum = t.SumNs - base.SumNs
 	}
-}
-
-// telemetry renders the set as the wire-protocol timing document.
-func (sl *stageSet) telemetry(session uint64) wire.TelemetryReply {
-	return wire.TelemetryReply{
-		Session: session,
-		Queue:   stageTiming(&sl.queue),
-		Sched:   stageTiming(&sl.sched),
-		Compute: stageTiming(&sl.compute),
-		Wire:    stageTiming(&sl.wire),
-	}
-}
-
-func stageTiming(r *cohort.LatencyRecorder) wire.StageTiming {
-	q := quantiles(r)
 	return wire.StageTiming{
-		Samples: q.Samples, MeanNs: q.MeanNs, P50Ns: q.P50Ns, P99Ns: q.P99Ns,
+		Samples: n,
+		MeanNs:  float64(sum) / float64(n),
+		P50Ns:   h.Quantile(0.5),
+		P95Ns:   h.Quantile(0.95),
+		P99Ns:   h.Quantile(0.99),
 	}
 }
 
@@ -136,35 +127,36 @@ type TenantLatency struct {
 	// Live is how many of the tenant's sessions are currently registered.
 	Live int `json:"live_sessions"`
 	// SampleEvery is the quantum sampling stride the stats were collected at.
-	SampleEvery int            `json:"sample_every"`
-	Stages      StageBreakdown `json:"stages"`
+	SampleEvery int         `json:"sample_every"`
+	Stages      wire.Stages `json:"stages"`
 }
 
-// LatencyStats snapshots every tenant's stage-latency aggregate, sorted by
+// LatencyStats summarizes every tenant's stage-latency aggregate, sorted by
 // tenant name — the /stats/latency payload.
 func (s *Scheduler) LatencyStats() []TenantLatency {
 	s.mu.Lock()
-	tenants := maps.Clone(s.tenants)
 	live := make(map[string]int)
 	for _, ss := range s.sessions {
 		live[ss.tenant]++
 	}
 	s.mu.Unlock()
-	out := make([]TenantLatency, 0, len(tenants))
-	for name, t := range tenants {
-		out = append(out, TenantLatency{
-			Tenant: name, Live: live[name], SampleEvery: s.cfg.LatencySample,
-			Stages: t.stages.breakdown(),
-		})
+	tenants := s.Totals().Tenants
+	out := make([]TenantLatency, len(tenants))
+	for i, t := range tenants {
+		out[i] = TenantLatency{
+			Tenant: t.Tenant, Live: live[t.Tenant], SampleEvery: s.cfg.LatencySample,
+			Stages: t.Stages.Since(StageTotals{}),
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
 
-// Telemetry renders the session's whole-life stage breakdown as the wire
+// Telemetry renders the session's whole-life stage summary as the wire
 // timing document — the payload of mid-stream Telemetry frames and of
 // DoneReply.Timing for sessions that opted in (OpenRequest.Timing).
-func (ss *Session) Telemetry() wire.TelemetryReply { return ss.lat.telemetry(ss.id) }
+func (ss *Session) Telemetry() wire.TelemetryReply {
+	return wire.TelemetryReply{Session: ss.id, Stages: ss.lat.totals().Since(StageTotals{})}
+}
 
 // LatencySamples returns the total stage samples filed for the session — a
 // cheap monotone cursor the result pump compares to decide whether a fresh

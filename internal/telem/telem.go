@@ -1,21 +1,22 @@
 // Package telem is the serving stack's windowed telemetry and SLO plane,
-// layered on the metrics Registry. Everything the Registry exports is
-// cumulative-since-boot — the right shape for dashboards that rate() on
-// their own, the wrong shape for the questions an operator actually asks:
-// what is tenant alice's p99 *right now*, is the error rate *rising*, has
-// the service burned its error budget fast enough to page?
+// layered on the scheduler's tenant records. Everything internal/sched
+// accounts is cumulative-since-boot — the right shape for dashboards that
+// rate() on their own, the wrong shape for the questions an operator actually
+// asks: what is tenant alice's p99 *right now*, is the error rate *rising*,
+// has the service burned its error budget fast enough to page?
 //
-// A background Sampler answers those: on a fixed tick it snapshots the
-// Registry, folds every source into cumulative counters and stage
-// histograms keyed by its tenant label (one "tenant/<name>" record per
-// tenant from internal/sched; unlabeled sources are service-wide), and
-// stores the result in a fixed-memory ring of frames spanning one long
-// window. Windowed values are then just frame subtraction — the rate over
-// the last 10s is (now − frame[10s ago]) ÷ elapsed, and the windowed p99 is
-// the quantile of the bucket-wise difference of two cumulative log2
-// histograms. Nothing in the data path changes: the hot path keeps its
-// allocation-free atomic counters, and the sampler reads them a few times
-// per second from one goroutine.
+// A background Sampler answers those: on a fixed tick it reads the
+// scheduler's Totals — the service-wide counters and one typed snapshot of
+// each tenant record — and stores them in a fixed-memory ring of frames
+// spanning one long window. A tenant whose record has not changed since the
+// previous tick shares that frame's copy, so an idle tenant costs the ring
+// one pointer per frame. Windowed values are then just frame subtraction —
+// the rate over the last 10s is (now − frame[10s ago]) ÷ elapsed, and a
+// windowed stage summary is sched.StageTotals.Since over the two frames'
+// records, the same summarizer every lifetime latency view uses. Nothing in
+// the data path changes: the hot path keeps its allocation-free atomic
+// counters, and the sampler reads them once per tick from one goroutine,
+// holding the scheduler's lock only to copy its tenant table.
 //
 // On top of the windows sits a multi-window SLO engine (the SRE burn-rate
 // idiom): each tenant's SLO — a target p99 for one serving stage, a maximum
@@ -37,11 +38,9 @@ import (
 	"time"
 
 	"cohort"
+	"cohort/internal/sched"
+	"cohort/internal/wire"
 )
-
-// Serving-stage names an SLO may target — the spellings of
-// internal/sched's attribution stages.
-var stages = [...]string{"queue", "sched", "compute", "wire"}
 
 // SLO is one tenant objective. The JSON shape is what cohortd's -slo flag
 // accepts (a JSON array literal or a file of one).
@@ -90,16 +89,11 @@ func ParseSLOs(v string) ([]SLO, error) {
 		if specs[i].Tenant == "" {
 			specs[i].Tenant = "*"
 		}
-		if specs[i].Stage == "" {
-			specs[i].Stage = "compute"
-		}
-		ok := false
-		for _, st := range stages {
-			if specs[i].Stage == st {
-				ok = true
-			}
-		}
-		if !ok {
+		switch specs[i].Stage {
+		case "":
+			specs[i].Stage = sched.StageCompute
+		case sched.StageQueue, sched.StageSched, sched.StageCompute, sched.StageWire:
+		default:
 			return nil, fmt.Errorf("telem: slo %d: unknown stage %q", i, specs[i].Stage)
 		}
 		if specs[i].P99Ms < 0 || specs[i].MaxErrorsPerSec < 0 {
@@ -114,8 +108,8 @@ func ParseSLOs(v string) ([]SLO, error) {
 
 // Config tunes a Sampler.
 type Config struct {
-	// Registry is the sampled metrics registry (required).
-	Registry *cohort.Registry
+	// Source reads the sampled accounting (required): a scheduler's Totals.
+	Source func() sched.Totals
 	// Tick is the sampling period (default 1s).
 	Tick time.Duration
 	// Short and Long are the two observation windows (defaults 10s and 5m).
@@ -127,13 +121,29 @@ type Config struct {
 	Events *Log
 }
 
-// frame is one tick's cumulative view: per-tenant counters and histograms,
-// keyed tenant+"\x00"+metric (tenant "" holds unlabeled, service-wide
-// sources like sched and watchdog).
+// frame is one tick's cumulative view: the scheduler-wide counters and one
+// record per tenant, sorted by name. A tenant whose record did not change
+// since the previous frame points at that frame's copy.
 type frame struct {
-	at       time.Time
-	counters map[string]uint64
-	histos   map[string]cohort.LatencyHistogram
+	at      time.Time
+	sched   sched.SchedStats
+	tenants []*sched.TenantTotals
+}
+
+// record returns the frame's record for tenant, or an all-zero one when the
+// frame predates the tenant.
+func (f *frame) record(tenant string) sched.TenantTotals {
+	i := sort.Search(len(f.tenants), func(i int) bool { return f.tenants[i].Tenant >= tenant })
+	if i < len(f.tenants) && f.tenants[i].Tenant == tenant {
+		return *f.tenants[i]
+	}
+	return sched.TenantTotals{}
+}
+
+// sloKey names one (spec index, tenant) pair.
+type sloKey struct {
+	spec   int
+	tenant string
 }
 
 // sloState is one (spec, tenant) pair's breach state machine.
@@ -154,24 +164,23 @@ type Sampler struct {
 	stopOnce      sync.Once
 	sampleNs      cohort.LatencyRecorder // wall time per tick, self-observed
 	mu            sync.Mutex
-	frames        []frame // ring: frame of tick i at i % len
+	frames        []frame // ring: frame of tick i at i % len; written only by tick
 	ticks         uint64  // completed ticks
-	tenants       map[string]bool
-	states        map[string]*sloState
+	states        map[sloKey]*sloState
 	breaches      uint64 // cumulative breach transitions
 	winDoc        WindowsDoc
 	sloDoc        SLODoc
 	degraded      string
 }
 
-// New builds a sampler over cfg.Registry and registers its self-metrics
-// ("telem" source). It adds no per-tenant source: windowed rates are served
-// by Windows, and a Prometheus scraper derives its own from the cumulative
+// New builds a sampler over cfg.Source. It registers no metric source: its
+// owner may publish the sampler's self-metrics (Metrics), and a Prometheus
+// scraper derives windowed rates from the scheduler's own cumulative
 // "tenant/<name>" counters. Call Start to begin ticking, or drive tick()
 // directly in tests.
 func New(cfg Config) *Sampler {
-	if cfg.Registry == nil {
-		panic("telem: Config.Registry is required")
+	if cfg.Source == nil {
+		panic("telem: Config.Source is required")
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Second
@@ -187,35 +196,38 @@ func New(cfg Config) *Sampler {
 			cfg.SLOs[i].Tenant = "*"
 		}
 		if cfg.SLOs[i].Stage == "" {
-			cfg.SLOs[i].Stage = "compute"
+			cfg.SLOs[i].Stage = sched.StageCompute
 		}
 	}
 	s := &Sampler{
-		cfg:     cfg,
-		nShort:  ticksIn(cfg.Short, cfg.Tick),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		tenants: make(map[string]bool),
-		states:  make(map[string]*sloState),
+		cfg:    cfg,
+		nShort: ticksIn(cfg.Short, cfg.Tick),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		states: make(map[sloKey]*sloState),
 	}
 	s.nLong = ticksIn(cfg.Long, cfg.Tick)
 	if s.nLong < s.nShort {
 		s.nLong = s.nShort
 	}
 	s.frames = make([]frame, s.nLong+1)
-	cfg.Registry.Register("telem", func() []cohort.Metric {
-		s.mu.Lock()
-		ticks, tenants, breaches := s.ticks, len(s.tenants), s.breaches
-		s.mu.Unlock()
-		h := s.sampleNs.Snapshot()
-		return []cohort.Metric{
-			{Name: "telem_ticks", Value: ticks},
-			{Name: "telem_tenants", Value: uint64(tenants)},
-			{Name: "slo_breaches", Value: breaches},
-			{Name: "telem_sample_ns", Histo: &h},
-		}
-	})
 	return s
+}
+
+// Metrics is the sampler's self-metrics source, for its owner to register
+// (cohortd registers it as "telem"): ticks, tenants in the latest frame,
+// breach transitions and the wall time of each tick.
+func (s *Sampler) Metrics() []cohort.Metric {
+	s.mu.Lock()
+	ticks, tenants, breaches := s.ticks, len(s.winDoc.Tenants), s.breaches
+	s.mu.Unlock()
+	h := s.sampleNs.Snapshot()
+	return []cohort.Metric{
+		{Name: "telem_ticks", Value: ticks},
+		{Name: "telem_tenants", Value: uint64(tenants)},
+		{Name: "slo_breaches", Value: breaches},
+		{Name: "telem_sample_ns", Histo: &h},
+	}
 }
 
 // ticksIn rounds d up to whole ticks, floor 1.
@@ -246,53 +258,39 @@ func (s *Sampler) Start() {
 	})
 }
 
-// Stop halts the loop and unregisters the sampler's registry source.
-// Idempotent; safe without Start.
+// Stop halts the loop. Idempotent; safe without Start.
 func (s *Sampler) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stop)
 		s.startOnce.Do(func() { close(s.done) }) // never started: nothing to join
 		<-s.done
-		s.cfg.Registry.Unregister("telem")
 	})
 }
 
-// tick runs one sampling pass: snapshot, fold, store, derive, evaluate.
-// Exported behavior is driven entirely through here, so tests call it with a
+// tick runs one sampling pass: read, store, derive, evaluate. Exported
+// behavior is driven entirely through here, so tests call it with a
 // synthetic clock instead of sleeping.
 func (s *Sampler) tick(now time.Time) {
 	t0 := time.Now()
-	snaps, labels := s.cfg.Registry.SnapshotLabeled()
-	fr := frame{
-		at:       now,
-		counters: make(map[string]uint64),
-		histos:   make(map[string]cohort.LatencyHistogram),
+	tot := s.cfg.Source()
+	fr := frame{at: now, sched: tot.Sched, tenants: make([]*sched.TenantTotals, len(tot.Tenants))}
+	// Share the previous frame's copy of every unchanged tenant. Both lists
+	// are sorted by name. Only tick writes frames and ticks, so it reads
+	// them here without the lock.
+	var prev []*sched.TenantTotals
+	if s.ticks > 0 {
+		prev = s.frames[(s.ticks-1)%uint64(len(s.frames))].tenants
 	}
-	seen := make(map[string]bool)
-	for i, sn := range snaps {
-		if sn.Name == "telem" {
-			continue // the sampler's own exports
+	for i := range tot.Tenants {
+		cur := &tot.Tenants[i]
+		for len(prev) > 0 && prev[0].Tenant < cur.Tenant {
+			prev = prev[1:]
 		}
-		tenant := ""
-		for _, l := range labels[i] {
-			if l.Key == "tenant" {
-				tenant = l.Value
-			}
-		}
-		if tenant != "" {
-			seen[tenant] = true
-		}
-		for _, m := range sn.Metrics {
-			key := tenant + "\x00" + m.Name
-			if m.Histo != nil {
-				h := fr.histos[key]
-				for b, c := range m.Histo.Buckets {
-					h.Buckets[b] += c
-				}
-				fr.histos[key] = h
-			} else if !m.IsFloat {
-				fr.counters[key] += m.Value
-			}
+		if len(prev) > 0 && *prev[0] == *cur {
+			fr.tenants[i] = prev[0]
+		} else {
+			rec := *cur // a copy of its own: the ring must not pin tot's array
+			fr.tenants[i] = &rec
 		}
 	}
 
@@ -304,17 +302,14 @@ func (s *Sampler) tick(now time.Time) {
 	s.mu.Lock()
 	s.frames[s.ticks%uint64(len(s.frames))] = fr
 	s.ticks++
-	for t := range seen {
-		s.tenants[t] = true
-	}
 	short, long := s.baseFrameLocked(s.nShort), s.baseFrameLocked(s.nLong)
 
-	// Windowed per-tenant views (the /stats/windows document).
-	tenants := make([]string, 0, len(s.tenants))
-	for t := range s.tenants {
-		tenants = append(tenants, t)
+	// Windowed per-tenant views (the /stats/windows document). The
+	// scheduler never drops a tenant record, so the latest frame names
+	// every tenant it has seen.
+	windows := func(t string) TenantWindows {
+		return TenantWindows{Tenant: t, Short: tenantView(&fr, short, t), Long: tenantView(&fr, long, t)}
 	}
-	sort.Strings(tenants)
 	doc := WindowsDoc{
 		At:      now,
 		TickMs:  float64(s.cfg.Tick) / float64(time.Millisecond),
@@ -325,14 +320,10 @@ func (s *Sampler) tick(now time.Time) {
 			Short: serviceView(&fr, short),
 			Long:  serviceView(&fr, long),
 		},
-		Tenants: make([]TenantWindows, 0, len(tenants)),
+		Tenants: make([]TenantWindows, len(fr.tenants)),
 	}
-	for _, t := range tenants {
-		doc.Tenants = append(doc.Tenants, TenantWindows{
-			Tenant: t,
-			Short:  tenantView(&fr, short, t),
-			Long:   tenantView(&fr, long, t),
-		})
+	for i, t := range fr.tenants {
+		doc.Tenants[i] = windows(t.Tenant)
 	}
 	s.winDoc = doc
 
@@ -343,23 +334,21 @@ func (s *Sampler) tick(now time.Time) {
 	}
 	var degraded []string
 	for si, spec := range s.cfg.SLOs {
-		var targets []string
-		if spec.Tenant == "*" {
-			targets = tenants
-		} else {
-			targets = []string{spec.Tenant}
+		targets := doc.Tenants
+		if spec.Tenant != "*" {
+			targets = []TenantWindows{windows(spec.Tenant)}
 		}
-		for _, t := range targets {
-			st := s.stateLocked(si, t, now)
-			row := s.evalLocked(&fr, short, long, spec, t, st, now)
+		for i := range targets {
+			t := targets[i].Tenant
+			row := evaluate(&targets[i], spec, s.stateLocked(si, t, now), now)
 			if row.State == "breach" {
 				degraded = append(degraded, fmt.Sprintf("tenant %s: %s", t, row.Reason))
 			}
 			if row.transitioned {
-				s.breaches += b2u(row.State == "breach")
 				typ := EventSLORecovery
 				if row.State == "breach" {
 					typ = EventSLOBreach
+					s.breaches++
 				}
 				fired = append(fired, transition{typ: typ, tenant: t, detail: row.Reason})
 			}
@@ -387,13 +376,6 @@ func (s *Sampler) tick(now time.Time) {
 	s.sampleNs.Observe(uint64(time.Since(t0)))
 }
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // baseFrameLocked returns the frame n ticks before the latest one, clamped
 // to the oldest frame the ring still holds (at startup a window covers only
 // what has been observed). Caller holds s.mu and has stored >= 1 frame.
@@ -410,96 +392,50 @@ func (s *Sampler) baseFrameLocked(n int) *frame {
 }
 
 // delta is the windowed increase of one cumulative counter, clamped at 0 so
-// a restarted or vanished source cannot produce a negative rate.
-func delta(cur, base *frame, key string) uint64 {
-	c, b := cur.counters[key], base.counters[key]
-	if c < b {
+// a restarted source cannot produce a negative rate.
+func delta(cur, base uint64) uint64 {
+	if cur < base {
 		return 0
 	}
-	return c - b
-}
-
-// histDelta is the windowed histogram: the bucket-wise difference of two
-// cumulative log2 histograms, clamped at 0 per bucket.
-func histDelta(cur, base *frame, key string) cohort.LatencyHistogram {
-	var out cohort.LatencyHistogram
-	c := cur.histos[key]
-	b := base.histos[key]
-	for i := range c.Buckets {
-		if c.Buckets[i] > b.Buckets[i] {
-			out.Buckets[i] = c.Buckets[i] - b.Buckets[i]
-		}
-	}
-	return out
-}
-
-// StageWindow is one stage's windowed latency distribution summary.
-type StageWindow struct {
-	Samples uint64  `json:"samples"`
-	P50Ns   float64 `json:"p50_ns"`
-	P99Ns   float64 `json:"p99_ns"`
-}
-
-func stageWindow(cur, base *frame, tenant, stage string) StageWindow {
-	h := histDelta(cur, base, tenant+"\x00stage_"+stage+"_ns")
-	n := h.Samples()
-	if n == 0 {
-		return StageWindow{}
-	}
-	return StageWindow{Samples: n, P50Ns: h.Quantile(0.5), P99Ns: h.Quantile(0.99)}
-}
-
-// WindowStages is the four-stage windowed latency view of one tenant.
-type WindowStages struct {
-	Queue   StageWindow `json:"queue"`
-	Sched   StageWindow `json:"sched"`
-	Compute StageWindow `json:"compute"`
-	Wire    StageWindow `json:"wire"`
+	return cur - base
 }
 
 // WindowView is one tenant's derived view over one window: rolling rates
-// from the persistent tenant counters plus windowed stage quantiles.
+// from the persistent tenant counters plus windowed stage summaries.
 // Seconds is the span the window actually covers (shorter than the nominal
 // window until enough ticks have accumulated).
 type WindowView struct {
-	Seconds              float64      `json:"seconds"`
-	BlocksPerSec         float64      `json:"blocks_per_s"`
-	WordsInPerSec        float64      `json:"words_in_per_s"`
-	WordsOutPerSec       float64      `json:"words_out_per_s"`
-	RetriesPerSec        float64      `json:"retries_per_s"`
-	TerminalFaultsPerSec float64      `json:"terminal_faults_per_s"`
-	KillsPerSec          float64      `json:"kills_per_s"`
-	RejectsPerSec        float64      `json:"rejects_per_s"`
-	ErrorsPerSec         float64      `json:"errors_per_s"`
-	Stages               WindowStages `json:"stages"`
+	Seconds              float64     `json:"seconds"`
+	BlocksPerSec         float64     `json:"blocks_per_s"`
+	WordsInPerSec        float64     `json:"words_in_per_s"`
+	WordsOutPerSec       float64     `json:"words_out_per_s"`
+	RetriesPerSec        float64     `json:"retries_per_s"`
+	TerminalFaultsPerSec float64     `json:"terminal_faults_per_s"`
+	KillsPerSec          float64     `json:"kills_per_s"`
+	RejectsPerSec        float64     `json:"rejects_per_s"`
+	ErrorsPerSec         float64     `json:"errors_per_s"`
+	Stages               wire.Stages `json:"stages"`
 }
 
 func tenantView(cur, base *frame, tenant string) WindowView {
+	c, b := cur.record(tenant), base.record(tenant)
 	v := WindowView{Seconds: cur.at.Sub(base.at).Seconds()}
 	if v.Seconds > 0 {
-		rate := func(metric string) float64 {
-			return float64(delta(cur, base, tenant+"\x00"+metric)) / v.Seconds
-		}
-		v.BlocksPerSec = rate("blocks")
-		v.WordsInPerSec = rate("words_in")
-		v.WordsOutPerSec = rate("words_out")
-		v.RetriesPerSec = rate("retries")
-		v.TerminalFaultsPerSec = rate("terminal_faults")
-		v.KillsPerSec = rate("kills")
-		v.RejectsPerSec = rate("rejected")
+		rate := func(c, b uint64) float64 { return float64(delta(c, b)) / v.Seconds }
+		v.BlocksPerSec = rate(c.Blocks, b.Blocks)
+		v.WordsInPerSec = rate(c.WordsIn, b.WordsIn)
+		v.WordsOutPerSec = rate(c.WordsOut, b.WordsOut)
+		v.RetriesPerSec = rate(c.Retries, b.Retries)
+		v.TerminalFaultsPerSec = rate(c.TerminalFaults, b.TerminalFaults)
+		v.KillsPerSec = rate(c.Kills, b.Kills)
+		v.RejectsPerSec = rate(c.Rejected, b.Rejected)
 		v.ErrorsPerSec = v.RetriesPerSec + v.TerminalFaultsPerSec + v.KillsPerSec
 	}
-	v.Stages = WindowStages{
-		Queue:   stageWindow(cur, base, tenant, "queue"),
-		Sched:   stageWindow(cur, base, tenant, "sched"),
-		Compute: stageWindow(cur, base, tenant, "compute"),
-		Wire:    stageWindow(cur, base, tenant, "wire"),
-	}
+	v.Stages = c.Stages.Since(b.Stages)
 	return v
 }
 
-// ServiceView is the scheduler-wide windowed rate view (from the unlabeled
-// "sched" source).
+// ServiceView is the scheduler-wide windowed rate view.
 type ServiceView struct {
 	Seconds               float64 `json:"seconds"`
 	DecisionsPerSec       float64 `json:"decisions_per_s"`
@@ -516,16 +452,15 @@ func serviceView(cur, base *frame) ServiceView {
 	if v.Seconds <= 0 {
 		return v
 	}
-	rate := func(metric string) float64 {
-		return float64(delta(cur, base, "\x00"+metric)) / v.Seconds
-	}
-	v.DecisionsPerSec = rate("decisions")
-	v.AdmittedPerSec = rate("admitted")
-	v.RetiredPerSec = rate("retired")
-	v.RejectedPerSec = rate("rejected")
-	v.TransientFaultsPerSec = rate("transient_faults")
-	v.TerminalFaultsPerSec = rate("terminal_faults")
-	v.KillsPerSec = rate("kills")
+	c, b := &cur.sched, &base.sched
+	rate := func(c, b uint64) float64 { return float64(delta(c, b)) / v.Seconds }
+	v.DecisionsPerSec = rate(c.Decisions, b.Decisions)
+	v.AdmittedPerSec = rate(c.Admitted, b.Admitted)
+	v.RetiredPerSec = rate(c.Retired, b.Retired)
+	v.RejectedPerSec = rate(c.Rejected, b.Rejected)
+	v.TransientFaultsPerSec = rate(c.TransientFaults, b.TransientFaults)
+	v.TerminalFaultsPerSec = rate(c.TerminalFaults, b.TerminalFaults)
+	v.KillsPerSec = rate(c.Kills, b.Kills)
 	return v
 }
 
@@ -543,7 +478,7 @@ type TenantWindows struct {
 }
 
 // WindowsDoc is the /stats/windows document: per-tenant rolling rates and
-// windowed stage quantiles over the short and long windows, plus the
+// windowed stage summaries over the short and long windows, plus the
 // service-wide view.
 type WindowsDoc struct {
 	At      time.Time       `json:"at"`
@@ -615,7 +550,7 @@ func (s *Sampler) Healthy() bool { return s.Degraded() == "" }
 // stateLocked returns (creating on first use) the breach state machine for
 // spec si applied to tenant t.
 func (s *Sampler) stateLocked(si int, t string, now time.Time) *sloState {
-	key := fmt.Sprintf("%d\x00%s", si, t)
+	key := sloKey{si, t}
 	st, ok := s.states[key]
 	if !ok {
 		st = &sloState{since: now}
@@ -624,40 +559,39 @@ func (s *Sampler) stateLocked(si int, t string, now time.Time) *sloState {
 	return st
 }
 
-// evalRow is evalLocked's result: the status row plus whether the state
+// evalRow is evaluate's result: the status row plus whether the state
 // flipped this tick.
 type evalRow struct {
 	SLOStatus
 	transitioned bool
 }
 
-// evalLocked applies one spec to one tenant over the current windows and
+// evaluate applies one spec to one tenant's windowed views and
 // advances its breach state machine. Multi-window semantics: a breach is
 // entered only when the short AND the long window are both over target
 // (latency) or both burning budget at >= 1x (errors); it exits as soon as
 // the short window is clear. The long window keeps one noisy tick from
 // paging; the short window keeps recovery detection fast.
-func (s *Sampler) evalLocked(cur, short, long *frame, spec SLO, tenant string, st *sloState, now time.Time) evalRow {
+func evaluate(w *TenantWindows, spec SLO, st *sloState, now time.Time) evalRow {
 	row := evalRow{SLOStatus: SLOStatus{
-		Tenant: tenant, Stage: spec.Stage,
+		Tenant: w.Tenant, Stage: spec.Stage,
 		TargetP99Ms: spec.P99Ms, MaxErrorsPerSec: spec.MaxErrorsPerSec,
 	}}
-	sv := tenantView(cur, short, tenant)
-	lv := tenantView(cur, long, tenant)
-	stagePick := func(v *WindowView) StageWindow {
+	sv, lv := &w.Short, &w.Long
+	stagePick := func(v *WindowView) wire.StageTiming {
 		switch spec.Stage {
-		case "queue":
+		case sched.StageQueue:
 			return v.Stages.Queue
-		case "sched":
+		case sched.StageSched:
 			return v.Stages.Sched
-		case "wire":
+		case sched.StageWire:
 			return v.Stages.Wire
 		default:
 			return v.Stages.Compute
 		}
 	}
-	row.ShortP99Ms = stagePick(&sv).P99Ns / 1e6
-	row.LongP99Ms = stagePick(&lv).P99Ns / 1e6
+	row.ShortP99Ms = stagePick(sv).P99Ns / 1e6
+	row.LongP99Ms = stagePick(lv).P99Ns / 1e6
 	row.ShortErrorsPerSec = sv.ErrorsPerSec
 	row.LongErrorsPerSec = lv.ErrorsPerSec
 

@@ -8,11 +8,18 @@ import (
 	"time"
 
 	"cohort"
+	"cohort/internal/sched"
 )
 
-// fakeTenant wires a synthetic tenant into a registry the way sched does:
-// one "tenant/<name>" source of counters and stage histograms, labeled
-// tenant=<name>. Tests mutate the fields between ticks.
+// fakeSource stands in for a scheduler's Totals: a typed record per tenant,
+// sorted by name, and the scheduler-wide counters. Tests mutate the records
+// between ticks.
+type fakeSource struct {
+	sched   sched.SchedStats
+	tenants []*fakeTenant
+}
+
+// fakeTenant is one tenant's mutable record.
 type fakeTenant struct {
 	name                   string
 	blocks, retries, kills uint64
@@ -20,31 +27,38 @@ type fakeTenant struct {
 	compute                cohort.LatencyRecorder
 }
 
-func (f *fakeTenant) install(reg *cohort.Registry) {
-	labels := []cohort.Label{{Key: "tenant", Value: f.name}}
-	reg.RegisterLabeled("tenant/"+f.name, labels, func() []cohort.Metric {
-		h := f.compute.Snapshot()
-		return []cohort.Metric{
-			{Name: "blocks", Value: f.blocks},
-			{Name: "retries", Value: f.retries},
-			{Name: "terminal_faults", Value: f.terminal},
-			{Name: "kills", Value: f.kills},
-			{Name: "stage_compute_ns", Histo: &h},
-		}
-	})
+// tenant adds a record named name (names must be added in order).
+func (f *fakeSource) tenant(name string) *fakeTenant {
+	ft := &fakeTenant{name: name}
+	f.tenants = append(f.tenants, ft)
+	return ft
+}
+
+func (f *fakeSource) totals() sched.Totals {
+	tot := sched.Totals{Sched: f.sched}
+	for _, ft := range f.tenants {
+		tot.Tenants = append(tot.Tenants, sched.TenantTotals{
+			Tenant: ft.name, Blocks: ft.blocks, Retries: ft.retries,
+			TerminalFaults: ft.terminal, Kills: ft.kills,
+			Stages: sched.StageTotals{Compute: sched.StageTotal{
+				Histo: ft.compute.Snapshot(), SumNs: ft.compute.SumNs(),
+			}},
+		})
+	}
+	return tot
 }
 
 // newTestSampler builds a sampler with a 1s tick, 3-tick short window and
 // 6-tick long window, driven manually through tick().
-func newTestSampler(t *testing.T, reg *cohort.Registry, slos []SLO, events *Log) *Sampler {
+func newTestSampler(t *testing.T, src *fakeSource, slos []SLO, events *Log) *Sampler {
 	t.Helper()
 	s := New(Config{
-		Registry: reg,
-		Tick:     time.Second,
-		Short:    3 * time.Second,
-		Long:     6 * time.Second,
-		SLOs:     slos,
-		Events:   events,
+		Source: src.totals,
+		Tick:   time.Second,
+		Short:  3 * time.Second,
+		Long:   6 * time.Second,
+		SLOs:   slos,
+		Events: events,
 	})
 	t.Cleanup(s.Stop)
 	return s
@@ -53,17 +67,14 @@ func newTestSampler(t *testing.T, reg *cohort.Registry, slos []SLO, events *Log)
 var t0 = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 
 func TestWindowedRates(t *testing.T) {
-	reg := cohort.NewRegistry()
-	ft := &fakeTenant{name: "alice"}
-	ft.install(reg)
-	reg.Register("sched", func() []cohort.Metric {
-		return []cohort.Metric{{Name: "decisions", Value: ft.blocks}}
-	})
-	s := newTestSampler(t, reg, nil, nil)
+	src := &fakeSource{}
+	ft := src.tenant("alice")
+	s := newTestSampler(t, src, nil, nil)
 
 	s.tick(t0) // baseline
 	ft.blocks += 300
 	ft.retries += 3
+	src.sched.Decisions += 300
 	s.tick(t0.Add(1 * time.Second))
 
 	w := s.Windows()
@@ -106,10 +117,9 @@ func TestWindowedRates(t *testing.T) {
 }
 
 func TestWindowedQuantiles(t *testing.T) {
-	reg := cohort.NewRegistry()
-	ft := &fakeTenant{name: "alice"}
-	ft.install(reg)
-	s := newTestSampler(t, reg, nil, nil)
+	src := &fakeSource{}
+	ft := src.tenant("alice")
+	s := newTestSampler(t, src, nil, nil)
 
 	for i := 0; i < 100; i++ {
 		ft.compute.Observe(1000) // ~1us era
@@ -132,10 +142,9 @@ func TestWindowedQuantiles(t *testing.T) {
 }
 
 func TestCounterResetClamps(t *testing.T) {
-	reg := cohort.NewRegistry()
-	ft := &fakeTenant{name: "alice"}
-	ft.install(reg)
-	s := newTestSampler(t, reg, nil, nil)
+	src := &fakeSource{}
+	ft := src.tenant("alice")
+	s := newTestSampler(t, src, nil, nil)
 
 	ft.blocks = 1000
 	s.tick(t0)
@@ -147,11 +156,10 @@ func TestCounterResetClamps(t *testing.T) {
 }
 
 func TestSLOBreachWithinTwoTicksAndRecovery(t *testing.T) {
-	reg := cohort.NewRegistry()
-	ft := &fakeTenant{name: "alice"}
-	ft.install(reg)
+	src := &fakeSource{}
+	ft := src.tenant("alice")
 	events := NewLog(64, nil)
-	s := newTestSampler(t, reg, []SLO{{Tenant: "*", Stage: "compute", P99Ms: 1}}, events)
+	s := newTestSampler(t, src, []SLO{{Tenant: "*", Stage: "compute", P99Ms: 1}}, events)
 
 	s.tick(t0) // tick 1: baseline, no samples
 	if d := s.Degraded(); d != "" {
@@ -197,11 +205,10 @@ func TestSLOBreachWithinTwoTicksAndRecovery(t *testing.T) {
 }
 
 func TestSLOMultiWindowSuppressesBlip(t *testing.T) {
-	reg := cohort.NewRegistry()
-	ft := &fakeTenant{name: "alice"}
-	ft.install(reg)
+	src := &fakeSource{}
+	ft := src.tenant("alice")
 	events := NewLog(64, nil)
-	s := newTestSampler(t, reg, []SLO{{Tenant: "alice", MaxErrorsPerSec: 5}}, events)
+	s := newTestSampler(t, src, []SLO{{Tenant: "alice", MaxErrorsPerSec: 5}}, events)
 
 	// Fill the 6-tick long window with clean baseline first.
 	for i := 0; i <= 7; i++ {
@@ -236,8 +243,7 @@ func TestSLOMultiWindowSuppressesBlip(t *testing.T) {
 }
 
 func TestSLOExplicitTenantRowWithoutTraffic(t *testing.T) {
-	reg := cohort.NewRegistry()
-	s := newTestSampler(t, reg, []SLO{{Tenant: "bob", Stage: "wire", P99Ms: 2}}, nil)
+	s := newTestSampler(t, &fakeSource{}, []SLO{{Tenant: "bob", Stage: "wire", P99Ms: 2}}, nil)
 	s.tick(t0)
 	doc := s.Status()
 	if len(doc.SLOs) != 1 || doc.SLOs[0].Tenant != "bob" || doc.SLOs[0].State != "ok" {
@@ -245,40 +251,35 @@ func TestSLOExplicitTenantRowWithoutTraffic(t *testing.T) {
 	}
 }
 
-// TestSelfMetricsExport: the sampler exports its own "telem" source and no
-// per-tenant one, and Stop removes it again.
+// TestSelfMetricsExport: the sampler's self-metrics report its ticks and
+// the tenants of its latest frame, and its owner publishes them as a
+// registry source.
 func TestSelfMetricsExport(t *testing.T) {
-	reg := cohort.NewRegistry()
-	ft := &fakeTenant{name: "alice"}
-	ft.install(reg)
-	s := newTestSampler(t, reg, nil, nil)
+	src := &fakeSource{}
+	ft := src.tenant("alice")
+	s := newTestSampler(t, src, nil, nil)
 
 	s.tick(t0)
 	ft.blocks += 120
 	s.tick(t0.Add(1 * time.Second))
 
-	if n := reg.Len(); n != 2 {
-		t.Errorf("registry holds %d sources, want 2 (tenant/alice and telem)", n)
+	m := s.Metrics()
+	if m[0].Name != "telem_ticks" || m[0].Value != 2 || m[1].Name != "telem_tenants" || m[1].Value != 1 {
+		t.Errorf("self-metrics = %+v, want 2 ticks and 1 tenant", m[:2])
 	}
+	reg := cohort.NewRegistry()
+	reg.Register("telem", s.Metrics)
 	var b strings.Builder
 	reg.WritePrometheus(&b)
 	if !strings.Contains(b.String(), "cohort_telem_ticks") {
 		t.Errorf("prometheus output missing sampler self-metrics")
 	}
-
-	s.Stop()
-	var b2 strings.Builder
-	reg.WritePrometheus(&b2)
-	if strings.Contains(b2.String(), "cohort_telem_") {
-		t.Errorf("sampler source survives Stop:\n%s", b2.String())
-	}
 }
 
 func TestSamplerStartStop(t *testing.T) {
-	reg := cohort.NewRegistry()
-	ft := &fakeTenant{name: "alice"}
-	ft.install(reg)
-	s := New(Config{Registry: reg, Tick: time.Millisecond, Short: 5 * time.Millisecond, Long: 20 * time.Millisecond})
+	src := &fakeSource{}
+	src.tenant("alice")
+	s := New(Config{Source: src.totals, Tick: time.Millisecond, Short: 5 * time.Millisecond, Long: 20 * time.Millisecond})
 	s.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for s.Windows().Ticks == 0 {

@@ -13,13 +13,12 @@ func TestTelemetryRoundTrip(t *testing.T) {
 		t.Errorf("Telemetry.String() = %q", got)
 	}
 
-	tel := TelemetryReply{
-		Session: 7,
+	tel := TelemetryReply{Session: 7, Stages: Stages{
 		Queue:   StageTiming{Samples: 10, MeanNs: 1500, P50Ns: 1200, P99Ns: 4100},
 		Sched:   StageTiming{Samples: 10, MeanNs: 300, P50Ns: 250, P99Ns: 900},
 		Compute: StageTiming{Samples: 10, MeanNs: 7000, P50Ns: 6500, P99Ns: 12000},
 		Wire:    StageTiming{Samples: 9, MeanNs: 2200, P50Ns: 1800, P99Ns: 5000},
-	}
+	}}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	if err := w.JSON(Telemetry, tel); err != nil {

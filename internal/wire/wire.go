@@ -211,29 +211,38 @@ type DoneReply struct {
 	Timing *TelemetryReply `json:"timing,omitempty"`
 }
 
-// StageTiming is one pipeline stage's latency summary inside a
-// TelemetryReply: sample count, exact mean, and log2-interpolated quantiles,
-// in nanoseconds. Samples are whole scheduler quanta, taken 1-in-N.
+// StageTiming is one pipeline stage's latency summary: sample count, exact
+// mean, and log2-interpolated quantiles, in nanoseconds. Samples are whole
+// scheduler quanta, taken 1-in-N.
 type StageTiming struct {
 	Samples uint64  `json:"samples"`
 	MeanNs  float64 `json:"mean_ns"`
 	P50Ns   float64 `json:"p50_ns"`
+	P95Ns   float64 `json:"p95_ns"`
 	P99Ns   float64 `json:"p99_ns"`
 }
 
-// TelemetryReply is the server-side latency attribution document for one
-// session: where a served block's time went once it reached the daemon —
-// input-queue wait, scheduler dispatch (incl. the modeled CSR swap), engine
-// compute, and output-queue + socket egress. Carried mid-stream by Telemetry
-// frames (cumulative since the session opened; each frame supersedes the
-// last) and attached finally to DoneReply.Timing. The client's end-to-end
-// clock minus ServerNs approximates network + client-side time.
-type TelemetryReply struct {
-	Session uint64      `json:"session"`
+// Stages is the four-stage latency summary of one scope — a session, a
+// tenant, or a tenant over a window — in pipeline order: input-queue wait,
+// scheduler dispatch (incl. the modeled CSR swap), engine compute, and
+// output-queue + socket egress. It is the one shape of every latency view:
+// Telemetry frames, /sessions, /stats/latency and /stats/windows.
+type Stages struct {
 	Queue   StageTiming `json:"queue"`
 	Sched   StageTiming `json:"sched"`
 	Compute StageTiming `json:"compute"`
 	Wire    StageTiming `json:"wire"`
+}
+
+// TelemetryReply is the server-side latency attribution document for one
+// session: where a served block's time went once it reached the daemon.
+// Carried mid-stream by Telemetry frames (cumulative since the session
+// opened; each frame supersedes the last) and attached finally to
+// DoneReply.Timing. The client's end-to-end clock minus ServerMeanNs
+// approximates network + client-side time.
+type TelemetryReply struct {
+	Session uint64 `json:"session"`
+	Stages
 }
 
 // ServerMeanNs sums the per-stage means: the expected server-resident time

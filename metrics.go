@@ -136,10 +136,9 @@ func (r *Registry) Snapshot() []SourceSnapshot {
 }
 
 // SnapshotLabeled is Snapshot plus each source's exposition labels, aligned
-// by index — the view WritePrometheus renders and the windowed telemetry
-// sampler (internal/telem) folds into per-tenant aggregates: a consumer that
-// needs to group sources by tenant reads the labels instead of parsing
-// source-name spellings.
+// by index — the view WritePrometheus renders: a consumer that needs to
+// group sources by tenant reads the labels instead of parsing source-name
+// spellings.
 func (r *Registry) SnapshotLabeled() ([]SourceSnapshot, [][]Label) {
 	r.mu.Lock()
 	names := append([]string(nil), r.order...)
