@@ -52,14 +52,6 @@ func (w *BitWriter) WriteSE(v int32) {
 // Bytes returns the stream, zero-padded to a byte boundary.
 func (w *BitWriter) Bytes() []byte { return w.buf }
 
-// Len returns the number of bits written.
-func (w *BitWriter) Len() int {
-	if w.nbit == 0 {
-		return 8 * len(w.buf)
-	}
-	return 8*(len(w.buf)-1) + int(w.nbit)
-}
-
 // BitReader consumes an MSB-first bitstream.
 type BitReader struct {
 	buf []byte
@@ -126,6 +118,3 @@ func (r *BitReader) ReadSE() (int32, error) {
 	}
 	return int32(u/2) + 1, nil
 }
-
-// Tell returns the current bit position.
-func (r *BitReader) Tell() int { return r.pos }

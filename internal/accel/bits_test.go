@@ -6,14 +6,22 @@ import (
 	"testing/quick"
 )
 
+// bitLen returns the number of bits w holds.
+func bitLen(w *BitWriter) int {
+	if w.nbit == 0 {
+		return 8 * len(w.buf)
+	}
+	return 8*(len(w.buf)-1) + int(w.nbit)
+}
+
 func TestBitRoundTrip(t *testing.T) {
 	w := &BitWriter{}
 	bits := []int{1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0}
 	for _, b := range bits {
 		w.WriteBit(b)
 	}
-	if w.Len() != len(bits) {
-		t.Fatalf("Len = %d, want %d", w.Len(), len(bits))
+	if bitLen(w) != len(bits) {
+		t.Fatalf("Len = %d, want %d", bitLen(w), len(bits))
 	}
 	r := NewBitReader(w.Bytes())
 	for i, want := range bits {
@@ -38,8 +46,8 @@ func TestExpGolombKnownCodes(t *testing.T) {
 	for v, wantBits := range map[uint32]string{0: "1", 1: "010", 2: "011", 3: "00100", 7: "0001000"} {
 		w := &BitWriter{}
 		w.WriteUE(v)
-		if w.Len() != len(wantBits) {
-			t.Errorf("ue(%d) length %d, want %d", v, w.Len(), len(wantBits))
+		if bitLen(w) != len(wantBits) {
+			t.Errorf("ue(%d) length %d, want %d", v, bitLen(w), len(wantBits))
 			continue
 		}
 		r := NewBitReader(w.Bytes())

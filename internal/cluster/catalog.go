@@ -39,7 +39,7 @@ type EventSink interface {
 	Emit(typ, tenant string, session uint64, detail string)
 }
 
-// Catalog event spellings, matching internal/telem's canonical constants.
+// Catalog event spellings; the Catalog is the only emitter of them.
 const (
 	eventShardUp    = "shard_up"
 	eventShardDrain = "shard_drain"
@@ -296,13 +296,6 @@ func (c *Catalog) Route(key string, n int) []Shard {
 		}
 	}
 	return out
-}
-
-// Version returns the current membership version (bumps on every rebuild).
-func (c *Catalog) Version() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
 }
 
 // Snapshot returns the /ring document: the whole fleet with live state.

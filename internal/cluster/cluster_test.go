@@ -364,7 +364,7 @@ func TestDrainFailover(t *testing.T) {
 	}
 	found := false
 	for _, ev := range page.Events {
-		if ev.Type == telem.EventShardDrain && ev.Tenant == victim.name {
+		if ev.Type == "shard_drain" && ev.Tenant == victim.name {
 			found = true
 		}
 	}
@@ -529,9 +529,7 @@ func TestRedirectNamesRouteOwner(t *testing.T) {
 	owners := map[string]int{}
 	for i := 0; i < 100; i++ {
 		tenant := fmt.Sprintf("tenant-%d", i)
-		if err := w.Open(&wire.OpenRequest{Tenant: tenant, Accel: "null", Reuse: true}); err != nil {
-			t.Fatal(err)
-		}
+		writeOpen(t, w, &wire.OpenRequest{Tenant: tenant, Accel: "null", Reuse: true})
 		typ, p, err := r.Next()
 		if err != nil || typ != wire.Redirect {
 			t.Fatalf("%s: reply %v %v, want redirect", tenant, typ, err)

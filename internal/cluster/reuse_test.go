@@ -358,9 +358,7 @@ func TestGatewayClientReuseRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gw := rawDial(t, f.gwWire)
-			if err := gw.W.Open(&tc.req); err != nil {
-				t.Fatal(err)
-			}
+			writeOpen(t, gw.W, &tc.req)
 			typ, p, err := gw.R.Next()
 			if err != nil || typ != wire.Redirect {
 				t.Fatalf("gateway reply = %v %v, want redirect", typ, err)
@@ -372,9 +370,7 @@ func TestGatewayClientReuseRule(t *testing.T) {
 
 			// Follow the Redirect and run the session to its Done.
 			sh := rawDial(t, cands[0])
-			if err := sh.W.Open(&tc.req); err != nil {
-				t.Fatal(err)
-			}
+			writeOpen(t, sh.W, &tc.req)
 			if typ, _, err := sh.R.Next(); err != nil || typ != wire.OpenOK {
 				t.Fatalf("shard reply = %v %v, want open-ok", typ, err)
 			}
@@ -398,9 +394,7 @@ func TestGatewayClientReuseRule(t *testing.T) {
 
 			if tc.keeps {
 				// The next Open is served on the same connection.
-				if err := gw.W.Open(&tc.req); err != nil {
-					t.Fatal(err)
-				}
+				writeOpen(t, gw.W, &tc.req)
 			}
 			typ, _, err = gw.R.Next()
 			switch {
@@ -414,6 +408,15 @@ func TestGatewayClientReuseRule(t *testing.T) {
 }
 
 // rawDial dials addr for a test that speaks the wire protocol itself.
+// writeOpen sends req as an Open frame the way the client does.
+func writeOpen(t *testing.T, w *wire.Writer, req *wire.OpenRequest) {
+	t.Helper()
+	b, err := wire.AppendOpen(nil, req)
+	if err != nil || w.Frame(wire.Open, b) != nil {
+		t.Fatal("open failed", err)
+	}
+}
+
 func rawDial(t *testing.T, addr string) *wire.Conn {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)

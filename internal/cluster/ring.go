@@ -23,6 +23,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // DefaultVNodes is the virtual-node count per shard when a Ring or Catalog
@@ -87,7 +88,6 @@ type point struct {
 // deletes only that shard's points, so only the keys in its arcs remap (the
 // ~K/N consistent-hashing guarantee); every other key keeps its owner.
 type Ring struct {
-	vnodes int
 	shards []string // sorted, deduplicated
 	points []point  // sorted by hash
 }
@@ -109,7 +109,7 @@ func NewRing(shards []string, vnodes int) *Ring {
 		uniq = append(uniq, s)
 	}
 	sort.Strings(uniq)
-	r := &Ring{vnodes: vnodes, shards: uniq, points: make([]point, 0, len(uniq)*vnodes)}
+	r := &Ring{shards: uniq, points: make([]point, 0, len(uniq)*vnodes)}
 	for si, name := range uniq {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, point{
@@ -129,16 +129,6 @@ func NewRing(shards []string, vnodes int) *Ring {
 	return r
 }
 
-// Len returns the number of member shards.
-func (r *Ring) Len() int { return len(r.shards) }
-
-// Shards returns the member shard names, sorted. The slice is shared; do
-// not mutate.
-func (r *Ring) Shards() []string { return r.shards }
-
-// VNodes returns the virtual-node count per shard.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // find returns the index of the first point at or after h, wrapping to 0.
 func (r *Ring) find(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
@@ -146,14 +136,6 @@ func (r *Ring) find(h uint64) int {
 		return 0
 	}
 	return i
-}
-
-// Lookup returns the shard owning key, or "" on an empty ring.
-func (r *Ring) Lookup(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.shards[r.points[r.find(fnv1a(key))].shard]
 }
 
 // LookupN returns up to n distinct shards for key in failover order: the
@@ -209,15 +191,15 @@ type ShardInfo struct {
 // healthy, so in practice every entry should carry one).
 func ParseShards(spec string) ([]Shard, error) {
 	var out []Shard
-	for _, entry := range splitNonEmpty(spec, ',') {
-		name, rest := "", entry
-		if i := indexByte(entry, '='); i >= 0 {
-			name, rest = entry[:i], entry[i+1:]
+	for _, entry := range strings.Split(spec, ",") {
+		if entry == "" {
+			continue
 		}
-		addr, httpAddr := rest, ""
-		if i := indexByte(rest, '@'); i >= 0 {
-			addr, httpAddr = rest[:i], rest[i+1:]
+		name, rest, ok := strings.Cut(entry, "=")
+		if !ok {
+			name, rest = "", entry
 		}
+		addr, httpAddr, _ := strings.Cut(rest, "@")
 		if addr == "" {
 			return nil, fmt.Errorf("cluster: shard entry %q has no wire address", entry)
 		}
@@ -230,30 +212,4 @@ func ParseShards(spec string) ([]Shard, error) {
 		return nil, fmt.Errorf("cluster: no shards in %q", spec)
 	}
 	return out, nil
-}
-
-func splitNonEmpty(s string, sep byte) []string {
-	var out []string
-	for len(s) > 0 {
-		i := indexByte(s, sep)
-		var part string
-		if i < 0 {
-			part, s = s, ""
-		} else {
-			part, s = s[:i], s[i+1:]
-		}
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

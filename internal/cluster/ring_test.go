@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// owner returns the shard owning key, or "" on an empty ring.
+func owner(r *Ring, key string) string {
+	if c := r.LookupN(key, 1); len(c) == 1 {
+		return c[0]
+	}
+	return ""
+}
+
 // keys returns n deterministic tenant-like keys.
 func keys(n int) []string {
 	out := make([]string, n)
@@ -23,9 +31,9 @@ func TestRingDeterministic(t *testing.T) {
 	a := NewRing([]string{"s0", "s1", "s2"}, 64)
 	b := NewRing([]string{"s2", "s0", "s1"}, 64) // same members, different order
 	for _, k := range keys(500) {
-		if a.Lookup(k) != b.Lookup(k) {
+		if owner(a, k) != owner(b, k) {
 			t.Fatalf("key %q routes differently on identical memberships: %q vs %q",
-				k, a.Lookup(k), b.Lookup(k))
+				k, owner(a, k), owner(b, k))
 		}
 		if !reflect.DeepEqual(a.LookupN(k, 2), b.LookupN(k, 2)) {
 			t.Fatalf("key %q failover candidates differ on identical memberships", k)
@@ -45,7 +53,7 @@ func TestRingRemovalRemapsOnlyVictimKeys(t *testing.T) {
 	const K = 2000
 	moved := 0
 	for _, k := range keys(K) {
-		before, after := full.Lookup(k), without.Lookup(k)
+		before, after := owner(full, k), owner(without, k)
 		if before == "s3" {
 			moved++
 			if after == "s3" {
@@ -74,7 +82,7 @@ func TestRingAdditionMovesKeysOnlyToNewShard(t *testing.T) {
 	grown := NewRing([]string{"s0", "s1", "s2", "s9"}, 128)
 	gained := 0
 	for _, k := range keys(2000) {
-		before, after := base.Lookup(k), grown.Lookup(k)
+		before, after := owner(base, k), owner(grown, k)
 		if before == after {
 			continue
 		}
@@ -100,8 +108,8 @@ func TestLookupNFailoverOrder(t *testing.T) {
 		if len(cands) != 3 {
 			t.Fatalf("LookupN(%q, 3) returned %d candidates", k, len(cands))
 		}
-		if cands[0] != r.Lookup(k) {
-			t.Fatalf("key %q: first candidate %q is not the owner %q", k, cands[0], r.Lookup(k))
+		if cands[0] != owner(r, k) {
+			t.Fatalf("key %q: first candidate %q is not the owner %q", k, cands[0], owner(r, k))
 		}
 		seen := map[string]bool{}
 		for _, c := range cands {
@@ -117,7 +125,7 @@ func TestLookupNFailoverOrder(t *testing.T) {
 				rest = append(rest, s)
 			}
 		}
-		if got := NewRing(rest, 128).Lookup(k); got != cands[1] {
+		if got := owner(NewRing(rest, 128), k); got != cands[1] {
 			t.Fatalf("key %q: post-ejection owner %q != second candidate %q", k, got, cands[1])
 		}
 	}
@@ -127,15 +135,15 @@ func TestLookupNFailoverOrder(t *testing.T) {
 // duplicate members.
 func TestRingEdgeCases(t *testing.T) {
 	empty := NewRing(nil, 16)
-	if got := empty.Lookup("k"); got != "" {
+	if got := owner(empty, "k"); got != "" {
 		t.Fatalf("empty ring Lookup = %q, want \"\"", got)
 	}
 	if got := empty.LookupN("k", 2); got != nil {
 		t.Fatalf("empty ring LookupN = %v, want nil", got)
 	}
 	one := NewRing([]string{"only", "only", ""}, 16) // dup and empty dropped
-	if one.Len() != 1 || one.Lookup("anything") != "only" {
-		t.Fatalf("single-shard ring misroutes: len %d, lookup %q", one.Len(), one.Lookup("anything"))
+	if got := one.LookupN("anything", 2); !reflect.DeepEqual(got, []string{"only"}) {
+		t.Fatalf("single-shard ring misroutes: %v", got)
 	}
 	if got := one.LookupN("k", 5); len(got) != 1 {
 		t.Fatalf("LookupN over-asks: %v", got)
@@ -153,7 +161,7 @@ func TestRingSpreadsSuffixVaryingKeys(t *testing.T) {
 	counts := map[string]int{}
 	const n = 64
 	for i := 0; i < n; i++ {
-		counts[r.Lookup(fmt.Sprintf("load-%d", i))]++
+		counts[owner(r, fmt.Sprintf("load-%d", i))]++
 	}
 	for _, s := range []string{"s0", "s1"} {
 		// Deterministic, so this is a fixed property of the hash: each shard

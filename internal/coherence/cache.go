@@ -96,14 +96,8 @@ func newCache(sys *System, tile int, name string) *Cache {
 	return c
 }
 
-// Tile returns the tile this cache lives on.
-func (c *Cache) Tile() int { return c.tile }
-
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
-
-// ResetStats zeroes the counters.
-func (c *Cache) ResetStats() { c.stats = CacheStats{} }
 
 // OnInvalidate registers fn to run (kernel context) whenever an external
 // invalidation for a line arrives — the primitive Cohort's Reader Coherency

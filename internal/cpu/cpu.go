@@ -82,9 +82,6 @@ func New(cfg Config) *Core {
 // Tile returns the mesh tile the core occupies.
 func (c *Core) Tile() int { return c.tile }
 
-// Cache exposes the core's L1 (for test inspection).
-func (c *Core) Cache() *coherence.Cache { return c.cache }
-
 // MMU exposes the core's MMU (for the OS model).
 func (c *Core) MMU() *mmu.MMU { return c.mmu }
 
@@ -106,12 +103,6 @@ type Ctx struct {
 
 // Proc returns the underlying simulation process.
 func (x *Ctx) Proc() *sim.Proc { return x.p }
-
-// Core returns the core executing this program.
-func (x *Ctx) Core() *Core { return x.core }
-
-// Now returns the current cycle.
-func (x *Ctx) Now() sim.Time { return x.p.Now() }
 
 // ResetCounters starts a measurement window.
 func (x *Ctx) ResetCounters() {
@@ -191,41 +182,6 @@ func (x *Ctx) Store(va mmu.VAddr, v uint64) {
 	x.n.Stores++
 	pa := x.translate(va, true)
 	x.core.cache.WriteU64(x.p, pa, v)
-}
-
-// LoadBytes performs a dword-at-a-time copy from virtual memory, touching
-// pages through the MMU like a memcpy loop would.
-func (x *Ctx) LoadBytes(va mmu.VAddr, buf []byte) {
-	for len(buf) > 0 {
-		n := int(mem.PageSize - va%mem.PageSize)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		pa := x.translate(va, false)
-		x.core.cache.Read(x.p, pa, buf[:n])
-		dwords := uint64((n + 7) / 8)
-		x.n.Instructions += dwords
-		x.n.Loads += dwords
-		buf = buf[n:]
-		va += uint64(n)
-	}
-}
-
-// StoreBytes is the store counterpart of LoadBytes.
-func (x *Ctx) StoreBytes(va mmu.VAddr, data []byte) {
-	for len(data) > 0 {
-		n := int(mem.PageSize - va%mem.PageSize)
-		if n > len(data) {
-			n = len(data)
-		}
-		pa := x.translate(va, true)
-		x.core.cache.Write(x.p, pa, data[:n])
-		dwords := uint64((n + 7) / 8)
-		x.n.Instructions += dwords
-		x.n.Stores += dwords
-		data = data[n:]
-		va += uint64(n)
-	}
 }
 
 // MMIORead retires an uncached load: the core stalls for the full round

@@ -177,25 +177,39 @@ func TestBulkCopyBetweenCores(t *testing.T) {
 	}
 	a := r.newCore(t, 0, 0)
 	b := r.newCore(t, 1, 3)
-	data := make([]byte, 2*mem.PageSize)
+	data := make([]uint64, 2*mem.PageSize/8)
 	for i := range data {
-		data[i] = byte(i % 251)
+		data[i] = uint64(i % 251)
 	}
-	got := make([]byte, len(data))
+	got := make([]uint64, len(data))
 	done := sim.NewSignal(r.k)
 	a.Run("writer", func(ctx *Ctx) {
-		ctx.StoreBytes(0x1100, data) // crosses pages
+		storeWords(ctx, 0x1100, data) // crosses pages
 		done.Fire()
 	})
 	b.Run("reader", func(ctx *Ctx) {
 		done.Wait(ctx.Proc())
-		ctx.LoadBytes(0x1100, got)
+		loadWords(ctx, 0x1100, got)
 	})
 	r.k.Run(0)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("byte %d: %d != %d", i, got[i], data[i])
 		}
+	}
+}
+
+// storeWords and loadWords copy words through a core a dword at a time, as a
+// memcpy loop would.
+func storeWords(ctx *Ctx, va mmu.VAddr, ws []uint64) {
+	for i, w := range ws {
+		ctx.Store(va+mmu.VAddr(8*i), w)
+	}
+}
+
+func loadWords(ctx *Ctx, va mmu.VAddr, ws []uint64) {
+	for i := range ws {
+		ws[i] = ctx.Load(va + mmu.VAddr(8*i))
 	}
 }
 
@@ -207,16 +221,16 @@ func TestLoadBytesCrossesPagesAndCounts(t *testing.T) {
 		}
 	}
 	core := r.newCore(t, 0, 0)
-	data := make([]byte, 2*mem.PageSize)
+	data := make([]uint64, 2*mem.PageSize/8)
 	for i := range data {
-		data[i] = byte(i)
+		data[i] = uint64(i)
 	}
-	got := make([]byte, len(data))
+	got := make([]uint64, len(data))
 	var n Counters
 	core.Run("prog", func(ctx *Ctx) {
-		ctx.StoreBytes(0x1800, data) // crosses two page boundaries
+		storeWords(ctx, 0x1800, data) // crosses two page boundaries
 		ctx.ResetCounters()
-		ctx.LoadBytes(0x1800, got)
+		loadWords(ctx, 0x1800, got)
 		n = ctx.Counters()
 	})
 	r.k.Run(0)
@@ -225,7 +239,7 @@ func TestLoadBytesCrossesPagesAndCounts(t *testing.T) {
 			t.Fatalf("byte %d mismatch", i)
 		}
 	}
-	if wantLoads := uint64(len(data) / 8); n.Loads != wantLoads {
+	if wantLoads := uint64(len(data)); n.Loads != wantLoads {
 		t.Fatalf("loads = %d, want %d", n.Loads, wantLoads)
 	}
 }

@@ -146,9 +146,6 @@ func New(cfg Config) *Unit {
 // Stats returns a copy of the counters.
 func (u *Unit) Stats() Counters { return u.stats }
 
-// ResetStats zeroes the counters.
-func (u *Unit) ResetStats() { u.stats = Counters{} }
-
 // MMIOBase returns the unit's register base address.
 func (u *Unit) MMIOBase() uint64 { return u.cfg.MMIOBase }
 
@@ -156,9 +153,6 @@ func (u *Unit) MMIOBase() uint64 { return u.cfg.MMIOBase }
 // given VA (coherently, like a P-Mesh TRI store) when each transfer
 // completes. Pass 0 to disable.
 func (u *Unit) SetCompletionFlag(va uint64) { u.flagVA = va }
-
-// Device returns the hosted accelerator.
-func (u *Unit) Device() *accel.BlockDevice { return u.cfg.Device }
 
 // feed moves staged MMIO input words into the accelerator with
 // backpressure, re-arming itself on whichever queue it waits for. A word

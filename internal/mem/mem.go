@@ -107,20 +107,10 @@ func (m *Memory) WriteU64(pa PAddr, v uint64) {
 	m.Write(pa, b[:])
 }
 
-// ReadLine returns a copy of the 64-byte line containing pa.
-func (m *Memory) ReadLine(pa PAddr) [LineSize]byte {
-	var line [LineSize]byte
-	m.Read(LineOf(pa), line[:])
-	return line
-}
-
 // WriteLine stores a full 64-byte line at the line containing pa.
 func (m *Memory) WriteLine(pa PAddr, line [LineSize]byte) {
 	m.Write(LineOf(pa), line[:])
 }
-
-// Touched returns the number of distinct 4 KiB pages ever written.
-func (m *Memory) Touched() int { return len(m.pages) }
 
 func mustAlign(pa PAddr, n uint64) {
 	if pa%n != 0 {
@@ -166,6 +156,3 @@ func (a *FrameAllocator) AllocAligned(size, align uint64) (PAddr, error) {
 	a.next = start + size
 	return start, nil
 }
-
-// Remaining returns the number of unallocated bytes.
-func (a *FrameAllocator) Remaining() uint64 { return uint64(a.end - a.next) }

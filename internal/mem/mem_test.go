@@ -93,7 +93,8 @@ func TestLineRoundTrip(t *testing.T) {
 		line[i] = byte(i * 3)
 	}
 	m.WriteLine(130, line) // any address within the line works
-	got := m.ReadLine(128)
+	var got [LineSize]byte
+	m.Read(LineOf(128), got[:])
 	if got != line {
 		t.Fatal("line round trip mismatch")
 	}

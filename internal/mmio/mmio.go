@@ -209,9 +209,6 @@ func (r *Requester) handle(msg noc.Msg) {
 // Stats returns a copy of the requester's counters.
 func (r *Requester) Stats() Stats { return r.stats }
 
-// ResetStats zeroes the counters.
-func (r *Requester) ResetStats() { r.stats = Stats{} }
-
 func (r *Requester) do(p *sim.Proc, kind Kind, addr, val uint64) uint64 {
 	d := r.bus.find(addr)
 	if d == nil {

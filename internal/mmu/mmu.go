@@ -23,7 +23,7 @@ const (
 	FlagW Flags = 1 << 2 // writable
 	FlagX Flags = 1 << 3 // executable
 	FlagU Flags = 1 << 4 // user accessible
-	FlagG Flags = 1 << 5 // global
+	// bit 5 (G, global) is not modelled
 	FlagA Flags = 1 << 6 // accessed
 	FlagD Flags = 1 << 7 // dirty
 )
@@ -138,9 +138,6 @@ func (u *MMU) SetRoot(root mem.PAddr) {
 	u.Flush()
 }
 
-// Root returns the current page-table root.
-func (u *MMU) Root() mem.PAddr { return u.root }
-
 // Flush invalidates the whole TLB (the paper's TLB-flush register, driven by
 // the OS MMU notifier).
 func (u *MMU) Flush() {
@@ -152,9 +149,6 @@ func (u *MMU) Flush() {
 
 // Stats returns a copy of the counters.
 func (u *MMU) Stats() Stats { return u.stats }
-
-// ResetStats zeroes the counters.
-func (u *MMU) ResetStats() { u.stats = Stats{} }
 
 func (u *MMU) shift(level int) uint { return uint(l0Shift + vpnBits*level) }
 

@@ -249,6 +249,19 @@ func TestInsertDirectFill(t *testing.T) {
 	}
 }
 
+// unmap clears the 4 KiB mapping for va, as an OS unmapping a page would.
+func (t *Tables) unmap(va VAddr) {
+	l1, err := t.descend(t.root, va, 2, false)
+	if err != nil {
+		return
+	}
+	l0, err := t.descend(l1, va, 1, false)
+	if err != nil {
+		return
+	}
+	t.m.WriteU64(t.pteAddr(l0, va, 0), 0)
+}
+
 func TestUnmapThenFault(t *testing.T) {
 	e := newEnv(t, 16)
 	if err := e.t.Map(0x1000, 0x8000, rwad); err != nil {
@@ -256,7 +269,7 @@ func TestUnmapThenFault(t *testing.T) {
 	}
 	e.inProc(func(p *sim.Proc) {
 		e.u.Translate(p, 0x1000, false, true)
-		e.t.Unmap(0x1000)
+		e.t.unmap(0x1000)
 		e.u.Flush() // TLB shootdown, as the MMU notifier would do
 		if _, err := e.u.Translate(p, 0x1000, false, true); err == nil {
 			t.Error("translation succeeded after unmap+flush")

@@ -86,20 +86,6 @@ func (t *Tables) MapMega(va VAddr, pa mem.PAddr, flags Flags) error {
 	return nil
 }
 
-// Unmap clears the 4 KiB mapping for va (no-op if absent). Intermediate
-// tables are not reclaimed.
-func (t *Tables) Unmap(va VAddr) {
-	l1, err := t.descend(t.root, va, 2, false)
-	if err != nil {
-		return
-	}
-	l0, err := t.descend(l1, va, 1, false)
-	if err != nil {
-		return
-	}
-	t.m.WriteU64(t.pteAddr(l0, va, 0), 0)
-}
-
 // SetFlags rewrites the flags of an existing leaf mapping (used by the OS to
 // set A/D on fault resolution). Returns the updated PTE and its level.
 func (t *Tables) SetFlags(va VAddr, set Flags) (pte uint64, level int, err error) {

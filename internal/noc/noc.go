@@ -152,21 +152,6 @@ func (n *Network) coord(tile int) (x, y int) { return tile % n.cfg.Width, tile /
 
 func (n *Network) tileAt(x, y int) int { return y*n.cfg.Width + x }
 
-// HopCount returns the number of router-to-router hops between two tiles
-// under XY routing (0 for local delivery).
-func (n *Network) HopCount(src, dst int) int {
-	sx, sy := n.coord(src)
-	dx, dy := n.coord(dst)
-	return abs(sx-dx) + abs(sy-dy)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 func (n *Network) flits(size int) uint64 {
 	f := (size + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
 	if f < 1 {

@@ -14,14 +14,17 @@ func collect(n *Network, tile int) *[]Msg {
 }
 
 func TestHopCount(t *testing.T) {
-	k := sim.New()
-	n := New(k, DefaultConfig(2, 2))
 	cases := []struct{ src, dst, hops int }{
 		{0, 0, 0}, {0, 1, 1}, {0, 2, 1}, {0, 3, 2}, {3, 0, 2}, {1, 2, 2},
 	}
 	for _, c := range cases {
-		if got := n.HopCount(c.src, c.dst); got != c.hops {
-			t.Errorf("HopCount(%d,%d) = %d, want %d", c.src, c.dst, got, c.hops)
+		k := sim.New()
+		n := New(k, DefaultConfig(2, 2))
+		n.Attach(c.dst, PortDir, func(Msg) {})
+		n.Send(c.src, c.dst, PortDir, 8, &Payload{})
+		k.Run(0)
+		if got := n.Stats().Hops; got != uint64(c.hops) {
+			t.Errorf("%d -> %d took %d hops, want %d", c.src, c.dst, got, c.hops)
 		}
 	}
 }
@@ -197,7 +200,7 @@ func TestSendAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, send); a != 0 {
 		t.Fatalf("%.1f allocations per 2-hop Send, want 0", a)
 	}
-	if got != 102 || n.HopCount(0, 3) != 2 {
-		t.Fatalf("delivered %d messages over %d hops, want 102 over 2", got, n.HopCount(0, 3))
+	if hops := n.Stats().Hops; got != 102 || hops != 2*102 {
+		t.Fatalf("delivered %d messages over %d hops, want 102 over %d", got, hops, 2*102)
 	}
 }

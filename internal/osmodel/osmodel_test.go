@@ -8,6 +8,7 @@ import (
 
 	"cohort/internal/accel"
 	"cohort/internal/cpu"
+	"cohort/internal/engine"
 	"cohort/internal/maple"
 	"cohort/internal/shmq"
 	"cohort/internal/soc"
@@ -53,25 +54,27 @@ func TestCohortSHAEndToEnd(t *testing.T) {
 		block[i] = byte(i + 1)
 	}
 	var digest []uint64
+	var status uint64
 	r.core.Run("app", func(ctx *cpu.Ctx) {
 		if err := r.os.RegisterCohort(ctx, r.pr, eng, in.Desc, out.Desc, RegisterCohortOptions{}); err != nil {
 			t.Error(err)
 			return
 		}
 		for _, w := range accel.BytesToWords(block) {
-			in.Push(ctx, w)
+			in.PushBatch(ctx, []uint64{w}, 1)
 		}
 		for i := 0; i < 4; i++ {
-			digest = append(digest, out.Pop(ctx))
+			digest = append(digest, out.PopBatch(ctx, 1, 1)[0])
 		}
 		r.os.UnregisterCohort(ctx, eng)
+		status = ctx.MMIORead(eng.MMIOBase() + engine.RegStatus)
 	})
 	r.s.Run(0)
 	want := sha256.Sum256(block)
 	if !bytes.Equal(accel.WordsToBytes(digest), want[:]) {
 		t.Fatal("Cohort SHA digest mismatch")
 	}
-	if eng.Active() {
+	if status != 0 {
 		t.Fatal("engine still active after unregister")
 	}
 	st := eng.Stats()
@@ -105,9 +108,9 @@ func TestCohortAESWithCSRKey(t *testing.T) {
 			return
 		}
 		for _, w := range accel.BytesToWords(pt) {
-			in.Push(ctx, w)
+			in.PushBatch(ctx, []uint64{w}, 1)
 		}
-		ct = append(ct, out.Pop(ctx), out.Pop(ctx))
+		ct = append(ct, out.PopBatch(ctx, 1, 1)[0], out.PopBatch(ctx, 1, 1)[0])
 	})
 	r.s.Run(0)
 	ref, _ := aes.NewCipher(key)
@@ -142,10 +145,10 @@ func TestCohortChaining(t *testing.T) {
 			return
 		}
 		for _, w := range accel.BytesToWords(data) {
-			encryptQ.Push(ctx, w)
+			encryptQ.PushBatch(ctx, []uint64{w}, 1)
 		}
 		for i := 0; i < 4; i++ {
-			digest = append(digest, resultQ.Pop(ctx))
+			digest = append(digest, resultQ.PopBatch(ctx, 1, 1)[0])
 		}
 	})
 	r.s.Run(0)
@@ -183,10 +186,10 @@ func TestCohortDemandPagingViaIRQ(t *testing.T) {
 			return
 		}
 		for i := uint64(0); i < 8; i++ {
-			in.Push(ctx, i+100) // core faults lazily too (its own handler)
+			in.PushBatch(ctx, []uint64{i + 100}, 1) // core faults lazily too (its own handler)
 		}
 		for i := 0; i < 8; i++ {
-			got = append(got, out.Pop(ctx))
+			got = append(got, out.PopBatch(ctx, 1, 1)[0])
 		}
 	})
 	r.s.Run(0)
@@ -212,15 +215,15 @@ func TestRuntimeReconfiguration(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		q1.Push(ctx, 111)
-		first = q2.Pop(ctx)
+		q1.PushBatch(ctx, []uint64{111}, 1)
+		first = q2.PopBatch(ctx, 1, 1)[0]
 		r.os.UnregisterCohort(ctx, eng)
 		if err := r.os.RegisterCohort(ctx, r.pr, eng, q3.Desc, q4.Desc, RegisterCohortOptions{UpdateBlock: 1}); err != nil {
 			t.Error(err)
 			return
 		}
-		q3.Push(ctx, 222)
-		second = q4.Pop(ctx)
+		q3.PushBatch(ctx, []uint64{222}, 1)
+		second = q4.PopBatch(ctx, 1, 1)[0]
 		r.os.UnregisterCohort(ctx, eng)
 	})
 	r.s.Run(0)
@@ -238,8 +241,8 @@ func TestMMUNotifierShootdown(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		in.Push(ctx, 1)
-		_ = out.Pop(ctx)
+		in.PushBatch(ctx, []uint64{1}, 1)
+		_ = out.PopBatch(ctx, 1, 1)[0]
 	})
 	r.s.Run(0)
 	flushesBefore := eng.MMU().Stats().Flushes
@@ -448,12 +451,12 @@ func TestInterProcessQueueSharing(t *testing.T) {
 			return
 		}
 		for i := uint64(0); i < 8; i++ {
-			inProd.Push(ctx, 1000+i)
+			inProd.PushBatch(ctx, []uint64{1000 + i}, 1)
 		}
 	})
 	coreB.Run("consumer-proc", func(ctx *cpu.Ctx) {
 		for i := 0; i < 8; i++ {
-			got = append(got, outCons.Pop(ctx))
+			got = append(got, outCons.PopBatch(ctx, 1, 1)[0])
 		}
 	})
 	r.s.Run(0)
@@ -505,10 +508,10 @@ func TestTwoCoresTwoEnginesConcurrently(t *testing.T) {
 			return
 		}
 		for _, w := range accel.BytesToWords(shaData) {
-			shaIn.Push(ctx, w)
+			shaIn.PushBatch(ctx, []uint64{w}, 1)
 		}
 		for i := 0; i < 8; i++ {
-			shaDigests = append(shaDigests, shaOut.Pop(ctx))
+			shaDigests = append(shaDigests, shaOut.PopBatch(ctx, 1, 1)[0])
 		}
 	})
 	coreB.Run("aes-app", func(ctx *cpu.Ctx) {
@@ -517,10 +520,10 @@ func TestTwoCoresTwoEnginesConcurrently(t *testing.T) {
 			return
 		}
 		for _, w := range accel.BytesToWords(aesData) {
-			aesIn.Push(ctx, w)
+			aesIn.PushBatch(ctx, []uint64{w}, 1)
 		}
 		for i := 0; i < 8; i++ {
-			aesCts = append(aesCts, aesOut.Pop(ctx))
+			aesCts = append(aesCts, aesOut.PopBatch(ctx, 1, 1)[0])
 		}
 	})
 	r.s.Run(0)
@@ -652,7 +655,7 @@ func TestCohortMixedQueueModes(t *testing.T) {
 			return
 		}
 		for i := uint64(0); i < 40; i++ { // wraps the 16-slot pointer ring
-			in.Push(ctx, 500+i)
+			in.PushBatch(ctx, []uint64{500 + i}, 1)
 			got = append(got, out.Pop(ctx))
 		}
 	})
@@ -683,13 +686,13 @@ func TestCohortWithAXIStreamAccelerator(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		in.Push(ctx, uint64(len(words))) // frame header -> TLAST position
+		in.PushBatch(ctx, []uint64{uint64(len(words))}, 1) // frame header -> TLAST position
 		for _, w := range words {
-			in.Push(ctx, w)
+			in.PushBatch(ctx, []uint64{w}, 1)
 		}
-		_ = out.Pop(ctx) // response frame length (4)
+		_ = out.PopBatch(ctx, 1, 1)[0] // response frame length (4)
 		for i := 0; i < 4; i++ {
-			digest = append(digest, out.Pop(ctx))
+			digest = append(digest, out.PopBatch(ctx, 1, 1)[0])
 		}
 	})
 	r.s.Run(0)

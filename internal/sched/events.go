@@ -22,7 +22,7 @@ type EventSink interface {
 	Emit(typ, tenant string, session uint64, detail string)
 }
 
-// Event type spellings, matching internal/telem's canonical constants.
+// Event type spellings; internal/sched is the only package that emits them.
 const (
 	eventSessionKill     = "session_kill"
 	eventTerminalFault   = "terminal_fault"

@@ -53,8 +53,9 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 // to the final one, whose type and decoded Done (when it is one) it returns.
 func (rc *rawConn) session(t *testing.T, req wire.OpenRequest, in []cohort.Word) (wire.Type, wire.DoneReply) {
 	t.Helper()
-	if err := rc.w.Open(&req); err != nil {
-		t.Fatal(err)
+	open, err := wire.AppendOpen(nil, &req)
+	if err != nil || rc.w.Frame(wire.Open, open) != nil {
+		t.Fatal("open failed", err)
 	}
 	typ, p, err := rc.r.Next()
 	if err != nil || typ != wire.OpenOK {

@@ -216,24 +216,6 @@ func (q *Queue) waitAvail(ctx *cpu.Ctx, need uint64) {
 	}
 }
 
-// Push appends one element, spinning while the queue is full.
-func (q *Queue) Push(ctx *cpu.Ctx, v uint64) {
-	q.waitSpace(ctx, 1)
-	ctx.Store(q.Desc.SlotVA(q.localWrite), v)
-	q.localWrite++
-	ctx.Fence() // order data before index: Queue Coherence
-	ctx.Store(q.Desc.WriteIdx, q.localWrite)
-}
-
-// Pop removes and returns one element, spinning while the queue is empty.
-func (q *Queue) Pop(ctx *cpu.Ctx) uint64 {
-	q.waitAvail(ctx, 1)
-	v := ctx.Load(q.Desc.SlotVA(q.localRead))
-	q.localRead++
-	ctx.Store(q.Desc.ReadIdx, q.localRead)
-	return v
-}
-
 // PushBatch appends all of vals, publishing the write index once per `batch`
 // elements instead of per element — the software-oriented batching
 // optimisation of §5.3 (Table 2's batching factor). The full-queue check

@@ -85,12 +85,12 @@ func TestProducerConsumerIntegrity(t *testing.T) {
 	var got []uint64
 	prod.Run("producer", func(ctx *cpu.Ctx) {
 		for i := 0; i < n; i++ {
-			q1.Push(ctx, uint64(i)*3+1)
+			q1.PushBatch(ctx, []uint64{uint64(i)*3 + 1}, 1)
 		}
 	})
 	cons.Run("consumer", func(ctx *cpu.Ctx) {
 		for i := 0; i < n; i++ {
-			got = append(got, q2.Pop(ctx))
+			got = append(got, q2.PopBatch(ctx, 1, 1)[0])
 		}
 	})
 	r.k.Run(0)
@@ -174,14 +174,14 @@ func TestPushBlocksWhenFull(t *testing.T) {
 	var fifthPushDone, firstPopAt sim.Time
 	prod.Run("producer", func(ctx *cpu.Ctx) {
 		for i := 0; i < 5; i++ {
-			q1.Push(ctx, uint64(i))
+			q1.PushBatch(ctx, []uint64{uint64(i)}, 1)
 		}
-		fifthPushDone = ctx.Now()
+		fifthPushDone = ctx.Proc().Now()
 	})
 	cons.Run("consumer", func(ctx *cpu.Ctx) {
 		ctx.Proc().Wait(5000)
-		firstPopAt = ctx.Now()
-		_ = q2.Pop(ctx)
+		firstPopAt = ctx.Proc().Now()
+		_ = q2.PopBatch(ctx, 1, 1)[0]
 	})
 	r.k.Run(0)
 	if fifthPushDone <= firstPopAt {

@@ -20,8 +20,8 @@ func settleGoroutines(base int) int {
 // checkClosed asserts that Close left nothing behind.
 func checkClosed(t *testing.T, k *Kernel, base int) {
 	t.Helper()
-	if k.Procs() != 0 || k.Blocked() != 0 || !k.Idle() {
-		t.Fatalf("after Close: Procs=%d Blocked=%d Idle=%v, want 0 0 true", k.Procs(), k.Blocked(), k.Idle())
+	if len(k.live) != 0 || k.Blocked() != 0 || len(k.events) != 0 {
+		t.Fatalf("after Close: Procs=%d Blocked=%d events=%d, want 0 0 0", len(k.live), k.Blocked(), len(k.events))
 	}
 	if n := settleGoroutines(base); n > base {
 		t.Fatalf("after Close: %d goroutines, %d before the kernel", n, base)
@@ -39,8 +39,8 @@ func TestCloseEndsProcParkedOnSignal(t *testing.T) {
 		resumed = true
 	})
 	k.Run(0)
-	if k.Procs() != 1 || k.Blocked() != 1 {
-		t.Fatalf("before Close: Procs=%d Blocked=%d, want 1 1", k.Procs(), k.Blocked())
+	if len(k.live) != 1 || k.Blocked() != 1 {
+		t.Fatalf("before Close: Procs=%d Blocked=%d, want 1 1", len(k.live), k.Blocked())
 	}
 	k.Close()
 	if !unwound || resumed {
@@ -61,8 +61,8 @@ func TestCloseEndsProcParkedOnTimer(t *testing.T) {
 	if end := k.Run(10); end != 10 {
 		t.Fatalf("Run(10) = %d", end)
 	}
-	if k.Procs() != 1 || k.Idle() {
-		t.Fatalf("before Close: Procs=%d Idle=%v, want 1 false", k.Procs(), k.Idle())
+	if len(k.live) != 1 || len(k.events) == 0 {
+		t.Fatalf("before Close: Procs=%d events=%d, want 1 and some", len(k.live), len(k.events))
 	}
 	k.Close()
 	if !unwound || resumed {
@@ -76,8 +76,8 @@ func TestCloseDropsUnstartedProc(t *testing.T) {
 	k := New()
 	ran := false
 	k.Spawn("never", func(p *Proc) { ran = true })
-	if k.Procs() != 1 {
-		t.Fatalf("Procs = %d after Spawn, want 1", k.Procs())
+	if len(k.live) != 1 {
+		t.Fatalf("Procs = %d after Spawn, want 1", len(k.live))
 	}
 	k.Close()
 	if ran {
@@ -163,8 +163,8 @@ func TestCallbackPanicOnProcGoroutine(t *testing.T) {
 				}()
 				k.Run(0)
 			}()
-			if unwound || resumed || k.Procs() != 1 {
-				t.Fatalf("after the panic: unwound=%v resumed=%v Procs=%d, want false false 1", unwound, resumed, k.Procs())
+			if unwound || resumed || len(k.live) != 1 {
+				t.Fatalf("after the panic: unwound=%v resumed=%v Procs=%d, want false false 1", unwound, resumed, len(k.live))
 			}
 			k.Close()
 			if !unwound || resumed {
@@ -204,8 +204,8 @@ func TestCallbackPanicAfterProcReturns(t *testing.T) {
 				}()
 				k.Run(0)
 			}()
-			if k.Procs() != 1 || k.Blocked() != 1 {
-				t.Fatalf("after the panic: Procs=%d Blocked=%d, want 1 1", k.Procs(), k.Blocked())
+			if len(k.live) != 1 || k.Blocked() != 1 {
+				t.Fatalf("after the panic: Procs=%d Blocked=%d, want 1 1", len(k.live), k.Blocked())
 			}
 			k.Close()
 			checkClosed(t, k, base)

@@ -190,10 +190,10 @@ func runKernel(pg program) (log []logEntry, blocked, procs int) {
 	for i, l := range pg.limits {
 		log = append(log, logEntry{k.Run(l), runMark, i, 0})
 	}
-	for i := len(pg.limits); !k.Idle(); i++ {
+	for i := len(pg.limits); len(k.events) != 0; i++ {
 		log = append(log, logEntry{k.Run(0), runMark, i, 0})
 	}
-	blocked, procs = k.Blocked(), k.Procs()
+	blocked, procs = k.Blocked(), len(k.live)
 	k.Close()
 	return log, blocked, procs
 }

@@ -59,13 +59,11 @@ func TestProcWait(t *testing.T) {
 		stamps = append(stamps, p.Now())
 		p.Wait(0)
 		stamps = append(stamps, p.Now())
-		p.WaitUntil(100)
-		stamps = append(stamps, p.Now())
-		p.WaitUntil(50) // past: no-op
+		p.Wait(100 - p.Now())
 		stamps = append(stamps, p.Now())
 	})
 	k.Run(0)
-	want := []Time{0, 7, 7, 100, 100}
+	want := []Time{0, 7, 7, 100}
 	if len(stamps) != len(want) {
 		t.Fatalf("stamps = %v, want %v", stamps, want)
 	}
@@ -74,8 +72,8 @@ func TestProcWait(t *testing.T) {
 			t.Fatalf("stamps = %v, want %v", stamps, want)
 		}
 	}
-	if k.Procs() != 0 {
-		t.Fatalf("Procs = %d after completion, want 0", k.Procs())
+	if len(k.live) != 0 {
+		t.Fatalf("Procs = %d after completion, want 0", len(k.live))
 	}
 }
 
@@ -121,8 +119,8 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 	k.Spawn("firer", func(p *Proc) {
 		p.Wait(10)
-		if s.Waiting() != 3 {
-			t.Errorf("Waiting = %d, want 3", s.Waiting())
+		if len(s.waiters) != 3 {
+			t.Errorf("Waiting = %d, want 3", len(s.waiters))
 		}
 		s.Fire()
 	})
@@ -351,8 +349,8 @@ func TestNotifyRunsOnceInWaitOrder(t *testing.T) {
 	})
 	k.Run(0)
 	s.Notify(func() { order = append(order, "cont") })
-	if s.Waiting() != 2 || k.Blocked() != 1 {
-		t.Fatalf("Waiting=%d Blocked=%d, want 2 1 (continuations are not blocked processes)", s.Waiting(), k.Blocked())
+	if len(s.waiters) != 2 || k.Blocked() != 1 {
+		t.Fatalf("Waiting=%d Blocked=%d, want 2 1 (continuations are not blocked processes)", len(s.waiters), k.Blocked())
 	}
 	k.At(3, s.Fire)
 	k.At(4, s.Fire) // nothing left to release

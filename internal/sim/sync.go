@@ -49,10 +49,6 @@ func (s *Signal) Fire() {
 	s.waiters = s.waiters[:0]
 }
 
-// Waiting returns the number of waiters: parked processes and queued
-// continuations.
-func (s *Signal) Waiting() int { return len(s.waiters) }
-
 // Queue is a FIFO mailbox between agents, modelling a hardware queue or
 // channel of unbounded (capacity <= 0) or bounded capacity. Processes block
 // in Get and Put; kernel-context state machines use TryGet and TryPut and

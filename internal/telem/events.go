@@ -15,22 +15,14 @@ import (
 // happened, in what order* — the causal record an operator replays after an
 // incident.
 
-// Canonical event types. Producers outside this package (internal/sched via
-// its EventSink, cohortd's watchdog callbacks) emit these same spellings.
+// The event types this package and cohortd's watchdog emit. Every other
+// spelling lives in the package that emits it: internal/sched's session and
+// drain events, internal/cluster's shard health transitions.
 const (
 	EventSLOBreach       = "slo_breach"
 	EventSLORecovery     = "slo_recovery"
-	EventSessionKill     = "session_kill"
-	EventTerminalFault   = "terminal_fault"
 	EventWatchdogStall   = "watchdog_stall"
 	EventWatchdogRecover = "watchdog_recover"
-	EventAdmissionReject = "admission_reject"
-	// Cluster-era events: a daemon entering drain mode (internal/sched) and
-	// the gateway catalog's shard health transitions (internal/cluster).
-	EventDrain      = "drain"
-	EventShardUp    = "shard_up"
-	EventShardDrain = "shard_drain"
-	EventShardDown  = "shard_down"
 )
 
 // Event is one structured entry in the event log. Seq is assigned at append
@@ -99,14 +91,6 @@ func (l *Log) Append(ev Event) {
 		fn("event", "type", ev.Type, "seq", ev.Seq,
 			"tenant", ev.Tenant, "session", ev.Session, "detail", ev.Detail)
 	}
-}
-
-// Seq returns the sequence number of the most recent event (0 when empty) —
-// a cheap high-water cursor for "anything new?" polls.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
 }
 
 // Since returns up to max events with Seq > cursor, oldest first, plus the

@@ -181,7 +181,7 @@ func TestSLOBreachWithinTwoTicksAndRecovery(t *testing.T) {
 	if !strings.Contains(row.Reason, "compute p99") {
 		t.Errorf("reason = %q, want compute p99 mention", row.Reason)
 	}
-	if s.Healthy() || !strings.Contains(s.Degraded(), "alice") {
+	if s.Degraded() == "" || !strings.Contains(s.Degraded(), "alice") {
 		t.Errorf("Degraded() = %q, want alice breach", s.Degraded())
 	}
 
@@ -189,7 +189,7 @@ func TestSLOBreachWithinTwoTicksAndRecovery(t *testing.T) {
 	for i := 2; i <= 5; i++ {
 		s.tick(t0.Add(time.Duration(i) * time.Second))
 	}
-	if !s.Healthy() {
+	if s.Degraded() != "" {
 		t.Fatalf("still degraded after short window cleared: %q", s.Degraded())
 	}
 	got, _, _ := events.Since(0, 0)
@@ -333,17 +333,11 @@ func TestParseSLOs(t *testing.T) {
 
 func TestEventLogSinceAndWrap(t *testing.T) {
 	l := NewLog(16, nil)
-	if l.Seq() != 0 {
-		t.Fatalf("fresh log seq = %d", l.Seq())
-	}
 	if evs, next, dropped := l.Since(0, 0); len(evs) != 0 || next != 0 || dropped != 0 {
 		t.Fatalf("empty Since = %v %d %d", evs, next, dropped)
 	}
 	for i := 0; i < 40; i++ {
-		l.Emit(EventSessionKill, "alice", uint64(i+1), "over budget")
-	}
-	if l.Seq() != 40 {
-		t.Fatalf("seq = %d, want 40", l.Seq())
+		l.Emit("session_kill", "alice", uint64(i+1), "over budget")
 	}
 
 	// A cursor from before the ring's oldest entry reports the loss.

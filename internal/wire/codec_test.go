@@ -191,7 +191,7 @@ func TestWordsDoneMatchesTwoFrames(t *testing.T) {
 func TestNextDataControlFrames(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.Open(&OpenRequest{Tenant: "t", Accel: "null"}); err != nil {
+	if err := writeOpen(w, &OpenRequest{Tenant: "t", Accel: "null"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Words([]cohort.Word{7, 8, 9}); err != nil {
@@ -395,7 +395,7 @@ func benchReader(b *testing.B, n int, pooled bool) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := Words(payload); err != nil {
+			if _, err := AppendWords(nil, payload); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -169,7 +169,7 @@ func TestQuiesceClosesIdleAndWaitsForBusy(t *testing.T) {
 		}
 		t.Cleanup(func() { nc.Close() })
 		c := NewConn(nc)
-		if err := c.W.Open(&OpenRequest{Tenant: tenant, Accel: "null", Reuse: true}); err != nil {
+		if err := writeOpen(c.W, &OpenRequest{Tenant: tenant, Accel: "null", Reuse: true}); err != nil {
 			t.Fatal(err)
 		}
 		return c

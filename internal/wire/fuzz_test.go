@@ -21,7 +21,7 @@ func FuzzReader(f *testing.F) {
 	// CloseSend.
 	var valid bytes.Buffer
 	w := NewWriter(&valid)
-	if err := w.Open(&OpenRequest{Tenant: "t", Accel: "sha256"}); err != nil {
+	if err := writeOpen(w, &OpenRequest{Tenant: "t", Accel: "sha256"}); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Words([]cohort.Word{1, 2, 3}); err != nil {
@@ -70,7 +70,7 @@ func FuzzReader(f *testing.F) {
 				if len(pa)%WordBytes != 0 {
 					t.Fatalf("frame %d: misaligned %d-byte data payload returned", frame, len(pa))
 				}
-				decoded, err := Words(pa)
+				decoded, err := AppendWords(nil, pa)
 				if err != nil {
 					t.Fatalf("frame %d: aligned payload failed to decode: %v", frame, err)
 				}

@@ -325,15 +325,6 @@ func (fw *Writer) Redirect(addrs []string) error {
 	return fw.control(Redirect, b)
 }
 
-// Open writes req as an Open frame.
-func (fw *Writer) Open(req *OpenRequest) error {
-	b, err := AppendOpen(fw.buf[:0], req)
-	if err != nil {
-		return err
-	}
-	return fw.control(Open, b)
-}
-
 // OpenOK writes rep as an OpenOK frame.
 func (fw *Writer) OpenOK(rep OpenReply) error {
 	return fw.control(OpenOK, appendOpenReply(fw.buf[:0], rep))

@@ -141,8 +141,10 @@ func TestOpenFramesAllocationFree(t *testing.T) {
 	var sink countWriter
 	w := NewWriter(&sink)
 	addrs := []string{"10.0.0.1:7411", "10.0.0.2:7411"}
+	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() {
-		if w.Open(req) != nil || w.OpenOK(OpenReply{Session: 1}) != nil || w.Redirect(addrs) != nil {
+		b, err := AppendOpen(buf[:0], req)
+		if err != nil || w.Frame(Open, b) != nil || w.OpenOK(OpenReply{Session: 1}) != nil || w.Redirect(addrs) != nil {
 			t.Fatal("write failed")
 		}
 	}); n != 0 {

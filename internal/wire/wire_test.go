@@ -8,12 +8,22 @@ import (
 	"cohort"
 )
 
+// writeOpen sends req as an Open frame the way the client does: AppendOpen,
+// then one Frame.
+func writeOpen(w *Writer, req *OpenRequest) error {
+	b, err := AppendOpen(nil, req)
+	if err != nil {
+		return err
+	}
+	return w.Frame(Open, b)
+}
+
 // TestFrameRoundTrip: control and data frames survive encode → decode, and
 // the reader hands frames back in order.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.Open(&OpenRequest{Tenant: "t", Accel: "sha256", Weight: 2}); err != nil {
+	if err := writeOpen(w, &OpenRequest{Tenant: "t", Accel: "sha256", Weight: 2}); err != nil {
 		t.Fatal(err)
 	}
 	words := []cohort.Word{0, 1, 1 << 63, ^cohort.Word(0)}
@@ -40,7 +50,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil || typ != Data {
 		t.Fatalf("frame 2 = %v %v, want data", typ, err)
 	}
-	got, err := Words(payload)
+	got, err := AppendWords(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 // TestWordsAlignment: a non-word-multiple data payload is rejected.
 func TestWordsAlignment(t *testing.T) {
-	if _, err := Words(make([]byte, 12)); err == nil {
+	if _, err := AppendWords(nil, make([]byte, 12)); err == nil {
 		t.Error("12-byte payload decoded without error")
 	}
 }
