@@ -11,13 +11,14 @@
 // fault-containment counters plus a stall watchdog over every engine worker,
 // /sessions with a JSON snapshot of live sessions (admission timestamps,
 // cumulative counters, sampled latency; per-session counters are served
-// there only), /stats/latency with the per-tenant serving-stage breakdown,
-// /trace with the scheduler's flight-recorder ring, and /debug/pprof.
+// there only), /trace with the scheduler's flight-recorder ring, and
+// /debug/pprof.
 //
 // Windowed telemetry and SLOs: a background sampler (internal/telem) ticks
 // every -slo-tick, derives per-tenant rolling rates and stage quantiles over
-// -slo-short and -slo-long windows (served on /stats/windows), and evaluates
-// the -slo objectives with multi-window burn-rate logic on /stats/slo. -slo
+// -slo-short and -slo-long windows, and serves them on /stats/windows beside
+// each tenant's lifetime serving-stage breakdown; it evaluates the -slo
+// objectives with multi-window burn-rate logic on /stats/slo. -slo
 // accepts a JSON array literal or a file path:
 // [{"tenant":"*","stage":"compute","p99_ms":2,"max_errors_per_s":5}].
 // A breach flips /healthz to degraded with the reason; every breach,
@@ -194,7 +195,6 @@ func run(cfg sched.Config, tc telemConfig, logger *slog.Logger, listen, httpAddr
 			Events:      func(since uint64, max int) any { return events.PageSince(since, max) },
 			Docs: map[string]func() any{
 				"/sessions":      func() any { return s.Sessions() },
-				"/stats/latency": func() any { return s.LatencyStats() },
 				"/stats/slo":     func() any { return sampler.Status() },
 				"/stats/windows": func() any { return sampler.Windows() },
 			},

@@ -187,9 +187,10 @@ func TestServeBindsAndCloses(t *testing.T) {
 	}
 }
 
-func TestLatencyStatsEndpoint(t *testing.T) {
-	// No source wired: the endpoint 404s rather than serving "null".
-	if rec, _ := get(t, New(Options{}).Handler(), "/stats/latency"); rec.Code != http.StatusNotFound {
+// TestDocsEndpoint: a snapshot document is served as indented JSON, and a
+// path with no source wired 404s rather than serving "null".
+func TestDocsEndpoint(t *testing.T) {
+	if rec, _ := get(t, New(Options{}).Handler(), "/stats/windows"); rec.Code != http.StatusNotFound {
 		t.Errorf("status = %d without a source, want 404", rec.Code)
 	}
 
@@ -197,13 +198,13 @@ func TestLatencyStatsEndpoint(t *testing.T) {
 		Samples uint64  `json:"samples"`
 		MeanNs  float64 `json:"mean_ns"`
 	}
-	s := New(Options{Docs: map[string]func() any{"/stats/latency": func() any {
+	s := New(Options{Docs: map[string]func() any{"/stats/windows": func() any {
 		return []map[string]any{{
-			"tenant": "acme", "live_sessions": 2, "sample_every": 64,
+			"tenant": "acme",
 			"stages": map[string]stage{"compute": {Samples: 41, MeanNs: 7300}},
 		}}
 	}}})
-	rec, body := get(t, s.Handler(), "/stats/latency")
+	rec, body := get(t, s.Handler(), "/stats/windows")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -221,14 +222,14 @@ func TestLatencyStatsEndpoint(t *testing.T) {
 		t.Errorf("decoded doc = %+v", doc)
 	}
 	if !strings.Contains(body, "\n  ") {
-		t.Errorf("latency stats not indented for curl readability: %q", body)
+		t.Errorf("document not indented for curl readability: %q", body)
 	}
 }
 
-// TestIndexListsLatencyEndpoint: the / index lists exactly the wired routes
-// — a daemon's snapshot documents appear, and a gateway without a policy
+// TestIndexListsWiredRoutes: the / index lists exactly the wired routes — a
+// daemon's snapshot documents appear, and a gateway without a policy
 // controller does not advertise /policy (which would 404).
-func TestIndexListsLatencyEndpoint(t *testing.T) {
+func TestIndexListsWiredRoutes(t *testing.T) {
 	index := func(opts Options) []string {
 		t.Helper()
 		rec, body := get(t, New(opts).Handler(), "/")
@@ -248,12 +249,12 @@ func TestIndexListsLatencyEndpoint(t *testing.T) {
 		Events:      func(uint64, int) any { return nil },
 		Drain:       func(bool) any { return nil },
 		Docs: map[string]func() any{
-			"/sessions": doc, "/stats/latency": doc, "/stats/slo": doc,
+			"/sessions": doc, "/stats/slo": doc,
 			"/stats/windows": doc, "/policy": doc,
 		},
 	})
 	want := []string{"/debug/pprof/", "/drain", "/events", "/healthz", "/metrics", "/policy",
-		"/sessions", "/stats/latency", "/stats/slo", "/stats/windows", "/trace"}
+		"/sessions", "/stats/slo", "/stats/windows", "/trace"}
 	if !slices.Equal(daemon, want) {
 		t.Errorf("daemon index = %q, want %q", daemon, want)
 	}
@@ -281,7 +282,6 @@ func TestIndexListsLatencyEndpoint(t *testing.T) {
 func TestJSONEndpointHeaders(t *testing.T) {
 	docs := map[string]func() any{
 		"/sessions":      func() any { return []string{} },
-		"/stats/latency": func() any { return []string{} },
 		"/stats/slo":     func() any { return map[string]any{"degraded": ""} },
 		"/stats/windows": func() any { return map[string]any{"tenants": []string{}} },
 		"/policy":        func() any { return map[string]any{"enabled": false} },

@@ -15,7 +15,7 @@ import (
 // log2 histograms. The decomposition mirrors the Fig. 8 critical-path
 // categories the offline cohorttrace view computes (producer wait → queue,
 // scheduling → sched, rcm/compute → compute, drain/publish → wire), so the
-// live /stats/latency document and a recorded trace agree on where the
+// lifetime row of /stats/windows and a recorded trace agree on where the
 // microseconds go.
 //
 // Stage semantics (all server-side; network transit is the client's to
@@ -117,38 +117,6 @@ func (t StageTotal) since(base StageTotal) wire.StageTiming {
 		P95Ns:   h.Quantile(0.95),
 		P99Ns:   h.Quantile(0.99),
 	}
-}
-
-// TenantLatency is one tenant's row in the /stats/latency document. The
-// aggregate persists across that tenant's session churn: it accumulates from
-// the tenant's first registration until the scheduler closes.
-type TenantLatency struct {
-	Tenant string `json:"tenant"`
-	// Live is how many of the tenant's sessions are currently registered.
-	Live int `json:"live_sessions"`
-	// SampleEvery is the quantum sampling stride the stats were collected at.
-	SampleEvery int         `json:"sample_every"`
-	Stages      wire.Stages `json:"stages"`
-}
-
-// LatencyStats summarizes every tenant's stage-latency aggregate, sorted by
-// tenant name — the /stats/latency payload.
-func (s *Scheduler) LatencyStats() []TenantLatency {
-	s.mu.Lock()
-	live := make(map[string]int)
-	for _, ss := range s.sessions {
-		live[ss.tenant]++
-	}
-	s.mu.Unlock()
-	tenants := s.Totals().Tenants
-	out := make([]TenantLatency, len(tenants))
-	for i, t := range tenants {
-		out[i] = TenantLatency{
-			Tenant: t.Tenant, Live: live[t.Tenant], SampleEvery: s.cfg.LatencySample,
-			Stages: t.Stages.Since(StageTotals{}),
-		}
-	}
-	return out
 }
 
 // Telemetry renders the session's whole-life stage summary as the wire

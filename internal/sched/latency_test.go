@@ -1,8 +1,8 @@
 package sched_test
 
 // Loopback tests for the latency-attribution layer: stage histograms filed
-// by the scheduler's sampled stamping, the /stats/latency and /sessions
-// documents, the wire Telemetry path back to the client, and the worker
+// by the scheduler's sampled stamping, the tenant records and /sessions
+// rows, the wire Telemetry path back to the client, and the worker
 // stall watchdog.
 
 import (
@@ -19,7 +19,7 @@ import (
 
 // TestLatencyAttributionLoopback drives a real client through a sampled
 // (1-in-1) scheduler and checks every surface the attribution layer exports:
-// the Done timing document, LastServerTiming, per-tenant LatencyStats, the
+// the Done timing document, LastServerTiming, the per-tenant stage totals, the
 // tenant-labeled Prometheus stage families, and the stage-sum ≤ end-to-end
 // invariant.
 func TestLatencyAttributionLoopback(t *testing.T) {
@@ -70,21 +70,19 @@ func TestLatencyAttributionLoopback(t *testing.T) {
 	}
 
 	// The per-tenant aggregate persists after the session retired.
-	stats := s.LatencyStats()
-	if len(stats) != 1 || stats[0].Tenant != "lat" {
-		t.Fatalf("LatencyStats() = %+v, want one row for tenant lat", stats)
+	if live := s.Sessions(); len(live) != 0 {
+		t.Errorf("%d live sessions after done, want 0", len(live))
 	}
-	if stats[0].Live != 0 {
-		t.Errorf("tenant shows %d live sessions after done, want 0", stats[0].Live)
+	tenants := s.Totals().Tenants
+	if len(tenants) != 1 || tenants[0].Tenant != "lat" {
+		t.Fatalf("Totals().Tenants = %+v, want one record for tenant lat", tenants)
 	}
-	if stats[0].SampleEvery != 1 {
-		t.Errorf("SampleEvery = %d, want 1", stats[0].SampleEvery)
+	stages := tenants[0].Stages.Since(sched.StageTotals{})
+	if n := stages.Compute.Samples; n == 0 {
+		t.Errorf("tenant compute aggregate is empty: %+v", stages)
 	}
-	if n := stats[0].Stages.Compute.Samples; n == 0 {
-		t.Errorf("tenant compute aggregate is empty: %+v", stats[0].Stages)
-	}
-	if p := stats[0].Stages.Compute.P99Ns; p < stats[0].Stages.Compute.P50Ns {
-		t.Errorf("compute p99 %.0f < p50 %.0f", p, stats[0].Stages.Compute.P50Ns)
+	if p := stages.Compute.P99Ns; p < stages.Compute.P50Ns {
+		t.Errorf("compute p99 %.0f < p50 %.0f", p, stages.Compute.P50Ns)
 	}
 
 	// The persistent "tenant/<tenant>" record renders tenant-labeled stage

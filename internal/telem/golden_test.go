@@ -13,12 +13,11 @@ import (
 	"cohort/internal/sched"
 )
 
-// goldenDocs is what the golden file pins: the sampler's two documents and
-// the scheduler's lifetime latency document, as the daemon serves them.
+// goldenDocs is what the golden file pins: the sampler's two documents, as
+// the daemon serves them.
 type goldenDocs struct {
-	Windows WindowsDoc            `json:"windows"`
-	SLO     SLODoc                `json:"slo"`
-	Latency []sched.TenantLatency `json:"latency"`
+	Windows WindowsDoc `json:"windows"`
+	SLO     SLODoc     `json:"slo"`
 }
 
 // TestTelemetryDocumentsGolden drives a real scheduler through a scripted
@@ -84,7 +83,7 @@ func TestTelemetryDocumentsGolden(t *testing.T) {
 	smp.tick(t0.Add(4 * time.Second))
 
 	got, err := json.MarshalIndent(goldenDocs{
-		Windows: smp.Windows(), SLO: smp.Status(), Latency: s.LatencyStats(),
+		Windows: smp.Windows(), SLO: smp.Status(),
 	}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +141,11 @@ func newGoldenSampler(t *testing.T, s *sched.Scheduler) *Sampler {
 }
 
 // TestIdleTenantsShareRecords: the ring holds one copy of a tenant record
-// per change, not one per tick. A thousand retired tenants across a full
-// long window of idle ticks are a thousand records, and a session served
-// between two ticks adds exactly one.
+// per change, not one per tick, and a tick summarizes only what changed. A
+// thousand retired tenants across a full long window of idle ticks are a
+// thousand records and cost the next tick no stage summary; a session
+// served between two ticks adds exactly one record and three summaries (its
+// tenant's short, long and lifetime rows).
 func TestIdleTenantsShareRecords(t *testing.T) {
 	s := sched.New(sched.Config{LatencySample: -1})
 	defer s.Close()
@@ -173,10 +174,17 @@ func TestIdleTenantsShareRecords(t *testing.T) {
 		t.Fatalf("ring holds %d distinct tenant records after %d idle ticks, want %d",
 			n, len(smp.frames), tenants)
 	}
-	serve(t, s, "t0500", cohort.NewNull(), 4)
 	smp.tick(t0.Add(time.Duration(len(smp.frames)) * time.Second))
+	if smp.summaries != 0 {
+		t.Fatalf("an idle tick over %d unchanged tenants computed %d stage summaries, want 0", tenants, smp.summaries)
+	}
+	serve(t, s, "t0500", cohort.NewNull(), 4)
+	smp.tick(t0.Add(time.Duration(len(smp.frames)+1) * time.Second))
 	if n := distinct(); n != tenants+1 {
 		t.Fatalf("ring holds %d distinct tenant records after one tenant served, want %d", n, tenants+1)
+	}
+	if smp.summaries != 3 {
+		t.Fatalf("a tick after one tenant changed computed %d stage summaries, want 3", smp.summaries)
 	}
 	if w := smp.Windows(); len(w.Tenants) != tenants || w.Tenants[500].Short.BlocksPerSec == 0 {
 		t.Fatalf("windows: %d tenants, t0500 short view %+v", len(w.Tenants), w.Tenants[500].Short)
