@@ -21,6 +21,7 @@ package cohort
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 )
@@ -33,6 +34,10 @@ import (
 type Fifo[T any] struct {
 	buf  []T
 	mask uint64
+	// scrub is whether a consumed slot is cleared: only when T holds
+	// pointers, whose references the GC would otherwise keep alive. Decided
+	// once, in NewFifo.
+	scrub bool
 
 	// Producer and consumer index words live apart to avoid false sharing,
 	// with each side caching its last view of the other's index.
@@ -119,7 +124,28 @@ func NewFifo[T any](capacity int) (*Fifo[T], error) {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Fifo[T]{buf: make([]T, n), mask: uint64(n) - 1}, nil
+	return &Fifo[T]{buf: make([]T, n), mask: uint64(n) - 1, scrub: hasPointers(reflect.TypeOf((*T)(nil)).Elem())}, nil
+}
+
+// hasPointers reports whether a value of type t holds a pointer the GC
+// follows.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // Cap returns the queue capacity.
@@ -223,7 +249,9 @@ func (q *Fifo[T]) TryPop() (T, bool) {
 		}
 	}
 	v := q.buf[h&q.mask]
-	q.buf[h&q.mask] = zero // drop the reference for the GC
+	if q.scrub {
+		q.buf[h&q.mask] = zero // drop the reference for the GC
+	}
 	q.head.Store(h + 1)
 	ring(&q.popBell)
 	return v, true
@@ -338,8 +366,10 @@ func (q *Fifo[T]) TryPopInto(dst []T) int {
 	i := int(h & q.mask)
 	c := copy(dst[:n], q.buf[i:])
 	copy(dst[c:n], q.buf) // wrap seam, if any
-	clear(q.buf[i : i+c]) // drop references for the GC
-	clear(q.buf[:n-c])
+	if q.scrub {
+		clear(q.buf[i : i+c]) // drop references for the GC
+		clear(q.buf[:n-c])
+	}
 	q.head.Store(h + uint64(n)) // release: one publication for the run
 	ring(&q.popBell)
 	return n
@@ -422,8 +452,9 @@ func (q *Fifo[T]) ReadSegments() (a, b []T) {
 }
 
 // CommitRead frees the first n elements of the views returned by
-// ReadSegments, with a single release-store. The freed slots are cleared so
-// the queue never pins consumed values for the GC.
+// ReadSegments, with a single release-store. When T holds pointers the
+// freed slots are cleared, so the queue never pins consumed values for the
+// GC.
 func (q *Fifo[T]) CommitRead(n int) {
 	h := q.head.Load()
 	if n < 0 || uint64(n) > q.cachedTail-h {
@@ -434,8 +465,10 @@ func (q *Fifo[T]) CommitRead(n int) {
 	if first > len(q.buf)-i {
 		first = len(q.buf) - i
 	}
-	clear(q.buf[i : i+first])
-	clear(q.buf[:n-first])
+	if q.scrub {
+		clear(q.buf[i : i+first])
+		clear(q.buf[:n-first])
+	}
 	q.head.Store(h + uint64(n))
 	ring(&q.popBell)
 }

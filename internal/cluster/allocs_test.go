@@ -53,7 +53,9 @@ func sessionOnce(tb testing.TB, addr string, in, buf []cohort.Word) {
 // reused; 85 and 94 while every client session still dialled its own
 // connection; 32 and 44 while every session registered its own metric
 // source, which cost 3 more with a Registry; 29 and 41 while the gateway
-// relayed every frame over a warm shard leg of its own.
+// relayed every frame over a warm shard leg of its own; 29 and 33 while
+// every same-host session streamed Data frames through a result-pump
+// goroutine of its own.
 func TestSessionAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime makes allocations of its own")
@@ -89,9 +91,9 @@ func TestSessionAllocationCeilings(t *testing.T) {
 		addr     string
 		measured float64 // Go 1.24, linux/amd64
 	}{
-		{"direct", sp.wire, 29},
-		{"direct-registry", spReg.wire, 29},
-		{"gateway", ln.Addr().String(), 33},
+		{"direct", sp.wire, 27},
+		{"direct-registry", spReg.wire, 27},
+		{"gateway", ln.Addr().String(), 31},
 	} {
 		sessionOnce(t, c.addr, in, buf) // warm: pools and the connections
 		n := testing.AllocsPerRun(50, func() { sessionOnce(t, c.addr, in, buf) })

@@ -11,7 +11,7 @@ import (
 
 // FuzzReader throws arbitrary byte streams at both deframers and checks the
 // invariants that the serving stack leans on: no panic, no crash, no frame
-// type past Redirect, every returned Data payload word-aligned and within
+// type past Doorbell, no Doorbell with a payload, every returned Data payload word-aligned and within
 // MaxFrame, and Next/NextData agreeing frame for frame on the same input. The seed corpus
 // (testdata/fuzz/FuzzReader) pins the interesting shapes: valid
 // conversations, truncated headers, truncated payloads, oversized lengths,
@@ -40,7 +40,9 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{byte(Data), 0, 0, 0, 16, 1, 2, 3})                               // truncated payload
 	f.Add([]byte{byte(Done), 0, 0, 0, 2, '{', '}'})                               // control frame
 	f.Add([]byte{byte(Redirect), 0, 0, 0, 6, 1, 3, 0, 'a', ':', '1'})             // redirect frame
-	f.Add([]byte{byte(Redirect) + 1, 0, 0, 0, 0})                                 // first type past the last
+	f.Add([]byte{byte(Doorbell), 0, 0, 0, 0, byte(Doorbell), 0, 0, 0, 0})         // two doorbells
+	f.Add([]byte{byte(Doorbell), 0, 0, 0, 1, 0})                                  // a doorbell with a payload
+	f.Add([]byte{byte(Doorbell) + 1, 0, 0, 0, 0})                                 // first type past the last
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ra := NewReader(bytes.NewReader(data))
@@ -60,8 +62,11 @@ func FuzzReader(f *testing.F) {
 			if ta != tb {
 				t.Fatalf("frame %d: Next type %v, NextData type %v", frame, ta, tb)
 			}
-			if ta < Open || ta > Redirect {
+			if ta < Open || ta > Doorbell {
 				t.Fatalf("frame %d: invalid type %d returned without error", frame, ta)
+			}
+			if ta == Doorbell && len(pa) != 0 {
+				t.Fatalf("frame %d: doorbell returned with a %d-byte payload", frame, len(pa))
 			}
 			if len(pa) > MaxFrame {
 				t.Fatalf("frame %d: payload %d exceeds MaxFrame", frame, len(pa))
@@ -89,16 +94,19 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzOpen throws arbitrary payloads at the binary Open decoder and checks:
-// no panic; OpenTenant accepts exactly what DecodeOpen accepts and agrees on
-// the tenant and the reuse flag; and every accepted payload is canonical — it re-encodes to the
-// same bytes and decodes again to the same request. The seeds are encoded
-// requests covering every field, a JSON Open from before the binary layout,
-// and truncations of a valid payload.
+// FuzzOpen throws arbitrary payloads at the binary Open decoder, and at the
+// OpenOK decoder that answers it, and checks: no panic; OpenTenant accepts
+// exactly what DecodeOpen accepts and agrees on the tenant and the reuse
+// flag; and every accepted payload, Open or OpenOK, is canonical — it
+// re-encodes to the same bytes (and an Open decodes again to the same
+// request). An accepted OpenOK offers a region only with a name and a ring
+// size inside their bounds. The seeds are encoded requests covering every
+// field and flag, a JSON Open from before the binary layout, truncations of
+// a valid payload, and OpenOKs with and without a region offer.
 func FuzzOpen(f *testing.F) {
 	full, err := AppendOpen(nil, &OpenRequest{
 		Tenant: "alice", Accel: "aes128", CSR: make([]byte, 16), Weight: 3,
-		Quota: 1 << 40, QueueCap: 4096, Timing: true, Reuse: true,
+		Quota: 1 << 40, QueueCap: 4096, Timing: true, Reuse: true, Shm: true,
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -116,8 +124,28 @@ func FuzzOpen(f *testing.F) {
 	f.Add(full[:openFixed])
 	f.Add(full[:len(full)-1])
 	f.Add(append(append([]byte(nil), full...), 0))
+	for _, rep := range []OpenReply{
+		{Session: 7, InWords: 8, OutWords: 4},
+		{Session: 1 << 40, InWords: 64, OutWords: 64, Region: "cohort-12-3-0badf00d", RingWords: 1 << 14},
+	} {
+		b, err := appendOpenReply(nil, rep)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+	}
 
 	f.Fuzz(func(t *testing.T, p []byte) {
+		if rep, err := DecodeOpenReply(p); err == nil {
+			if rep.Region != "" && checkOffer(rep.Region, rep.RingWords) != nil {
+				t.Fatalf("accepted an offer out of bounds: %+v", rep)
+			}
+			b, err := appendOpenReply(nil, rep)
+			if err != nil || !bytes.Equal(b, p) {
+				t.Fatalf("open-ok re-encode: %x %v, want %x", b, err, p)
+			}
+		}
 		var req OpenRequest
 		err := DecodeOpen(p, &req)
 		tenant, reuse, terr := OpenTenant(p)

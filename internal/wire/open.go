@@ -26,6 +26,12 @@ type OpenRequest struct {
 	// The client package sets it on every Open. Without it the connection
 	// carries one Open and closes after the answer's final frame.
 	Reuse bool
+	// Shm says the client can map a shared-memory region (shmring): a shard
+	// that finds it on the same host offers one in its OpenOK, once per
+	// connection, and the connection's sessions then move their words
+	// through the region's rings. The client package sets it wherever
+	// shmring.Supported.
+	Shm bool
 }
 
 // OpenReply acknowledges admission and tells the client the accelerator's
@@ -34,6 +40,12 @@ type OpenReply struct {
 	Session  uint64
 	InWords  int
 	OutWords int
+	// Region, when set, offers the connection a shared-memory data plane:
+	// the region's file name and the words in each of its two rings. The
+	// client answers with a Doorbell once it has mapped the region, or by
+	// sending its words in Data frames as before.
+	Region    string
+	RingWords int
 }
 
 // openVersion is the layout version an Open payload starts with.
@@ -43,7 +55,8 @@ const openVersion = 1
 const (
 	openTiming byte = 1 << 0
 	openReuse  byte = 1 << 1
-	openFlags       = openTiming | openReuse
+	openShm    byte = 1 << 2
+	openFlags       = openTiming | openReuse | openShm
 )
 
 // Field caps, set by the width of each length prefix.
@@ -69,8 +82,11 @@ const (
 // weight, quota, queue_cap.
 const openFixed = 1 + 1 + 4 + 8 + 4
 
-// openReplyBytes is the size of an OpenOK payload.
+// openReplyBytes is the size of an OpenOK payload with no region offer.
 const openReplyBytes = 8 + 4 + 4
+
+// maxRegionName bounds an offered region's name, the u8 length prefix.
+const maxRegionName = math.MaxUint8
 
 // errOpenShort is every truncation of an Open: a fixed part cut short or a
 // length prefix that runs past the payload.
@@ -80,7 +96,7 @@ var errOpenShort = errors.New("wire: open payload truncated")
 //
 //	off  size  field
 //	0    1     version (openVersion)
-//	1    1     flags: bit 0 timing, bit 1 reuse
+//	1    1     flags: bit 0 timing, bit 1 reuse, bit 2 shm
 //	2    4     weight     (int32)
 //	6    8     quota      (uint64)
 //	14   4     queue_cap  (int32)
@@ -99,6 +115,9 @@ func AppendOpen(dst []byte, req *OpenRequest) ([]byte, error) {
 	}
 	if req.Reuse {
 		flags |= openReuse
+	}
+	if req.Shm {
+		flags |= openShm
 	}
 	dst = append(dst, openVersion, flags)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(req.Weight)))
@@ -218,6 +237,7 @@ func DecodeOpen(p []byte, req *OpenRequest) error {
 		Tenant: string(f.tenant), Accel: string(f.accel),
 		Weight: int(f.weight), Quota: f.quota, QueueCap: int(f.queueCap),
 		Timing: f.flags&openTiming != 0, Reuse: f.flags&openReuse != 0,
+		Shm: f.flags&openShm != 0,
 	}
 	if len(f.csr) > 0 {
 		req.CSR = append([]byte(nil), f.csr...)
@@ -236,23 +256,69 @@ func OpenTenant(p []byte) (tenant string, reuse bool, err error) {
 }
 
 // appendOpenReply appends rep's OpenOK payload to dst: session (uint64),
-// in_words and out_words (uint32 each), little-endian.
-func appendOpenReply(dst []byte, rep OpenReply) []byte {
+// in_words and out_words (uint32 each), and, only when rep offers a region,
+// ring_words (uint32) and the region name (u8 length, bytes), all
+// little-endian.
+func appendOpenReply(dst []byte, rep OpenReply) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, rep.Session)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(rep.InWords))
-	return binary.LittleEndian.AppendUint32(dst, uint32(rep.OutWords))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rep.OutWords))
+	if rep.Region == "" && rep.RingWords == 0 {
+		return dst, nil
+	}
+	if err := checkOffer(rep.Region, rep.RingWords); err != nil {
+		return dst, err
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rep.RingWords))
+	dst = append(dst, byte(len(rep.Region)))
+	return append(dst, rep.Region...), nil
 }
 
-// DecodeOpenReply decodes an OpenOK payload.
-func DecodeOpenReply(p []byte) (OpenReply, error) {
-	if len(p) != openReplyBytes {
-		return OpenReply{}, fmt.Errorf("wire: open-ok payload is %d bytes, want %d", len(p), openReplyBytes)
+// checkOffer refuses a region offer with no name, an over-long one, or a
+// ring size outside (0, MaxQueueCap]: a client maps what it is offered.
+func checkOffer(name string, ringWords int) error {
+	if name == "" || len(name) > maxRegionName {
+		return fmt.Errorf("wire: open-ok region name is %d bytes, want 1 to %d", len(name), maxRegionName)
 	}
-	return OpenReply{
+	if ringWords <= 0 || ringWords > MaxQueueCap {
+		return fmt.Errorf("wire: open-ok ring of %d words, want 1 to %d", ringWords, MaxQueueCap)
+	}
+	return nil
+}
+
+// DecodeOpenReply decodes an OpenOK payload: the fixed part alone, or the
+// fixed part and a region offer, nothing after.
+func DecodeOpenReply(p []byte) (OpenReply, error) {
+	if len(p) < openReplyBytes {
+		return OpenReply{}, fmt.Errorf("wire: open-ok payload is %d bytes, want %d or more", len(p), openReplyBytes)
+	}
+	rep := OpenReply{
 		Session:  binary.LittleEndian.Uint64(p),
 		InWords:  int(binary.LittleEndian.Uint32(p[8:])),
 		OutWords: int(binary.LittleEndian.Uint32(p[12:])),
-	}, nil
+	}
+	rest := p[openReplyBytes:]
+	if len(rest) == 0 {
+		return rep, nil
+	}
+	if len(rest) < 4 {
+		return OpenReply{}, errors.New("wire: open-ok region offer truncated")
+	}
+	ringWords := binary.LittleEndian.Uint32(rest)
+	name, rest, ok := lenField(rest[4:], 1)
+	switch {
+	case !ok:
+		return OpenReply{}, errors.New("wire: open-ok region offer truncated")
+	case len(rest) > 0:
+		return OpenReply{}, fmt.Errorf("wire: open-ok payload has %d trailing bytes", len(rest))
+	case ringWords > MaxQueueCap:
+		return OpenReply{}, fmt.Errorf("wire: open-ok ring of %d words, want 1 to %d", ringWords, MaxQueueCap)
+	}
+	if err := checkOffer(string(name), int(ringWords)); err != nil {
+		return OpenReply{}, err
+	}
+	rep.Region, rep.RingWords = string(name), int(ringWords)
+	return rep, nil
 }
 
 // Redirect bounds: a gateway names at most maxRedirectAddrs candidates,
@@ -327,7 +393,11 @@ func (fw *Writer) Redirect(addrs []string) error {
 
 // OpenOK writes rep as an OpenOK frame.
 func (fw *Writer) OpenOK(rep OpenReply) error {
-	return fw.control(OpenOK, appendOpenReply(fw.buf[:0], rep))
+	b, err := appendOpenReply(fw.buf[:0], rep)
+	if err != nil {
+		return err
+	}
+	return fw.control(OpenOK, b)
 }
 
 // control writes a control payload built by appending to the scratch

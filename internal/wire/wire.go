@@ -48,13 +48,36 @@
 // (Writer.WordsDone); they are still two frames, and a reader sees nothing
 // different.
 //
+// # Shared-memory data plane
+//
+// A client on the same host as its shard moves session words through two
+// shared-memory rings instead of Data frames (shmring). The Open's shm flag
+// says the client can map a region; a shard that sees the flag on a
+// loopback connection's first such Open creates one and names it in its
+// OpenOK. The client maps it and answers with a Doorbell, and from then on
+// every session on the connection streams through the rings:
+//
+//	client                          shard
+//	  Open{...,shm}           --->
+//	                          <---  OpenOK{session,...,ring_words,region}
+//	  Doorbell (mapped)       --->
+//	  Doorbell* / CloseSend   --->
+//	                          <---  Doorbell* ... Done{stats,err}
+//
+// A Doorbell carries no payload: it wakes a peer parked on a ring. A client
+// that cannot map the region sends Data frames as before, which tells the
+// shard to drop it; a shard that offers nothing (a peer off the host, a
+// region it could not create) gets Data frames. Either way the connection
+// decides once, on its first Open, and its sessions never mix the two.
+//
 // Open layout (little-endian; AppendOpen):
 //
-//	version u8 | flags u8 (bit 0 timing, bit 1 reuse) | weight i32 |
+//	version u8 | flags u8 (bit 0 timing, bit 1 reuse, bit 2 shm) | weight i32 |
 //	quota u64 | queue_cap i32 | tenant u8-len+bytes | accel u8-len+bytes |
 //	csr u16-len+bytes
 //
-// OpenOK layout: session u64 | in_words u32 | out_words u32. A malformed Open
+// OpenOK layout: session u64 | in_words u32 | out_words u32, then, only in
+// an offer, ring_words u32 | region u8-len+bytes. A malformed Open
 // (wrong version, unknown flag bits, a field running past the payload,
 // trailing bytes, a weight above MaxWeight or a queue_cap above MaxQueueCap)
 // is answered with CodeBadRequest.
@@ -114,6 +137,12 @@ const (
 	// shard addresses in ring order (AppendRedirect), the gateway's whole
 	// answer to an Open.
 	Redirect Type = 8
+	// Doorbell is a payload-free frame either way on a connection whose
+	// sessions move words through shared-memory rings (Conn.Attach): the
+	// sender published to or consumed from a ring its peer is parked on. A
+	// client's first Doorbell after an OpenOK that offered a region also
+	// answers the offer: the region is mapped.
+	Doorbell Type = 9
 )
 
 func (t Type) String() string {
@@ -134,6 +163,8 @@ func (t Type) String() string {
 		return "telemetry"
 	case Redirect:
 		return "redirect"
+	case Doorbell:
+		return "doorbell"
 	}
 	return fmt.Sprintf("type(%d)", byte(t))
 }
@@ -457,7 +488,7 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // readHeader reads and validates one frame header: type in range, length
 // within MaxFrame, and — checked here at deframe time, before any payload
-// byte is read — Data payloads a whole number of words.
+// byte is read — Data payloads a whole number of words and Doorbells empty.
 func (fr *Reader) readHeader() (Type, int, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if err == io.EOF {
@@ -467,8 +498,11 @@ func (fr *Reader) readHeader() (Type, int, error) {
 	}
 	t := Type(fr.hdr[0])
 	n := int(binary.BigEndian.Uint32(fr.hdr[1:]))
-	if t < Open || t > Redirect {
+	if t < Open || t > Doorbell {
 		return 0, 0, fmt.Errorf("wire: invalid frame type %d", fr.hdr[0])
+	}
+	if t == Doorbell && n != 0 {
+		return 0, 0, fmt.Errorf("wire: doorbell carries a %d-byte payload", n)
 	}
 	if n > MaxFrame {
 		return 0, 0, fmt.Errorf("wire: %s payload %d bytes exceeds MaxFrame", t, n)

@@ -435,3 +435,61 @@ func TestAPIGolden(t *testing.T) {
 		}
 	}
 }
+
+// flagBudgets caps each command's flags: a knob that only one value ever
+// uses is a constant, not a flag. CI also counts the -h output.
+var flagBudgets = map[string]int{"cohortd": 13, "cohortgw": 5, "cohortload": 6}
+
+// TestFlagBudgets counts the flag definitions in each budgeted command's
+// non-test files — every call of a flag-package function that defines one
+// (flag.String, flag.IntVar, flag.Func, ...) — and fails above its budget.
+func TestFlagBudgets(t *testing.T) {
+	defines := func(name string) bool {
+		switch name {
+		case "Var", "Func", "BoolFunc", "TextVar":
+			return true
+		}
+		base := strings.TrimSuffix(name, "Var")
+		switch base {
+		case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration":
+			return true
+		}
+		return false
+	}
+	for cmd, budget := range flagBudgets {
+		dir := filepath.Join("cmd", cmd)
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(names) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		n := 0
+		fset := token.NewFileSet()
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(node ast.Node) bool {
+				call, ok := node.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" && defines(sel.Sel.Name) {
+					n++
+				}
+				return true
+			})
+		}
+		t.Logf("%s: %d flags (budget %d)", cmd, n, budget)
+		if n > budget {
+			t.Errorf("%s defines %d flags, above its budget of %d", cmd, n, budget)
+		}
+	}
+}
