@@ -292,7 +292,7 @@ func attach(wc *wire.Conn, rep wire.OpenReply) error {
 	if err != nil {
 		return nil
 	}
-	wc.Attach(rg, 0, false)
+	wc.Attach(rg, 0)
 	if err := wc.Bell(); err != nil {
 		return fmt.Errorf("cohort client: answer region offer: %w", err)
 	}
@@ -354,43 +354,23 @@ func (c *Conn) SendN(segs ...[]cohort.Word) error {
 	return nil
 }
 
-// push moves ws into the client-to-shard ring, one index publication per
-// run that fits, and rings the shard when it is parked waiting for words.
-// On a full ring it parks until the shard's Doorbell says it consumed, and
-// gives up once the session's final frame or the connection's end arrives.
+// push moves ws into the client-to-shard ring (wire.Conn.Put): it parks
+// while the ring is full and gives up once the session's final frame or the
+// connection's end arrives.
 func (c *Conn) push(r *wire.Rings, ws []cohort.Word) error {
 	if !r.Region.Enter() {
 		return errConnClosed
 	}
 	defer r.Region.Exit()
 	for len(ws) > 0 {
-		n, bell, err := r.Tx.Push(ws, nil)
+		n, err := c.wc.Put(ws, nil)
 		if err != nil {
 			return fmt.Errorf("cohort client: send data: %w", err)
 		}
-		if bell {
-			if err := c.wc.Bell(); err != nil {
-				return fmt.Errorf("cohort client: send data: %w", err)
-			}
-		}
-		if ws = ws[n:]; n > 0 || len(ws) == 0 {
-			continue
-		}
-		if r.Ended() {
-			return fmt.Errorf("cohort client: send data: %w", errSessionEnded)
-		}
-		r.Tx.Arm()
-		if !r.Tx.Room() && !r.Ended() {
-			c.wc.Wait(r.Room)
-		}
-		r.Tx.Disarm()
+		ws = ws[n:]
 	}
 	return nil
 }
-
-// errSessionEnded is a Send that found no room and the session over: its
-// final frame, or the connection's end, has arrived.
-var errSessionEnded = errors.New("session ended")
 
 // CloseSend ends the outbound stream: the daemon finishes every complete
 // block already sent, drops a trailing partial block, and replies with the
@@ -547,11 +527,7 @@ func (c *Conn) ringWait(r *wire.Rings) (a, b []cohort.Word, err error) {
 			}
 			return nil, nil, c.final(f.Type, f.Payload)
 		}
-		r.Rx.Arm()
-		if !r.Rx.Pending() && !r.Ended() {
-			c.wc.Wait(r.Ready)
-		}
-		r.Rx.Disarm()
+		c.wc.WaitWords()
 	}
 }
 

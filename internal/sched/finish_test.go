@@ -76,7 +76,7 @@ func TestFinalDataAndDoneShareOneWrite(t *testing.T) {
 
 			conn := &writeRecorder{}
 			sv := NewServer(s, nil)
-			if kept := sv.pumpResults(conn, wire.NewWriter(conn), ss, tc.timing, true); kept != !tc.kill {
+			if kept := sv.pumpResults(wire.NewConn(conn), ss, tc.timing, true); kept != !tc.kill {
 				t.Fatalf("pumpResults kept the connection: %v, want %v", kept, !tc.kill)
 			}
 			if len(conn.writes) != tc.writes {

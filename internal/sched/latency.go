@@ -25,7 +25,7 @@ import (
 //	         un-dispatched Data frame landing in the queue (stamped by the
 //	         socket reader) to the scheduler dispatching the session.
 //	sched    dispatch to compute: the pick-to-process gap, including the
-//	         modeled CSR-swap SwitchCost and the quantum's staging copy.
+//	         quantum's staging copy.
 //	compute  the accelerator Process loop over the quantum's blocks,
 //	         including any transient-fault retries.
 //	wire     results published to the output queue until the socket pump

@@ -233,21 +233,23 @@ func TestWatchWorkersStallDetection(t *testing.T) {
 	}
 	ss.In().PushSlice([]cohort.Word{1, 2})
 
+	// Wait for the wedged worker's row to read stalled. Stalls() > 0 alone
+	// proves nothing: under -race a late wake-up can count as a stall and
+	// have recovered before the wedge.
+	stalled := func() bool {
+		for _, h := range dog.Health() {
+			if strings.HasPrefix(h.Engine, "sched/w") && h.Stalled {
+				return true
+			}
+		}
+		return false
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for dog.Stalls() == 0 {
+	for !stalled() {
 		if time.Now().After(deadline) {
-			t.Fatal("watchdog never declared the wedged worker stalled")
+			t.Fatalf("no sched/w* row stalled in Health() within 5s: %+v", dog.Health())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	stalled := false
-	for _, h := range dog.Health() {
-		if strings.HasPrefix(h.Engine, "sched/w") && h.Stalled {
-			stalled = true
-		}
-	}
-	if !stalled {
-		t.Errorf("no sched/w* row stalled in Health(): %+v", dog.Health())
 	}
 
 	// Unblock: the worker finishes the quantum and the stall clears.

@@ -3,8 +3,10 @@ package sched_test
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,4 +297,176 @@ func waitFor(t *testing.T, cond func() bool) {
 func waitFrames(t *testing.T, log *frameLog, ty wire.Type) {
 	t.Helper()
 	waitFor(t, func() bool { _, out := log.snapshot(); return log.count(out, ty) > 0 })
+}
+
+// ringDial opens a null session by hand on a fresh connection to addr, maps
+// the offered region and answers the offer, as client.Connect does, so a
+// test can then send what no client would.
+func ringDial(t *testing.T, addr string) (*wire.Conn, []byte) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second)) // a lost frame fails, not hangs
+	c := wire.NewConn(nc)
+	t.Cleanup(func() { c.Close() })
+	open, err := wire.AppendOpen(nil, &wire.OpenRequest{Tenant: "byhand", Accel: "null", Reuse: true, Shm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := ringOpen(t, c, open)
+	if rep.Region == "" {
+		t.Fatal("the shard offered no region")
+	}
+	rg, err := shmring.Attach(rep.Region, rep.RingWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Attach(rg, 0)
+	if err := c.Bell(); err != nil { // mapped
+		t.Fatal(err)
+	}
+	return c, open
+}
+
+// ringOpen sends open on c and returns the shard's OpenOK.
+func ringOpen(t *testing.T, c *wire.Conn, open []byte) wire.OpenReply {
+	t.Helper()
+	if err := c.W.Frame(wire.Open, open); err != nil {
+		t.Fatal(err)
+	}
+	ty, p, err := c.R.Next()
+	if err != nil || ty != wire.OpenOK {
+		t.Fatalf("open answered %v %v, want an OpenOK", ty, err)
+	}
+	rep, err := wire.DecodeOpenReply(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// readFinal reads c's frames up to the session's final one and returns it.
+func readFinal(t *testing.T, c *wire.Conn) (wire.Type, []byte) {
+	t.Helper()
+	for {
+		ty, p, err := c.R.Next()
+		if err != nil {
+			t.Fatalf("no final frame: %v", err)
+		}
+		if ty == wire.Done || ty == wire.Error {
+			return ty, p
+		}
+	}
+}
+
+// TestRingSessionUnexpectedFrame: a ring session's client that sends, mid
+// stream, a frame with no place in it — a Data frame, or a second Open —
+// gets an Error coded killed that names the frame, and the shard retires
+// the session.
+func TestRingSessionUnexpectedFrame(t *testing.T) {
+	for _, ty := range []wire.Type{wire.Data, wire.Open} {
+		t.Run(ty.String(), func(t *testing.T) {
+			s, addr, _ := startLogged(t, nil)
+			c, open := ringDial(t, addr)
+			if n, err := c.Put(make([]cohort.Word, 64), nil); n != 64 || err != nil {
+				t.Fatalf("Put = %d, %v", n, err)
+			}
+			payload := open
+			if ty == wire.Data {
+				payload = make([]byte, 8*wire.WordBytes)
+			}
+			if err := c.W.Frame(ty, payload); err != nil {
+				t.Fatal(err)
+			}
+			got, p := readFinal(t, c)
+			var rej wire.ErrorReply
+			if got != wire.Error || wire.Unmarshal(got, p, &rej) != nil || rej.Code != wire.CodeKilled ||
+				!strings.Contains(rej.Message, ty.String()) {
+				t.Fatalf("the shard answered %v %+v, want an Error coded %s naming the %s frame", got, rej, wire.CodeKilled, ty)
+			}
+			waitFor(t, func() bool { return len(s.Sessions()) == 0 })
+			if st := s.Stats(); st.Kills != 1 {
+				t.Fatalf("%d sessions killed, want 1", st.Kills)
+			}
+		})
+	}
+}
+
+// TestRingDoorbellBetweenSessions: a Doorbell the client writes after a
+// session's Done, on the kept ring connection, is absorbed, and the next
+// Open on that connection is served through the same rings.
+func TestRingDoorbellBetweenSessions(t *testing.T) {
+	_, addr, log := startLogged(t, nil)
+	c, open := ringDial(t, addr)
+	if err := c.W.Frame(wire.CloseSend, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ty, p := readFinal(t, c); ty != wire.Done {
+		t.Fatalf("the first session ended in %v %s", ty, p)
+	}
+	if err := c.Bell(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := ringOpen(t, c, open); rep.Region != "" {
+		t.Fatalf("a second region offered on one connection: %+v", rep)
+	}
+	in := []cohort.Word{3, 1, 4, 1, 5, 9, 2, 6}
+	if n, err := c.Put(in, nil); n != len(in) || err != nil {
+		t.Fatalf("Put = %d, %v", n, err)
+	}
+	if err := c.W.Frame(wire.CloseSend, nil); err != nil {
+		t.Fatal(err)
+	}
+	ty, p := readFinal(t, c)
+	var done wire.DoneReply
+	if ty != wire.Done || wire.Unmarshal(ty, p, &done) != nil || done.Blocks != uint64(len(in)) {
+		t.Fatalf("the second session ended in %v %s, want a Done for %d blocks", ty, p, len(in))
+	}
+	a, b, err := c.Rings.Rx.Segments()
+	if got := append(append([]cohort.Word(nil), a...), b...); err != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("the second session's results: %v %v, want %v", got, err, in)
+	}
+	if in, _ := log.snapshot(); log.count(in, wire.Open) != 2 || log.count(in, wire.Data) != 0 {
+		t.Fatalf("the client sent %v, want two Opens and no Data frame", in)
+	}
+}
+
+// TestRingSessionSchedulerStop: a ring session whose scheduler stops while
+// both of the shard's halves are parked — the pump for results, the reader
+// in the socket read for words — ends the client's session at once instead
+// of leaving the connection open with nothing on either side.
+func TestRingSessionSchedulerStop(t *testing.T) {
+	s, addr, _ := startLogged(t, nil)
+	c, err := client.Connect(addr, client.Options{Tenant: "stopped", Accel: "sha256"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send(make([]cohort.Word, 64)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]cohort.Word, 64)
+	for got := 0; got < 32; {
+		n, err := c.RecvInto(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += n
+	}
+	s.Close()
+	ended := make(chan error, 1)
+	go func() {
+		_, err := c.RecvInto(buf)
+		ended <- err
+	}()
+	select {
+	case err := <-ended:
+		if err == nil || err == io.EOF {
+			t.Fatalf("the session went on after its scheduler stopped: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client's session still open 5 s after the shard's scheduler stopped")
+	}
 }

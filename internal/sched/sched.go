@@ -12,9 +12,7 @@
 // an optional block quota — and a pool of engine workers serves sessions in
 // block-granular quanta picked by stride scheduling (each session accrues
 // virtual time in blocks÷weight; the runnable session with the least virtual
-// time runs next). Swapping a worker from one session to another charges a
-// modeled context-switch cost, mirroring the per-process CSR-swap path of
-// cohort_register.
+// time runs next).
 //
 // Properties the scheduler maintains:
 //
@@ -66,20 +64,16 @@ var (
 )
 
 // Config tunes a Scheduler. The zero value serves with one engine worker,
-// 32-block quanta, no modeled switch cost, 64-session admission and
-// 1024-word session queues.
+// 32-block quanta, 64-session admission and 1024-word session queues.
 type Config struct {
 	// Engines is the worker-pool size: how many accelerator engines the
 	// service multiplexes sessions onto (default 1).
 	Engines int
 	// Quantum is the largest number of blocks one scheduling decision serves
 	// before the engine re-arbitrates (default 32), fixed for the scheduler's
-	// life. Smaller quanta interleave finer; larger quanta amortize the
-	// switch cost over more work.
+	// life. Smaller quanta interleave finer; larger quanta amortize each
+	// decision's cost over more work.
 	Quantum int
-	// SwitchCost is the modeled cohort_register CSR-swap cost, charged (as a
-	// real sleep) whenever a worker swaps from one session to another.
-	SwitchCost time.Duration
 	// MaxSessions bounds concurrently live sessions (default 64).
 	MaxSessions int
 	// QueueCap is the default per-direction session queue capacity in words
@@ -91,7 +85,7 @@ type Config struct {
 	Registry *cohort.Registry
 	// Trace, when non-nil, records scheduler activity into the flight
 	// recorder's rings: admit/retire instants on the "sched" track and
-	// per-decision serve/swap spans on one "sched/w<i>" track per worker.
+	// per-decision serve spans on one "sched/w<i>" track per worker.
 	Trace *cohort.FlightRecorder
 	// Retries is the per-block retry budget for transient accelerator faults
 	// (cohort.IsTransient): a faulting block is re-run up to Retries times
@@ -843,9 +837,9 @@ func (s *Scheduler) retire(ss *Session) {
 	close(ss.done)
 }
 
-// worker is one engine of the pool: pick the fairest runnable session, swap
-// onto it (charging the modeled CSR-swap cost when it differs from the last
-// session served), serve one quantum, repeat. With no runnable session the
+// worker is one engine of the pool: pick the fairest runnable session,
+// serve one quantum, repeat; a pick that differs from the last session
+// served counts as a swap. With no runnable session the
 // worker parks on the pool's bell (park) with no timer: only a queue
 // publication, a kill, an admission or Close wakes it.
 func (s *Scheduler) worker(i int) {
@@ -873,9 +867,8 @@ func (s *Scheduler) worker(i int) {
 				continue // woken or stopping: look again from the top
 			}
 		}
-		// tPick stamps the dispatch instant of a sampled quantum, taken before
-		// the modeled CSR-swap sleep so the sched stage charges the switch cost
-		// to the session that incurred it. Zero means unsampled.
+		// tPick stamps the dispatch instant of a sampled quantum. Zero means
+		// unsampled.
 		var tPick time.Time
 		if n := s.cfg.LatencySample; n > 0 {
 			if latCnt++; latCnt >= n {
@@ -886,16 +879,6 @@ func (s *Scheduler) worker(i int) {
 		if ss.id != lastID {
 			ss.switches.Add(1)
 			s.swaps.Add(1)
-			if s.cfg.SwitchCost > 0 {
-				var t0 uint64
-				if trk != nil {
-					t0 = trk.Begin()
-				}
-				time.Sleep(s.cfg.SwitchCost)
-				if trk != nil {
-					trk.End("swap", t0)
-				}
-			}
 			lastID = ss.id
 		}
 		s.serveQuantum(trk, ss, tPick)

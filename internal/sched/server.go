@@ -35,19 +35,22 @@ func DefaultCatalog() Catalog {
 // Server exposes a Scheduler over the wire protocol: a TCP connection carries
 // one session at a time — one after another while its Opens ask for reuse
 // (the client package's do), one in all otherwise. The reader half of each
-// connection feeds the session input queue (a full queue stops the socket
-// read — per-tenant backpressure reaches all the way back to the remote
-// producer via TCP flow control); the writer half streams results out as
-// the scheduler completes them and finishes with a Done frame carrying the
-// session's counters.
+// session, on the connection's handler goroutine, feeds the session input
+// queue (a full queue stops the read — per-tenant backpressure reaches all
+// the way back to the remote producer); the writer half, the result pump,
+// streams results out as the scheduler completes them and finishes with a
+// Done frame carrying the session's counters.
 //
 // A client on the same host streams through a shared-memory region instead
 // (shmring, wire.Rings): the connection's first Open that asks for one gets a
 // region in its OpenOK, and once the client has mapped it, every session on
-// the connection moves its words through the region's two rings
-// (serveRings). The socket then carries control frames and Doorbells only.
-// Anything that cannot attach — a peer off the host, a region that cannot be
-// created, a client that cannot map it — streams Data frames as below.
+// the connection moves its words through the region's two rings: the
+// reader half copies the client's ring into In (readRings), the pump copies
+// Out into the shard's ring (wire.Conn.Put). The socket then carries control
+// frames and Doorbells only, and a half with nothing to move on the ring
+// side parks in the socket read, as the client's halves do. Anything that
+// cannot attach — a peer off the host, a region that cannot be created, a
+// client that cannot map it — streams Data frames as below.
 //
 // Both halves run the batched wire hot path: inbound Data frames decode into
 // pooled word buffers and land in the input queue with one TryPushSlice per
@@ -173,28 +176,30 @@ func (sv *Server) serve(c *wire.Conn, payload []byte) bool {
 		first, ws, _, ferr = c.R.NextData()
 		offer.Unlink()
 		if ferr == nil && first == wire.Doorbell {
-			c.Attach(offer, 1, true)
+			c.Attach(offer, 1)
 		} else {
 			offer.Close()
 		}
 	}
 
-	var keep bool
+	// Result pump. It writes the session's frames, the reader's Doorbells
+	// aside, up to the final one, and closes the connection unless the
+	// session ends reusable: Done is always the final frame. This goroutine
+	// reads the client's stream.
+	kept := make(chan bool, 1)
+	go func() { kept <- sv.pumpResults(c, ss, req.Timing, req.Reuse) }()
+	var clean bool
 	if c.Rings != nil {
-		keep = sv.serveRings(c, ss, req.Timing, req.Reuse)
+		clean = sv.readRings(c, ss)
 	} else {
-		// Result pump. It owns the connection's write side until the final
-		// frame and closes the connection unless the session ends reusable:
-		// Done is always the final frame.
-		kept := make(chan bool, 1)
-		go func() { kept <- sv.pumpResults(c.Conn, c.W, ss, req.Timing, req.Reuse) }()
-
-		if !sv.readStream(c.R, ss, first, ws, ferr) {
-			// The producer vanished mid-stream: discard its session.
-			ss.Kill()
-		}
-		keep = <-kept
+		clean = sv.readStream(c.R, ss, first, ws, ferr)
 	}
+	if !clean {
+		// The producer vanished or broke the protocol mid-stream: discard
+		// its session.
+		ss.Kill()
+	}
+	keep := <-kept
 	if sv.Log != nil {
 		st := ss.Stats()
 		args := []any{"session", ss.ID(), "tenant", ss.Tenant(),
@@ -237,8 +242,12 @@ func (sv *Server) readStream(fr *wire.Reader, ss *Session, t wire.Type, ws []coh
 		}
 		switch t {
 		case wire.Data:
-			if !sv.pushWords(ss, ws) {
-				return false
+			for len(ws) > 0 {
+				n, ok := sv.feed(ss, ws, nil)
+				if !ok {
+					return false
+				}
+				ws = ws[n:]
 			}
 		case wire.CloseSend:
 			ss.CloseSend()
@@ -249,23 +258,66 @@ func (sv *Server) readStream(fr *wire.Reader, ss *Session, t wire.Type, ws []coh
 	}
 }
 
-// pushWords moves one decoded Data frame into the session input queue; each
-// push rings the scheduler's bell. When the queue is full it parks on the
-// session's InSpace bell — not reading the socket is exactly how per-tenant
-// backpressure propagates to the remote producer. Gives up once the session
-// is retired (quota, kill): the remaining stream has nowhere to go.
-func (sv *Server) pushWords(ss *Session, ws []cohort.Word) bool {
+// readRings feeds the client's ring (wire.Rings) into the session input
+// queue until the client's CloseSend, with one read-index publication per
+// run, and rings the client when it is parked for room. With the ring empty
+// it parks in the socket read (wire.Conn.WaitWords). A corrupt ring, a
+// frame with no place in a ring session, or a dead connection kills the
+// session (killRing). Reports whether the client ended its stream
+// deliberately.
+func (sv *Server) readRings(c *wire.Conn, ss *Session) bool {
+	r := c.Rings
+	for {
+		// CloseSend is loaded before the ring: every word the client
+		// published before sending it is then in the ring.
+		closeSent := r.CloseSent()
+		a, b, err := r.Rx.Segments()
+		if err != nil {
+			killRing(ss, r, err)
+			return false
+		}
+		if len(a)+len(b) > 0 {
+			n, ok := sv.feed(ss, a, b)
+			if !ok {
+				return false
+			}
+			if r.Rx.Commit(n) {
+				c.Bell() // a dead socket shows in the next read
+			}
+			continue
+		}
+		if closeSent {
+			ss.CloseSend()
+			return true
+		}
+		if _, _, ended := r.End(); ended {
+			killRing(ss, r, nil)
+			return false
+		}
+		c.WaitWords()
+	}
+}
+
+// feed pushes the leading words of a, then of b, that fit into the session
+// input queue and reports how many; each push rings the scheduler's bell.
+// When the queue is full it parks on the session's InSpace bell — not
+// reading the client is exactly how per-tenant backpressure propagates to
+// the remote producer. It gives up once the session is retired (quota,
+// kill): the remaining stream has nowhere to go.
+func (sv *Server) feed(ss *Session, a, b []cohort.Word) (int, bool) {
 	in, room := ss.In(), ss.InSpace()
-	for len(ws) > 0 {
+	for {
 		// Latency attribution: stamp the head of the waiting batch (first
 		// push since the last dispatch wins; one atomic load otherwise). The
 		// stamp lands before the push, because the push wakes the worker
 		// that consumes it.
 		ss.markIngress()
-		n := in.TryPushSlice(ws)
-		ws = ws[n:]
+		n := in.TryPushSlice(a)
+		if n == len(a) {
+			n += in.TryPushSlice(b)
+		}
 		if n > 0 {
-			continue
+			return n, true
 		}
 		room.Arm()
 		if in.Len() < in.Cap() { // last look: room freed since the push
@@ -275,40 +327,89 @@ func (sv *Server) pushWords(ss *Session, ws []cohort.Word) bool {
 		select {
 		case <-ss.Done():
 			room.Disarm()
-			return false
+			return 0, false
 		case <-sv.sch.stop:
 			room.Disarm()
-			return false
+			return 0, false
 		case <-room.C():
 		}
 		room.Disarm()
 	}
-	return true
 }
 
-// pumpResults streams the session output queue to the client as Data
-// frames, then sends the final frame (see finish) and closes the
-// connection — unless wire.KeepsConn keeps it, in which case pumpResults
-// reports true. The output queue is closed by the scheduler at retirement, so
-// draining it is the handler's retirement barrier.
+// killRing kills a ring session for err, a corrupt ring, so it ends in an
+// Error saying so. Once the client's stream has ended (wire.Rings.End), the
+// end says why instead: a frame with no place in a ring session, or a lost
+// connection, which needs no reason.
+func killRing(ss *Session, r *wire.Rings, err error) {
+	if f, rerr, ended := r.End(); ended {
+		err = nil
+		if rerr == nil {
+			err = fmt.Errorf("unexpected %s frame in a ring session", f.Type)
+		}
+	}
+	if err != nil {
+		ss.fail(fmt.Errorf("%w: %v", ErrKilled, err))
+	}
+	ss.Kill()
+}
+
+// pumpResults streams the session output queue to the client — as Data
+// frames, or into the shard's ring on an attached connection — then sends
+// the final frame (see finish) and closes the connection, unless
+// wire.KeepsConn keeps it, in which case pumpResults reports true. The
+// output queue is closed by the scheduler at retirement, so draining it is
+// the handler's retirement barrier.
 //
-// Every pass coalesces all completed blocks currently in the queue — up to
-// a whole frame, wire.MaxFrameWords — into one Data frame, written with a
-// single writev directly from the queue's two ring segments
-// (wire.Writer.WordsN): the engine's batched index publication, applied to
-// the socket. The pass that finds Out closed with every word left in one
-// frame's reach writes those words and the Done together.
-func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, reuse bool) bool {
+// Every pass moves all completed blocks currently in the queue: into the
+// ring with one index publication (wire.Conn.Put, which parks in the socket
+// read while the ring is full), or up to a whole frame, wire.MaxFrameWords,
+// as one Data frame written with a single writev directly from the queue's
+// two ring segments (wire.Writer.WordsN): the engine's batched index
+// publication, applied to the socket. The pass that finds Out closed with
+// every word left in one frame's reach writes those words and the Done
+// together.
+func (sv *Server) pumpResults(c *wire.Conn, ss *Session, timing, reuse bool) bool {
 	out, ready := ss.Out(), ss.OutReady()
+	r := c.Rings
 	var tp telemetryPace
 	for {
 		// Closed is loaded before the segments: nothing is published after
 		// Close, so a pass that sees Out closed also sees every word left.
 		closed := out.Closed()
 		a, b := out.ReadSegments()
-		if n := len(a) + len(b); closed && n <= wire.MaxFrameWords {
-			return sv.finish(c, fw, ss, a, b, timing, reuse)
-		} else if n > 0 {
+		n := len(a) + len(b)
+		if closed && (n == 0 || r == nil && n <= wire.MaxFrameWords) {
+			return sv.finish(c, ss, a, b, timing, reuse)
+		}
+		if n == 0 {
+			// Empty but not closed: park until the scheduler publishes or
+			// closes Out. Rings coalesce, so every wakeup re-scans the queue.
+			ready.Arm()
+			if out.Len() == 0 && !out.Closed() { // last look
+				select {
+				case <-sv.sch.stop:
+					// No final frame follows: close the socket, so a reader
+					// half parked in its read returns as well.
+					ready.Disarm()
+					c.Conn.Close()
+					return false
+				case <-ready.C():
+				}
+			}
+			ready.Disarm()
+			continue
+		}
+		if r != nil {
+			k, err := c.Put(a, b)
+			if err != nil {
+				// The client corrupted its ring or is gone: the results are
+				// undeliverable, and the session ends in an Error.
+				killRing(ss, r, err)
+				k = n
+			}
+			n = k
+		} else {
 			if n > wire.MaxFrameWords {
 				// A queue deeper than one frame drains across passes.
 				n = wire.MaxFrameWords
@@ -318,36 +419,23 @@ func (sv *Server) pumpResults(c net.Conn, fw *wire.Writer, ss *Session, timing, 
 					b = b[:n-len(a)]
 				}
 			}
-			werr := fw.WordsN(a, b)
-			// Draining output may unblock a session parked on output-room
-			// backpressure: the read publication rings the scheduler's bell.
-			out.CommitRead(n)
-			if werr != nil {
+			if err := c.W.WordsN(a, b); err != nil {
 				// Client stopped reading; results are undeliverable.
+				out.CommitRead(n)
 				ss.Kill()
 				return false
 			}
-			// The frame reached the kernel: close the wire stage for a sampled
-			// quantum whose results it carried (no-op when unstamped).
-			ss.observeWire()
-			if timing && tp.send(fw, ss) != nil {
-				ss.Kill()
-				return false
-			}
-			continue
 		}
-		// Empty but not closed: park until the scheduler publishes or
-		// closes Out. Rings coalesce, so every wakeup re-scans the queue.
-		ready.Arm()
-		if out.Len() == 0 && !out.Closed() { // last look
-			select {
-			case <-sv.sch.stop:
-				ready.Disarm()
-				return false
-			case <-ready.C():
-			}
+		// Draining output may unblock a session parked on output-room
+		// backpressure: the read publication rings the scheduler's bell.
+		out.CommitRead(n)
+		// The words reached the kernel or the ring: close the wire stage for
+		// a sampled quantum whose results they carried (no-op when unstamped).
+		ss.observeWire()
+		if timing && tp.send(c.W, ss) != nil {
+			ss.Kill()
+			return false
 		}
-		ready.Disarm()
 	}
 }
 
@@ -374,177 +462,12 @@ func (tp *telemetryPace) send(fw *wire.Writer, ss *Session) error {
 	return nil
 }
 
-// serveRings runs one session on the connection's rings (wire.Rings). This
-// goroutine moves words both ways — the client's ring into In, Out into the
-// shard's ring — with one index publication per run, while the connection's
-// frame reader wakes it on the client's Doorbells and hands it the
-// CloseSend. It parks only when neither direction can move, armed on
-// whatever blocks each: a ring's armed word when the client must publish or
-// consume (the client's Doorbell then arrives on the socket), In's or Out's
-// bell when the scheduler must. It ends as pumpResults does, with the final
-// frame on the socket once every result word is in the ring. A ring the
-// client corrupts, or a frame it must not send, kills the session; it then
-// ends in an Error.
-func (sv *Server) serveRings(c *wire.Conn, ss *Session, timing, reuse bool) bool {
-	r := c.Rings
-	in, out := ss.In(), ss.Out()
-	room, ready := ss.InSpace(), ss.OutReady()
-	frames := r.Frames()
-	var tp telemetryPace
-	inOpen := true     // In takes words: the client's CloseSend is not yet through
-	closeSent := false // the client's CloseSend has arrived
-	gone := false      // the session is killed: nothing more moves to or from the client
-	owed := false      // the client parked for words that are now in the ring
-	kill := func(err error) {
-		if !gone {
-			if err != nil {
-				ss.fail(fmt.Errorf("%w: %v", ErrKilled, err))
-			}
-			ss.Kill()
-			gone = true
-		}
-	}
-	for {
-		moved, inFull, ringFull := false, false, false
-		if inOpen && !gone {
-			a, b, err := r.Rx.Segments()
-			if err != nil {
-				kill(err)
-				continue
-			}
-			if n := len(a) + len(b); n > 0 {
-				// Latency attribution, as pushWords stamps it.
-				ss.markIngress()
-				k := in.TryPushSlice(a)
-				if k == len(a) {
-					k += in.TryPushSlice(b)
-				}
-				if k > 0 {
-					moved = true
-					if r.Rx.Commit(k) {
-						c.Bell() // a dead socket reaches us as the frame reader's error
-					}
-				} else {
-					inFull = true
-				}
-			} else if closeSent {
-				ss.CloseSend()
-				inOpen = false
-			}
-		}
-		// Closed is loaded before the segments, as in pumpResults.
-		closed := out.Closed()
-		if a, b := out.ReadSegments(); len(a)+len(b) > 0 {
-			if gone {
-				out.CommitRead(len(a) + len(b)) // undeliverable
-				continue
-			}
-			k, bell, err := r.Tx.Push(a, b)
-			if err != nil {
-				kill(err)
-				continue
-			}
-			if k > 0 {
-				moved = true
-				out.CommitRead(k)
-				ss.observeWire()
-				owed = owed || bell
-				if timing && tp.send(c.W, ss) != nil {
-					kill(nil)
-				}
-			} else {
-				ringFull = true
-			}
-		} else if closed {
-			// The final frame wakes a parked client as a Doorbell would.
-			return sv.finishRings(c, ss, timing, reuse)
-		}
-		if moved {
-			continue
-		}
-		if owed {
-			// Results went into the ring while the client slept: ring once
-			// for all of them, now that no more are ready to follow.
-			c.Bell()
-			owed = false
-		}
-
-		// Park on whatever blocks each direction, with a last look after
-		// arming (cohort.Bell's protocol; the rings' armed words carry it
-		// across the process boundary).
-		waitIn := inOpen && !gone && inFull
-		waitRx := inOpen && !gone && !inFull && !closeSent
-		var roomC, readyC <-chan struct{}
-		if waitIn {
-			room.Arm()
-			roomC = room.C()
-		}
-		if waitRx {
-			r.Rx.Arm()
-		}
-		if ringFull {
-			r.Tx.Arm()
-		} else {
-			ready.Arm()
-			readyC = ready.C()
-		}
-		again := waitIn && in.Len() < in.Cap() || waitRx && r.Rx.Pending() ||
-			ringFull && r.Tx.Room() || !ringFull && (out.Len() > 0 || out.Closed())
-		stop := false
-		if !again {
-			select {
-			case <-roomC:
-			case <-readyC:
-			case <-r.Ready:
-			case f, ok := <-frames:
-				switch {
-				case !ok:
-					frames = nil // the connection is gone; a closed channel is always ready
-					kill(nil)
-				case f.Type == wire.CloseSend && !closeSent:
-					closeSent = true
-				default:
-					kill(fmt.Errorf("unexpected %s frame in a ring session", f.Type))
-				}
-			case <-sv.sch.stop:
-				stop = true
-			}
-		}
-		if waitIn {
-			room.Disarm()
-		}
-		if waitRx {
-			r.Rx.Disarm()
-		}
-		if ringFull {
-			r.Tx.Disarm()
-		} else {
-			ready.Disarm()
-		}
-		if stop {
-			return false
-		}
-	}
-}
-
-// finishRings writes a ring session's final frame, after every result word
-// went into the ring, and reports whether the connection stays open for the
-// next Open (wire.KeepsConn); it closes it otherwise.
-func (sv *Server) finishRings(c *wire.Conn, ss *Session, timing, reuse bool) bool {
-	t, payload, keep := finalFrame(ss, timing, reuse)
-	if err := c.W.Frame(t, payload); err == nil && keep {
-		return true
-	}
-	c.Conn.Close()
-	return false
-}
-
 // finish writes the session's final frame, after the words a and b that
 // were left in its closed output queue: a Done shares one writev with them
 // (wire.Writer.WordsDone), an Error follows them. It reports whether the
 // connection stays open for the next Open (wire.KeepsConn), and closes it
 // otherwise.
-func (sv *Server) finish(c net.Conn, fw *wire.Writer, ss *Session, a, b []cohort.Word, timing, reuse bool) bool {
+func (sv *Server) finish(c *wire.Conn, ss *Session, a, b []cohort.Word, timing, reuse bool) bool {
 	n := len(a) + len(b)
 	if n > 0 {
 		// These words are the last a sampled quantum can have stamped: close
@@ -555,12 +478,12 @@ func (sv *Server) finish(c net.Conn, fw *wire.Writer, ss *Session, a, b []cohort
 	var err error
 	switch {
 	case n == 0:
-		err = fw.Frame(t, payload)
+		err = c.W.Frame(t, payload)
 	case t == wire.Done:
-		err = fw.WordsDone(payload, a, b)
+		err = c.W.WordsDone(payload, a, b)
 	default:
-		if err = fw.WordsN(a, b); err == nil {
-			err = fw.Frame(t, payload)
+		if err = c.W.WordsN(a, b); err == nil {
+			err = c.W.Frame(t, payload)
 		}
 	}
 	ss.Out().CommitRead(n)
@@ -569,8 +492,9 @@ func (sv *Server) finish(c net.Conn, fw *wire.Writer, ss *Session, a, b []cohort
 	}
 	// Closing here, not when the handler returns, makes the final frame
 	// reliably the last thing the client sees even while the reader half is
-	// still parked in a read.
-	c.Close()
+	// still parked in a read. The socket only: the reader half may still be
+	// copying out of the rings, which go when the handler returns.
+	c.Conn.Close()
 	return false
 }
 

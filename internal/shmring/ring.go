@@ -17,11 +17,14 @@
 //
 // The waiting side follows cohort.Bell's protocol across the process
 // boundary: Arm, a last look at the peer's index, then sleep. The publisher
-// stores its index, then takes the peer's armed word with an atomic swap and
-// sends one Doorbell if it was set. Both steps are sequentially consistent,
-// so either the sleeper's last look sees the publication or the publisher
-// sees the armed word: no wakeup is lost, and a side that never sleeps
-// costs its peer no syscall.
+// publishes its index, then takes the peer's armed word with an atomic swap
+// and sends one Doorbell if it was set. Each side writes its own word and
+// then loads the other's, which only a full barrier keeps in order, so the
+// Arm and the index publication are atomic swaps: then either the sleeper's
+// last look sees the publication or the publisher sees the armed word, no
+// wakeup is lost, and a side that never sleeps costs its peer no syscall.
+// (A Go atomic store is a swap on amd64 anyway, but under the race detector
+// it is only a release, and the pair reorders.)
 //
 // The peer is untrusted. Each end keeps its own cursor and the ring's
 // geometry in private memory and never reads either back from the region;
@@ -199,7 +202,7 @@ func (p *Producer) Push(a, b []uint64) (n int, bell bool, err error) {
 	p.put(p.w, a[:na])
 	p.put(p.w+uint64(na), b[:n-na])
 	p.w += uint64(n)
-	atomic.StoreUint64(p.wIdx, p.w)
+	atomic.SwapUint64(p.wIdx, p.w) // a full barrier before take: see the package doc
 	return n, take(p.peer), nil
 }
 
@@ -212,7 +215,7 @@ func (p *Producer) put(at uint64, src []uint64) {
 
 // Arm announces that this end is about to sleep until the consumer frees
 // room. Call Room once more after it, and Disarm once awake.
-func (p *Producer) Arm() { atomic.StoreUint64(p.armed, 1) }
+func (p *Producer) Arm() { atomic.SwapUint64(p.armed, 1) }
 
 // Disarm withdraws Arm.
 func (p *Producer) Disarm() { atomic.StoreUint64(p.armed, 0) }
@@ -258,13 +261,13 @@ func (c *Consumer) Commit(n int) (bell bool) {
 		panic(fmt.Sprintf("shmring: Commit(%d) past the %d words Segments returned", n, c.seen-c.r))
 	}
 	c.r += uint64(n)
-	atomic.StoreUint64(c.rIdx, c.r)
+	atomic.SwapUint64(c.rIdx, c.r) // a full barrier before take: see the package doc
 	return take(c.peer)
 }
 
 // Arm announces that this end is about to sleep until the producer
 // publishes. Call Pending once more after it, and Disarm once awake.
-func (c *Consumer) Arm() { atomic.StoreUint64(c.armed, 1) }
+func (c *Consumer) Arm() { atomic.SwapUint64(c.armed, 1) }
 
 // Disarm withdraws Arm.
 func (c *Consumer) Disarm() { atomic.StoreUint64(c.armed, 0) }

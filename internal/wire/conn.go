@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -45,33 +46,32 @@ func NewConn(c net.Conn) *Conn {
 	return &Conn{Conn: c, R: NewReader(c), W: NewWriter(c)}
 }
 
-// Close closes the connection and releases its rings, if any: it returns
-// once the frame reader has stopped, and the region is unmapped once no
-// session is inside it (shmring.Region.Enter).
+// Close closes the connection and releases its rings, if any: the region is
+// unmapped once no session is inside it (shmring.Region.Enter).
 func (c *Conn) Close() error {
 	err := c.Conn.Close()
-	if r := c.Rings; r != nil && r.closed.CompareAndSwap(false, true) {
-		close(r.done)
-		<-r.stopped
+	if r := c.Rings; r != nil {
 		r.Region.Close()
 	}
 	return err
 }
 
-// next reads the connection's next frame: from the frame reader once the
-// rings are attached, which keeps Doorbells to itself, and from R before.
-// The payload is valid until the following next.
+// next reads the frame that begins a session: the Open at the serving end,
+// the reply to it at the dialling end. On an attached connection it clears
+// the last session's end and skips the Doorbells that session left behind.
+// The payload is valid until the following read.
 func (c *Conn) next() (Type, []byte, error) {
-	if r := c.Rings; r != nil {
-		if r.frames != nil {
-			f, ok := <-r.frames
-			if !ok {
-				return 0, nil, r.err
-			}
-			return f.Type, f.Payload, nil
+	r := c.Rings
+	if r != nil {
+		r.end.Store(nil)
+		r.closeSent.Store(false)
+	}
+	for {
+		t, p, err := c.R.Next()
+		if err != nil || t != Doorbell || r == nil {
+			return t, p, err
 		}
 	}
-	return c.R.Next()
 }
 
 // bellFrame is a whole Doorbell frame: the type and a zero length.
@@ -85,78 +85,102 @@ func (c *Conn) Bell() error {
 }
 
 // Rings is a connection's shared-memory data plane (shmring): the region,
-// this end's producer and consumer, and how a parked side learns of its
-// peer's Doorbells. The serving end runs a frame reader that owns R for the
-// connection's life — between sessions too, so a Doorbell that arrives
-// after a session ended is absorbed and not mistaken for the next Open. The
-// dialling end has no reader: a parked side reads the socket itself (Wait).
+// this end's producer and consumer, and what the socket brought. No
+// goroutine owns the socket: at either end a side with nothing to do parks
+// in its read (Put, WaitWords), and a frame it reads wakes the other side
+// too.
 type Rings struct {
 	Region *shmring.Region
 	Tx     *shmring.Producer
 	Rx     *shmring.Consumer
-	// Room and Ready each get a token on every Doorbell, and when a
-	// session's final frame or the connection's end arrives: a producer
-	// parked for room waits on Room, a consumer parked for words on Ready.
-	// Tokens coalesce, so a woken side looks at its ring again.
-	Room, Ready chan struct{}
 
-	frames  chan Frame             // the frame reader's frames (serving end)
-	err     error                  // why the connection ended, once frames is closed
-	tok     chan struct{}          // the right to read the socket (dialling end)
-	ended   atomic.Bool            // a final frame or the connection's end has arrived
-	telem   atomic.Pointer[[]byte] // the latest Telemetry payload, not yet taken
-	bufs    [2][]byte              // frame payloads, handed out in turn
-	closed  atomic.Bool
-	done    chan struct{} // closed by Conn.Close: the frame reader stops
-	stopped chan struct{} // closed by the frame reader as it returns
-
-	// end is the session's final frame, or the connection's read error,
-	// once a parked side has read it (dialling end).
-	mu  sync.Mutex
-	end struct {
-		set bool
-		f   Frame
-		err error
-	}
+	// room and ready each get a token after every frame a parked side reads:
+	// a producer parked for room waits on room, a consumer parked for words
+	// on ready. Tokens coalesce, so a woken side looks at its ring again.
+	room, ready chan struct{}
+	tok         chan struct{}          // the right to read the socket
+	telem       atomic.Pointer[[]byte] // the latest Telemetry payload, not yet taken
+	closeSent   atomic.Bool            // the peer's CloseSend has arrived
+	// end points at last once the peer's stream has ended: its final frame,
+	// a frame with no place in a ring session, or the connection's read
+	// error. Both stay until the next session's first frame (next).
+	end  atomic.Pointer[ending]
+	last ending
 }
 
-// Frame is one frame the frame reader hands over.
+// ending is how the peer's stream ended.
+type ending struct {
+	f   Frame
+	err error
+}
+
+// Frame is one frame a parked side read.
 type Frame struct {
 	Type    Type
 	Payload []byte
 }
 
 // Attach makes rg the connection's data plane, with this end producing into
-// ring tx and consuming the other. With reader set it starts the frame
-// reader (a serving end, whose parked side waits on in-process bells too);
-// without it the sides read the socket themselves through Wait (a dialling
-// end). Call it between frames, with nothing else reading R.
-func (c *Conn) Attach(rg *shmring.Region, tx int, reader bool) {
+// ring tx and consuming the other. Call it between frames, with nothing else
+// reading R.
+func (c *Conn) Attach(rg *shmring.Region, tx int) {
 	r := &Rings{
 		Region: rg, Tx: rg.Producer(tx), Rx: rg.Consumer(1 - tx),
-		Room: make(chan struct{}, 1), Ready: make(chan struct{}, 1),
-		done: make(chan struct{}), stopped: make(chan struct{}),
+		room: make(chan struct{}, 1), ready: make(chan struct{}, 1), tok: make(chan struct{}, 1),
 	}
+	r.tok <- struct{}{}
 	c.Rings = r
 	c.Negotiated = true
-	if reader {
-		r.frames = make(chan Frame)
-		go c.readFrames(r)
-		return
-	}
-	r.tok = make(chan struct{}, 1)
-	r.tok <- struct{}{}
-	close(r.stopped)
 }
 
-// Wait parks one side of a dialling end's session — the producer with
-// mine = Room, the consumer with mine = Ready — until a Doorbell, the
-// session's final frame or the connection's end may have changed what it
-// waits for. When no other side is reading the socket it sleeps in that
-// read itself, so its wake-up arrives on the socket it already reads; when
-// the other side is, it sleeps on mine, which that side posts after every
-// frame it reads. Call it after Arm and a last look at the ring.
-func (c *Conn) Wait(mine <-chan struct{}) {
+// errEnded is a Put that found no room and the peer's stream over.
+var errEnded = errors.New("session ended")
+
+// Put copies the leading words of a, then of b, that fit into this end's
+// ring, publishes them with one index store, rings the peer if it is parked
+// for words, and reports how many went. On a full ring it parks — Arm, a
+// last look, wait — until some fit, and gives up once the peer's stream has
+// ended. An error is that end, a corrupt ring, or a Doorbell that could not
+// be written.
+func (c *Conn) Put(a, b []uint64) (int, error) {
+	r := c.Rings
+	for {
+		n, bell, err := r.Tx.Push(a, b)
+		if err == nil && bell {
+			err = c.Bell()
+		}
+		if n > 0 || err != nil || len(a)+len(b) == 0 {
+			return n, err
+		}
+		if r.ended() {
+			return 0, errEnded
+		}
+		r.Tx.Arm()
+		if !r.Tx.Room() && !r.ended() {
+			c.wait(r.room)
+		}
+		r.Tx.Disarm()
+	}
+}
+
+// WaitWords parks this end's consumer until the peer may have published —
+// Arm, a last look, wait — or returns at once once the peer's stream has
+// ended. The caller then looks at its ring, End and CloseSent again.
+func (c *Conn) WaitWords() {
+	r := c.Rings
+	r.Rx.Arm()
+	if !r.Rx.Pending() && !r.ended() {
+		c.wait(r.ready)
+	}
+	r.Rx.Disarm()
+}
+
+// wait parks one side — the producer with mine = room, the consumer with
+// mine = ready — until a frame may have changed what it waits for. When no
+// other side is reading the socket it sleeps in that read itself, so its
+// wake-up arrives on the socket it already reads; when the other side is,
+// it sleeps on mine, which that side posts after every frame it reads.
+func (c *Conn) wait(mine <-chan struct{}) {
 	r := c.Rings
 	select {
 	case <-mine:
@@ -168,16 +192,17 @@ func (c *Conn) Wait(mine <-chan struct{}) {
 		// The other side read a frame for this one before it let go of the
 		// socket: reading now could wait for a wake-up already delivered.
 	default:
-		if !r.ended.Load() { // past the final frame nothing more is coming
+		if !r.ended() { // past the end nothing more is coming
 			c.readOne(r)
 		}
 	}
 	r.tok <- struct{}{}
 }
 
-// readOne reads one frame for Wait. A Telemetry payload is kept, latest
-// only; a final frame, a frame with no place in the stream, or a read
-// error is kept for the consumer (End). Every frame posts both sides.
+// readOne reads one frame for wait. A Telemetry payload is kept, latest
+// only, and the peer's first CloseSend is recorded; any other frame but a
+// Doorbell, or a read error, ends the peer's stream (End). Every frame
+// posts both sides.
 func (c *Conn) readOne(r *Rings) {
 	t, p, err := c.R.Next()
 	switch {
@@ -185,47 +210,15 @@ func (c *Conn) readOne(r *Rings) {
 	case err == nil && t == Telemetry:
 		cp := append([]byte(nil), p...)
 		r.telem.Store(&cp)
+	case err == nil && t == CloseSend && !r.closeSent.Load():
+		r.closeSent.Store(true)
 	default:
-		// The payload stays in R's scratch: nothing reads R again until the
-		// consumer has taken it, since Wait reads no further once ended is set.
-		r.mu.Lock()
-		r.end.set, r.end.f, r.end.err = true, Frame{Type: t, Payload: p}, err
-		r.mu.Unlock()
-		r.ended.Store(true)
+		// The payload stays in R's scratch: wait reads no further once the
+		// end is set, and nothing else reads R until the next session.
+		r.last = ending{Frame{Type: t, Payload: p}, err}
+		r.end.Store(&r.last)
 	}
-	r.post()
-}
-
-// End returns the session's final frame, or the connection's read error,
-// once a parked side of a dialling end has read it; ok is false before.
-// It stays until the next session's Open.
-func (r *Rings) End() (f Frame, err error, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.end.f, r.end.err, r.end.set
-}
-
-// Frames returns a serving end's frames other than Doorbells, in order; it
-// is closed once the connection has ended. A frame's payload is valid until
-// the next frame is received, from here or from the connection's own reads
-// between sessions.
-func (r *Rings) Frames() <-chan Frame { return r.frames }
-
-// Ended reports whether the current session's final frame, or the
-// connection's end, has arrived: a producer stops waiting for room.
-func (r *Rings) Ended() bool { return r.ended.Load() }
-
-// TakeTelemetry returns the latest Telemetry payload not yet taken, or nil.
-func (r *Rings) TakeTelemetry() []byte {
-	if p := r.telem.Swap(nil); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// post leaves a token on both wake-up channels.
-func (r *Rings) post() {
-	for _, ch := range [2]chan struct{}{r.Room, r.Ready} {
+	for _, ch := range [2]chan struct{}{r.room, r.ready} {
 		select {
 		case ch <- struct{}{}:
 		default: // a token is already waiting: the wake-ups merge
@@ -233,47 +226,30 @@ func (r *Rings) post() {
 	}
 }
 
-// readFrames is the attached connection's one reader. A Doorbell wakes both
-// parked sides; a Telemetry payload is kept, latest only, so a receiver
-// that is not receiving never holds up a Doorbell; every other frame goes
-// to Frames. A read error closes Frames without waiting for anyone to take
-// it, so a kept connection's reader never outlives the connection. The
-// payloads alternate between two buffers, so the frame handed out last
-// stays intact while the next one is read.
-func (c *Conn) readFrames(r *Rings) {
-	defer close(r.stopped)
-	defer close(r.frames)
-	for turn := 0; ; {
-		t, p, err := c.R.Next()
-		switch {
-		case err != nil:
-			r.err = err
-			r.ended.Store(true)
-			r.post()
-			return
-		case t == Doorbell:
-			r.post()
-			continue
-		case t == Telemetry:
-			cp := append([]byte(nil), p...)
-			r.telem.Store(&cp)
-			r.post()
-			continue
-		case t == Done || t == Error:
-			r.ended.Store(true)
-			r.post()
-		}
-		b := append(r.bufs[turn][:0], p...)
-		if cap(b) <= maxRetain {
-			r.bufs[turn] = b
-		}
-		turn ^= 1
-		select {
-		case r.frames <- Frame{Type: t, Payload: b}:
-		case <-r.done:
-			return
-		}
+// End returns how the peer's stream ended — its final frame, or the
+// connection's read error — once a parked side has read it; ok is false
+// before.
+func (r *Rings) End() (f Frame, err error, ok bool) {
+	if e := r.end.Load(); e != nil {
+		return e.f, e.err, true
 	}
+	return Frame{}, nil, false
+}
+
+// ended reports whether the peer's stream has ended: a producer stops
+// waiting for room.
+func (r *Rings) ended() bool { return r.end.Load() != nil }
+
+// CloseSent reports whether the peer's CloseSend has arrived: the words it
+// published before are in the ring.
+func (r *Rings) CloseSent() bool { return r.closeSent.Load() }
+
+// TakeTelemetry returns the latest Telemetry payload not yet taken, or nil.
+func (r *Rings) TakeTelemetry() []byte {
+	if p := r.telem.Swap(nil); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Pool holds, per address, the connections between sessions, newest last;
@@ -331,12 +307,6 @@ func (p *Pool) Open(addr string, timeout time.Duration, open []byte) (*Conn, Typ
 			c.addr = addr
 		}
 		var err error
-		if r := c.Rings; r != nil { // the previous session's final frame is read
-			r.ended.Store(false)
-			r.mu.Lock()
-			r.end.set = false
-			r.mu.Unlock()
-		}
 		// The copy into the Writer's scratch keeps open from escaping, so a
 		// caller's Open can live on its stack.
 		if werr := c.W.control(Open, append(c.W.buf[:0], open...)); werr != nil {
