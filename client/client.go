@@ -6,7 +6,8 @@
 // connection moves its words through the region's two rings, with only
 // control frames and doorbells on the socket (shmring). Elsewhere, or when
 // the region cannot be mapped, the words travel in the wire protocol's Data
-// frames (cohort/internal/wire).
+// frames (cohort/internal/wire). Send and the receive side work the same on
+// either plane: the connection (wire.Conn) knows which one it uses.
 //
 // Connect takes the address of a shard or of a gateway. A gateway answers
 // the Open with a Redirect naming the tenant's candidate shards in ring
@@ -129,12 +130,9 @@ type Conn struct {
 	closeSent atomic.Bool
 	closed    atomic.Bool
 
-	// pending is the unconsumed tail of the last received Data frame (it
-	// aliases the reader's pooled buffer on the fast path), carried across
-	// RecvInto calls smaller than a frame.
-	pending []cohort.Word
 	// result is the session's Done, set once the receive side has read it;
-	// atomic because Close may read it from another goroutine.
+	// atomic because Close may read it from another goroutine. recvErr is
+	// what the receive side returns from then on, io.EOF after a clean Done.
 	result  atomic.Pointer[wire.DoneReply]
 	recvErr error
 
@@ -285,9 +283,10 @@ func openAt(addr string, timeout time.Duration, open []byte, redirect []string) 
 // nothing: the session's words then go in Data frames, which tells the
 // shard so.
 func attach(wc *wire.Conn, rep wire.OpenReply) error {
-	if wc.Rings != nil {
+	if wc.Negotiated {
 		return fmt.Errorf("cohort client: a second region offered on one connection")
 	}
+	wc.Negotiated = true
 	rg, err := attachRegion(rep.Region, rep.RingWords)
 	if err != nil {
 		return nil
@@ -314,62 +313,32 @@ func (c *Conn) InWords() int { return c.inW }
 // OutWords returns the accelerator's output block size in words.
 func (c *Conn) OutWords() int { return c.outW }
 
-// Send streams ws as one Data frame. Words need not align to blocks per
-// call; the daemon assembles blocks across frames. On little-endian hosts ws
-// is handed to the kernel zero-copy (header and payload in one writev); it is
-// not retained — the caller may reuse it as soon as Send returns. Batching
-// many blocks per Send is the single biggest lever on serving throughput:
-// one frame and one syscall amortize over every block in the slice.
+// Send streams ws to the daemon (wire.Conn.Put): through the connection's
+// ring, parking while it is full, or in Data frames of up to
+// wire.MaxFrameWords words. Words need not align to blocks per call; the
+// daemon assembles blocks across Sends. ws is not retained — the caller may
+// reuse it as soon as Send returns; on little-endian hosts a Data frame
+// hands it to the kernel zero-copy (header and payload in one writev).
+// Batching many blocks per Send is the single biggest lever on serving
+// throughput: one frame and one syscall, or one ring publication, amortize
+// over every block in the slice.
 func (c *Conn) Send(ws []cohort.Word) error {
 	if c.closeSent.Load() {
 		return errSendClosed
 	}
-	if r := c.wc.Rings; r != nil {
-		return c.push(r, ws)
-	}
-	if err := c.wc.W.Words(ws); err != nil {
-		return fmt.Errorf("cohort client: send data: %w", err)
-	}
-	return nil
-}
-
-// SendN coalesces several word slices into a single Data frame (one writev,
-// no joining copy) — for producers whose pending blocks live in scattered
-// buffers, e.g. a queue's two ring segments.
-func (c *Conn) SendN(segs ...[]cohort.Word) error {
-	if c.closeSent.Load() {
-		return errSendClosed
-	}
-	if r := c.wc.Rings; r != nil {
-		for _, ws := range segs {
-			if err := c.push(r, ws); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.wc.W.WordsN(segs...); err != nil {
-		return fmt.Errorf("cohort client: send data: %w", err)
-	}
-	return nil
-}
-
-// push moves ws into the client-to-shard ring (wire.Conn.Put): it parks
-// while the ring is full and gives up once the session's final frame or the
-// connection's end arrives.
-func (c *Conn) push(r *wire.Rings, ws []cohort.Word) error {
-	if !r.Region.Enter() {
+	if !c.wc.Enter() {
 		return errConnClosed
 	}
-	defer r.Region.Exit()
-	for len(ws) > 0 {
+	defer c.wc.Exit()
+	for {
 		n, err := c.wc.Put(ws, nil)
 		if err != nil {
 			return fmt.Errorf("cohort client: send data: %w", err)
 		}
-		ws = ws[n:]
+		if ws = ws[n:]; len(ws) == 0 {
+			return nil
+		}
 	}
-	return nil
 }
 
 // CloseSend ends the outbound stream: the daemon finishes every complete
@@ -390,64 +359,6 @@ func (c *Conn) CloseSend() error {
 // errSendClosed is a Send or CloseSend after CloseSend.
 var errSendClosed = errors.New("cohort client: send after CloseSend")
 
-// nextData advances the result stream to the next non-empty Data frame,
-// absorbing Done and Error frames along the way. On the fast path the
-// returned slice aliases the wire reader's pooled buffer: it is valid until
-// the next read and must not be handed to the application without a copy.
-func (c *Conn) nextData() ([]cohort.Word, error) {
-	if c.result.Load() != nil {
-		return nil, io.EOF
-	}
-	if c.recvErr != nil {
-		return nil, c.recvErr
-	}
-	for {
-		t, ws, payload, err := c.wc.R.NextData()
-		if err != nil {
-			return nil, c.lost(err)
-		}
-		switch t {
-		case wire.Data:
-			if len(ws) == 0 {
-				continue
-			}
-			return ws, nil
-		case wire.Telemetry:
-			// Server-side stage breakdown (requested via Options.ServerTiming):
-			// keep the latest and keep streaming. Absorbed here so Recv loops
-			// never see a non-Data frame mid-stream.
-			if err := c.telemetry(payload); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		return nil, c.final(t, payload)
-	}
-}
-
-// lost records a read error before the session's final frame.
-func (c *Conn) lost(err error) error {
-	if c.closed.Load() {
-		c.recvErr = fmt.Errorf("cohort client: recv: %w", err)
-	} else {
-		// The far end went before its final frame: the session is as dead
-		// as a killed one, and a replay is the way on.
-		c.recvErr = fmt.Errorf("%w: connection lost before the final frame: %v", ErrKilled, err)
-	}
-	return c.recvErr
-}
-
-// telemetry keeps a Telemetry payload as the latest server timing.
-func (c *Conn) telemetry(payload []byte) error {
-	var tel wire.TelemetryReply
-	if err := wire.Unmarshal(wire.Telemetry, payload, &tel); err != nil {
-		c.recvErr = err
-		return err
-	}
-	c.timing.Store(&tel)
-	return nil
-}
-
 // final takes a frame that ends the result stream — a Done, an Error, or
 // one that has no place in it — and returns what the receive side reports
 // from then on: io.EOF after a clean Done.
@@ -456,7 +367,6 @@ func (c *Conn) final(t wire.Type, payload []byte) error {
 	case wire.Done:
 		var done wire.DoneReply
 		if err := wire.Unmarshal(t, payload, &done); err != nil {
-			c.recvErr = err
 			return err
 		}
 		c.result.Store(&done)
@@ -464,8 +374,7 @@ func (c *Conn) final(t wire.Type, payload []byte) error {
 			c.timing.Store(done.Timing)
 		}
 		if done.Err != "" {
-			c.recvErr = fmt.Errorf("cohort client: session ended: %s", done.Err)
-			return c.recvErr
+			return fmt.Errorf("cohort client: session ended: %s", done.Err)
 		}
 		return io.EOF
 	case wire.Error:
@@ -473,71 +382,58 @@ func (c *Conn) final(t wire.Type, payload []byte) error {
 		// resetting the connection. Map the code to a typed error.
 		var rej wire.ErrorReply
 		if err := wire.Unmarshal(t, payload, &rej); err != nil {
-			c.recvErr = err
 			return err
 		}
 		switch rej.Code {
 		case wire.CodeKilled:
-			c.recvErr = fmt.Errorf("%w: %s", ErrKilled, rej.Message)
+			return fmt.Errorf("%w: %s", ErrKilled, rej.Message)
 		case wire.CodeFault:
-			c.recvErr = fmt.Errorf("%w: %s", ErrFault, rej.Message)
-		default:
-			c.recvErr = fmt.Errorf("cohort client: session ended: %s", rej.Message)
+			return fmt.Errorf("%w: %s", ErrFault, rej.Message)
 		}
-		return c.recvErr
+		return fmt.Errorf("cohort client: session ended: %s", rej.Message)
 	}
-	c.recvErr = fmt.Errorf("cohort client: unexpected %s frame in result stream", t)
-	return c.recvErr
+	return fmt.Errorf("cohort client: unexpected %s frame in result stream", t)
 }
 
-// ringWait waits for result words in the shard-to-client ring and returns
-// them as up to two views of the ring, valid until the Commit that
-// releases them. The session's final frame, or the connection's end, counts
-// only once the ring is drained, since the shard publishes every result
-// word before it writes the frame: so a kept connection never carries a
-// result word into the next session. The caller has entered the region.
-func (c *Conn) ringWait(r *wire.Rings) (a, b []cohort.Word, err error) {
-	for {
-		// The end is set only once the ring is drained, so past it the ring
-		// may already hold the next session's words.
-		if c.recvErr != nil {
-			return nil, nil, c.recvErr
-		}
-		if c.result.Load() != nil {
-			return nil, nil, io.EOF
-		}
-		if p := r.TakeTelemetry(); p != nil {
-			if err := c.telemetry(p); err != nil {
-				return nil, nil, err
-			}
-		}
-		// The end is looked at before the ring: words published before the
-		// final frame are then in the ring by the Segments below.
-		f, lost, ended := r.End()
-		if a, b, err = r.Rx.Segments(); err != nil {
-			c.recvErr = fmt.Errorf("%w: %v", ErrKilled, err)
-			return nil, nil, c.recvErr
-		}
-		if len(a)+len(b) > 0 {
-			return a, b, nil
-		}
-		if ended { // the ring is drained: the end counts now
-			if lost != nil {
-				return nil, nil, c.lost(lost)
-			}
-			return nil, nil, c.final(f.Type, f.Payload)
-		}
-		c.wc.WaitWords()
+// words waits for result words (wire.Conn.Words) and returns them as up to
+// two views, valid until the Commit that releases them. The session's final
+// frame, or the connection's end, counts only once every result word before
+// it is read, and is what every later call returns: so a kept connection
+// never carries a result word into the next session. The caller has entered
+// the connection.
+func (c *Conn) words() (a, b []cohort.Word, err error) {
+	if c.recvErr != nil {
+		return nil, nil, c.recvErr
 	}
-}
-
-// ringCommit releases n result words and rings the shard if it is parked
-// for room. A Doorbell that cannot be written is not this receive's
-// failure: the next read of the socket reports the connection's end.
-func (c *Conn) ringCommit(r *wire.Rings, n int) {
-	if r.Rx.Commit(n) {
-		c.wc.Bell()
+	a, b, err = c.wc.Words()
+	if p := c.wc.TakeTelemetry(); p != nil {
+		// Server-side stage breakdown (requested via Options.ServerTiming):
+		// keep the latest and keep streaming.
+		var tel wire.TelemetryReply
+		if terr := wire.Unmarshal(wire.Telemetry, p, &tel); terr != nil {
+			c.recvErr = terr
+			return nil, nil, terr
+		}
+		c.timing.Store(&tel)
 	}
+	switch f, lost, ended := c.wc.End(); {
+	case err != nil:
+		err = fmt.Errorf("%w: %v", ErrKilled, err)
+	case len(a)+len(b) > 0:
+		return a, b, nil
+	case lost != nil && c.closed.Load():
+		err = fmt.Errorf("cohort client: recv: %w", lost)
+	case lost != nil:
+		// The far end went before its final frame: the session is as dead
+		// as a killed one, and a replay is the way on.
+		err = fmt.Errorf("%w: connection lost before the final frame: %v", ErrKilled, lost)
+	case ended:
+		err = c.final(f.Type, f.Payload)
+	default: // the peer's CloseSend
+		err = c.final(wire.CloseSend, nil)
+	}
+	c.recvErr = err
+	return nil, nil, err
 }
 
 // Recv returns the next chunk of result words. It returns io.EOF once the
@@ -546,69 +442,38 @@ func (c *Conn) ringCommit(r *wire.Rings, n int) {
 // reuse a buffer should prefer RecvInto, which skips this method's per-chunk
 // allocation.
 func (c *Conn) Recv() ([]cohort.Word, error) {
-	if r := c.wc.Rings; r != nil {
-		if !r.Region.Enter() {
-			return nil, errConnClosed
-		}
-		defer r.Region.Exit()
-		a, b, err := c.ringWait(r)
-		if err != nil {
-			return nil, err
-		}
-		out := append(append(make([]cohort.Word, 0, len(a)+len(b)), a...), b...)
-		c.ringCommit(r, len(out))
-		return out, nil
+	if !c.wc.Enter() {
+		return nil, errConnClosed
 	}
-	ws := c.pending
-	if len(ws) == 0 {
-		var err error
-		if ws, err = c.nextData(); err != nil {
-			return nil, err
-		}
+	defer c.wc.Exit()
+	a, b, err := c.words()
+	if err != nil {
+		return nil, err
 	}
-	c.pending = nil
-	out := make([]cohort.Word, len(ws))
-	copy(out, ws)
-	c.wc.R.Release()
+	out := append(append(make([]cohort.Word, 0, len(a)+len(b)), a...), b...)
+	c.wc.Commit(len(out))
 	return out, nil
 }
 
 // RecvInto fills buf with the next result words and returns how many were
-// written — the zero-allocation receive: frames decode into pooled wire
-// buffers and copy once into buf, and a frame larger than buf carries over
-// to the next call. Returns io.EOF exactly like Recv. buf must not be empty.
+// written — the zero-allocation receive: words copy once, out of the ring or
+// a pooled frame buffer, into buf, and what does not fit carries over to the
+// next call. Returns io.EOF exactly like Recv. buf must not be empty.
 func (c *Conn) RecvInto(buf []cohort.Word) (int, error) {
 	if len(buf) == 0 {
 		return 0, errors.New("cohort client: RecvInto with empty buffer")
 	}
-	if r := c.wc.Rings; r != nil {
-		if !r.Region.Enter() {
-			return 0, errConnClosed
-		}
-		defer r.Region.Exit()
-		a, b, err := c.ringWait(r)
-		if err != nil {
-			return 0, err
-		}
-		n := copy(buf, a)
-		n += copy(buf[n:], b)
-		c.ringCommit(r, n)
-		return n, nil
+	if !c.wc.Enter() {
+		return 0, errConnClosed
 	}
-	ws := c.pending
-	if len(ws) == 0 {
-		var err error
-		if ws, err = c.nextData(); err != nil {
-			return 0, err
-		}
+	defer c.wc.Exit()
+	a, b, err := c.words()
+	if err != nil {
+		return 0, err
 	}
-	n := copy(buf, ws)
-	if n < len(ws) {
-		c.pending = ws[n:]
-	} else {
-		c.pending = nil
-		c.wc.R.Release()
-	}
+	n := copy(buf, a)
+	n += copy(buf[n:], b)
+	c.wc.Commit(n)
 	return n, nil
 }
 

@@ -12,7 +12,7 @@ func SetAttachRegion(f func(name string, words int) (*shmring.Region, error)) (u
 
 // Attached reports whether the session's connection moves its words
 // through shared-memory rings.
-func Attached(c *Conn) bool { return c.wc.Rings != nil }
+func Attached(c *Conn) bool { return c.wc.Attached() }
 
 // DropIdle closes the connections kept for addr, so the next Connect dials.
 func DropIdle(addr string) {

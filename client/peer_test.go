@@ -390,6 +390,57 @@ func TestFallbackClientCannotMap(t *testing.T) {
 	}
 }
 
+// TestFallbackLargeSend: one Send of more words than a Data frame holds,
+// on a connection that could not map its region, goes out in several
+// frames, and every word comes back. A failed Send closes the Conn, so the
+// receive below ends instead of waiting for words that never come.
+func TestFallbackLargeSend(t *testing.T) {
+	addr, _, stop := startLoopback(t, 64, nil)
+	defer stop()
+	defer client.SetAttachRegion(func(string, int) (*shmring.Region, error) { return nil, errors.New("cannot map") })()
+	c, err := client.Connect(addr, client.Options{Tenant: "large", Accel: "echo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if client.Attached(c) {
+		t.Fatal("the session attached a region it could not map")
+	}
+	in := make([]cohort.Word, wire.MaxFrameWords+64)
+	for i := range in {
+		in[i] = cohort.Word(i)*0x9e3779b97f4a7c15 + 7
+	}
+	sent := make(chan error, 1)
+	go func() {
+		err := c.Send(in)
+		if err == nil {
+			err = c.CloseSend()
+		}
+		if err != nil {
+			c.Close()
+		}
+		sent <- err
+	}()
+	out := make([]cohort.Word, 0, len(in))
+	buf := make([]cohort.Word, 1<<16)
+	for {
+		n, err := c.RecvInto(buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d words: %v (send: %v)", len(out), err, <-sent)
+		}
+		out = append(out, buf[:n]...)
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("Send of %d words: %v", len(in), err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("%d words came back of %d, or altered", len(out), len(in))
+	}
+}
+
 // TestPeerSaturatedStream: two connections to a shard process each keep
 // eight 4096-word sends in flight for a second, as the serve-stream
 // workload does, so both sides of each session park and wake each other

@@ -12,7 +12,7 @@
 // pacing and measures saturation goodput instead.
 //
 // Each arrival is one 64-word request. The client packs every arrival due
-// at wake-up into one zero-copy Data frame (up to 64 arrivals, via SendN).
+// at wake-up into one zero-copy Data frame (up to 64 arrivals, one Send).
 //
 // With an empty -addr the daemon runs in-process on a loopback listener,
 // serving 64-word echo blocks at a quantum of 64 blocks with no modeled
@@ -76,7 +76,7 @@ func main() {
 const (
 	block    = 64    // echo accelerator block size in words (spawned daemons)
 	batch    = 64    // words per arrival (one open-loop request); a multiple of block
-	coalesce = 64    // max due arrivals packed per Data frame via SendN
+	coalesce = 64    // max due arrivals packed per Send
 	engines  = 2     // spawned daemon: engine pool size
 	quantum  = 64    // spawned daemon: blocks per scheduling decision
 	queueCap = 16384 // spawned daemon: per-direction session queue capacity in words
@@ -363,14 +363,14 @@ func (w *worker) run() error {
 	recvErr := make(chan error, 1)
 	go func() { recvErr <- w.receive(c, pending) }()
 
-	in := make([]cohort.Word, batch)
+	// coalesce copies of one batch, back to back: a pass sends a prefix.
+	in := make([]cohort.Word, coalesce*batch)
 	for i := range in {
-		in[i] = cohort.Word(i)*2654435761 + 99
+		in[i] = cohort.Word(i%batch)*2654435761 + 99
 	}
 	deadline := t0.Add(w.cfg.duration)
 	next := t0
 	dues := make([]time.Time, 0, coalesce)
-	segs := make([][]cohort.Word, 0, coalesce)
 	var sendErr error
 	for time.Now().Before(deadline) {
 		// Collect the arrivals due this pass. Paced mode sleeps to the next
@@ -402,13 +402,9 @@ func (w *worker) run() error {
 			// covers them all (the receiver tracks words, not frames).
 			pending <- batchRec{due: dues[0], words: batch * len(dues)}
 		}
-		// Every due arrival goes out in one zero-copy Data frame (SendN
-		// gathers the segments with a single writev).
-		segs = segs[:0]
-		for range dues {
-			segs = append(segs, in)
-		}
-		if sendErr = c.SendN(segs...); sendErr != nil {
+		// Every due arrival goes out in one contiguous Send: one zero-copy
+		// Data frame, or one ring publication.
+		if sendErr = c.Send(in[:len(dues)*batch]); sendErr != nil {
 			break
 		}
 	}

@@ -304,6 +304,17 @@ func waitFrames(t *testing.T, log *frameLog, ty wire.Type) {
 // test can then send what no client would.
 func ringDial(t *testing.T, addr string) (*wire.Conn, []byte) {
 	t.Helper()
+	c, open := dialByHand(t, addr)
+	if !c.Attached() {
+		t.Fatal("the shard offered no region")
+	}
+	return c, open
+}
+
+// dialByHand is ringDial on a shard that may offer no region: the session
+// then streams Data frames.
+func dialByHand(t *testing.T, addr string) (*wire.Conn, []byte) {
+	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +328,7 @@ func ringDial(t *testing.T, addr string) (*wire.Conn, []byte) {
 	}
 	rep := ringOpen(t, c, open)
 	if rep.Region == "" {
-		t.Fatal("the shard offered no region")
+		return c, open
 	}
 	rg, err := shmring.Attach(rep.Region, rep.RingWords)
 	if err != nil {
@@ -361,30 +372,62 @@ func readFinal(t *testing.T, c *wire.Conn) (wire.Type, []byte) {
 	}
 }
 
-// TestRingSessionUnexpectedFrame: a ring session's client that sends, mid
-// stream, a frame with no place in it — a Data frame, or a second Open —
-// gets an Error coded killed that names the frame, and the shard retires
-// the session.
+// TestRingSessionUnexpectedFrame: a session's client that sends, mid
+// stream, a frame with no place in it — a Data frame on rings, or a second
+// Open on either plane — gets an Error coded killed that names the frame,
+// and the shard retires the session. A Doorbell mid-stream is absorbed on
+// either plane, and the session ends in a Done. The frames- cases run on a
+// connection the shard offered no region.
 func TestRingSessionUnexpectedFrame(t *testing.T) {
-	for _, ty := range []wire.Type{wire.Data, wire.Open} {
-		t.Run(ty.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ty    wire.Type
+		rings bool
+	}{
+		{"data", wire.Data, true},
+		{"open", wire.Open, true},
+		{"doorbell", wire.Doorbell, true},
+		{"frames-open", wire.Open, false},
+		{"frames-doorbell", wire.Doorbell, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.rings {
+				defer sched.SetCreateRegion(func(int) (*shmring.Region, error) { return nil, errors.New("no region") })()
+			}
 			s, addr, _ := startLogged(t, nil)
-			c, open := ringDial(t, addr)
+			c, open := dialByHand(t, addr)
+			if c.Attached() != tc.rings {
+				t.Fatalf("attached = %v, want %v", c.Attached(), tc.rings)
+			}
 			if n, err := c.Put(make([]cohort.Word, 64), nil); n != 64 || err != nil {
 				t.Fatalf("Put = %d, %v", n, err)
 			}
-			payload := open
-			if ty == wire.Data {
+			var payload []byte
+			switch tc.ty {
+			case wire.Data:
 				payload = make([]byte, 8*wire.WordBytes)
+			case wire.Open:
+				payload = open
 			}
-			if err := c.W.Frame(ty, payload); err != nil {
+			if err := c.W.Frame(tc.ty, payload); err != nil {
 				t.Fatal(err)
+			}
+			if tc.ty == wire.Doorbell {
+				if err := c.W.Frame(wire.CloseSend, nil); err != nil {
+					t.Fatal(err)
+				}
+				got, p := readFinal(t, c)
+				var done wire.DoneReply
+				if got != wire.Done || wire.Unmarshal(got, p, &done) != nil || done.WordsIn != 64 {
+					t.Fatalf("the shard answered %v %s, want a Done for the 64 words", got, p)
+				}
+				return
 			}
 			got, p := readFinal(t, c)
 			var rej wire.ErrorReply
 			if got != wire.Error || wire.Unmarshal(got, p, &rej) != nil || rej.Code != wire.CodeKilled ||
-				!strings.Contains(rej.Message, ty.String()) {
-				t.Fatalf("the shard answered %v %+v, want an Error coded %s naming the %s frame", got, rej, wire.CodeKilled, ty)
+				!strings.Contains(rej.Message, tc.ty.String()) {
+				t.Fatalf("the shard answered %v %+v, want an Error coded %s naming the %s frame", got, rej, wire.CodeKilled, tc.ty)
 			}
 			waitFor(t, func() bool { return len(s.Sessions()) == 0 })
 			if st := s.Stats(); st.Kills != 1 {
@@ -424,7 +467,7 @@ func TestRingDoorbellBetweenSessions(t *testing.T) {
 	if ty != wire.Done || wire.Unmarshal(ty, p, &done) != nil || done.Blocks != uint64(len(in)) {
 		t.Fatalf("the second session ended in %v %s, want a Done for %d blocks", ty, p, len(in))
 	}
-	a, b, err := c.Rings.Rx.Segments()
+	a, b, err := c.Words()
 	if got := append(append([]cohort.Word(nil), a...), b...); err != nil || !reflect.DeepEqual(got, in) {
 		t.Fatalf("the second session's results: %v %v, want %v", got, err, in)
 	}

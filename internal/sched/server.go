@@ -42,15 +42,20 @@ func DefaultCatalog() Catalog {
 // Done frame carrying the session's counters.
 //
 // A client on the same host streams through a shared-memory region instead
-// (shmring, wire.Rings): the connection's first Open that asks for one gets a
-// region in its OpenOK, and once the client has mapped it, every session on
-// the connection moves its words through the region's two rings: the
-// reader half copies the client's ring into In (readRings), the pump copies
-// Out into the shard's ring (wire.Conn.Put). The socket then carries control
-// frames and Doorbells only, and a half with nothing to move on the ring
-// side parks in the socket read, as the client's halves do. Anything that
-// cannot attach — a peer off the host, a region that cannot be created, a
-// client that cannot map it — streams Data frames as below.
+// (shmring): the connection's first Open that asks for one gets a region in
+// its OpenOK, and once the client has mapped it (wire.Conn.AwaitAttach),
+// every session on the connection moves its words through the region's two
+// rings. The socket then carries control frames and Doorbells only, and a
+// half with nothing to move on the ring side parks in the socket read, as
+// the client's halves do. Anything that cannot attach — a peer off the
+// host, a region that cannot be created, a client that cannot map it —
+// streams Data frames. The halves move words the same way on either plane:
+// the reader half copies wire.Conn.Words into In (readWords), the pump
+// copies Out into wire.Conn.Put.
+//
+// A client frame with no place in a session's stream — a second Open, or a
+// Data frame on rings — ends the session in an Error coded killed that
+// names the frame. A Doorbell is absorbed on either plane.
 //
 // Both halves run the batched wire hot path: inbound Data frames decode into
 // pooled word buffers and land in the input queue with one TryPushSlice per
@@ -167,19 +172,8 @@ func (sv *Server) serve(c *wire.Conn, payload []byte) bool {
 		ss.Kill()
 		return false
 	}
-	// The client's first frame answers an offer: a Doorbell once it has
-	// mapped the region, its stream in Data frames when it could not.
-	var first wire.Type
-	var ws []cohort.Word
-	var ferr error
 	if offer != nil {
-		first, ws, _, ferr = c.R.NextData()
-		offer.Unlink()
-		if ferr == nil && first == wire.Doorbell {
-			c.Attach(offer, 1)
-		} else {
-			offer.Close()
-		}
+		c.AwaitAttach(offer)
 	}
 
 	// Result pump. It writes the session's frames, the reader's Doorbells
@@ -188,13 +182,7 @@ func (sv *Server) serve(c *wire.Conn, payload []byte) bool {
 	// reads the client's stream.
 	kept := make(chan bool, 1)
 	go func() { kept <- sv.pumpResults(c, ss, req.Timing, req.Reuse) }()
-	var clean bool
-	if c.Rings != nil {
-		clean = sv.readRings(c, ss)
-	} else {
-		clean = sv.readStream(c.R, ss, first, ws, ferr)
-	}
-	if !clean {
+	if !sv.readWords(c, ss) {
 		// The producer vanished or broke the protocol mid-stream: discard
 		// its session.
 		ss.Kill()
@@ -224,77 +212,33 @@ func loopback(a net.Addr) bool {
 	return ok && ta.IP.IsLoopback()
 }
 
-// readStream feeds inbound Data frames into the session input queue until
-// CloseSend, a protocol violation, or a dead connection. Reports whether the
-// client ended its stream deliberately.
-//
-// Data frames decode into pooled word buffers (wire.Reader.NextData) that
-// land in the queue with whole-frame TryPushSlice calls — no per-frame
-// allocation. A frame the caller already read comes in as t, ws and err;
-// t is zero when there is none.
-func (sv *Server) readStream(fr *wire.Reader, ss *Session, t wire.Type, ws []cohort.Word, err error) bool {
-	for ; ; t, ws, _, err = fr.NextData() {
-		if t == 0 && err == nil {
-			continue // no frame read yet
-		}
-		if err != nil {
-			return false
-		}
-		switch t {
-		case wire.Data:
-			for len(ws) > 0 {
-				n, ok := sv.feed(ss, ws, nil)
-				if !ok {
-					return false
-				}
-				ws = ws[n:]
-			}
-		case wire.CloseSend:
-			ss.CloseSend()
-			return true
-		default:
-			return false
-		}
-	}
-}
-
-// readRings feeds the client's ring (wire.Rings) into the session input
-// queue until the client's CloseSend, with one read-index publication per
-// run, and rings the client when it is parked for room. With the ring empty
-// it parks in the socket read (wire.Conn.WaitWords). A corrupt ring, a
-// frame with no place in a ring session, or a dead connection kills the
-// session (killRing). Reports whether the client ended its stream
-// deliberately.
-func (sv *Server) readRings(c *wire.Conn, ss *Session) bool {
-	r := c.Rings
+// readWords feeds the client's words (wire.Conn.Words) into the session
+// input queue until the client's CloseSend, releasing each run with one
+// Commit: on rings one read-index publication, which rings the client when
+// it is parked for room; on Data frames the rest of a frame. With no words
+// it parks in the socket read. A corrupt ring, a frame with no place in the
+// stream, or a dead connection kills the session (killStream). Reports
+// whether the client ended its stream deliberately.
+func (sv *Server) readWords(c *wire.Conn, ss *Session) bool {
 	for {
-		// CloseSend is loaded before the ring: every word the client
-		// published before sending it is then in the ring.
-		closeSent := r.CloseSent()
-		a, b, err := r.Rx.Segments()
+		a, b, err := c.Words()
 		if err != nil {
-			killRing(ss, r, err)
+			killStream(ss, c, err)
 			return false
 		}
-		if len(a)+len(b) > 0 {
-			n, ok := sv.feed(ss, a, b)
-			if !ok {
-				return false
+		if len(a)+len(b) == 0 {
+			if c.CloseSent() {
+				ss.CloseSend()
+				return true
 			}
-			if r.Rx.Commit(n) {
-				c.Bell() // a dead socket shows in the next read
-			}
-			continue
-		}
-		if closeSent {
-			ss.CloseSend()
-			return true
-		}
-		if _, _, ended := r.End(); ended {
-			killRing(ss, r, nil)
+			killStream(ss, c, nil)
 			return false
 		}
-		c.WaitWords()
+		n, ok := sv.feed(ss, a, b)
+		if !ok {
+			return false
+		}
+		c.Commit(n)
 	}
 }
 
@@ -337,15 +281,15 @@ func (sv *Server) feed(ss *Session, a, b []cohort.Word) (int, bool) {
 	}
 }
 
-// killRing kills a ring session for err, a corrupt ring, so it ends in an
-// Error saying so. Once the client's stream has ended (wire.Rings.End), the
-// end says why instead: a frame with no place in a ring session, or a lost
-// connection, which needs no reason.
-func killRing(ss *Session, r *wire.Rings, err error) {
-	if f, rerr, ended := r.End(); ended {
+// killStream kills a session for err — a corrupt ring, or results that
+// could not be sent — so it ends in an Error saying so. Once the client's
+// stream has ended (wire.Conn.End), the end says why instead: a frame with
+// no place in the stream, or a lost connection, which needs no reason.
+func killStream(ss *Session, c *wire.Conn, err error) {
+	if f, rerr, ended := c.End(); ended {
 		err = nil
 		if rerr == nil {
-			err = fmt.Errorf("unexpected %s frame in a ring session", f.Type)
+			err = fmt.Errorf("unexpected %s frame mid-stream", f.Type)
 		}
 	}
 	if err != nil {
@@ -354,24 +298,22 @@ func killRing(ss *Session, r *wire.Rings, err error) {
 	ss.Kill()
 }
 
-// pumpResults streams the session output queue to the client — as Data
-// frames, or into the shard's ring on an attached connection — then sends
-// the final frame (see finish) and closes the connection, unless
-// wire.KeepsConn keeps it, in which case pumpResults reports true. The
-// output queue is closed by the scheduler at retirement, so draining it is
-// the handler's retirement barrier.
+// pumpResults streams the session output queue to the client with
+// wire.Conn.Put — into the shard's ring, or as Data frames — then sends the
+// final frame (see finish) and closes the connection, unless wire.KeepsConn
+// keeps it, in which case pumpResults reports true. The output queue is
+// closed by the scheduler at retirement, so draining it is the handler's
+// retirement barrier.
 //
 // Every pass moves all completed blocks currently in the queue: into the
-// ring with one index publication (wire.Conn.Put, which parks in the socket
-// read while the ring is full), or up to a whole frame, wire.MaxFrameWords,
-// as one Data frame written with a single writev directly from the queue's
-// two ring segments (wire.Writer.WordsN): the engine's batched index
-// publication, applied to the socket. The pass that finds Out closed with
-// every word left in one frame's reach writes those words and the Done
-// together.
+// ring with one index publication (Put parks in the socket read while the
+// ring is full), or up to a whole frame, wire.MaxFrameWords, as one Data
+// frame written with a single writev directly from the queue's two ring
+// segments: the engine's batched index publication, applied to the socket.
+// On Data frames, the pass that finds Out closed with every word left in
+// one frame's reach writes those words and the Done together.
 func (sv *Server) pumpResults(c *wire.Conn, ss *Session, timing, reuse bool) bool {
 	out, ready := ss.Out(), ss.OutReady()
-	r := c.Rings
 	var tp telemetryPace
 	for {
 		// Closed is loaded before the segments: nothing is published after
@@ -379,7 +321,7 @@ func (sv *Server) pumpResults(c *wire.Conn, ss *Session, timing, reuse bool) boo
 		closed := out.Closed()
 		a, b := out.ReadSegments()
 		n := len(a) + len(b)
-		if closed && (n == 0 || r == nil && n <= wire.MaxFrameWords) {
+		if closed && (n == 0 || !c.Attached() && n <= wire.MaxFrameWords) {
 			return sv.finish(c, ss, a, b, timing, reuse)
 		}
 		if n == 0 {
@@ -400,31 +342,12 @@ func (sv *Server) pumpResults(c *wire.Conn, ss *Session, timing, reuse bool) boo
 			ready.Disarm()
 			continue
 		}
-		if r != nil {
-			k, err := c.Put(a, b)
-			if err != nil {
-				// The client corrupted its ring or is gone: the results are
-				// undeliverable, and the session ends in an Error.
-				killRing(ss, r, err)
-				k = n
-			}
+		if k, err := c.Put(a, b); err == nil {
 			n = k
 		} else {
-			if n > wire.MaxFrameWords {
-				// A queue deeper than one frame drains across passes.
-				n = wire.MaxFrameWords
-				if n <= len(a) {
-					a, b = a[:n], nil
-				} else {
-					b = b[:n-len(a)]
-				}
-			}
-			if err := c.W.WordsN(a, b); err != nil {
-				// Client stopped reading; results are undeliverable.
-				out.CommitRead(n)
-				ss.Kill()
-				return false
-			}
+			// The client corrupted its ring or is gone: the results are
+			// undeliverable, and the session ends in an Error.
+			killStream(ss, c, err)
 		}
 		// Draining output may unblock a session parked on output-room
 		// backpressure: the read publication rings the scheduler's bell.

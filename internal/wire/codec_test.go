@@ -276,7 +276,7 @@ func TestRetentionCapped(t *testing.T) {
 }
 
 // TestReaderRelease: the slice handed out by NextData is recycled on the
-// following call, and explicit Release is idempotent.
+// following call, and an explicit release is idempotent.
 func TestReaderRelease(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -294,8 +294,8 @@ func TestReaderRelease(t *testing.T) {
 	if err != nil || ws2[0] != 1 {
 		t.Fatalf("frame 1: %v %v", ws2, err)
 	}
-	r.Release()
-	r.Release()
+	r.release()
+	r.release()
 	_, ws3, _, err := r.NextData()
 	if err != nil || ws3[0] != 2 {
 		t.Fatalf("frame 2: %v %v", ws3, err)

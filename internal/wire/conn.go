@@ -25,20 +25,34 @@ func KeepsConn(reuse, closeSent bool, done *DoneReply) bool {
 	return reuse && closeSent && done != nil && done.Code == ""
 }
 
-// Conn is one connection with its framing state. addr is the address a Pool
-// dialled it at, the key it is kept under between sessions.
+// Conn is one connection with its framing state and its data plane: the
+// connection's two shared-memory rings once Attach has run, its Data frames
+// otherwise. Its producer (Put) and consumer (Words, Commit) move a session's
+// words the same way on either plane, and the consumer files every other
+// frame the peer sends (End, CloseSent, TakeTelemetry). addr is the address
+// a Pool dialled it at, the key it is kept under between sessions.
 type Conn struct {
 	net.Conn
 	R    *Reader
 	W    *Writer
 	addr string
 
-	// Rings is the connection's shared-memory data plane once Attach has
-	// run, nil while its sessions move words in Data frames.
-	Rings *Rings
+	rings *rings // nil while the connection's sessions move Data frames
 	// Negotiated is set once the connection has decided its data plane: a
 	// serving end offers a region at most once per connection.
 	Negotiated bool
+
+	// What the peer sent this session besides words; next clears it.
+	telem     atomic.Pointer[[]byte] // the latest Telemetry payload, not yet taken
+	closeSent atomic.Bool            // the peer's CloseSend has arrived
+	// end points at last once the peer's stream has ended: its final frame,
+	// a frame with no place in a session's stream, or the connection's read
+	// error.
+	end  atomic.Pointer[ending]
+	last ending
+	// pending is the uncommitted tail of the last Data frame read; it
+	// aliases R's pooled buffer.
+	pending []uint64
 }
 
 // NewConn wraps c with a Reader and a Writer.
@@ -47,28 +61,27 @@ func NewConn(c net.Conn) *Conn {
 }
 
 // Close closes the connection and releases its rings, if any: the region is
-// unmapped once no session is inside it (shmring.Region.Enter).
+// unmapped once no caller is inside it (Enter).
 func (c *Conn) Close() error {
 	err := c.Conn.Close()
-	if r := c.Rings; r != nil {
-		r.Region.Close()
+	if r := c.rings; r != nil {
+		r.region.Close()
 	}
 	return err
 }
 
 // next reads the frame that begins a session: the Open at the serving end,
-// the reply to it at the dialling end. On an attached connection it clears
-// the last session's end and skips the Doorbells that session left behind.
-// The payload is valid until the following read.
+// the reply to it at the dialling end. It clears the last session's records
+// and skips the Doorbells that session left behind. The payload is valid
+// until the following read.
 func (c *Conn) next() (Type, []byte, error) {
-	r := c.Rings
-	if r != nil {
-		r.end.Store(nil)
-		r.closeSent.Store(false)
-	}
+	c.end.Store(nil)
+	c.closeSent.Store(false)
+	c.telem.Store(nil)
+	c.pending = nil
 	for {
 		t, p, err := c.R.Next()
-		if err != nil || t != Doorbell || r == nil {
+		if err != nil || t != Doorbell {
 			return t, p, err
 		}
 	}
@@ -84,28 +97,20 @@ func (c *Conn) Bell() error {
 	return err
 }
 
-// Rings is a connection's shared-memory data plane (shmring): the region,
-// this end's producer and consumer, and what the socket brought. No
-// goroutine owns the socket: at either end a side with nothing to do parks
-// in its read (Put, WaitWords), and a frame it reads wakes the other side
-// too.
-type Rings struct {
-	Region *shmring.Region
-	Tx     *shmring.Producer
-	Rx     *shmring.Consumer
+// rings is a connection's shared-memory data plane (shmring): the region and
+// this end's producer and consumer. No goroutine owns the socket: at either
+// end a side with nothing to do parks in its read (Put, Words), and a frame
+// it reads wakes the other side too.
+type rings struct {
+	region *shmring.Region
+	tx     *shmring.Producer
+	rx     *shmring.Consumer
 
 	// room and ready each get a token after every frame a parked side reads:
 	// a producer parked for room waits on room, a consumer parked for words
 	// on ready. Tokens coalesce, so a woken side looks at its ring again.
 	room, ready chan struct{}
-	tok         chan struct{}          // the right to read the socket
-	telem       atomic.Pointer[[]byte] // the latest Telemetry payload, not yet taken
-	closeSent   atomic.Bool            // the peer's CloseSend has arrived
-	// end points at last once the peer's stream has ended: its final frame,
-	// a frame with no place in a ring session, or the connection's read
-	// error. Both stay until the next session's first frame (next).
-	end  atomic.Pointer[ending]
-	last ending
+	tok         chan struct{} // the right to read the socket
 }
 
 // ending is how the peer's stream ended.
@@ -114,7 +119,7 @@ type ending struct {
 	err error
 }
 
-// Frame is one frame a parked side read.
+// Frame is one frame the consumer filed as the end of the peer's stream.
 type Frame struct {
 	Type    Type
 	Payload []byte
@@ -124,55 +129,146 @@ type Frame struct {
 // ring tx and consuming the other. Call it between frames, with nothing else
 // reading R.
 func (c *Conn) Attach(rg *shmring.Region, tx int) {
-	r := &Rings{
-		Region: rg, Tx: rg.Producer(tx), Rx: rg.Consumer(1 - tx),
+	r := &rings{
+		region: rg, tx: rg.Producer(tx), rx: rg.Consumer(1 - tx),
 		room: make(chan struct{}, 1), ready: make(chan struct{}, 1), tok: make(chan struct{}, 1),
 	}
 	r.tok <- struct{}{}
-	c.Rings = r
+	c.rings = r
 	c.Negotiated = true
+}
+
+// AwaitAttach reads the client's answer to the region offer in its OpenOK
+// and unlinks the region. A Doorbell says the client mapped it: the serving
+// end attaches it. Any other first frame declines it, and is read as the
+// first of the session's stream.
+func (c *Conn) AwaitAttach(offer *shmring.Region) {
+	t, ws, p, err := c.R.NextData()
+	offer.Unlink()
+	switch {
+	case err == nil && t == Doorbell:
+		c.Attach(offer, 1)
+		return
+	case err == nil && t == Data:
+		c.pending = ws
+	default:
+		c.record(t, p, err)
+	}
+	offer.Close()
+}
+
+// Attached reports whether the connection's sessions move their words
+// through shared-memory rings.
+func (c *Conn) Attached() bool { return c.rings != nil }
+
+// Enter pins the connection's rings, if any, for a caller about to move
+// words, and reports false once Close has run; every true Enter is paired
+// with one Exit. Data frames need no pin.
+func (c *Conn) Enter() bool { return c.rings == nil || c.rings.region.Enter() }
+
+// Exit ends an Enter.
+func (c *Conn) Exit() {
+	if c.rings != nil {
+		c.rings.region.Exit()
+	}
 }
 
 // errEnded is a Put that found no room and the peer's stream over.
 var errEnded = errors.New("session ended")
 
-// Put copies the leading words of a, then of b, that fit into this end's
-// ring, publishes them with one index store, rings the peer if it is parked
-// for words, and reports how many went. On a full ring it parks — Arm, a
-// last look, wait — until some fit, and gives up once the peer's stream has
-// ended. An error is that end, a corrupt ring, or a Doorbell that could not
-// be written.
+// Put sends the leading words of a, then of b, and reports how many went.
+//
+// On rings it copies those that fit into this end's ring, publishes them
+// with one index store, and rings the peer if it is parked for words. On a
+// full ring it parks — Arm, a last look, wait — until some fit, and gives up
+// once the peer's stream has ended. An error is that end, a corrupt ring, or
+// a Doorbell that could not be written.
+//
+// On Data frames it writes one frame of up to MaxFrameWords words with
+// WordsN; an error is the write's.
 func (c *Conn) Put(a, b []uint64) (int, error) {
-	r := c.Rings
+	r := c.rings
+	if r == nil {
+		n := min(len(a)+len(b), MaxFrameWords)
+		if n <= len(a) {
+			a, b = a[:n], nil
+		} else {
+			b = b[:n-len(a)]
+		}
+		if err := c.W.WordsN(a, b); err != nil {
+			return 0, err
+		}
+		return n, nil
+	}
 	for {
-		n, bell, err := r.Tx.Push(a, b)
+		n, bell, err := r.tx.Push(a, b)
 		if err == nil && bell {
 			err = c.Bell()
 		}
 		if n > 0 || err != nil || len(a)+len(b) == 0 {
 			return n, err
 		}
-		if r.ended() {
+		if c.ended() {
 			return 0, errEnded
 		}
-		r.Tx.Arm()
-		if !r.Tx.Room() && !r.ended() {
+		r.tx.Arm()
+		if !r.tx.Room() && !c.ended() {
 			c.wait(r.room)
 		}
-		r.Tx.Disarm()
+		r.tx.Disarm()
 	}
 }
 
-// WaitWords parks this end's consumer until the peer may have published —
-// Arm, a last look, wait — or returns at once once the peer's stream has
-// ended. The caller then looks at its ring, End and CloseSent again.
-func (c *Conn) WaitWords() {
-	r := c.Rings
-	r.Rx.Arm()
-	if !r.Rx.Pending() && !r.ended() {
-		c.wait(r.ready)
+// Words returns views of the peer's words this end has not committed yet,
+// valid until the Commit that releases them, and waits for some while there
+// are none. It returns none once the peer's stream is over: its CloseSend
+// has arrived (CloseSent) or its stream has ended (End). On rings that is
+// counted only once the ring is drained, since the peer publishes every word
+// before it sends the frame; on rings it also parks — Arm, a last look,
+// wait — and an error is a corrupt ring. On Data frames it reads the socket
+// in the caller's goroutine: only the consumer reads it.
+func (c *Conn) Words() (a, b []uint64, err error) {
+	r := c.rings
+	if r == nil {
+		for len(c.pending) == 0 && !c.over() {
+			t, ws, p, err := c.R.NextData()
+			if err == nil && t == Data {
+				c.pending = ws
+			} else {
+				c.record(t, p, err)
+			}
+		}
+		return c.pending, nil, nil
 	}
-	r.Rx.Disarm()
+	for {
+		// The end is looked at before the ring: words the peer published
+		// before its last frame are then in the ring by the Segments below.
+		over := c.over()
+		if a, b, err = r.rx.Segments(); err != nil || len(a)+len(b) > 0 || over {
+			return a, b, err
+		}
+		r.rx.Arm()
+		if !r.rx.Pending() && !c.ended() {
+			c.wait(r.ready)
+		}
+		r.rx.Disarm()
+	}
+}
+
+// Commit releases the first n words Words returned. On rings it rings the
+// peer if it is parked for room; a Doorbell that cannot be written shows in
+// the next read of the socket.
+func (c *Conn) Commit(n int) {
+	if r := c.rings; r != nil {
+		if r.rx.Commit(n) {
+			c.Bell()
+		}
+		return
+	}
+	if c.pending = c.pending[n:]; len(c.pending) == 0 {
+		c.pending = nil
+		c.R.release()
+	}
 }
 
 // wait parks one side — the producer with mine = room, the consumer with
@@ -181,7 +277,7 @@ func (c *Conn) WaitWords() {
 // wake-up arrives on the socket it already reads; when the other side is,
 // it sleeps on mine, which that side posts after every frame it reads.
 func (c *Conn) wait(mine <-chan struct{}) {
-	r := c.Rings
+	r := c.rings
 	select {
 	case <-mine:
 		return
@@ -192,45 +288,45 @@ func (c *Conn) wait(mine <-chan struct{}) {
 		// The other side read a frame for this one before it let go of the
 		// socket: reading now could wait for a wake-up already delivered.
 	default:
-		if !r.ended() { // past the end nothing more is coming
-			c.readOne(r)
+		if !c.ended() { // past the end nothing more is coming
+			c.record(c.R.Next())
+			// Both sides are posted before the read right goes back.
+			for _, ch := range [2]chan struct{}{r.room, r.ready} {
+				select {
+				case ch <- struct{}{}:
+				default: // a token is already waiting: the wake-ups merge
+				}
+			}
 		}
 	}
 	r.tok <- struct{}{}
 }
 
-// readOne reads one frame for wait. A Telemetry payload is kept, latest
-// only, and the peer's first CloseSend is recorded; any other frame but a
-// Doorbell, or a read error, ends the peer's stream (End). Every frame
-// posts both sides.
-func (c *Conn) readOne(r *Rings) {
-	t, p, err := c.R.Next()
+// record files a frame of the peer's that is not words. A Doorbell is
+// absorbed, a Telemetry payload is kept, latest only, and the peer's first
+// CloseSend is recorded; any other frame — on rings a Data frame too — or
+// a read error ends the peer's stream (End).
+func (c *Conn) record(t Type, p []byte, err error) {
 	switch {
 	case err == nil && t == Doorbell:
 	case err == nil && t == Telemetry:
 		cp := append([]byte(nil), p...)
-		r.telem.Store(&cp)
-	case err == nil && t == CloseSend && !r.closeSent.Load():
-		r.closeSent.Store(true)
+		c.telem.Store(&cp)
+	case err == nil && t == CloseSend && !c.closeSent.Load():
+		c.closeSent.Store(true)
 	default:
-		// The payload stays in R's scratch: wait reads no further once the
-		// end is set, and nothing else reads R until the next session.
-		r.last = ending{Frame{Type: t, Payload: p}, err}
-		r.end.Store(&r.last)
-	}
-	for _, ch := range [2]chan struct{}{r.room, r.ready} {
-		select {
-		case ch <- struct{}{}:
-		default: // a token is already waiting: the wake-ups merge
-		}
+		// The payload stays in R's scratch: nothing reads R once the end is
+		// set, until the next session.
+		c.last = ending{Frame{Type: t, Payload: p}, err}
+		c.end.Store(&c.last)
 	}
 }
 
 // End returns how the peer's stream ended — its final frame, or the
-// connection's read error — once a parked side has read it; ok is false
+// connection's read error — once the consumer has read it; ok is false
 // before.
-func (r *Rings) End() (f Frame, err error, ok bool) {
-	if e := r.end.Load(); e != nil {
+func (c *Conn) End() (f Frame, err error, ok bool) {
+	if e := c.end.Load(); e != nil {
 		return e.f, e.err, true
 	}
 	return Frame{}, nil, false
@@ -238,15 +334,18 @@ func (r *Rings) End() (f Frame, err error, ok bool) {
 
 // ended reports whether the peer's stream has ended: a producer stops
 // waiting for room.
-func (r *Rings) ended() bool { return r.end.Load() != nil }
+func (c *Conn) ended() bool { return c.end.Load() != nil }
+
+// over reports whether the peer will send no more words this session.
+func (c *Conn) over() bool { return c.ended() || c.closeSent.Load() }
 
 // CloseSent reports whether the peer's CloseSend has arrived: the words it
-// published before are in the ring.
-func (r *Rings) CloseSent() bool { return r.closeSent.Load() }
+// sent before are readable.
+func (c *Conn) CloseSent() bool { return c.closeSent.Load() }
 
 // TakeTelemetry returns the latest Telemetry payload not yet taken, or nil.
-func (r *Rings) TakeTelemetry() []byte {
-	if p := r.telem.Swap(nil); p != nil {
+func (c *Conn) TakeTelemetry() []byte {
+	if p := c.telem.Swap(nil); p != nil {
 		return *p
 	}
 	return nil

@@ -69,6 +69,8 @@
 // shard to drop it; a shard that offers nothing (a peer off the host, a
 // region it could not create) gets Data frames. Either way the connection
 // decides once, on its first Open, and its sessions never mix the two.
+// Conn keeps the choice to itself: its Put, Words and Commit move a
+// session's words the same way on either plane.
 //
 // Open layout (little-endian; AppendOpen):
 //
@@ -90,14 +92,15 @@
 // The Data path is built to move bulk words with no per-frame allocation and
 // no joining copy:
 //
-//   - Writer.Words / Writer.WordsN reinterpret the word slices as their
-//     in-memory bytes on little-endian hosts (with an endian-checked encode
-//     fallback elsewhere) and hand header + payload segments to the kernel as
-//     one writev via net.Buffers — many completed blocks coalesce into one
-//     Data frame and one syscall.
-//   - Reader.NextData reads a Data payload directly into a pooled word
-//     buffer (recycled through a package-wide sync.Pool), so a frame costs
-//     zero allocations at steady state and idle connections pin no payload
+//   - Conn.Put writes a Data frame with Writer.WordsN, which reinterprets
+//     the word slices as their in-memory bytes on little-endian hosts (with
+//     an endian-checked encode fallback elsewhere) and hands header +
+//     payload segments to the kernel as one writev via net.Buffers — many
+//     completed blocks coalesce into one Data frame and one syscall.
+//   - Conn.Words reads a Data payload with Reader.NextData, directly into a
+//     pooled word buffer (recycled through a package-wide sync.Pool), so a
+//     frame costs zero allocations at steady state; Conn.Commit returns the
+//     buffer once its words are taken, so idle connections pin no payload
 //     memory.
 //
 // Writer.WordsCopy and the Words/AppendWords byte-decoders are the
@@ -547,11 +550,11 @@ func (fr *Reader) Next() (Type, []byte, error) {
 // place). For Data frames it returns (Data, words, nil, nil); for control
 // frames (t, nil, payload, nil) with payload as in Next.
 //
-// The word slice is valid until the next NextData or Release call — the
+// The word slice is valid until the next NextData or release call — the
 // buffer then returns to a package-wide sync.Pool, so a reader parked on a
 // quiet connection pins no payload memory once released.
 func (fr *Reader) NextData() (Type, []cohort.Word, []byte, error) {
-	fr.Release()
+	fr.release()
 	t, n, err := fr.readHeader()
 	if err != nil {
 		return 0, nil, nil, err
@@ -578,11 +581,11 @@ func (fr *Reader) NextData() (Type, []cohort.Word, []byte, error) {
 	return Data, it.ws, nil, nil
 }
 
-// Release returns the word buffer handed out by the last NextData to the
+// release returns the word buffer handed out by the last NextData to the
 // pool, invalidating that slice. Calling it is optional — the next NextData
-// releases implicitly — but callers that go idle holding a large frame
-// should release promptly so the memory is reusable elsewhere.
-func (fr *Reader) Release() {
+// releases implicitly — but a consumer that goes idle holding a large frame
+// releases promptly (Conn.Commit) so the memory is reusable elsewhere.
+func (fr *Reader) release() {
 	if fr.lent != nil {
 		putWords(fr.lent)
 		fr.lent = nil
