@@ -72,11 +72,11 @@ type Options struct {
 	// ReconnectMax caps the doubling backoff (default 2s).
 	ReconnectMax time.Duration
 	// ServerTiming asks the daemon for its server-side latency attribution:
-	// sampled stage breakdowns (queue wait, scheduler dispatch, compute, wire
-	// egress) arrive as occasional Telemetry frames mid-stream and finally on
-	// Done. Read the latest with Conn.LastServerTiming; subtracting the
-	// server-resident time from an end-to-end measurement isolates network +
-	// client-side cost. Off by default.
+	// the session's whole-life sampled stage breakdown (queue wait, scheduler
+	// dispatch, compute, wire egress) arrives on its Done. Read it with
+	// Conn.LastServerTiming; subtracting the server-resident time from an
+	// end-to-end measurement isolates network + client-side cost. Off by
+	// default.
 	ServerTiming bool
 }
 
@@ -135,11 +135,6 @@ type Conn struct {
 	// what the receive side returns from then on, io.EOF after a clean Done.
 	result  atomic.Pointer[wire.DoneReply]
 	recvErr error
-
-	// timing is the most recent server-side stage breakdown (Telemetry frame
-	// or DoneReply.Timing); atomic so any goroutine may read it while the
-	// receive loop runs.
-	timing atomic.Pointer[wire.TelemetryReply]
 }
 
 // Connect dials the daemon and opens a session, retrying retryable failures
@@ -370,9 +365,6 @@ func (c *Conn) final(t wire.Type, payload []byte) error {
 			return err
 		}
 		c.result.Store(&done)
-		if done.Timing != nil {
-			c.timing.Store(done.Timing)
-		}
 		if done.Err != "" {
 			return fmt.Errorf("cohort client: session ended: %s", done.Err)
 		}
@@ -406,16 +398,6 @@ func (c *Conn) words() (a, b []cohort.Word, err error) {
 		return nil, nil, c.recvErr
 	}
 	a, b, err = c.wc.Words()
-	if p := c.wc.TakeTelemetry(); p != nil {
-		// Server-side stage breakdown (requested via Options.ServerTiming):
-		// keep the latest and keep streaming.
-		var tel wire.TelemetryReply
-		if terr := wire.Unmarshal(wire.Telemetry, p, &tel); terr != nil {
-			c.recvErr = terr
-			return nil, nil, terr
-		}
-		c.timing.Store(&tel)
-	}
 	switch f, lost, ended := c.wc.End(); {
 	case err != nil:
 		err = fmt.Errorf("%w: %v", ErrKilled, err)
@@ -481,12 +463,16 @@ func (c *Conn) RecvInto(buf []cohort.Word) (int, error) {
 // returned io.EOF (or a session-ended error).
 func (c *Conn) Result() *wire.DoneReply { return c.result.Load() }
 
-// LastServerTiming returns the most recent server-side stage breakdown the
-// daemon has sent for this session — nil until the first Telemetry frame
-// arrives (the session must have been opened with Options.ServerTiming and
-// have served enough quanta to be sampled). The final Done refreshes it with
-// whole-session figures. Safe to call from any goroutine.
-func (c *Conn) LastServerTiming() *wire.TelemetryReply { return c.timing.Load() }
+// LastServerTiming returns the session's whole-life server-side stage
+// breakdown, Result().Timing: nil until the Done has been read, and nil
+// after it unless the session was opened with Options.ServerTiming. Safe to
+// call from any goroutine.
+func (c *Conn) LastServerTiming() *wire.TelemetryReply {
+	if r := c.Result(); r != nil {
+		return r.Timing
+	}
+	return nil
+}
 
 // Stream runs a whole job: sends in (concurrently), closes the outbound
 // stream, and collects every result word until the daemon's Done. It is the

@@ -29,8 +29,8 @@
 // Latency attribution: -latency-sample N stamps one scheduling quantum in
 // every N at its stage boundaries (queue wait, dispatch, compute, wire
 // egress); clients that opt in (client.Options.ServerTiming) additionally
-// receive the breakdown over the wire. -latency-sample -1 disables
-// attribution entirely.
+// receive their session's breakdown on its Done. -latency-sample -1
+// disables attribution entirely.
 //
 // Connection lifecycle is logged with log/slog (structured key=value
 // records: session id, tenant, remote address); -log-level picks the floor.

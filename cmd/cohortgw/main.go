@@ -17,8 +17,8 @@
 // The -http plane serves the fleet merged: /healthz (per-shard rows plus a
 // fleet verdict — unhealthy only when no shard is routable), /sessions and
 // /stats/slo (every shard's document, attributed), /ring (the routing
-// snapshot, an operator's view of placement), /shards, /events and
-// /metrics (the gateway's Open and rejection counters).
+// snapshot with each shard's probe state, an operator's view of placement),
+// /events and /metrics (the gateway's Open and rejection counters).
 package main
 
 import (
@@ -112,7 +112,6 @@ func run(members []cluster.Shard, logger *slog.Logger, listen, httpAddr string, 
 				"/sessions":  fleet.Sessions,
 				"/stats/slo": fleet.SLO,
 				"/ring":      func() any { return cat.Snapshot() },
-				"/shards":    func() any { return cat.Snapshot().Shards },
 			},
 		})
 		if err := web.Serve(httpAddr); err != nil {

@@ -12,11 +12,12 @@
 // pacing and measures saturation goodput instead.
 //
 // Each arrival is one 64-word request. The client packs every arrival due
-// at wake-up into one zero-copy Data frame (up to 64 arrivals, one Send).
+// at wake-up into one Send (up to 64 arrivals): one ring publication on the
+// daemon's host, one zero-copy Data frame from anywhere else.
 //
 // With an empty -addr the daemon runs in-process on a loopback listener,
-// serving 64-word echo blocks at a quantum of 64 blocks with no modeled
-// switch cost. -slo-p99 turns the run into a pass/fail verdict.
+// serving 64-word echo blocks at a quantum of 64 blocks. -slo-p99 turns the
+// run into a pass/fail verdict.
 package main
 
 import (
@@ -99,10 +100,10 @@ type runResult struct {
 	BlockP50us float64
 	BlockP99us float64
 	// ServerStages decomposes where the server-resident time went (the
-	// clients opt into wire telemetry and the daemon's sampled stage
-	// attribution fills it). Comparing ServerMeanUs against the end-to-end
-	// block quantiles splits latency into server-resident vs network +
-	// client-side cost.
+	// clients opt into server timing and each session's Done carries the
+	// daemon's sampled stage attribution). Comparing ServerMeanUs against
+	// the end-to-end block quantiles splits latency into server-resident vs
+	// network + client-side cost.
 	ServerStages *serverStages
 	// Shards attributes the run per target address when -addr named more
 	// than one daemon — the fleet view: aggregate goodput above, who served
@@ -128,7 +129,7 @@ type stageAgg struct {
 }
 
 // serverStages is a run's server-side latency decomposition, aggregated from
-// the per-session Telemetry documents the daemon sent back.
+// the timing document on each session's Done.
 type serverStages struct {
 	Sessions     int // sessions that reported timing
 	Queue        stageAgg

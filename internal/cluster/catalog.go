@@ -17,7 +17,7 @@ import (
 // routing decisions, the /ring snapshot, and the operator's /events tail all
 // move together, from the same observation.
 
-// Shard states as reported in /ring and /shards documents.
+// Shard states as reported in /ring documents.
 const (
 	StateHealthy  = "healthy"
 	StateDraining = "draining"

@@ -122,7 +122,6 @@ func startFleet(t *testing.T, n int) *fleet {
 			"/sessions":  fl.Sessions,
 			"/stats/slo": fl.SLO,
 			"/ring":      func() any { return cat.Snapshot() },
-			"/shards":    func() any { return cat.Snapshot().Shards },
 		},
 	})
 	if err := gwWeb.Serve("127.0.0.1:0"); err != nil {

@@ -171,7 +171,7 @@ type RingSnapshot struct {
 	Shards  []ShardInfo `json:"shards"`
 }
 
-// ShardInfo is one shard's row in a RingSnapshot or /shards document.
+// ShardInfo is one shard's row in a RingSnapshot (/ring document).
 type ShardInfo struct {
 	Name string `json:"name"`
 	// Addr is the shard's wire-protocol address.

@@ -14,7 +14,7 @@
 //	/debug/pprof/*  standard Go profiling (CPU, heap, goroutine, ...)
 //
 // Every other endpoint is a snapshot document from Options.Docs (cohortd's
-// /sessions, /stats/*; cohortgw's /ring, /shards), served by one
+// /sessions, /stats/*; cohortgw's /ring), served by one
 // handler. Every JSON endpoint sets Content-Type: application/json and
 // Cache-Control: no-store — the payloads are live snapshots that must never
 // be served stale by an intermediary. Only wired routes are registered, and

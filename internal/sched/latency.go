@@ -120,18 +120,10 @@ func (t StageTotal) since(base StageTotal) wire.StageTiming {
 }
 
 // Telemetry renders the session's whole-life stage summary as the wire
-// timing document — the payload of mid-stream Telemetry frames and of
-// DoneReply.Timing for sessions that opted in (OpenRequest.Timing).
+// timing document: DoneReply.Timing for a session that opted in
+// (OpenRequest.Timing).
 func (ss *Session) Telemetry() wire.TelemetryReply {
 	return wire.TelemetryReply{Session: ss.id, Stages: ss.lat.totals().Since(StageTotals{})}
-}
-
-// LatencySamples returns the total stage samples filed for the session — a
-// cheap monotone cursor the result pump compares to decide whether a fresh
-// Telemetry frame would carry anything new.
-func (ss *Session) LatencySamples() uint64 {
-	return ss.lat.queue.Samples() + ss.lat.sched.Samples() +
-		ss.lat.compute.Samples() + ss.lat.wire.Samples()
 }
 
 // observeStage files one stage delta into both the session's own set and its

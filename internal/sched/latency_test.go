@@ -2,11 +2,12 @@ package sched_test
 
 // Loopback tests for the latency-attribution layer: stage histograms filed
 // by the scheduler's sampled stamping, the tenant records and /sessions
-// rows, the wire Telemetry path back to the client, and the worker
+// rows, the Done-carried timing document back to the client, and the worker
 // stall watchdog.
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -19,9 +20,9 @@ import (
 
 // TestLatencyAttributionLoopback drives a real client through a sampled
 // (1-in-1) scheduler and checks every surface the attribution layer exports:
-// the Done timing document, LastServerTiming, the per-tenant stage totals, the
-// tenant-labeled Prometheus stage families, and the stage-sum ≤ end-to-end
-// invariant.
+// the Done timing document, LastServerTiming (nil until the Done is read,
+// then the Done's document), the per-tenant stage totals, the tenant-labeled
+// Prometheus stage families, and the stage-sum ≤ end-to-end invariant.
 func TestLatencyAttributionLoopback(t *testing.T) {
 	reg := cohort.NewRegistry()
 	s, addr := startServer(t, sched.Config{
@@ -40,16 +41,37 @@ func TestLatencyAttributionLoopback(t *testing.T) {
 	for i := range in {
 		in[i] = cohort.Word(i)
 	}
-	if _, res, err := c.Stream(in); err != nil {
+	sent := make(chan error, 1)
+	go func() {
+		if err := c.Send(in); err != nil {
+			sent <- err
+			return
+		}
+		sent <- c.CloseSend()
+	}()
+	buf := make([]cohort.Word, 64)
+	for {
+		if _, err := c.RecvInto(buf); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if tel := c.LastServerTiming(); tel != nil {
+			t.Fatalf("LastServerTiming() = %+v before the Done was read", tel)
+		}
+	}
+	if err := <-sent; err != nil {
 		t.Fatal(err)
-	} else if res.Timing == nil {
-		t.Fatal("done reply has no timing despite ServerTiming opt-in")
 	}
 	elapsed := time.Since(start)
+	res := c.Result()
+	if res.Timing == nil {
+		t.Fatal("done reply has no timing despite ServerTiming opt-in")
+	}
 
 	tel := c.LastServerTiming()
-	if tel == nil {
-		t.Fatal("LastServerTiming() = nil after done")
+	if tel == nil || *tel != *res.Timing {
+		t.Fatalf("LastServerTiming() = %+v after done, want the Done's %+v", tel, res.Timing)
 	}
 	if tel.Session != c.Session() {
 		t.Errorf("telemetry session = %d, want %d", tel.Session, c.Session())
@@ -104,9 +126,8 @@ func TestLatencyAttributionLoopback(t *testing.T) {
 	}
 }
 
-// TestNoTimingWithoutOptIn: a client that does not ask for timing gets a
-// byte-compatible pre-telemetry stream — no Telemetry frames, no
-// DoneReply.Timing — even though server-side sampling still runs.
+// TestNoTimingWithoutOptIn: a client that does not ask for timing gets no
+// DoneReply.Timing, even though server-side sampling still runs.
 func TestNoTimingWithoutOptIn(t *testing.T) {
 	_, addr := startServer(t, sched.Config{
 		Engines: 1, Quantum: 8, QueueCap: 256, LatencySample: 1,

@@ -375,9 +375,11 @@ func readFinal(t *testing.T, c *wire.Conn) (wire.Type, []byte) {
 // TestRingSessionUnexpectedFrame: a session's client that sends, mid
 // stream, a frame with no place in it — a Data frame on rings, or a second
 // Open on either plane — gets an Error coded killed that names the frame,
-// and the shard retires the session. A Doorbell mid-stream is absorbed on
-// either plane, and the session ends in a Done. The frames- cases run on a
-// connection the shard offered no region.
+// and the shard retires the session. A header of the retired type 7 is
+// refused as a read error: an Error coded killed too, with no frame to
+// name. A Doorbell mid-stream is absorbed on either plane, and the session
+// ends in a Done. The frames- cases run on a connection the shard offered
+// no region.
 func TestRingSessionUnexpectedFrame(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -387,8 +389,10 @@ func TestRingSessionUnexpectedFrame(t *testing.T) {
 		{"data", wire.Data, true},
 		{"open", wire.Open, true},
 		{"doorbell", wire.Doorbell, true},
+		{"telemetry", 7, true},
 		{"frames-open", wire.Open, false},
 		{"frames-doorbell", wire.Doorbell, false},
+		{"frames-telemetry", 7, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.rings {
@@ -426,7 +430,7 @@ func TestRingSessionUnexpectedFrame(t *testing.T) {
 			got, p := readFinal(t, c)
 			var rej wire.ErrorReply
 			if got != wire.Error || wire.Unmarshal(got, p, &rej) != nil || rej.Code != wire.CodeKilled ||
-				!strings.Contains(rej.Message, tc.ty.String()) {
+				tc.ty != 7 && !strings.Contains(rej.Message, tc.ty.String()) {
 				t.Fatalf("the shard answered %v %+v, want an Error coded %s naming the %s frame", got, rej, wire.CodeKilled, tc.ty)
 			}
 			waitFor(t, func() bool { return len(s.Sessions()) == 0 })

@@ -102,9 +102,8 @@ type Config struct {
 	// stamps one scheduling quantum in every LatencySample at its stage
 	// boundaries (queue wait, dispatch, compute, egress) and files the deltas
 	// into the per-session and per-tenant histograms behind the lifetime
-	// rows of /stats/windows and the wire Telemetry frames. Default 64
-	// (matching the engine drain histogram's stride); negative disables
-	// attribution entirely.
+	// rows of /stats/windows and DoneReply.Timing. Default 64; negative
+	// disables attribution entirely.
 	LatencySample int
 	// Events, when non-nil, receives the scheduler's state transitions —
 	// session kills, terminal accelerator faults, admission rejections — for
@@ -904,8 +903,8 @@ func (s *Scheduler) park() *Session {
 // WatchWorkers registers every engine worker with the stall watchdog: worker
 // i reports its scheduling-loop pass counter as progress and "any session is
 // runnable" as pending work, so a worker wedged inside an accelerator's
-// Process (or a stuck switch sleep) while work waits shows up in /healthz and
-// fires the stall callback, exactly like a wedged native Engine.
+// Process while work waits shows up in /healthz and fires the stall
+// callback, exactly like a wedged native Engine.
 func (s *Scheduler) WatchWorkers(dog *cohort.Watchdog) {
 	for i := 0; i < s.cfg.Engines; i++ {
 		ops := &s.workerOps[i]

@@ -314,7 +314,6 @@ func killStream(ss *Session, c *wire.Conn, err error) {
 // one frame's reach writes those words and the Done together.
 func (sv *Server) pumpResults(c *wire.Conn, ss *Session, timing, reuse bool) bool {
 	out, ready := ss.Out(), ss.OutReady()
-	var tp telemetryPace
 	for {
 		// Closed is loaded before the segments: nothing is published after
 		// Close, so a pass that sees Out closed also sees every word left.
@@ -355,34 +354,7 @@ func (sv *Server) pumpResults(c *wire.Conn, ss *Session, timing, reuse bool) boo
 		// The words reached the kernel or the ring: close the wire stage for
 		// a sampled quantum whose results they carried (no-op when unstamped).
 		ss.observeWire()
-		if timing && tp.send(c.W, ss) != nil {
-			ss.Kill()
-			return false
-		}
 	}
-}
-
-// telemetryPace is the cadence of an opted-in session's Telemetry frames: a
-// frame goes out only when new stage samples have landed and at least
-// telemetryEvery has passed since the last one — a trickle, not a stream.
-// Sessions that did not opt in never call it, so the zero-alloc steady
-// state (the JSON marshal here allocates) is untouched for them.
-type telemetryPace struct {
-	last    time.Time
-	samples uint64
-}
-
-const telemetryEvery = 250 * time.Millisecond
-
-// send writes a Telemetry frame if one is due.
-func (tp *telemetryPace) send(fw *wire.Writer, ss *Session) error {
-	if sm := ss.LatencySamples(); sm != tp.samples && time.Since(tp.last) >= telemetryEvery {
-		if err := fw.JSON(wire.Telemetry, ss.Telemetry()); err != nil {
-			return err
-		}
-		tp.samples, tp.last = sm, time.Now()
-	}
-	return nil
 }
 
 // finish writes the session's final frame, after the words a and b that

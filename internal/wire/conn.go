@@ -29,8 +29,8 @@ func KeepsConn(reuse, closeSent bool, done *DoneReply) bool {
 // connection's two shared-memory rings once Attach has run, its Data frames
 // otherwise. Its producer (Put) and consumer (Words, Commit) move a session's
 // words the same way on either plane, and the consumer files every other
-// frame the peer sends (End, CloseSent, TakeTelemetry). addr is the address
-// a Pool dialled it at, the key it is kept under between sessions.
+// frame the peer sends (End, CloseSent). addr is the address a Pool dialled
+// it at, the key it is kept under between sessions.
 type Conn struct {
 	net.Conn
 	R    *Reader
@@ -43,8 +43,7 @@ type Conn struct {
 	Negotiated bool
 
 	// What the peer sent this session besides words; next clears it.
-	telem     atomic.Pointer[[]byte] // the latest Telemetry payload, not yet taken
-	closeSent atomic.Bool            // the peer's CloseSend has arrived
+	closeSent atomic.Bool // the peer's CloseSend has arrived
 	// end points at last once the peer's stream has ended: its final frame,
 	// a frame with no place in a session's stream, or the connection's read
 	// error.
@@ -77,7 +76,6 @@ func (c *Conn) Close() error {
 func (c *Conn) next() (Type, []byte, error) {
 	c.end.Store(nil)
 	c.closeSent.Store(false)
-	c.telem.Store(nil)
 	c.pending = nil
 	for {
 		t, p, err := c.R.Next()
@@ -303,15 +301,11 @@ func (c *Conn) wait(mine <-chan struct{}) {
 }
 
 // record files a frame of the peer's that is not words. A Doorbell is
-// absorbed, a Telemetry payload is kept, latest only, and the peer's first
-// CloseSend is recorded; any other frame — on rings a Data frame too — or
-// a read error ends the peer's stream (End).
+// absorbed and the peer's first CloseSend is recorded; any other frame — on
+// rings a Data frame too — or a read error ends the peer's stream (End).
 func (c *Conn) record(t Type, p []byte, err error) {
 	switch {
 	case err == nil && t == Doorbell:
-	case err == nil && t == Telemetry:
-		cp := append([]byte(nil), p...)
-		c.telem.Store(&cp)
 	case err == nil && t == CloseSend && !c.closeSent.Load():
 		c.closeSent.Store(true)
 	default:
@@ -342,14 +336,6 @@ func (c *Conn) over() bool { return c.ended() || c.closeSent.Load() }
 // CloseSent reports whether the peer's CloseSend has arrived: the words it
 // sent before are readable.
 func (c *Conn) CloseSent() bool { return c.closeSent.Load() }
-
-// TakeTelemetry returns the latest Telemetry payload not yet taken, or nil.
-func (c *Conn) TakeTelemetry() []byte {
-	if p := c.telem.Swap(nil); p != nil {
-		return *p
-	}
-	return nil
-}
 
 // Pool holds, per address, the connections between sessions, newest last;
 // the zero Pool is ready to use. It needs no cap: a connection is dialled

@@ -11,7 +11,8 @@ import (
 
 // FuzzReader throws arbitrary byte streams at both deframers and checks the
 // invariants that the serving stack leans on: no panic, no crash, no frame
-// type past Doorbell, no Doorbell with a payload, every returned Data payload word-aligned and within
+// type out of use (past Doorbell, or the retired 7), no Doorbell with a
+// payload, every returned Data payload word-aligned and within
 // MaxFrame, and Next/NextData agreeing frame for frame on the same input. The seed corpus
 // (testdata/fuzz/FuzzReader) pins the interesting shapes: valid
 // conversations, truncated headers, truncated payloads, oversized lengths,
@@ -43,6 +44,7 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{byte(Doorbell), 0, 0, 0, 0, byte(Doorbell), 0, 0, 0, 0})         // two doorbells
 	f.Add([]byte{byte(Doorbell), 0, 0, 0, 1, 0})                                  // a doorbell with a payload
 	f.Add([]byte{byte(Doorbell) + 1, 0, 0, 0, 0})                                 // first type past the last
+	f.Add([]byte{7, 0, 0, 0, 2, '{', '}'})                                        // the retired type 7
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ra := NewReader(bytes.NewReader(data))
@@ -62,7 +64,7 @@ func FuzzReader(f *testing.F) {
 			if ta != tb {
 				t.Fatalf("frame %d: Next type %v, NextData type %v", frame, ta, tb)
 			}
-			if ta < Open || ta > Doorbell {
+			if ta < Open || ta > Doorbell || ta == 7 {
 				t.Fatalf("frame %d: invalid type %d returned without error", frame, ta)
 			}
 			if ta == Doorbell && len(pa) != 0 {

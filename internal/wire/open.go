@@ -17,9 +17,8 @@ type OpenRequest struct {
 	Weight   int
 	Quota    uint64
 	QueueCap int
-	// Timing asks the server to stream Telemetry frames with the session's
-	// server-side stage-latency breakdown and to attach the final breakdown
-	// to Done (DoneReply.Timing).
+	// Timing asks the server to attach the session's whole-life
+	// server-side stage-latency breakdown to its Done (DoneReply.Timing).
 	Timing bool
 	// Reuse asks the server to keep the connection open after a clean Done,
 	// or a gateway after its Redirect, so the next Open can follow on it.

@@ -2,17 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
-// TestTelemetryRoundTrip: the Telemetry frame type is valid on the wire, its
-// JSON document survives encode → decode, and DoneReply carries the optional
-// timing attachment.
+// TestTelemetryRoundTrip: the timing document survives encode → decode as
+// DoneReply's optional attachment.
 func TestTelemetryRoundTrip(t *testing.T) {
-	if got := Telemetry.String(); got != "telemetry" {
-		t.Errorf("Telemetry.String() = %q", got)
-	}
-
 	tel := TelemetryReply{Session: 7, Stages: Stages{
 		Queue:   StageTiming{Samples: 10, MeanNs: 1500, P50Ns: 1200, P99Ns: 4100},
 		Sched:   StageTiming{Samples: 10, MeanNs: 300, P50Ns: 250, P99Ns: 900},
@@ -20,33 +16,13 @@ func TestTelemetryRoundTrip(t *testing.T) {
 		Wire:    StageTiming{Samples: 9, MeanNs: 2200, P50Ns: 1800, P99Ns: 5000},
 	}}
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.JSON(Telemetry, tel); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.JSON(Done, DoneReply{Blocks: 3, Timing: &tel}); err != nil {
+	if err := NewWriter(&buf).JSON(Done, DoneReply{Blocks: 3, Timing: &tel}); err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewReader(&buf)
-	typ, ws, payload, err := r.NextData()
-	if err != nil || typ != Telemetry || ws != nil {
-		t.Fatalf("frame 1 = %v (words %v) %v, want telemetry control frame", typ, ws, err)
-	}
-	var got TelemetryReply
-	if err := Unmarshal(typ, payload, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != tel {
-		t.Fatalf("telemetry decoded as %+v, want %+v", got, tel)
-	}
-	if want := 1500.0 + 300 + 7000 + 2200; got.ServerMeanNs() != want {
-		t.Errorf("ServerMeanNs() = %g, want %g", got.ServerMeanNs(), want)
-	}
-
-	typ, _, payload, err = r.NextData()
+	typ, _, payload, err := NewReader(&buf).NextData()
 	if err != nil || typ != Done {
-		t.Fatalf("frame 2 = %v %v, want done", typ, err)
+		t.Fatalf("frame = %v %v, want done", typ, err)
 	}
 	var done DoneReply
 	if err := Unmarshal(typ, payload, &done); err != nil {
@@ -54,6 +30,26 @@ func TestTelemetryRoundTrip(t *testing.T) {
 	}
 	if done.Blocks != 3 || done.Timing == nil || *done.Timing != tel {
 		t.Fatalf("done decoded as %+v (timing %+v)", done, done.Timing)
+	}
+	if want := 1500.0 + 300 + 7000 + 2200; done.Timing.ServerMeanNs() != want {
+		t.Errorf("ServerMeanNs() = %g, want %g", done.Timing.ServerMeanNs(), want)
+	}
+}
+
+// TestRetiredTypeRefused: a header of the retired type 7 is refused by Next
+// and by NextData, as a type past the last (10) is, whatever its payload.
+func TestRetiredTypeRefused(t *testing.T) {
+	for _, ty := range []byte{7, 10} {
+		for _, frame := range [][]byte{{ty, 0, 0, 0, 0}, {ty, 0, 0, 0, 2, '{', '}'}} {
+			if _, _, err := NewReader(bytes.NewReader(frame)).Next(); err == nil ||
+				!strings.Contains(err.Error(), "invalid frame type") {
+				t.Errorf("Next(% x) err = %v, want an invalid frame type", frame, err)
+			}
+			if _, _, _, err := NewReader(bytes.NewReader(frame)).NextData(); err == nil ||
+				!strings.Contains(err.Error(), "invalid frame type") {
+				t.Errorf("NextData(% x) err = %v, want an invalid frame type", frame, err)
+			}
+		}
 	}
 }
 

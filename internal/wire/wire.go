@@ -4,8 +4,8 @@
 //
 // Every frame is a 1-byte type, a 4-byte big-endian payload length, and the
 // payload. Open, OpenOK and Redirect payloads are fixed little-endian binary
-// layouts (AppendOpen, Writer.OpenOK, AppendRedirect); Error, Done and
-// Telemetry payloads are JSON. Data payloads are packed little-endian 64-bit
+// layouts (AppendOpen, Writer.OpenOK, AppendRedirect); Error and Done
+// payloads are JSON. Data payloads are packed little-endian 64-bit
 // words, matching the in-memory queue representation so the daemon can move
 // them with a single copy.
 //
@@ -130,12 +130,8 @@ const (
 	Data      Type = 4 // either direction: packed little-endian words
 	CloseSend Type = 5 // client → server: end of the client's stream
 	Done      Type = 6 // server → client: JSON DoneReply, final frame
-	// Telemetry is a server → client JSON TelemetryReply carrying the
-	// session's server-side stage-latency breakdown. Sent mid-stream on a
-	// sampling basis, and only when the Open asked for it
-	// (OpenRequest.Timing) — a client that never opts in never sees the
-	// frame type, so old clients stay compatible.
-	Telemetry Type = 7
+	// Type 7 is retired and not to be reused: the Reader refuses it.
+
 	// Redirect is a gateway → client binary list of the tenant's candidate
 	// shard addresses in ring order (AppendRedirect), the gateway's whole
 	// answer to an Open.
@@ -162,8 +158,6 @@ func (t Type) String() string {
 		return "close-send"
 	case Done:
 		return "done"
-	case Telemetry:
-		return "telemetry"
 	case Redirect:
 		return "redirect"
 	case Doorbell:
@@ -258,9 +252,9 @@ type StageTiming struct {
 
 // Stages is the four-stage latency summary of one scope — a session, a
 // tenant, or a tenant over a window — in pipeline order: input-queue wait,
-// scheduler dispatch (incl. the modeled CSR swap), engine compute, and
+// scheduler dispatch (incl. the quantum's staging copy), engine compute, and
 // output-queue + socket egress. It is the one shape of every latency view:
-// Telemetry frames, /sessions and /stats/windows (windowed and lifetime).
+// DoneReply.Timing, /sessions and /stats/windows (windowed and lifetime).
 type Stages struct {
 	Queue   StageTiming `json:"queue"`
 	Sched   StageTiming `json:"sched"`
@@ -269,10 +263,9 @@ type Stages struct {
 }
 
 // TelemetryReply is the server-side latency attribution document for one
-// session: where a served block's time went once it reached the daemon.
-// Carried mid-stream by Telemetry frames (cumulative since the session
-// opened; each frame supersedes the last) and attached finally to
-// DoneReply.Timing. The client's end-to-end clock minus ServerMeanNs
+// session: where a served block's time went once it reached the daemon,
+// over the session's whole life. It rides only on the session's Done
+// (DoneReply.Timing). The client's end-to-end clock minus ServerMeanNs
 // approximates network + client-side time.
 type TelemetryReply struct {
 	Session uint64 `json:"session"`
@@ -489,7 +482,7 @@ type Reader struct {
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// readHeader reads and validates one frame header: type in range, length
+// readHeader reads and validates one frame header: a type in use, length
 // within MaxFrame, and — checked here at deframe time, before any payload
 // byte is read — Data payloads a whole number of words and Doorbells empty.
 func (fr *Reader) readHeader() (Type, int, error) {
@@ -501,7 +494,7 @@ func (fr *Reader) readHeader() (Type, int, error) {
 	}
 	t := Type(fr.hdr[0])
 	n := int(binary.BigEndian.Uint32(fr.hdr[1:]))
-	if t < Open || t > Doorbell {
+	if t < Open || t > Doorbell || t == 7 { // 7 is retired
 		return 0, 0, fmt.Errorf("wire: invalid frame type %d", fr.hdr[0])
 	}
 	if t == Doorbell && n != 0 {
